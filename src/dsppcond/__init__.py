@@ -55,7 +55,6 @@ from .partial_cn import (
     CnValue,
     PerturbationWeights,
     XiChoice,
-    build_g,
     build_j,
     definition_ratio,
     extremal_direction,
@@ -146,7 +145,6 @@ __all__ = [
     "CnValue",
     "PerturbationWeights",
     "XiChoice",
-    "build_g",
     "build_j",
     "inv_rows",
     "first_order_delta",

@@ -275,7 +275,7 @@ def _analyze_payload(args, structure_kinds: dict | None) -> str:
     inf_uppers = inf_cn_upper(blocks, sel, **shared) if want_inf_upper else None
     for flavor in flavors:
         if flavor == "ncn":
-            values["ncn"] = ncn(blocks, sel, psi, chi, path="kronfree", **shared).value
+            values["ncn"] = ncn(blocks, sel, psi, chi, **shared).value
             if args.upper_bounds:
                 uppers["ncn"] = ncn_upper(blocks, sel, psi, chi, **shared).value
             if triple is not None:

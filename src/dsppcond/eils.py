@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dspp import DsppBlocks, Selector, Solution, factorize, solve_dspp
+from .dspp import DsppBlocks, Selector, Solution, solve_dspp
 from .errors import (
     DimensionMismatch,
     IndefiniteProblem,
@@ -33,8 +33,8 @@ from .errors import (
     RankDeficientC,
     SingularMatrix,
 )
-from .linalg import LuSolver, as_matrix, as_vector, ddagger, induced_norm
-from .partial_cn import CnValue, _as_xi, inv_rows
+from .linalg import LuSolver, as_matrix, as_vector, induced_norm
+from .partial_cn import CnValue, PerturbationWeights, _as_xi, _setup, unified_cn
 
 # Rank tolerance for the constraint matrix, relative to its inf-norm.
 RANK_RTOL = 1e-10
@@ -149,49 +149,32 @@ def solve_eils(prob: EilsProblem) -> EilsSolution:
     return EilsSolution(y=y, lam=sol.z, x=sol.x, residual=prob.b - prob.M @ y)
 
 
-def _build_ghat(sol: Solution) -> np.ndarray:
-    """l x m(n+p) sensitivity map in (vec dM, vec dC) coordinates:
-
-        [ y^T kron I_n   0            ]
-        [ I_m kron x^T   I_m kron z^T ]
-        [ 0              y^T kron I_p ]
-    """
-    x, y, z = sol.x, sol.y, sol.z
-    n, m, p = x.size, y.size, z.size
-    ghat = np.zeros((n + m + p, n * m + p * m))
-    nm = n * m
-    ghat[:n, :nm] = np.kron(y[None, :], np.eye(n))
-    ghat[n : n + m, :nm] = np.kron(np.eye(m), x[None, :])
-    ghat[n : n + m, nm:] = np.kron(np.eye(m), z[None, :])
-    ghat[n + m :, nm:] = np.kron(y[None, :], np.eye(p))
-    return ghat
-
-
-def _eils_weight_vectors(prob: EilsProblem, psi, chi):
-    """Weight vectors over (vec dM, vec dC) and (b, d) positions."""
+def _eils_weights(prob: EilsProblem, psi, chi) -> PerturbationWeights:
+    """Entrywise weights of the embedded system: (M, C) and (b, d) as given,
+    zero on A, D, E and on the middle right-hand side block."""
     n, m, p = prob.n, prob.m, prob.p
     if np.isscalar(psi):
         psi = float(psi)
         if psi <= 0:
             raise ValueError("scalar weight must be positive")
-        vec_psi = np.full(n * m + p * m, psi)
+        psi_m, psi_c = np.full((n, m), psi), np.full((p, m), psi)
     else:
-        psi_m, psi_c = psi
-        psi_m = np.asarray(psi_m, dtype=float)
-        psi_c = np.asarray(psi_c, dtype=float)
+        psi_m, psi_c = (np.asarray(w, dtype=float) for w in psi)
         if psi_m.shape != (n, m) or psi_c.shape != (p, m):
             raise DimensionMismatch("entrywise weights must be shaped like M and C")
-        vec_psi = np.concatenate([psi_m.flatten(order="F"), psi_c.flatten(order="F")])
     if np.isscalar(chi):
         chi = float(chi)
         if chi <= 0:
             raise ValueError("scalar weight must be positive")
-        vec_chi = np.full(n + p, chi)
+        chi = np.full(n + p, chi)
     else:
-        vec_chi = as_vector(chi, "chi")
-        if vec_chi.size != n + p:
+        chi = as_vector(chi, "chi")
+        if chi.size != n + p:
             raise DimensionMismatch(f"chi must have length {n + p}")
-    return vec_psi, vec_chi
+    return PerturbationWeights.entrywise(
+        np.zeros((n, n)), psi_m.T, psi_c, np.zeros((m, m)), np.zeros((p, p)),
+        np.concatenate([chi[:n], np.zeros(m), chi[n:]]),
+    )
 
 
 def default_scalar_weights(prob: EilsProblem) -> tuple[float, float]:
@@ -218,37 +201,22 @@ def eils_cn(
     (M, C) and (b, d).
 
     ``psi`` is a positive scalar or a pair of matrices shaped like (M, C);
-    ``chi`` is a positive scalar or a length n+p vector. Equals the general
-    weighted condition number of the reduced system with weights pinned to
-    zero on A, D, E and the middle right-hand side block.
+    ``chi`` is a positive scalar or a length n+p vector. This is
+    :func:`unified_cn` of the reduced system with weights pinned to zero on
+    A, D, E and the middle right-hand side block. A zero L w raises
+    :class:`ZeroXi` before the weights are checked, since weights taken from
+    the data vanish with it.
     """
     if norm not in ("two", "inf"):
         raise ValueError(f"norm must be 'two' or 'inf', got {norm!r}")
     xi = _as_xi(xi)
     if blocks is None:
         blocks = eils_reduce(prob)
-    if lu is None and (sol is None or rows is None):
-        lu = factorize(blocks)
-    if sol is None:
-        sol = solve_dspp(blocks, lu)
-    if rows is None:
-        rows = inv_rows(blocks, sel, lu)
-    n, m, p = prob.n, prob.m, prob.p
-    vec_psi, vec_chi = _eils_weight_vectors(prob, psi, chi)
-    lw = sel.L @ sol.w
-    xivec = xi.resolve(lw)
-
-    ghat = rows @ _build_ghat(sol)
-    rhs_cols = np.concatenate([np.arange(n), np.arange(n + m, n + m + p)])
-    rows_sel = rows[:, rhs_cols]
-    if norm == "inf":
-        u = np.abs(ghat) @ np.abs(vec_psi) + np.abs(rows_sel) @ np.abs(vec_chi)
-        return CnValue(float(np.max(np.abs(ddagger(xivec)) * u)), "eilsInf")
-    mat = np.hstack([ghat * vec_psi[None, :], -rows_sel * vec_chi[None, :]])
-    mat *= ddagger(xivec)[:, None]
-    if not np.any(mat):
-        return CnValue(0.0, "eils2")
-    return CnValue(induced_norm(mat, "two"), "eils2")
+    sol, rows = _setup(blocks, sel, sol, lu, rows)
+    xi.resolve(sel.L @ sol.w)
+    weights = _eils_weights(prob, psi, chi)
+    value = unified_cn(blocks, sel, weights, xi, norm, sol=sol, rows=rows).value
+    return CnValue(value, "eils2" if norm == "two" else "eilsInf")
 
 
 def eils_from_dict(doc) -> EilsProblem:

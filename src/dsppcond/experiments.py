@@ -24,7 +24,7 @@ import scipy.linalg
 from ._version import __version__
 from .dspp import DsppBlocks, Selector, Solution, factorize, norm_fro_system, selector, solve_dspp
 from .errors import IncompatibleZeroPattern, ZeroXi
-from .linalg import ddagger
+from .linalg import ddagger, kron
 from .partial_cn import first_order_delta, inf_cn, inf_cn_upper, inv_rows, ncn, ncn_upper
 from .partial_cn import PerturbationWeights
 from .structured import StructureTriple, structured_inf_cn, structured_ncn
@@ -76,10 +76,10 @@ def gen_example1(q: int, seed) -> DsppBlocks:
     z = _tridiag(0.0, 1.0, -1.0, q) / (q + 1)
     y = np.diag(1.0 + q * np.arange(q))
     eye_q = np.eye(q)
-    lap = np.kron(eye_q, j) + np.kron(j, eye_q)
+    lap = kron(eye_q, j) + kron(j, eye_q)
     a = scipy.linalg.block_diag(lap, lap)
-    b = np.hstack([np.kron(eye_q, z), np.kron(z, eye_q)])
-    c = np.kron(y, z)
+    b = np.hstack([kron(eye_q, z), kron(z, eye_q)])
+    c = kron(y, z)
     qq = q * q
     rhs = rng.standard_normal(4 * qq)
     return DsppBlocks(A=a, B=b, C=c, D=np.eye(qq), E=np.eye(qq), b=rhs)
@@ -112,7 +112,7 @@ def gen_example2(q: int, seed) -> tuple[DsppBlocks, StructureTriple]:
     nhat[np.arange(q), np.arange(q)] = 2.0
     nhat[np.arange(q), np.arange(1, q + 1)] = -1.0
     eye_q = np.eye(q)
-    nmat = np.vstack([np.kron(nhat, eye_q), np.kron(eye_q, nhat)])
+    nmat = np.vstack([kron(nhat, eye_q), kron(eye_q, nhat)])
     bmat = np.hstack([nmat, -np.eye(2 * qt), np.eye(2 * qt)])
 
     mhat = np.zeros((q + 1, q))
@@ -124,7 +124,7 @@ def gen_example2(q: int, seed) -> tuple[DsppBlocks, StructureTriple]:
                 off = abs(i - jj)
                 mhat[i - 1, jj - 1] = ((-1.0) ** off) * (q - off) / q
     mhat[q, q - 1] = 1.0
-    cmat = np.hstack([np.kron(mhat, eye_q), np.kron(eye_q, mhat)])
+    cmat = np.hstack([kron(mhat, eye_q), kron(eye_q, mhat)])
 
     n, m, p = 5 * qt + q, 2 * qt, qt + q
     dgen = rng.standard_normal(m)
@@ -360,7 +360,7 @@ def run_experiment(
             psi = norm_fro_system(blocks)
             chi = float(np.linalg.norm(blocks.b, 2))
             shared = dict(sol=sol, lu=lu, rows=rows)
-            cn2 = ncn(blocks, sel, psi, chi, path="kronfree", **shared).value
+            cn2 = ncn(blocks, sel, psi, chi, **shared).value
             cn2_u = ncn_upper(blocks, sel, psi, chi, **shared).value
             mcn_v = inf_cn(blocks, sel, "mcn", **shared).value
             ccn_v = inf_cn(blocks, sel, "ccn", **shared).value

@@ -52,8 +52,10 @@ def unvec(v, rows: int, cols: int) -> np.ndarray:
 
 
 def kron(x, y) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(as_matrix(x), as_matrix(y))
+    """Kronecker product of two matrices: block (i, j) is x[i, j] * y."""
+    x, y = as_matrix(x), as_matrix(y)
+    out = x[:, None, :, None] * y[None, :, None, :]
+    return out.reshape(x.shape[0] * y.shape[0], x.shape[1] * y.shape[1])
 
 
 def ddagger(z) -> np.ndarray:

@@ -14,7 +14,9 @@ mixed (max-norm normalizer) and componentwise (entrywise normalizer) numbers.
 
 The first-order response is dw = -S^{-1} [G, -I] [vec(dH); db] with G the
 l x s sensitivity matrix assembled from x, y, z (s = n^2 + nm + mp + m^2 + p^2).
-All closed forms below need only L S^{-1}, obtained from k transposed solves,
+G itself is never formed: every 2-norm number goes through the l x l weighted
+Gram G diag(w^2) G^T in closed form, and every max-norm number through one
+chunked numerator. Both need only L S^{-1}, obtained from k transposed solves,
 never an explicit inverse.
 """
 
@@ -25,14 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dspp import DsppBlocks, Selector, Solution, factorize, solve_dspp
-from .errors import DimensionMismatch, ZeroXi
-from .linalg import LuSolver, as_vector, ddagger, induced_norm, spectral_top, unvec
+from .errors import DimensionMismatch, ZeroMatrix, ZeroXi
+from .linalg import LuSolver, as_vector, ddagger, induced_norm
 
-# The explicit k x (s+l) matrix is materialized only up to this entry count;
-# past it the normwise path falls back to the Kronecker-free product form.
-KRON_ENTRY_LIMIT = 2_000_000
-
-# Temp-tensor budget (entries) for the chunked max-norm numerator.
+# Entries per chunk of the max-norm pair kernel. A chunk holds at most two
+# float64 temporaries of this size, 64 MB, so the numerator's working memory
+# stays under a 128 MB budget that does not grow with s.
 _CHUNK_ENTRY_LIMIT = 1 << 22
 
 _XI_KINDS = ("ncn", "mcn", "ccn", "custom")
@@ -106,10 +106,6 @@ class PerturbationWeights:
             raise DimensionMismatch(f"chi has length {self.chi_vector.size}, expected {l}")
         return self.chi_vector
 
-    def vec_psi(self, blocks: DsppBlocks) -> np.ndarray:
-        """Column-stacked weight vector over all five blocks, in A,B,C,D,E order."""
-        return np.concatenate([w.flatten(order="F") for w in self.block_mats(blocks)])
-
 
 @dataclass(frozen=True)
 class XiChoice:
@@ -153,47 +149,34 @@ def _as_xi(xi) -> XiChoice:
     return xi if isinstance(xi, XiChoice) else XiChoice(kind=str(xi))
 
 
-def build_g(sol: Solution) -> np.ndarray:
-    """The l x s first-order sensitivity matrix in vec(dA..dE) coordinates.
+def build_j(sol: Solution, wa, wb, wc, wd, we) -> np.ndarray:
+    """The l x l weighted Gram G diag(w^2) G^T in closed form (no Kronecker).
 
-    Row blocks (x, y, z parts) against column blocks (A, B, C, D, E):
+    ``wa`` .. ``we`` are weight matrices shaped like A .. E; squares are taken
+    entrywise (W2 = W * W):
 
-        [ x^T kron I_n   I_n kron y^T   0              0              0            ]
-        [ 0              x^T kron I_m   I_m kron z^T  -(y^T kron I_m) 0            ]
-        [ 0              0              y^T kron I_p   0              z^T kron I_p ]
+        xx: diag(W2_A x^2 + W2_B^T y^2)
+        yy: diag(W2_B x^2 + W2_D y^2 + W2_C^T z^2)
+        zz: diag(W2_C y^2 + W2_E z^2)
+        xy: (W2_B o y x^T)^T,   yz: (W2_C o z y^T)^T,   xz: 0
+
+    Scalar weights enter as constant matrices (see
+    :meth:`PerturbationWeights.block_mats`).
     """
     x, y, z = sol.x, sol.y, sol.z
-    n, m, p = x.size, y.size, z.size
-    widths = [n * n, n * m, m * p, m * m, p * p]
-    offs = np.concatenate([[0], np.cumsum(widths)])
-    g = np.zeros((n + m + p, offs[-1]))
-    g[:n, offs[0] : offs[1]] = np.kron(x[None, :], np.eye(n))
-    g[:n, offs[1] : offs[2]] = np.kron(np.eye(n), y[None, :])
-    g[n : n + m, offs[1] : offs[2]] = np.kron(x[None, :], np.eye(m))
-    g[n : n + m, offs[2] : offs[3]] = np.kron(np.eye(m), z[None, :])
-    g[n : n + m, offs[3] : offs[4]] = -np.kron(y[None, :], np.eye(m))
-    g[n + m :, offs[2] : offs[3]] = np.kron(y[None, :], np.eye(p))
-    g[n + m :, offs[4] :] = np.kron(z[None, :], np.eye(p))
-    return g
-
-
-def build_j(sol: Solution) -> np.ndarray:
-    """The l x l Gram matrix of :func:`build_g` in closed form (no Kronecker).
-
-    Diagonal blocks are (|x|^2+|y|^2) I_n, (|x|^2+|y|^2+|z|^2) I_m,
-    (|y|^2+|z|^2) I_p; off-diagonal couplings are x y^T and y z^T.
-    """
-    x, y, z = sol.x, sol.y, sol.z
-    n, m, p = x.size, y.size, z.size
-    sx, sy, sz = float(x @ x), float(y @ y), float(z @ z)
-    j = np.zeros((n + m + p, n + m + p))
-    j[:n, :n] = (sx + sy) * np.eye(n)
-    j[n : n + m, n : n + m] = (sx + sy + sz) * np.eye(m)
-    j[n + m :, n + m :] = (sy + sz) * np.eye(p)
-    j[:n, n : n + m] = np.outer(x, y)
-    j[n : n + m, :n] = np.outer(y, x)
-    j[n : n + m, n + m :] = np.outer(y, z)
-    j[n + m :, n : n + m] = np.outer(z, y)
+    n, m = x.size, y.size
+    wa, wb, wc, wd, we = (np.square(w) for w in (wa, wb, wc, wd, we))
+    x2, y2, z2 = np.square(x), np.square(y), np.square(z)
+    diag = np.concatenate([
+        wa @ x2 + wb.T @ y2,
+        wb @ x2 + wd @ y2 + wc.T @ z2,
+        wc @ y2 + we @ z2,
+    ])
+    j = np.diag(diag)
+    j[:n, n : n + m] = (wb * np.outer(y, x)).T
+    j[n : n + m, :n] = j[:n, n : n + m].T
+    j[n : n + m, n + m :] = (wc * np.outer(z, y)).T
+    j[n + m :, n : n + m] = j[n : n + m, n + m :].T
     return j
 
 
@@ -241,37 +224,60 @@ def _chunks(total: int, size: int):
         yield slice(start, min(start + size, total))
 
 
+def _pair_sum(k_col, v_row, k_row, v_col, w) -> np.ndarray:
+    """sum_{r,c} |k_col[:, c] v_row[r] + k_row[:, r] v_col[c]| w[r, c], exactly.
+
+    The k x r x c tensor under the absolute value is accumulated in column
+    chunks of at most ``_CHUNK_ENTRY_LIMIT`` entries, never all at once.
+    """
+    k = k_col.shape[0]
+    nr, nc = w.shape
+    u = np.zeros(k)
+    cb = max(1, _CHUNK_ENTRY_LIMIT // max(1, k * nr))
+    for cs in _chunks(nc, cb):
+        t = k_col[:, None, cs] * v_row[None, :, None]
+        t += k_row[:, :, None] * v_col[None, None, cs]
+        np.abs(t, out=t)
+        u += np.einsum("krc,rc->k", t, w[:, cs])
+    return u
+
+
 def _inf_numerator(rows, sol, wa, wb, wc, wd, we, chi_abs) -> np.ndarray:
     """|L S^{-1} [G, -I]| [vec(W); chi] for nonnegative weights, exactly.
 
     The A, D, E column blocks of L S^{-1} G factor through Kronecker
     identities, so their absolute values reduce to small matrix products. The
-    B and C blocks mix two terms before the absolute value and are accumulated
-    in column chunks, which keeps memory at O(k * max(m, p)) instead of
+    B and C blocks mix two terms before the absolute value and go through the
+    chunked pair kernel, which keeps memory within the chunk budget instead of
     materializing the k x s matrix.
     """
     x, y, z = sol.x, sol.y, sol.z
-    n, m, p = x.size, y.size, z.size
+    n, m = x.size, y.size
     k1, k2, k3 = rows[:, :n], rows[:, n : n + m], rows[:, n + m :]
     a1, a2, a3 = np.abs(k1), np.abs(k2), np.abs(k3)
     u = a1 @ (wa @ np.abs(x)) + a2 @ (wd @ np.abs(y)) + a3 @ (we @ np.abs(z))
     u += np.abs(rows) @ chi_abs
-
-    k = rows.shape[0]
-    cb = max(1, _CHUNK_ENTRY_LIMIT // max(1, k * m))
-    for cs in _chunks(n, cb):
-        t = np.abs(k1[:, cs][:, None, :] * y[None, :, None] + k2[:, :, None] * x[cs][None, None, :])
-        u += np.einsum("krc,rc->k", t, wb[:, cs])
-    cb = max(1, _CHUNK_ENTRY_LIMIT // max(1, k * p))
-    for cs in _chunks(m, cb):
-        t = np.abs(k2[:, cs][:, None, :] * z[None, :, None] + k3[:, :, None] * y[cs][None, None, :])
-        u += np.einsum("krc,rc->k", t, wc[:, cs])
+    u += _pair_sum(k1, y, k2, x, wb)
+    u += _pair_sum(k2, z, k3, y, wc)
     return u
 
 
 def _sym_top_eig(s: np.ndarray) -> float:
     s = (s + s.T) / 2.0
     return float(max(np.linalg.eigvalsh(s)[-1], 0.0))
+
+
+def _gram(rows, xivec, j, chi) -> np.ndarray:
+    """The k x k Gram Xi L S^{-1} (J + diag chi^2) (L S^{-1})^T Xi; updates ``j``."""
+    j[np.diag_indices_from(j)] += np.square(chi)
+    t = ddagger(xivec)[:, None] * rows
+    return t @ j @ t.T
+
+
+def _gram_value(blocks, sol, rows, weights, xivec) -> float:
+    """The weighted 2-norm number: sqrt of the top eigenvalue of the Gram."""
+    j = build_j(sol, *weights.block_mats(blocks))
+    return float(np.sqrt(_sym_top_eig(_gram(rows, xivec, j, weights.chi_vec(blocks.l)))))
 
 
 def unified_cn(
@@ -287,10 +293,10 @@ def unified_cn(
 ) -> CnValue:
     """The general weighted condition number for norm "two" or "inf".
 
-    The max-norm case is evaluated through the exact chunked numerator and
-    scales to large systems. The 2-norm case with scalar weights uses the
-    Kronecker-free Gram form; with entrywise weights it materializes the
-    k x (s+l) matrix and is intended for desk-scale systems.
+    The 2-norm value is the square root of the top eigenvalue of the k x k
+    Gram Xi L S^{-1} (J_W + diag chi^2) (L S^{-1})^T Xi, with J_W from
+    :func:`build_j`; the max-norm value goes through the exact chunked
+    numerator. Both hold for scalar and entrywise weights alike.
 
     ``sol``, ``lu`` and ``rows`` (L S^{-1}) may be passed to reuse work.
     """
@@ -298,27 +304,14 @@ def unified_cn(
         raise ValueError(f"norm must be 'two' or 'inf', got {norm!r}")
     xi = _as_xi(xi)
     sol, rows = _setup(blocks, sel, sol, lu, rows)
-    lw = sel.L @ sol.w
-    xivec = xi.resolve(lw)
+    xivec = xi.resolve(sel.L @ sol.w)
 
-    if norm == "inf":
-        wmats = tuple(np.abs(w) for w in weights.block_mats(blocks))
-        chiv = np.abs(weights.chi_vec(blocks.l))
-        u = _inf_numerator(rows, sol, *wmats, chiv)
-        return CnValue(float(np.max(np.abs(ddagger(xivec)) * u)), "unifiedInf")
-
-    if weights.is_scalar:
-        w = ddagger(xivec)[:, None] * rows
-        core = (weights.psi_scalar ** 2) * build_j(sol) + (weights.chi_scalar ** 2) * np.eye(blocks.l)
-        return CnValue(np.sqrt(_sym_top_eig(w @ core @ w.T)), "unified2")
-
-    g = build_g(sol)
-    scale = np.concatenate([weights.vec_psi(blocks), weights.chi_vec(blocks.l)])
-    m = np.hstack([rows @ g, -rows]) * scale[None, :]
-    m *= ddagger(xivec)[:, None]
-    if not np.any(m):
-        return CnValue(0.0, "unified2")
-    return CnValue(induced_norm(m, "two"), "unified2")
+    if norm == "two":
+        return CnValue(_gram_value(blocks, sol, rows, weights, xivec), "unified2")
+    wmats = tuple(np.abs(w) for w in weights.block_mats(blocks))
+    chiv = np.abs(weights.chi_vec(blocks.l))
+    u = _inf_numerator(rows, sol, *wmats, chiv)
+    return CnValue(float(np.max(np.abs(ddagger(xivec)) * u)), "unifiedInf")
 
 
 def ncn(
@@ -326,7 +319,6 @@ def ncn(
     sel: Selector,
     psi: float,
     chi: float,
-    path: str = "kron",
     *,
     sol: Solution | None = None,
     lu: LuSolver | None = None,
@@ -334,32 +326,15 @@ def ncn(
 ) -> CnValue:
     """Normwise condition number of L w under scalar weights, 2-norms.
 
-    ``path="kron"`` materializes [psi L S^{-1} G, -chi L S^{-1}] and takes its
-    spectral norm; it falls back to ``"kronfree"`` automatically when that
-    matrix would exceed the entry budget. ``path="kronfree"`` evaluates the
-    same value as the square root of the top eigenvalue of
-    L S^{-1} (psi^2 J + chi^2 I) (L S^{-1})^T, with J the closed-form Gram
-    matrix. The flavor on the result names the path actually taken.
+    The square root of the top eigenvalue of
+    L S^{-1} (psi^2 J + chi^2 I) (L S^{-1})^T / ||L w||_2^2, with J the
+    closed-form Gram matrix. A zero L w raises :class:`ZeroXi` before the
+    weights are checked, since weights taken from the data vanish with it.
     """
-    if path not in ("kron", "kronfree"):
-        raise ValueError(f"path must be 'kron' or 'kronfree', got {path!r}")
-    psi, chi = float(psi), float(chi)
-    if not (psi > 0 and chi > 0):
-        raise ValueError("scalar weights must be positive")
     sol, rows = _setup(blocks, sel, sol, lu, rows)
-    lw = sel.L @ sol.w
-    xi_l = float(np.linalg.norm(lw, 2))
-    if xi_l == 0.0:
-        raise ZeroXi("L w is zero, the 2-norm normalizer vanishes")
-
-    n, m, p = blocks.n, blocks.m, blocks.p
-    s = n * n + n * m + m * p + m * m + p * p
-    k = rows.shape[0]
-    if path == "kron" and k * (s + blocks.l) <= KRON_ENTRY_LIMIT:
-        mat = np.hstack([psi * (rows @ build_g(sol)), -chi * rows])
-        return CnValue(induced_norm(mat, "two") / xi_l, "ncn")
-    core = (psi ** 2) * build_j(sol) + (chi ** 2) * np.eye(blocks.l)
-    return CnValue(np.sqrt(_sym_top_eig(rows @ core @ rows.T)) / xi_l, "ncn_kronfree")
+    xivec = XiChoice(kind="ncn").resolve(sel.L @ sol.w)
+    weights = PerturbationWeights.scalar(psi, chi)
+    return CnValue(_gram_value(blocks, sol, rows, weights, xivec), "ncn")
 
 
 def ncn_upper(
@@ -374,16 +349,14 @@ def ncn_upper(
 ) -> CnValue:
     """Cheap upper bound dominating :func:`ncn`:
     ||L S^{-1}||_2 (psi ||J||_2^{1/2} + chi) / ||L w||_2."""
-    psi, chi = float(psi), float(chi)
-    if not (psi > 0 and chi > 0):
-        raise ValueError("scalar weights must be positive")
     sol, rows = _setup(blocks, sel, sol, lu, rows)
     lw = sel.L @ sol.w
     xi_l = float(np.linalg.norm(lw, 2))
     if xi_l == 0.0:
         raise ZeroXi("L w is zero, the 2-norm normalizer vanishes")
-    j_top = np.sqrt(_sym_top_eig(build_j(sol)))
-    return CnValue(induced_norm(rows, "two") * (psi * j_top + chi) / xi_l, "ncn_upper")
+    weights = PerturbationWeights.scalar(psi, chi)
+    j_top = np.sqrt(_sym_top_eig(build_j(sol, *weights.block_mats(blocks))))
+    return CnValue(induced_norm(rows, "two") * (j_top + weights.chi_scalar) / xi_l, "ncn_upper")
 
 
 def inf_cn(
@@ -506,39 +479,44 @@ def extremal_direction(
 ):
     """A 2-norm worst-case perturbation direction and the value it attains.
 
-    Materializes the weighted k x (s+l) map, takes its top right singular
-    vector v, and rescales by the weights so the returned block deltas are
-    admissible and their :func:`definition_ratio` equals the returned sigma
-    (the 2-norm condition number for this xi). Desk-scale sizes only.
+    Takes the top eigenvector u of the k x k Gram of :func:`unified_cn`, maps
+    t = (L S^{-1})^T Xi u / sigma back through the adjoint of
+    :func:`first_order_delta`, and scales by the squared weights, so the
+    returned block deltas are admissible and their :func:`definition_ratio`
+    equals the returned sigma (the 2-norm condition number for this xi).
+    Raises :class:`ZeroMatrix` when the Gram is zero.
     """
     xi = _as_xi(xi)
     sol, rows = _setup(blocks, sel, sol, lu, rows)
-    lw = sel.L @ sol.w
-    xivec = xi.resolve(lw)
-    scale = np.concatenate([weights.vec_psi(blocks), weights.chi_vec(blocks.l)])
-    mat = np.hstack([rows @ build_g(sol), -rows]) * scale[None, :]
-    mat *= ddagger(xivec)[:, None]
-    sigma, _, v = spectral_top(mat)
+    xivec = xi.resolve(sel.L @ sol.w)
+    wmats = weights.block_mats(blocks)
+    chi = weights.chi_vec(blocks.l)
+    gram = _gram(rows, xivec, build_j(sol, *wmats), chi)
+    if not np.any(gram):
+        raise ZeroMatrix("the weighted Gram matrix is zero")
+    evals, evecs = np.linalg.eigh((gram + gram.T) / 2.0)
+    sigma = float(np.sqrt(max(evals[-1], 0.0)))
+    t = rows.T @ (ddagger(xivec) * evecs[:, -1]) / sigma
 
-    d = scale * v
-    n, m, p, l = blocks.n, blocks.m, blocks.p, blocks.l
-    widths = [n * n, n * m, m * p, m * m, p * p]
-    offs = np.concatenate([[0], np.cumsum(widths)])
-    da = unvec(d[offs[0] : offs[1]], n, n)
-    db_ = unvec(d[offs[1] : offs[2]], m, n)
-    dc = unvec(d[offs[2] : offs[3]], p, m)
-    dd = unvec(d[offs[3] : offs[4]], m, m)
-    de = unvec(d[offs[4] : offs[5]], p, p)
-    drhs = d[offs[5] :]
-    return (da, db_, dc, dd, de, drhs), float(sigma)
+    n, m = blocks.n, blocks.m
+    t1, t2, t3 = t[:n], t[n : n + m], t[n + m :]
+    x, y, z = sol.x, sol.y, sol.z
+    wa, wb, wc, wd, we = (np.square(w) for w in wmats)
+    deltas = (
+        wa * np.outer(t1, x),
+        wb * (np.outer(y, t1) + np.outer(t2, x)),
+        wc * (np.outer(z, t2) + np.outer(t3, y)),
+        -wd * np.outer(t2, y),
+        we * np.outer(t3, z),
+        -np.square(chi) * t,
+    )
+    return deltas, sigma
 
 
 __all__ = [
     "CnValue",
     "PerturbationWeights",
     "XiChoice",
-    "KRON_ENTRY_LIMIT",
-    "build_g",
     "build_j",
     "inv_rows",
     "first_order_delta",

@@ -9,7 +9,9 @@ gather operations.
 Restricting the perturbations of A, D, E to such subspaces (B, C stay
 unstructured) tightens the condition numbers; the 2-norm variant rescales the
 generator columns by u so the structured and unstructured suprema are taken
-over comparably normalized directions.
+over comparably normalized directions. Each kind contributes one closed-form
+block to the weighted Gram and one term to the max-norm numerator, so the
+generator-coordinate map is never formed.
 """
 
 from __future__ import annotations
@@ -23,7 +25,17 @@ import scipy.sparse
 from .dspp import DsppBlocks, Selector, Solution
 from .errors import DimensionMismatch, NotInSubspace, ZeroXi
 from .linalg import LuSolver, ddagger, induced_norm, unvec
-from .partial_cn import CnValue, PerturbationWeights, XiChoice, _as_xi, _setup, build_g
+from .partial_cn import (
+    CnValue,
+    PerturbationWeights,
+    _as_xi,
+    _gram,
+    _inf_numerator,
+    _pair_sum,
+    _setup,
+    _sym_top_eig,
+    build_j,
+)
 
 STRUCTURE_KINDS = ("symmetric", "toeplitz_sym", "diagonal", "full")
 
@@ -83,6 +95,44 @@ class StructureBasis:
         v = np.zeros(self.dim * self.dim)
         v[self.rows] = g[self.cols]
         return unvec(v, self.dim, self.dim)
+
+    def _shifted(self, v) -> np.ndarray:
+        """Column g is T_g v for the symmetric Toeplitz generator T_g."""
+        out = np.zeros((self.dim, self.dim))
+        out[:, 0] = v
+        for g in range(1, self.dim):
+            out[g:, g] += v[:-g]
+            out[:-g, g] += v[g:]
+        return out
+
+    def gram(self, w, v) -> np.ndarray:
+        """Gram block sum_g (w_g^2 / c_g) (Phi_g v)(Phi_g v)^T of dM v over the
+        subspace, for a weight matrix ``w`` constant on each generator's support.
+        """
+        w2, v2 = np.square(w), np.square(v)
+        if self.kind == "full":
+            return np.diag(w2 @ v2)
+        if self.kind == "diagonal":
+            return np.diag(np.diag(w2) * v2)
+        if self.kind == "symmetric":
+            return (np.diag(w2 @ v2) + w2 * np.outer(v, v)) / 2.0
+        vmat = self._shifted(v)
+        return (vmat * (w2[:, 0] / self.counts)) @ vmat.T
+
+    def numerator(self, k, w, v) -> np.ndarray:
+        """sum_g |K Phi_g v| w_g for a nonnegative weight matrix ``w`` constant on
+        each generator's support; ``k`` holds the matching columns of L S^{-1}.
+        """
+        if self.kind == "full":
+            return np.abs(k) @ (w @ np.abs(v))
+        if self.kind == "diagonal":
+            return np.abs(k) @ (np.diag(w) * np.abs(v))
+        if self.kind == "symmetric":
+            # The pair (r, c) and (c, r) share one generator; the diagonal
+            # pair counts its single entry twice, hence the half weight.
+            pair_w = np.triu(w, 1) + np.diag(np.diag(w)) / 2.0
+            return _pair_sum(k, v, k, v, pair_w)
+        return np.abs(k @ self._shifted(v)) @ w[:, 0]
 
 
 def structure_basis(kind: str, dim: int) -> StructureBasis:
@@ -162,16 +212,10 @@ def _check_dims(triple: StructureTriple, blocks: DsppBlocks):
         raise DimensionMismatch(f"structure dims {got} do not match blocks {want}")
 
 
-def _phi_s(triple: StructureTriple, n: int, m: int, p: int) -> scipy.sparse.csc_array:
-    """Block-diagonal basis over vec(A..E): [Phi_A, I_{nm+mp}, Phi_D, Phi_E]."""
-    eye_bc = scipy.sparse.identity(n * m + m * p, format="csc")
-    return scipy.sparse.block_diag(
-        [triple.a.phi, eye_bc, triple.d.phi, triple.e.phi], format="csc"
-    )
-
-
-def _u_s(triple: StructureTriple, n: int, m: int, p: int) -> np.ndarray:
-    return np.concatenate([triple.a.u, np.ones(n * m + m * p), triple.d.u, triple.e.u])
+def _check_members(triple: StructureTriple, ma, md, me):
+    """Membership of A, D, E (or their weights) in the declared subspaces."""
+    for basis, mat in ((triple.a, ma), (triple.d, md), (triple.e, me)):
+        basis.extract(mat)
 
 
 def structured_ncn(
@@ -188,32 +232,39 @@ def structured_ncn(
     """2-norm condition number with A, D, E perturbations kept in-structure.
 
     A, D, E (and entrywise weight blocks for them) must lie in the declared
-    subspaces. Materializes the generator-coordinate map, so desk-scale sizes.
-    Never exceeds the unstructured value for the same scalar weights.
+    subspaces. The Gram is :func:`build_j` with the A, D, E weights at zero
+    plus one :meth:`StructureBasis.gram` block per kind. Never exceeds the
+    unstructured value for the same weights.
     """
     _check_dims(triple, blocks)
-    triple.a.extract(blocks.A)
-    triple.d.extract(blocks.D)
-    triple.e.extract(blocks.E)
+    _check_members(triple, blocks.A, blocks.D, blocks.E)
+    wa, wb, wc, wd, we = weights.block_mats(blocks)
     if not weights.is_scalar:
-        wa, _, _, wd, we = weights.block_mats(blocks)
-        triple.a.extract(wa)
-        triple.d.extract(wd)
-        triple.e.extract(we)
+        _check_members(triple, wa, wd, we)
     xi = _as_xi(xi)
     sol, rows = _setup(blocks, sel, sol, lu, rows)
-    lw = sel.L @ sol.w
-    xivec = xi.resolve(lw)
+    xivec = xi.resolve(sel.L @ sol.w)
 
+    n, m = blocks.n, blocks.m
+    j = build_j(sol, np.zeros_like(wa), wb, wc, np.zeros_like(wd), np.zeros_like(we))
+    j[:n, :n] += triple.a.gram(wa, sol.x)
+    j[n : n + m, n : n + m] += triple.d.gram(wd, sol.y)
+    j[n + m :, n + m :] += triple.e.gram(we, sol.z)
+    gram = _gram(rows, xivec, j, weights.chi_vec(blocks.l))
+    return CnValue(np.sqrt(_sym_top_eig(gram)), "structured2")
+
+
+def _structured_numerator(blocks, triple, sol, rows) -> np.ndarray:
+    """The structured max-norm numerator with the data as weights."""
     n, m, p = blocks.n, blocks.m, blocks.p
-    t = (rows @ build_g(sol)) * weights.vec_psi(blocks)[None, :]
-    phi = _phi_s(triple, n, m, p)
-    gen_part = (phi.T @ t.T).T / _u_s(triple, n, m, p)[None, :]
-    rhs_part = -rows * weights.chi_vec(blocks.l)[None, :]
-    mat = np.hstack([gen_part, rhs_part]) * ddagger(xivec)[:, None]
-    if not np.any(mat):
-        return CnValue(0.0, "structured2")
-    return CnValue(induced_norm(mat, "two"), "structured2")
+    u = _inf_numerator(
+        rows, sol, np.zeros((n, n)), np.abs(blocks.B), np.abs(blocks.C),
+        np.zeros((m, m)), np.zeros((p, p)), np.abs(blocks.b),
+    )
+    u += triple.a.numerator(rows[:, :n], np.abs(blocks.A), sol.x)
+    u += triple.d.numerator(rows[:, n : n + m], np.abs(blocks.D), sol.y)
+    u += triple.e.numerator(rows[:, n + m :], np.abs(blocks.E), sol.z)
+    return u
 
 
 def structured_inf_cn(
@@ -230,26 +281,17 @@ def structured_inf_cn(
 
     Weights are the data itself (Psi = H, chi = b) with the A, D, E parts
     expressed through their generators, so structured values never exceed the
-    unstructured ones. Materializes the generator map, desk-scale sizes.
+    unstructured ones. The numerator is the unstructured one with the A, D, E
+    weights at zero plus one :meth:`StructureBasis.numerator` term per kind.
     """
     _check_dims(triple, blocks)
     xi = _as_xi(xi)
     if xi.kind not in ("mcn", "ccn"):
         raise ValueError(f"structured_inf_cn supports xi 'mcn' or 'ccn', got {xi.kind!r}")
-    gen_abs = np.concatenate([
-        np.abs(triple.a.extract(blocks.A)),
-        np.abs(blocks.B).flatten(order="F"),
-        np.abs(blocks.C).flatten(order="F"),
-        np.abs(triple.d.extract(blocks.D)),
-        np.abs(triple.e.extract(blocks.E)),
-    ])
+    _check_members(triple, blocks.A, blocks.D, blocks.E)
     sol, rows = _setup(blocks, sel, sol, lu, rows)
     lw = sel.L @ sol.w
-
-    phi = _phi_s(triple, blocks.n, blocks.m, blocks.p)
-    t = rows @ build_g(sol)
-    gen_map = (phi.T @ t.T).T
-    u = np.abs(gen_map) @ gen_abs + np.abs(rows) @ np.abs(blocks.b)
+    u = _structured_numerator(blocks, triple, sol, rows)
     if xi.kind == "mcn":
         den = float(np.max(np.abs(lw))) if lw.size else 0.0
         if den == 0.0:

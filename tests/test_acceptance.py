@@ -11,6 +11,7 @@ import time
 import numpy as np
 import scipy.sparse
 
+import oracles
 from conftest import ACCEPTANCE_LINES, random_dspp, rel_err
 from dsppcond.dspp import DsppBlocks, assemble, factorize, norm_fro_system, selector, solve_dspp
 from dsppcond.eils import EilsProblem, default_scalar_weights, eils_cn, eils_reduce
@@ -66,8 +67,8 @@ def test_criterion_01_formula_equivalence():
         sel = selector(SELECTOR_CYCLE[i % 4], blocks.n, blocks.m, blocks.p)
         psi = norm_fro_system(blocks)
         chi = float(np.linalg.norm(blocks.b, 2))
-        a = ncn(blocks, sel, psi, chi, path="kron").value
-        b = ncn(blocks, sel, psi, chi, path="kronfree").value
+        a = oracles.ncn(blocks, sel, psi, chi)
+        b = ncn(blocks, sel, psi, chi).value
         worst = max(worst, rel_err(a, b))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 10.0
@@ -90,7 +91,7 @@ def test_criterion_02_dominance_suite():
         for kind in SELECTOR_CYCLE:
             sel = selector(kind, blocks.n, blocks.m, blocks.p)
             shared = dict(sol=sol, lu=lu)
-            v2 = ncn(blocks, sel, psi, chi, path="kronfree", **shared).value
+            v2 = ncn(blocks, sel, psi, chi, **shared).value
             u2 = ncn_upper(blocks, sel, psi, chi, **shared).value
             vm = inf_cn(blocks, sel, "mcn", **shared).value
             vc = inf_cn(blocks, sel, "ccn", **shared).value
@@ -122,7 +123,7 @@ def test_criterion_03_definition_consistency():
         lu = factorize(blocks)
         sol = solve_dspp(blocks, lu)
         shared = dict(sol=sol, lu=lu)
-        cn2 = ncn(blocks, sel, psi, chi, path="kronfree", **shared).value
+        cn2 = ncn(blocks, sel, psi, chi, **shared).value
         vm = inf_cn(blocks, sel, "mcn", **shared).value
         vc = inf_cn(blocks, sel, "ccn", **shared).value
         mats = (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E, blocks.b)
@@ -232,7 +233,7 @@ def test_criterion_08_structure_basis_algebra():
         weights = PerturbationWeights.scalar(psi, chi)
         worst = max(worst, rel_err(
             structured_ncn(blocks, sel, weights, "ncn", triple).value,
-            ncn(blocks, sel, psi, chi, path="kron").value,
+            oracles.ncn(blocks, sel, psi, chi),
         ))
         for flavor in ("mcn", "ccn"):
             worst = max(worst, rel_err(

@@ -140,6 +140,24 @@ def test_numerical_failures_exit_5(capsys, tmp_path):
     code, out, _ = run(capsys, ["analyze", "--input", path, "--selector", "x", "--cn", "ncn"])
     assert code == NUMERICAL_EXIT
     assert json.loads(out)["error"]["type"] == "ZeroXi"
+    # A zero right-hand side zeroes both the data-derived chi and L w: the
+    # normalizer fails first, not the weight check.
+    zero_b = DsppBlocks(
+        A=np.eye(2), B=np.ones((2, 2)), C=np.ones((2, 2)),
+        D=-np.eye(2), E=np.eye(2), b=np.zeros(6),
+    )
+    path = write_problem(tmp_path / "zerob.json", zero_b)
+    zero_bd = write_json(tmp_path / "zero_eils.json", {
+        "M": [[1.0], [1.0]], "C": [[1.0]], "n1": 1, "n2": 1, "b": [0.0, 0.0], "d": [0.0],
+    })
+    for argv in (
+        ["analyze", "--input", path],
+        ["structured", "--input", path, "--structure", "A=full"],
+        ["eils", "--input", zero_bd],
+    ):
+        code, out, _ = run(capsys, argv)
+        assert code == NUMERICAL_EXIT
+        assert json.loads(out)["error"]["type"] == "ZeroXi"
 
 
 def test_analyze_json_payload(capsys, tmp_path):

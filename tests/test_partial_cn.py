@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 import dsppcond.partial_cn as pc
+import oracles
 from conftest import random_dspp, rel_err
 from dsppcond.dspp import DsppBlocks, Solution, assemble, factorize, selector, solve_dspp
-from dsppcond.errors import DimensionMismatch, ZeroXi
+from dsppcond.errors import DimensionMismatch, ZeroMatrix, ZeroXi
 from dsppcond.linalg import ddagger
 from dsppcond.partial_cn import (
     CnValue,
     PerturbationWeights,
     XiChoice,
-    build_g,
     build_j,
     definition_ratio,
     extremal_direction,
@@ -29,6 +29,7 @@ from dsppcond.partial_cn import (
     ncn_upper,
     unified_cn,
 )
+from dsppcond.structured import StructureTriple, structured_inf_cn
 
 
 def random_deltas(rng, blocks):
@@ -64,7 +65,7 @@ def test_build_g_hand_value_scalar_case():
         [0.0, 1.0, 1.0, -1.0, 0.0],
         [0.0, 0.0, 1.0, 0.0, 1.0],
     ])
-    assert np.array_equal(build_g(sol), want)
+    assert np.array_equal(oracles.build_g(sol), want)
 
 
 def test_build_g_reproduces_perturbation_action():
@@ -74,22 +75,28 @@ def test_build_g_reproduces_perturbation_action():
         blocks = random_dspp(rng, n, m, p)
         sol = solve_dspp(blocks)
         deltas = random_deltas(rng, blocks)
-        got = build_g(sol) @ stack_deltas(deltas)
+        got = oracles.build_g(sol) @ stack_deltas(deltas)
         want = perturbation_response(blocks, sol, deltas)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+def unit_weights(n, m, p):
+    return (np.ones((n, n)), np.ones((m, n)), np.ones((p, m)), np.ones((m, m)), np.ones((p, p)))
+
+
 def test_build_j_is_gram_of_g():
     sol = Solution(x=np.array([1.0]), y=np.array([1.0]), z=np.array([1.0]))
-    assert np.array_equal(build_j(sol), [[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    assert np.array_equal(
+        build_j(sol, *unit_weights(1, 1, 1)), [[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]
+    )
     rng = np.random.default_rng(21)
     for _ in range(10):
         n, m, p = (int(v) for v in rng.integers(1, 6, size=3))
         sol = Solution(
             x=rng.standard_normal(n), y=rng.standard_normal(m), z=rng.standard_normal(p)
         )
-        g = build_g(sol)
-        assert np.allclose(build_j(sol), g @ g.T, rtol=1e-12, atol=1e-12)
+        g = oracles.build_g(sol)
+        assert np.allclose(build_j(sol, *unit_weights(n, m, p)), g @ g.T, rtol=1e-12, atol=1e-12)
 
 
 def test_inv_rows_solves_against_selector():
@@ -123,21 +130,10 @@ def test_ncn_paths_agree_and_label_flavor():
         sel = selector(("full", "x", "y", "z")[int(rng.integers(4))], n, m, p)
         psi = float(rng.uniform(0.5, 3.0))
         chi = float(rng.uniform(0.5, 3.0))
-        a = ncn(blocks, sel, psi, chi, path="kron")
-        b = ncn(blocks, sel, psi, chi, path="kronfree")
-        assert a.flavor == "ncn" and b.flavor == "ncn_kronfree"
-        assert rel_err(a.value, b.value) < 1e-11
-
-
-def test_ncn_kron_falls_back_past_entry_budget(monkeypatch):
-    rng = np.random.default_rng(25)
-    blocks = random_dspp(rng, 3, 2, 2)
-    sel = selector("x", 3, 2, 2)
-    full = ncn(blocks, sel, 1.0, 1.0, path="kron")
-    monkeypatch.setattr(pc, "KRON_ENTRY_LIMIT", 4)
-    small = ncn(blocks, sel, 1.0, 1.0, path="kron")
-    assert small.flavor == "ncn_kronfree"
-    assert rel_err(small.value, full.value) < 1e-11
+        a = oracles.ncn(blocks, sel, psi, chi)
+        b = ncn(blocks, sel, psi, chi)
+        assert b.flavor == "ncn"
+        assert rel_err(a, b.value) < 1e-11
 
 
 def test_ncn_scales_linearly_in_weights():
@@ -155,8 +151,6 @@ def test_ncn_rejects_bad_arguments():
     sel = selector("x", 2, 2, 2)
     with pytest.raises(ValueError):
         ncn(blocks, sel, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        ncn(blocks, sel, 1.0, 1.0, path="exact")
 
 
 def identity_blocks(n=2, m=2, p=2):
@@ -198,13 +192,17 @@ def test_zero_projection_raises_zero_xi_for_norm_normalizers():
     assert inf_cn(blocks, sel, "ccn").value >= 0.0
 
 
-def naive_inf_numerator(blocks, sel, weights):
-    rows = inv_rows(blocks, sel)
-    sol = solve_dspp(blocks)
-    g = build_g(sol)
-    vec_psi = np.abs(weights.vec_psi(blocks))
-    chi = np.abs(weights.chi_vec(blocks.l))
-    return np.abs(rows @ g) @ vec_psi + np.abs(rows) @ chi
+def symmetric_toeplitz_from(blocks):
+    """The same system with A symmetrized and D, E symmetric Toeplitz built
+    from their first columns."""
+    def toeplitz(col):
+        idx = np.arange(col.size)
+        return col[np.abs(idx[:, None] - idx[None, :])]
+
+    return DsppBlocks(
+        A=blocks.A + blocks.A.T, B=blocks.B, C=blocks.C,
+        D=toeplitz(blocks.D[:, 0]), E=toeplitz(blocks.E[:, 0]), b=blocks.b,
+    )
 
 
 def test_chunked_numerator_matches_materialized(monkeypatch):
@@ -216,14 +214,21 @@ def test_chunked_numerator_matches_materialized(monkeypatch):
         weights = PerturbationWeights.from_problem(blocks)
         sol = solve_dspp(blocks)
         lw = sel.L @ sol.w
-        want = float(np.max(np.abs(ddagger(lw)) * naive_inf_numerator(blocks, sel, weights)))
+        want = float(np.max(np.abs(ddagger(lw)) * oracles.inf_numerator(blocks, sel, weights)))
         got = unified_cn(blocks, sel, weights, "ccn", "inf").value
         assert rel_err(got, want) < 1e-12
+        # The structured symmetric and Toeplitz terms share the pair kernel.
+        sym = symmetric_toeplitz_from(blocks)
+        triple = StructureTriple.from_kinds("symmetric", "toeplitz_sym", "toeplitz_sym", n, m, p)
+        want_s = oracles.structured_inf(sym, sel, "ccn", triple)
+        assert rel_err(structured_inf_cn(sym, sel, "ccn", triple).value, want_s) < 1e-12
         # Force many tiny chunks through the same values.
         monkeypatch.setattr(pc, "_CHUNK_ENTRY_LIMIT", 2)
         got_chunked = unified_cn(blocks, sel, weights, "ccn", "inf").value
+        got_s_chunked = structured_inf_cn(sym, sel, "ccn", triple).value
         monkeypatch.undo()
         assert rel_err(got_chunked, want) < 1e-12
+        assert rel_err(got_s_chunked, want_s) < 1e-12
 
 
 def test_unified_cn_consistent_with_specialized_entry_points():
@@ -234,7 +239,7 @@ def test_unified_cn_consistent_with_specialized_entry_points():
     scalar = PerturbationWeights.scalar(psi, chi)
     assert rel_err(
         unified_cn(blocks, sel, scalar, "ncn", "two").value,
-        ncn(blocks, sel, psi, chi, path="kronfree").value,
+        ncn(blocks, sel, psi, chi).value,
     ) < 1e-12
     from_data = PerturbationWeights.from_problem(blocks)
     assert rel_err(
@@ -248,7 +253,7 @@ def test_unified_cn_consistent_with_specialized_entry_points():
     )
     assert rel_err(
         unified_cn(blocks, sel, const, "ncn", "two").value,
-        ncn(blocks, sel, psi, chi, path="kron").value,
+        oracles.ncn(blocks, sel, psi, chi),
     ) < 1e-11
     with pytest.raises(ValueError):
         unified_cn(blocks, sel, scalar, "ncn", "one")
@@ -317,6 +322,12 @@ def test_extremal_direction_respects_zero_weights():
     deltas, sigma = extremal_direction(blocks, selector("y", 3, 2, 2), weights, "ncn")
     assert np.array_equal(deltas[1][0, :], np.zeros(3))
     assert sigma > 0
+    zero = PerturbationWeights.entrywise(
+        *(np.zeros_like(mat) for mat in (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E)),
+        np.zeros(blocks.l),
+    )
+    with pytest.raises(ZeroMatrix):
+        extremal_direction(blocks, selector("y", 3, 2, 2), zero, "ncn")
 
 
 def test_definition_ratio_rejects_zero_direction():

@@ -1,0 +1,129 @@
+"""Property tests: the closed forms against the materialized oracles.
+
+Random shapes, selectors, structure kinds on A, D, E, and scalar weights or
+entrywise weights inside each subspace; the matrix entries come from a drawn
+numpy seed.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import dsppcond.partial_cn as pc
+import dsppcond.structured as st_mod
+import oracles
+from conftest import rel_err
+from dsppcond.dspp import DsppBlocks, factorize, selector, solve_dspp
+from dsppcond.eils import EilsProblem, eils_cn
+from dsppcond.errors import IndefiniteProblem, RankDeficientC
+from dsppcond.partial_cn import PerturbationWeights, build_j, inf_cn, inv_rows, unified_cn
+from dsppcond.structured import (
+    STRUCTURE_KINDS,
+    StructureTriple,
+    structure_basis,
+    structured_inf_cn,
+    structured_ncn,
+)
+
+RTOL = 1e-12
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+dims = st.integers(1, 6)
+kinds = st.sampled_from(STRUCTURE_KINDS)
+selectors = st.sampled_from(("full", "x", "y", "z"))
+seeds = st.integers(0, 2**32 - 1)
+
+
+def in_subspace(rng, kind, dim, nonnegative=False):
+    basis = structure_basis(kind, dim)
+    g = rng.standard_normal(basis.generators)
+    return basis.reconstruct(np.abs(g) if nonnegative else g)
+
+
+def structured_instance(rng, n, m, p, triple):
+    kinds = (triple.a.kind, triple.d.kind, triple.e.kind)
+    blocks = DsppBlocks(
+        A=in_subspace(rng, kinds[0], n),
+        B=rng.standard_normal((m, n)),
+        C=rng.standard_normal((p, m)),
+        D=in_subspace(rng, kinds[1], m),
+        E=in_subspace(rng, kinds[2], p),
+        b=rng.standard_normal(n + m + p),
+    )
+    weights = PerturbationWeights.entrywise(
+        in_subspace(rng, kinds[0], n, True),
+        np.abs(rng.standard_normal((m, n))),
+        np.abs(rng.standard_normal((p, m))),
+        in_subspace(rng, kinds[1], m, True),
+        in_subspace(rng, kinds[2], p, True),
+        np.abs(rng.standard_normal(n + m + p)),
+    )
+    return blocks, weights
+
+
+@SETTINGS
+@given(n=dims, m=dims, p=dims, ka=kinds, kd=kinds, ke=kinds, kind=selectors,
+       xi=st.sampled_from(("ncn", "mcn", "ccn")), scalar=st.booleans(), seed=seeds)
+def test_closed_forms_match_oracles(n, m, p, ka, kd, ke, kind, xi, scalar, seed):
+    rng = np.random.default_rng(seed)
+    triple = StructureTriple.from_kinds(ka, kd, ke, n, m, p)
+    blocks, weights = structured_instance(rng, n, m, p, triple)
+    if scalar:
+        weights = PerturbationWeights.scalar(*rng.uniform(0.5, 2.0, size=2))
+    sel = selector(kind, n, m, p)
+    lu = factorize(blocks)
+    sol = solve_dspp(blocks, lu)
+    rows = inv_rows(blocks, sel, lu)
+    shared = dict(sol=sol, lu=lu, rows=rows)
+
+    # The weighted Gram and the 2-norm values it yields.
+    g = oracles.build_g(sol)
+    w2 = np.square(oracles.vec_psi(weights, blocks))
+    j = build_j(sol, *weights.block_mats(blocks))
+    j_ref = (g * w2[None, :]) @ g.T
+    assert np.allclose(j, j_ref, rtol=RTOL, atol=RTOL * np.abs(j_ref).max())
+    two = unified_cn(blocks, sel, weights, xi, "two", **shared).value
+    assert rel_err(two, oracles.unified_two(blocks, sel, weights, xi)) < RTOL
+    s_two = structured_ncn(blocks, sel, weights, xi, triple, **shared).value
+    assert rel_err(s_two, oracles.structured_two(blocks, sel, weights, xi, triple)) < RTOL
+
+    # The max-norm numerators, entry by entry.
+    wmats = [np.abs(w) for w in weights.block_mats(blocks)]
+    u = pc._inf_numerator(rows, sol, *wmats, np.abs(weights.chi_vec(blocks.l)))
+    assert np.allclose(u, oracles.inf_numerator(blocks, sel, weights), rtol=RTOL, atol=0)
+    u_s = st_mod._structured_numerator(blocks, triple, sol, rows)
+    assert np.allclose(u_s, oracles.structured_numerator(blocks, sel, triple), rtol=RTOL, atol=0)
+
+    # Structured never exceeds unstructured.
+    assert s_two <= two * (1 + RTOL)
+    for flavor in ("mcn", "ccn"):
+        s_inf = structured_inf_cn(blocks, sel, flavor, triple, **shared).value
+        assert s_inf <= inf_cn(blocks, sel, flavor, **shared).value * (1 + RTOL)
+
+
+@SETTINGS
+@given(m=st.integers(1, 5), extra=st.integers(1, 3), p_frac=st.floats(0.0, 1.0),
+       kind=selectors, xi=st.sampled_from(("ncn", "mcn", "ccn")),
+       entrywise=st.booleans(), seed=seeds)
+def test_eils_matches_explicit_map(m, extra, p_frac, kind, xi, entrywise, seed):
+    n = min(m + extra, 6)
+    p = 1 + int(p_frac * (m - 1))
+    rng = np.random.default_rng(seed)
+    mmat = rng.standard_normal((n, m))
+    mmat[n - 1 :, :] *= 0.03
+    try:
+        prob = EilsProblem(
+            M=mmat, C=rng.standard_normal((p, m)), n1=n - 1, n2=1,
+            b=rng.standard_normal(n), d=rng.standard_normal(p),
+        )
+    except (IndefiniteProblem, RankDeficientC):
+        assume(False)
+    if entrywise:
+        psi = (np.abs(rng.standard_normal((n, m))), np.abs(rng.standard_normal((p, m))))
+        chi = np.abs(rng.standard_normal(n + p))
+    else:
+        psi, chi = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0))
+    sel = selector(kind, n, m, p)
+    for norm in ("two", "inf"):
+        got = eils_cn(prob, sel, psi, chi, xi, norm).value
+        assert rel_err(got, oracles.eils_cn(prob, sel, psi, chi, xi, norm)) < RTOL
