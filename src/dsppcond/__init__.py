@@ -54,6 +54,7 @@ from .dspp import (
 from .partial_cn import (
     CnValue,
     PerturbationWeights,
+    SolvedSystem,
     XiChoice,
     build_j,
     definition_ratio,
@@ -145,6 +146,7 @@ __all__ = [
     "CnValue",
     "PerturbationWeights",
     "XiChoice",
+    "SolvedSystem",
     "build_j",
     "inv_rows",
     "first_order_delta",

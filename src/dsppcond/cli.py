@@ -22,16 +22,7 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .dspp import (
-    SELECTOR_KINDS,
-    DsppBlocks,
-    Selector,
-    factorize,
-    norm_fro_system,
-    problem_from_dict,
-    selector,
-    solve_dspp,
-)
+from .dspp import SELECTOR_KINDS, Selector, norm_fro_system, problem_from_dict, selector
 from .eils import default_scalar_weights, eils_cn, eils_from_dict, eils_reduce, solve_eils
 from .errors import (
     DimensionMismatch,
@@ -54,7 +45,7 @@ from .experiments import (
     write_csv_report,
     write_json_report,
 )
-from .partial_cn import PerturbationWeights, inf_cn, inf_cn_upper, inv_rows, ncn, ncn_upper
+from .partial_cn import PerturbationWeights, SolvedSystem, inf_cn, inf_cn_upper, ncn, ncn_upper
 from .structured import STRUCTURE_KINDS, StructureTriple, structured_inf_cn, structured_ncn
 
 USAGE_EXIT = 2
@@ -254,10 +245,7 @@ def _analyze_payload(args, structure_kinds: dict | None) -> str:
     sel = _selector_from(args.selector, doc, blocks.n, blocks.m, blocks.p)
     flavors = parse_cn_list(args.cn)
 
-    lu = factorize(blocks)
-    sol = solve_dspp(blocks, lu)
-    rows = inv_rows(blocks, sel, lu)
-    shared = dict(sol=sol, lu=lu, rows=rows)
+    system = SolvedSystem.of(blocks, sel)
     psi = norm_fro_system(blocks)
     chi = float(np.linalg.norm(blocks.b, 2))
 
@@ -272,25 +260,21 @@ def _analyze_payload(args, structure_kinds: dict | None) -> str:
     uppers: dict[str, float] = {}
     structured_values: dict[str, float] = {}
     want_inf_upper = args.upper_bounds and ("mcn" in flavors or "ccn" in flavors)
-    inf_uppers = inf_cn_upper(blocks, sel, **shared) if want_inf_upper else None
+    inf_uppers = inf_cn_upper(system) if want_inf_upper else None
     for flavor in flavors:
         if flavor == "ncn":
-            values["ncn"] = ncn(blocks, sel, psi, chi, **shared).value
+            values["ncn"] = ncn(system, psi, chi).value
             if args.upper_bounds:
-                uppers["ncn"] = ncn_upper(blocks, sel, psi, chi, **shared).value
+                uppers["ncn"] = ncn_upper(system, psi, chi).value
             if triple is not None:
                 weights = PerturbationWeights.scalar(psi, chi)
-                structured_values["ncn"] = structured_ncn(
-                    blocks, sel, weights, "ncn", triple, **shared
-                ).value
+                structured_values["ncn"] = structured_ncn(system, weights, "ncn", triple).value
         else:
-            values[flavor] = inf_cn(blocks, sel, flavor, **shared).value
+            values[flavor] = inf_cn(system, flavor).value
             if args.upper_bounds:
                 uppers[flavor] = inf_uppers[0 if flavor == "mcn" else 1].value
             if triple is not None:
-                structured_values[flavor] = structured_inf_cn(
-                    blocks, sel, flavor, triple, **shared
-                ).value
+                structured_values[flavor] = structured_inf_cn(system, flavor, triple).value
 
     for flavor in flavors:
         if flavor in uppers:
@@ -369,19 +353,16 @@ def _cmd_eils(args) -> str:
     prob = eils_from_dict(doc)
     blocks = eils_reduce(prob)
     sel = _selector_from(args.selector, doc, blocks.n, blocks.m, blocks.p)
-    esol = solve_eils(prob)
+    system = SolvedSystem.of(blocks, sel)
+    esol = solve_eils(prob, system.sol)
 
-    lu = factorize(blocks)
-    sol = solve_dspp(blocks, lu)
-    rows = inv_rows(blocks, sel, lu)
-    shared = dict(blocks=blocks, sol=sol, lu=lu, rows=rows)
     psi, chi = default_scalar_weights(prob)
     abs_weights = (np.abs(prob.M), np.abs(prob.C))
     abs_chi = np.abs(np.concatenate([prob.b, prob.d]))
     cn = {
-        "ncn": eils_cn(prob, sel, psi, chi, "ncn", "two", **shared).value,
-        "mcn": eils_cn(prob, sel, abs_weights, abs_chi, "mcn", "inf", **shared).value,
-        "ccn": eils_cn(prob, sel, abs_weights, abs_chi, "ccn", "inf", **shared).value,
+        "ncn": eils_cn(system, psi, chi, "ncn", "two").value,
+        "mcn": eils_cn(system, abs_weights, abs_chi, "mcn", "inf").value,
+        "ccn": eils_cn(system, abs_weights, abs_chi, "ccn", "inf").value,
     }
     meta = report_meta()
     meta["command"] = "eils"

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dspp import DsppBlocks, Selector, Solution, solve_dspp
+from .dspp import DsppBlocks, Solution
 from .errors import (
     DimensionMismatch,
     IndefiniteProblem,
@@ -33,8 +33,8 @@ from .errors import (
     RankDeficientC,
     SingularMatrix,
 )
-from .linalg import LuSolver, as_matrix, as_vector, induced_norm
-from .partial_cn import CnValue, PerturbationWeights, _as_xi, _setup, unified_cn
+from .linalg import as_matrix, as_vector, induced_norm
+from .partial_cn import CnValue, PerturbationWeights, SolvedSystem, _as_xi, unified_cn
 
 # Rank tolerance for the constraint matrix, relative to its inf-norm.
 RANK_RTOL = 1e-10
@@ -135,10 +135,9 @@ def eils_reduce(prob: EilsProblem) -> DsppBlocks:
     )
 
 
-def solve_eils(prob: EilsProblem) -> EilsSolution:
-    """Solve through the saddle point embedding and verify the constraint."""
-    blocks = eils_reduce(prob)
-    sol = solve_dspp(blocks)
+def solve_eils(prob: EilsProblem, sol: Solution) -> EilsSolution:
+    """The EILS solution read off ``sol``, the solution of the embedded system
+    :func:`eils_reduce` (``prob``), with the constraint residual verified."""
     y = sol.y
     resid_c = float(np.linalg.norm(prob.C @ y - prob.d, 2))
     bound = CONSTRAINT_RTOL * (
@@ -149,10 +148,10 @@ def solve_eils(prob: EilsProblem) -> EilsSolution:
     return EilsSolution(y=y, lam=sol.z, x=sol.x, residual=prob.b - prob.M @ y)
 
 
-def _eils_weights(prob: EilsProblem, psi, chi) -> PerturbationWeights:
+def _eils_weights(blocks: DsppBlocks, psi, chi) -> PerturbationWeights:
     """Entrywise weights of the embedded system: (M, C) and (b, d) as given,
     zero on A, D, E and on the middle right-hand side block."""
-    n, m, p = prob.n, prob.m, prob.p
+    n, m, p = blocks.n, blocks.m, blocks.p
     if np.isscalar(psi):
         psi = float(psi)
         if psi <= 0:
@@ -184,22 +183,12 @@ def default_scalar_weights(prob: EilsProblem) -> tuple[float, float]:
     return psi, chi
 
 
-def eils_cn(
-    prob: EilsProblem,
-    sel: Selector,
-    psi,
-    chi,
-    xi,
-    norm: str,
-    *,
-    blocks: DsppBlocks | None = None,
-    sol: Solution | None = None,
-    lu: LuSolver | None = None,
-    rows: np.ndarray | None = None,
-) -> CnValue:
+def eils_cn(system: SolvedSystem, psi, chi, xi, norm: str) -> CnValue:
     """Condition number of L w for the embedded system, perturbing only
     (M, C) and (b, d).
 
+    ``system`` is the solved embedding
+    ``SolvedSystem.of(eils_reduce(prob), sel)``, whose blocks fix n, m, p.
     ``psi`` is a positive scalar or a pair of matrices shaped like (M, C);
     ``chi`` is a positive scalar or a length n+p vector. This is
     :func:`unified_cn` of the reduced system with weights pinned to zero on
@@ -209,13 +198,9 @@ def eils_cn(
     """
     if norm not in ("two", "inf"):
         raise ValueError(f"norm must be 'two' or 'inf', got {norm!r}")
-    xi = _as_xi(xi)
-    if blocks is None:
-        blocks = eils_reduce(prob)
-    sol, rows = _setup(blocks, sel, sol, lu, rows)
-    xi.resolve(sel.L @ sol.w)
-    weights = _eils_weights(prob, psi, chi)
-    value = unified_cn(blocks, sel, weights, xi, norm, sol=sol, rows=rows).value
+    _as_xi(xi).resolve(system.lw)
+    weights = _eils_weights(system.blocks, psi, chi)
+    value = unified_cn(system, weights, xi, norm).value
     return CnValue(value, "eils2" if norm == "two" else "eilsInf")
 
 

@@ -25,8 +25,15 @@ from ._version import __version__
 from .dspp import DsppBlocks, Selector, Solution, factorize, norm_fro_system, selector, solve_dspp
 from .errors import IncompatibleZeroPattern, ZeroXi
 from .linalg import ddagger, kron
-from .partial_cn import first_order_delta, inf_cn, inf_cn_upper, inv_rows, ncn, ncn_upper
-from .partial_cn import PerturbationWeights
+from .partial_cn import (
+    PerturbationWeights,
+    SolvedSystem,
+    first_order_delta,
+    inf_cn,
+    inf_cn_upper,
+    ncn,
+    ncn_upper,
+)
 from .structured import StructureTriple, structured_inf_cn, structured_ncn
 
 RNG_ALGORITHM = "numpy-pcg64+standard_normal"
@@ -318,6 +325,51 @@ def _row_seeds(seed, q: int, selector_index: int) -> tuple[int, int]:
     return int(gen_seed), int(pert_seed)
 
 
+def _experiment_row(family, q, idx, kind, s, seed, structured) -> ExperimentRow:
+    gen_seed, pert_seed = _row_seeds(seed, q, idx)
+    if family == "example1":
+        blocks = gen_example1(q, gen_seed)
+        triple = StructureTriple.from_kinds(
+            "symmetric", "toeplitz_sym", "toeplitz_sym", blocks.n, blocks.m, blocks.p
+        ) if structured else None
+    else:
+        blocks, triple = gen_example2(q, gen_seed)
+    sel = selector(kind, blocks.n, blocks.m, blocks.p)
+    system = SolvedSystem.of(blocks, sel)
+
+    pert = perturb(blocks, s, pert_seed)
+    sol_tilde = solve_dspp(apply_perturbation(blocks, pert))
+    r_k, r_m, r_c = forward_errors(system.sol, sol_tilde, sel)
+    eps1, eps2 = epsilons(pert, blocks)
+
+    psi = norm_fro_system(blocks)
+    chi = float(np.linalg.norm(blocks.b, 2))
+    cn2 = ncn(system, psi, chi).value
+    cn2_u = ncn_upper(system, psi, chi).value
+    mcn_v = inf_cn(system, "mcn").value
+    ccn_v = inf_cn(system, "ccn").value
+    mcn_u, ccn_u = (v.value for v in inf_cn_upper(system))
+
+    extra = {}
+    if structured:
+        w = PerturbationWeights.scalar(psi, chi)
+        extra = dict(
+            ncn_value=cn2,
+            ncn_structured=structured_ncn(system, w, "ncn", triple).value,
+            mcn_value=mcn_v,
+            mcn_structured=structured_inf_cn(system, "mcn", triple).value,
+            ccn_value=ccn_v,
+            ccn_structured=structured_inf_cn(system, "ccn", triple).value,
+        )
+    return ExperimentRow(
+        selector=kind, q=int(q),
+        r_k=r_k, k2=eps1 * cn2, k2_upper=eps1 * cn2_u,
+        r_m=r_m, km=eps2 * mcn_v, km_upper=eps2 * mcn_u,
+        r_c=r_c, kc=eps2 * ccn_v, kc_upper=eps2 * ccn_u,
+        eps1=eps1, eps2=eps2, **extra,
+    )
+
+
 def run_experiment(
     family: str,
     q_list,
@@ -332,59 +384,16 @@ def run_experiment(
     reproducible in isolation. The 2-norm prediction uses scalar weights
     Psi = ||S||_F, chi = ||b||_2; the max-norm predictions use the data itself.
     With ``structured=True`` the raw condition numbers and their structured
-    counterparts (symmetric A, symmetric Toeplitz D and E) are added.
+    counterparts (symmetric A, symmetric Toeplitz D and E) are added. Each
+    row's solved system is released before the next row is built.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    rows_out: list[ExperimentRow] = []
-    for q in q_list:
-        for idx, kind in enumerate(selectors):
-            gen_seed, pert_seed = _row_seeds(seed, q, idx)
-            if family == "example1":
-                blocks = gen_example1(q, gen_seed)
-                triple = StructureTriple.from_kinds(
-                    "symmetric", "toeplitz_sym", "toeplitz_sym", blocks.n, blocks.m, blocks.p
-                ) if structured else None
-            else:
-                blocks, triple = gen_example2(q, gen_seed)
-            sel = selector(kind, blocks.n, blocks.m, blocks.p)
-            lu = factorize(blocks)
-            sol = solve_dspp(blocks, lu)
-            rows = inv_rows(blocks, sel, lu)
-
-            pert = perturb(blocks, s, pert_seed)
-            sol_tilde = solve_dspp(apply_perturbation(blocks, pert))
-            r_k, r_m, r_c = forward_errors(sol, sol_tilde, sel)
-            eps1, eps2 = epsilons(pert, blocks)
-
-            psi = norm_fro_system(blocks)
-            chi = float(np.linalg.norm(blocks.b, 2))
-            shared = dict(sol=sol, lu=lu, rows=rows)
-            cn2 = ncn(blocks, sel, psi, chi, **shared).value
-            cn2_u = ncn_upper(blocks, sel, psi, chi, **shared).value
-            mcn_v = inf_cn(blocks, sel, "mcn", **shared).value
-            ccn_v = inf_cn(blocks, sel, "ccn", **shared).value
-            mcn_u, ccn_u = (v.value for v in inf_cn_upper(blocks, sel, **shared))
-
-            extra = {}
-            if structured:
-                w = PerturbationWeights.scalar(psi, chi)
-                extra = dict(
-                    ncn_value=cn2,
-                    ncn_structured=structured_ncn(blocks, sel, w, "ncn", triple, **shared).value,
-                    mcn_value=mcn_v,
-                    mcn_structured=structured_inf_cn(blocks, sel, "mcn", triple, **shared).value,
-                    ccn_value=ccn_v,
-                    ccn_structured=structured_inf_cn(blocks, sel, "ccn", triple, **shared).value,
-                )
-            rows_out.append(ExperimentRow(
-                selector=kind, q=int(q),
-                r_k=r_k, k2=eps1 * cn2, k2_upper=eps1 * cn2_u,
-                r_m=r_m, km=eps2 * mcn_v, km_upper=eps2 * mcn_u,
-                r_c=r_c, kc=eps2 * ccn_v, kc_upper=eps2 * ccn_u,
-                eps1=eps1, eps2=eps2, **extra,
-            ))
-    return rows_out
+    return [
+        _experiment_row(family, q, idx, kind, s, seed, structured)
+        for q in q_list
+        for idx, kind in enumerate(selectors)
+    ]
 
 
 def report_meta(family: str | None = None, s: int | None = None, seed=None) -> dict:

@@ -1,7 +1,7 @@
 """Dense linear-algebra kernel.
 
 Column-stacking vec/Kronecker utilities, entrywise operations, induced norms,
-row-pivoted solves with an explicit singularity threshold, and top singular
+row-pivoted solves certified by a condition estimate, and top singular
 triplets. Everything operates on float64 numpy arrays and is pure.
 """
 
@@ -13,9 +13,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, SingularMatrix, ZeroMatrix
-
-# A pivot below PIVOT_RTOL * norm_inf(M) certifies numerical singularity.
-PIVOT_RTOL = 1e-14
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -93,9 +90,11 @@ def induced_norm(m, kind: str) -> float:
 class LuSolver:
     """Row-pivoted LU factorization with a singularity certificate.
 
-    Factoring raises :class:`SingularMatrix` when any pivot magnitude falls
-    below ``PIVOT_RTOL * norm_inf(M)`` (a zero matrix is rejected outright),
-    so a constructed instance certifies numerical nonsingularity.
+    After factoring, LAPACK ``dgecon`` estimates the reciprocal 1-norm
+    condition number ``rcond`` from the LU factors in O(l^2). Factoring raises
+    :class:`SingularMatrix` when ``rcond`` falls below the floor l * eps (a
+    zero matrix is rejected outright), so a constructed instance certifies
+    that M is numerically nonsingular: cond_1(M) <= 1 / (l * eps).
     """
 
     def __init__(self, m):
@@ -106,15 +105,15 @@ class LuSolver:
         if self.norm_inf == 0.0:
             raise SingularMatrix("zero matrix")
         with warnings.catch_warnings():
-            # The pivot check below turns exact singularity into
+            # The rcond check below turns exact singularity into
             # SingularMatrix; scipy's advisory warning is redundant here.
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-        pivots = np.abs(np.diag(lu))
-        if pivots.min() < PIVOT_RTOL * self.norm_inf:
-            raise SingularMatrix(
-                f"pivot {pivots.min():.3e} below {PIVOT_RTOL:.0e} * {self.norm_inf:.3e}"
-            )
+        norm_one = float(np.abs(m).sum(axis=0).max())
+        self.rcond = float(scipy.linalg.lapack.dgecon(lu, norm_one, norm="1")[0])
+        floor = m.shape[0] * np.finfo(float).eps
+        if not self.rcond >= floor:  # a NaN estimate fails too
+            raise SingularMatrix(f"rcond estimate {self.rcond:.3e} below {floor:.3e}")
         self._lu = (lu, piv)
         self.shape = m.shape
 
@@ -131,8 +130,8 @@ class LuSolver:
 def solve(m, rhs) -> np.ndarray:
     """Solve ``M x = rhs`` by row-pivoted factorization.
 
-    Raises :class:`SingularMatrix` when a pivot falls below
-    ``PIVOT_RTOL * norm_inf(M)``.
+    Raises :class:`SingularMatrix` when the rcond estimate of M falls below
+    the floor l * eps (see :class:`LuSolver`).
     """
     return LuSolver(m).solve(rhs)
 

@@ -17,12 +17,15 @@ l x s sensitivity matrix assembled from x, y, z (s = n^2 + nm + mp + m^2 + p^2).
 G itself is never formed: every 2-norm number goes through the l x l weighted
 Gram G diag(w^2) G^T in closed form, and every max-norm number through one
 chunked numerator. Both need only L S^{-1}, obtained from k transposed solves,
-never an explicit inverse.
+never an explicit inverse. A :class:`SolvedSystem` holds the factorization,
+the solution and L S^{-1} of one (problem, selector) pair; every entry point
+takes one, so the work is done once however many numbers are asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -149,6 +152,11 @@ def _as_xi(xi) -> XiChoice:
     return xi if isinstance(xi, XiChoice) else XiChoice(kind=str(xi))
 
 
+def _inf_value(xivec, u) -> float:
+    """The max-norm value max_i |xi_i^ddag| u_i for a numerator ``u``."""
+    return float(np.max(np.abs(ddagger(xivec)) * u))
+
+
 def build_j(sol: Solution, wa, wb, wc, wd, we) -> np.ndarray:
     """The l x l weighted Gram G diag(w^2) G^T in closed form (no Kronecker).
 
@@ -209,16 +217,6 @@ def first_order_delta(
     return lu.solve(np.asarray(drhs, dtype=float) - np.concatenate([top, mid, bot]))
 
 
-def _setup(blocks, sel, sol, lu, rows):
-    if (sol is None or rows is None) and lu is None:
-        lu = factorize(blocks)
-    if sol is None:
-        sol = solve_dspp(blocks, lu)
-    if rows is None:
-        rows = inv_rows(blocks, sel, lu)
-    return sol, rows
-
-
 def _chunks(total: int, size: int):
     for start in range(0, total, size):
         yield slice(start, min(start + size, total))
@@ -242,24 +240,73 @@ def _pair_sum(k_col, v_row, k_row, v_col, w) -> np.ndarray:
     return u
 
 
-def _inf_numerator(rows, sol, wa, wb, wc, wd, we, chi_abs) -> np.ndarray:
-    """|L S^{-1} [G, -I]| [vec(W); chi] for nonnegative weights, exactly.
+def _ade_numerator(rows, sol, wa, wd, we) -> np.ndarray:
+    """The A, D, E columns of |L S^{-1} G| [vec(W)] for nonnegative weights.
 
-    The A, D, E column blocks of L S^{-1} G factor through Kronecker
-    identities, so their absolute values reduce to small matrix products. The
-    B and C blocks mix two terms before the absolute value and go through the
-    chunked pair kernel, which keeps memory within the chunk budget instead of
-    materializing the k x s matrix.
+    These column blocks factor through Kronecker identities, so their
+    absolute values reduce to small matrix products.
+    """
+    n, m = sol.x.size, sol.y.size
+    a1, a2, a3 = np.abs(rows[:, :n]), np.abs(rows[:, n : n + m]), np.abs(rows[:, n + m :])
+    return a1 @ (wa @ np.abs(sol.x)) + a2 @ (wd @ np.abs(sol.y)) + a3 @ (we @ np.abs(sol.z))
+
+
+def _bc_numerator(rows, sol, wb, wc, chi_abs) -> np.ndarray:
+    """The B, C and right-hand-side columns of |L S^{-1} [G, -I]| [vec(W); chi].
+
+    The B and C blocks mix two terms before the absolute value and go through
+    the chunked pair kernel, which keeps memory within the chunk budget
+    instead of materializing the k x s matrix.
     """
     x, y, z = sol.x, sol.y, sol.z
     n, m = x.size, y.size
     k1, k2, k3 = rows[:, :n], rows[:, n : n + m], rows[:, n + m :]
-    a1, a2, a3 = np.abs(k1), np.abs(k2), np.abs(k3)
-    u = a1 @ (wa @ np.abs(x)) + a2 @ (wd @ np.abs(y)) + a3 @ (we @ np.abs(z))
-    u += np.abs(rows) @ chi_abs
+    u = np.abs(rows) @ chi_abs
     u += _pair_sum(k1, y, k2, x, wb)
     u += _pair_sum(k2, z, k3, y, wc)
     return u
+
+
+def _inf_numerator(rows, sol, wa, wb, wc, wd, we, chi_abs) -> np.ndarray:
+    """|L S^{-1} [G, -I]| [vec(W); chi] for nonnegative weights, exactly."""
+    return _ade_numerator(rows, sol, wa, wd, we) + _bc_numerator(rows, sol, wb, wc, chi_abs)
+
+
+@dataclass(frozen=True, eq=False)
+class SolvedSystem:
+    """One factorized and solved system with a selector: the work that every
+    condition number of the pair (blocks, sel) shares.
+
+    ``rows`` is the k x l matrix L S^{-1}. Build with :meth:`of`. Two values
+    are computed on first use and kept: ``lw`` = L w, and ``bc_numerator``,
+    the data-weighted B, C and right-hand-side part of the max-norm
+    numerator, which the mixed, componentwise and structured max-norm numbers
+    all add their A, D, E terms to.
+    """
+
+    blocks: DsppBlocks
+    sel: Selector
+    lu: LuSolver
+    sol: Solution
+    rows: np.ndarray
+
+    @classmethod
+    def of(cls, blocks: DsppBlocks, sel: Selector) -> "SolvedSystem":
+        """Factorize and solve once, then form L S^{-1} from the same factors."""
+        lu = factorize(blocks)
+        return cls(blocks, sel, lu, solve_dspp(blocks, lu), inv_rows(blocks, sel, lu))
+
+    @cached_property
+    def lw(self) -> np.ndarray:
+        return self.sel.L @ self.sol.w
+
+    @cached_property
+    def bc_numerator(self) -> np.ndarray:
+        """|L S^{-1} [G_B, G_C, -I]| [vec|B|; vec|C|; |b|] (read-only)."""
+        b = self.blocks
+        u = _bc_numerator(self.rows, self.sol, np.abs(b.B), np.abs(b.C), np.abs(b.b))
+        u.flags.writeable = False
+        return u
 
 
 def _sym_top_eig(s: np.ndarray) -> float:
@@ -274,56 +321,34 @@ def _gram(rows, xivec, j, chi) -> np.ndarray:
     return t @ j @ t.T
 
 
-def _gram_value(blocks, sol, rows, weights, xivec) -> float:
+def _gram_value(system: SolvedSystem, weights: PerturbationWeights, xivec) -> float:
     """The weighted 2-norm number: sqrt of the top eigenvalue of the Gram."""
-    j = build_j(sol, *weights.block_mats(blocks))
-    return float(np.sqrt(_sym_top_eig(_gram(rows, xivec, j, weights.chi_vec(blocks.l)))))
+    blocks = system.blocks
+    j = build_j(system.sol, *weights.block_mats(blocks))
+    gram = _gram(system.rows, xivec, j, weights.chi_vec(blocks.l))
+    return float(np.sqrt(_sym_top_eig(gram)))
 
 
-def unified_cn(
-    blocks: DsppBlocks,
-    sel: Selector,
-    weights: PerturbationWeights,
-    xi,
-    norm: str,
-    *,
-    sol: Solution | None = None,
-    lu: LuSolver | None = None,
-    rows: np.ndarray | None = None,
-) -> CnValue:
+def unified_cn(system: SolvedSystem, weights: PerturbationWeights, xi, norm: str) -> CnValue:
     """The general weighted condition number for norm "two" or "inf".
 
     The 2-norm value is the square root of the top eigenvalue of the k x k
     Gram Xi L S^{-1} (J_W + diag chi^2) (L S^{-1})^T Xi, with J_W from
     :func:`build_j`; the max-norm value goes through the exact chunked
     numerator. Both hold for scalar and entrywise weights alike.
-
-    ``sol``, ``lu`` and ``rows`` (L S^{-1}) may be passed to reuse work.
     """
     if norm not in ("two", "inf"):
         raise ValueError(f"norm must be 'two' or 'inf', got {norm!r}")
-    xi = _as_xi(xi)
-    sol, rows = _setup(blocks, sel, sol, lu, rows)
-    xivec = xi.resolve(sel.L @ sol.w)
-
+    xivec = _as_xi(xi).resolve(system.lw)
     if norm == "two":
-        return CnValue(_gram_value(blocks, sol, rows, weights, xivec), "unified2")
+        return CnValue(_gram_value(system, weights, xivec), "unified2")
+    blocks = system.blocks
     wmats = tuple(np.abs(w) for w in weights.block_mats(blocks))
-    chiv = np.abs(weights.chi_vec(blocks.l))
-    u = _inf_numerator(rows, sol, *wmats, chiv)
-    return CnValue(float(np.max(np.abs(ddagger(xivec)) * u)), "unifiedInf")
+    u = _inf_numerator(system.rows, system.sol, *wmats, np.abs(weights.chi_vec(blocks.l)))
+    return CnValue(_inf_value(xivec, u), "unifiedInf")
 
 
-def ncn(
-    blocks: DsppBlocks,
-    sel: Selector,
-    psi: float,
-    chi: float,
-    *,
-    sol: Solution | None = None,
-    lu: LuSolver | None = None,
-    rows: np.ndarray | None = None,
-) -> CnValue:
+def ncn(system: SolvedSystem, psi: float, chi: float) -> CnValue:
     """Normwise condition number of L w under scalar weights, 2-norms.
 
     The square root of the top eigenvalue of
@@ -331,107 +356,61 @@ def ncn(
     closed-form Gram matrix. A zero L w raises :class:`ZeroXi` before the
     weights are checked, since weights taken from the data vanish with it.
     """
-    sol, rows = _setup(blocks, sel, sol, lu, rows)
-    xivec = XiChoice(kind="ncn").resolve(sel.L @ sol.w)
+    xivec = XiChoice(kind="ncn").resolve(system.lw)
     weights = PerturbationWeights.scalar(psi, chi)
-    return CnValue(_gram_value(blocks, sol, rows, weights, xivec), "ncn")
+    return CnValue(_gram_value(system, weights, xivec), "ncn")
 
 
-def ncn_upper(
-    blocks: DsppBlocks,
-    sel: Selector,
-    psi: float,
-    chi: float,
-    *,
-    sol: Solution | None = None,
-    lu: LuSolver | None = None,
-    rows: np.ndarray | None = None,
-) -> CnValue:
+def ncn_upper(system: SolvedSystem, psi: float, chi: float) -> CnValue:
     """Cheap upper bound dominating :func:`ncn`:
     ||L S^{-1}||_2 (psi ||J||_2^{1/2} + chi) / ||L w||_2."""
-    sol, rows = _setup(blocks, sel, sol, lu, rows)
-    lw = sel.L @ sol.w
-    xi_l = float(np.linalg.norm(lw, 2))
-    if xi_l == 0.0:
-        raise ZeroXi("L w is zero, the 2-norm normalizer vanishes")
+    xi_l = XiChoice(kind="ncn").resolve(system.lw)[0]
     weights = PerturbationWeights.scalar(psi, chi)
-    j_top = np.sqrt(_sym_top_eig(build_j(sol, *weights.block_mats(blocks))))
-    return CnValue(induced_norm(rows, "two") * (j_top + weights.chi_scalar) / xi_l, "ncn_upper")
+    j_top = np.sqrt(_sym_top_eig(build_j(system.sol, *weights.block_mats(system.blocks))))
+    return CnValue(induced_norm(system.rows, "two") * (j_top + weights.chi_scalar) / xi_l, "ncn_upper")
 
 
-def inf_cn(
-    blocks: DsppBlocks,
-    sel: Selector,
-    xi,
-    *,
-    sol: Solution | None = None,
-    lu: LuSolver | None = None,
-    rows: np.ndarray | None = None,
-) -> CnValue:
+def inf_cn(system: SolvedSystem, xi) -> CnValue:
     """Mixed ("mcn") or componentwise ("ccn") condition number of L w.
 
     Both take the data-relative weights Psi = H, chi = b and differ only in
     the normalizer: the max norm of L w versus L w entrywise (zeros handled by
     the pseudo-reciprocal, so a zero component with zero numerator adds 0).
+    The numerator is the system's shared ``bc_numerator`` plus the A, D, E
+    terms.
     """
     xi = _as_xi(xi)
     if xi.kind not in ("mcn", "ccn"):
         raise ValueError(f"inf_cn supports xi 'mcn' or 'ccn', got {xi.kind!r}")
-    sol, rows = _setup(blocks, sel, sol, lu, rows)
-    u = _inf_numerator(
-        rows, sol,
-        np.abs(blocks.A), np.abs(blocks.B), np.abs(blocks.C),
-        np.abs(blocks.D), np.abs(blocks.E), np.abs(blocks.b),
+    xivec = xi.resolve(system.lw)
+    blocks = system.blocks
+    u = system.bc_numerator + _ade_numerator(
+        system.rows, system.sol, np.abs(blocks.A), np.abs(blocks.D), np.abs(blocks.E)
     )
-    lw = sel.L @ sol.w
-    if xi.kind == "mcn":
-        den = float(np.max(np.abs(lw)))
-        if den == 0.0:
-            raise ZeroXi("L w is zero, the max-norm normalizer vanishes")
-        return CnValue(float(np.max(u)) / den, "mcn")
-    return CnValue(float(np.max(np.abs(ddagger(lw)) * u)), "ccn")
+    return CnValue(_inf_value(xivec, u), xi.kind)
 
 
-def inf_cn_upper(
-    blocks: DsppBlocks,
-    sel: Selector,
-    *,
-    sol: Solution | None = None,
-    lu: LuSolver | None = None,
-    rows: np.ndarray | None = None,
-) -> tuple[CnValue, CnValue]:
+def inf_cn_upper(system: SolvedSystem) -> tuple[CnValue, CnValue]:
     """Upper bounds dominating the mixed and componentwise numbers.
 
     Uses |L S^{-1}| (h + |b|) with the blockwise magnitude vector
     h = [|A||x| + |B^T||y|; |B||x| + |D||y| + |C^T||z|; |C||y| + |E||z|].
     """
-    sol, rows = _setup(blocks, sel, sol, lu, rows)
+    blocks, sol = system.blocks, system.sol
     ax, ay, az = np.abs(sol.x), np.abs(sol.y), np.abs(sol.z)
     h = np.concatenate([
         np.abs(blocks.A) @ ax + np.abs(blocks.B.T) @ ay,
         np.abs(blocks.B) @ ax + np.abs(blocks.D) @ ay + np.abs(blocks.C.T) @ az,
         np.abs(blocks.C) @ ay + np.abs(blocks.E) @ az,
     ])
-    v = np.abs(rows) @ (h + np.abs(blocks.b))
-    lw = sel.L @ sol.w
-    den = float(np.max(np.abs(lw))) if lw.size else 0.0
-    if den == 0.0:
-        raise ZeroXi("L w is zero, the max-norm normalizer vanishes")
-    mcn_u = CnValue(float(np.max(v)) / den, "mcn_upper")
-    ccn_u = CnValue(float(np.max(np.abs(ddagger(lw)) * v)), "ccn_upper")
+    v = np.abs(system.rows) @ (h + np.abs(blocks.b))
+    mcn_u = CnValue(_inf_value(XiChoice(kind="mcn").resolve(system.lw), v), "mcn_upper")
+    ccn_u = CnValue(_inf_value(XiChoice(kind="ccn").resolve(system.lw), v), "ccn_upper")
     return mcn_u, ccn_u
 
 
 def definition_ratio(
-    blocks: DsppBlocks,
-    sel: Selector,
-    weights: PerturbationWeights,
-    xi,
-    norm: str,
-    deltas,
-    *,
-    sol: Solution | None = None,
-    lu: LuSolver | None = None,
+    system: SolvedSystem, weights: PerturbationWeights, xi, norm: str, deltas
 ) -> float:
     """The defining quotient for one admissible perturbation direction.
 
@@ -442,15 +421,10 @@ def definition_ratio(
     """
     if norm not in ("two", "inf"):
         raise ValueError(f"norm must be 'two' or 'inf', got {norm!r}")
-    xi = _as_xi(xi)
-    if lu is None:
-        lu = factorize(blocks)
-    if sol is None:
-        sol = solve_dspp(blocks, lu)
+    blocks = system.blocks
     da, db_, dc, dd, de, drhs = [np.asarray(d, dtype=float) for d in deltas]
-    dw = first_order_delta(blocks, sol, da, db_, dc, dd, de, drhs, lu=lu)
-    lw = sel.L @ sol.w
-    num_vec = ddagger(xi.resolve(lw)) * (sel.L @ dw)
+    dw = first_order_delta(blocks, system.sol, da, db_, dc, dd, de, drhs, lu=system.lu)
+    num_vec = ddagger(_as_xi(xi).resolve(system.lw)) * (system.sel.L @ dw)
 
     wmats = weights.block_mats(blocks)
     den_parts = [
@@ -467,16 +441,7 @@ def definition_ratio(
     return float(np.linalg.norm(num_vec, ords)) / den
 
 
-def extremal_direction(
-    blocks: DsppBlocks,
-    sel: Selector,
-    weights: PerturbationWeights,
-    xi,
-    *,
-    sol: Solution | None = None,
-    lu: LuSolver | None = None,
-    rows: np.ndarray | None = None,
-):
+def extremal_direction(system: SolvedSystem, weights: PerturbationWeights, xi):
     """A 2-norm worst-case perturbation direction and the value it attains.
 
     Takes the top eigenvector u of the k x k Gram of :func:`unified_cn`, maps
@@ -486,9 +451,8 @@ def extremal_direction(
     equals the returned sigma (the 2-norm condition number for this xi).
     Raises :class:`ZeroMatrix` when the Gram is zero.
     """
-    xi = _as_xi(xi)
-    sol, rows = _setup(blocks, sel, sol, lu, rows)
-    xivec = xi.resolve(sel.L @ sol.w)
+    blocks, sol, rows = system.blocks, system.sol, system.rows
+    xivec = _as_xi(xi).resolve(system.lw)
     wmats = weights.block_mats(blocks)
     chi = weights.chi_vec(blocks.l)
     gram = _gram(rows, xivec, build_j(sol, *wmats), chi)
@@ -517,6 +481,7 @@ __all__ = [
     "CnValue",
     "PerturbationWeights",
     "XiChoice",
+    "SolvedSystem",
     "build_j",
     "inv_rows",
     "first_order_delta",

@@ -22,17 +22,17 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 
-from .dspp import DsppBlocks, Selector, Solution
-from .errors import DimensionMismatch, NotInSubspace, ZeroXi
-from .linalg import LuSolver, ddagger, induced_norm, unvec
+from .dspp import DsppBlocks
+from .errors import DimensionMismatch, NotInSubspace
+from .linalg import induced_norm, unvec
 from .partial_cn import (
     CnValue,
     PerturbationWeights,
+    SolvedSystem,
     _as_xi,
     _gram,
-    _inf_numerator,
+    _inf_value,
     _pair_sum,
-    _setup,
     _sym_top_eig,
     build_j,
 )
@@ -219,15 +219,7 @@ def _check_members(triple: StructureTriple, ma, md, me):
 
 
 def structured_ncn(
-    blocks: DsppBlocks,
-    sel: Selector,
-    weights: PerturbationWeights,
-    xi,
-    triple: StructureTriple,
-    *,
-    sol: Solution | None = None,
-    lu: LuSolver | None = None,
-    rows: np.ndarray | None = None,
+    system: SolvedSystem, weights: PerturbationWeights, xi, triple: StructureTriple
 ) -> CnValue:
     """2-norm condition number with A, D, E perturbations kept in-structure.
 
@@ -236,68 +228,44 @@ def structured_ncn(
     plus one :meth:`StructureBasis.gram` block per kind. Never exceeds the
     unstructured value for the same weights.
     """
+    blocks, sol = system.blocks, system.sol
     _check_dims(triple, blocks)
     _check_members(triple, blocks.A, blocks.D, blocks.E)
     wa, wb, wc, wd, we = weights.block_mats(blocks)
     if not weights.is_scalar:
         _check_members(triple, wa, wd, we)
-    xi = _as_xi(xi)
-    sol, rows = _setup(blocks, sel, sol, lu, rows)
-    xivec = xi.resolve(sel.L @ sol.w)
+    xivec = _as_xi(xi).resolve(system.lw)
 
     n, m = blocks.n, blocks.m
     j = build_j(sol, np.zeros_like(wa), wb, wc, np.zeros_like(wd), np.zeros_like(we))
     j[:n, :n] += triple.a.gram(wa, sol.x)
     j[n : n + m, n : n + m] += triple.d.gram(wd, sol.y)
     j[n + m :, n + m :] += triple.e.gram(we, sol.z)
-    gram = _gram(rows, xivec, j, weights.chi_vec(blocks.l))
+    gram = _gram(system.rows, xivec, j, weights.chi_vec(blocks.l))
     return CnValue(np.sqrt(_sym_top_eig(gram)), "structured2")
 
 
-def _structured_numerator(blocks, triple, sol, rows) -> np.ndarray:
-    """The structured max-norm numerator with the data as weights."""
-    n, m, p = blocks.n, blocks.m, blocks.p
-    u = _inf_numerator(
-        rows, sol, np.zeros((n, n)), np.abs(blocks.B), np.abs(blocks.C),
-        np.zeros((m, m)), np.zeros((p, p)), np.abs(blocks.b),
-    )
-    u += triple.a.numerator(rows[:, :n], np.abs(blocks.A), sol.x)
-    u += triple.d.numerator(rows[:, n : n + m], np.abs(blocks.D), sol.y)
-    u += triple.e.numerator(rows[:, n + m :], np.abs(blocks.E), sol.z)
-    return u
-
-
-def structured_inf_cn(
-    blocks: DsppBlocks,
-    sel: Selector,
-    xi,
-    triple: StructureTriple,
-    *,
-    sol: Solution | None = None,
-    lu: LuSolver | None = None,
-    rows: np.ndarray | None = None,
-) -> CnValue:
+def structured_inf_cn(system: SolvedSystem, xi, triple: StructureTriple) -> CnValue:
     """Mixed or componentwise condition number with structured A, D, E.
 
     Weights are the data itself (Psi = H, chi = b) with the A, D, E parts
     expressed through their generators, so structured values never exceed the
-    unstructured ones. The numerator is the unstructured one with the A, D, E
-    weights at zero plus one :meth:`StructureBasis.numerator` term per kind.
+    unstructured ones. The numerator is the system's shared ``bc_numerator``
+    (the unstructured B, C and right-hand-side part) plus one
+    :meth:`StructureBasis.numerator` term per kind.
     """
+    blocks, sol, rows = system.blocks, system.sol, system.rows
     _check_dims(triple, blocks)
     xi = _as_xi(xi)
     if xi.kind not in ("mcn", "ccn"):
         raise ValueError(f"structured_inf_cn supports xi 'mcn' or 'ccn', got {xi.kind!r}")
     _check_members(triple, blocks.A, blocks.D, blocks.E)
-    sol, rows = _setup(blocks, sel, sol, lu, rows)
-    lw = sel.L @ sol.w
-    u = _structured_numerator(blocks, triple, sol, rows)
-    if xi.kind == "mcn":
-        den = float(np.max(np.abs(lw))) if lw.size else 0.0
-        if den == 0.0:
-            raise ZeroXi("L w is zero, the max-norm normalizer vanishes")
-        return CnValue(float(np.max(u)) / den, "structuredInf")
-    return CnValue(float(np.max(np.abs(ddagger(lw)) * u)), "structuredInf")
+    xivec = xi.resolve(system.lw)
+    n, m = blocks.n, blocks.m
+    u = system.bc_numerator + triple.a.numerator(rows[:, :n], np.abs(blocks.A), sol.x)
+    u += triple.d.numerator(rows[:, n : n + m], np.abs(blocks.D), sol.y)
+    u += triple.e.numerator(rows[:, n + m :], np.abs(blocks.E), sol.z)
+    return CnValue(_inf_value(xivec, u), "structuredInf")
 
 
 __all__ = [

@@ -13,7 +13,7 @@ import scipy.sparse
 
 import oracles
 from conftest import ACCEPTANCE_LINES, random_dspp, rel_err
-from dsppcond.dspp import DsppBlocks, assemble, factorize, norm_fro_system, selector, solve_dspp
+from dsppcond.dspp import DsppBlocks, assemble, norm_fro_system, selector, solve_dspp
 from dsppcond.eils import EilsProblem, default_scalar_weights, eils_cn, eils_reduce
 from dsppcond.experiments import (
     first_order_residual,
@@ -24,6 +24,7 @@ from dsppcond.experiments import (
 )
 from dsppcond.partial_cn import (
     PerturbationWeights,
+    SolvedSystem,
     definition_ratio,
     extremal_direction,
     inf_cn,
@@ -68,7 +69,7 @@ def test_criterion_01_formula_equivalence():
         psi = norm_fro_system(blocks)
         chi = float(np.linalg.norm(blocks.b, 2))
         a = oracles.ncn(blocks, sel, psi, chi)
-        b = ncn(blocks, sel, psi, chi).value
+        b = ncn(SolvedSystem.of(blocks, sel), psi, chi).value
         worst = max(worst, rel_err(a, b))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 10.0
@@ -86,16 +87,13 @@ def test_criterion_02_dominance_suite():
     for blocks in instances:
         psi = norm_fro_system(blocks)
         chi = float(np.linalg.norm(blocks.b, 2))
-        lu = factorize(blocks)
-        sol = solve_dspp(blocks, lu)
         for kind in SELECTOR_CYCLE:
-            sel = selector(kind, blocks.n, blocks.m, blocks.p)
-            shared = dict(sol=sol, lu=lu)
-            v2 = ncn(blocks, sel, psi, chi, **shared).value
-            u2 = ncn_upper(blocks, sel, psi, chi, **shared).value
-            vm = inf_cn(blocks, sel, "mcn", **shared).value
-            vc = inf_cn(blocks, sel, "ccn", **shared).value
-            um, uc = (v.value for v in inf_cn_upper(blocks, sel, **shared))
+            system = SolvedSystem.of(blocks, selector(kind, blocks.n, blocks.m, blocks.p))
+            v2 = ncn(system, psi, chi).value
+            u2 = ncn_upper(system, psi, chi).value
+            vm = inf_cn(system, "mcn").value
+            vc = inf_cn(system, "ccn").value
+            um, uc = (v.value for v in inf_cn_upper(system))
             ok = ok and v2 <= u2 * (1 + 1e-12)
             ok = ok and vm <= um * (1 + 1e-12)
             ok = ok and vc <= uc * (1 + 1e-12)
@@ -120,22 +118,20 @@ def test_criterion_03_definition_consistency():
         chi = float(np.linalg.norm(blocks.b, 2))
         scalar_w = PerturbationWeights.scalar(psi, chi)
         data_w = PerturbationWeights.from_problem(blocks)
-        lu = factorize(blocks)
-        sol = solve_dspp(blocks, lu)
-        shared = dict(sol=sol, lu=lu)
-        cn2 = ncn(blocks, sel, psi, chi, **shared).value
-        vm = inf_cn(blocks, sel, "mcn", **shared).value
-        vc = inf_cn(blocks, sel, "ccn", **shared).value
+        system = SolvedSystem.of(blocks, sel)
+        cn2 = ncn(system, psi, chi).value
+        vm = inf_cn(system, "mcn").value
+        vc = inf_cn(system, "ccn").value
         mats = (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E, blocks.b)
         for _ in range(1000):
             raw = tuple(rng.standard_normal(mat.shape) for mat in mats)
             masked = tuple(g * mat for g, mat in zip(raw, mats))
-            r2 = definition_ratio(blocks, sel, scalar_w, "ncn", "two", raw, **shared)
-            rm = definition_ratio(blocks, sel, data_w, "mcn", "inf", masked, **shared)
-            rc = definition_ratio(blocks, sel, data_w, "ccn", "inf", masked, **shared)
+            r2 = definition_ratio(system, scalar_w, "ncn", "two", raw)
+            rm = definition_ratio(system, data_w, "mcn", "inf", masked)
+            rc = definition_ratio(system, data_w, "ccn", "inf", masked)
             worst_gap = max(worst_gap, r2 / cn2, rm / vm, rc / vc)
-        deltas, sigma = extremal_direction(blocks, sel, scalar_w, "ncn", **shared)
-        attained = definition_ratio(blocks, sel, scalar_w, "ncn", "two", deltas, **shared)
+        deltas, sigma = extremal_direction(system, scalar_w, "ncn")
+        attained = definition_ratio(system, scalar_w, "ncn", "two", deltas)
         worst_attain = max(worst_attain, rel_err(attained, cn2), rel_err(sigma, cn2))
     ok = worst_gap <= 1 + 1e-10 and worst_attain <= 1e-8
     elapsed = time.perf_counter() - start
@@ -231,14 +227,15 @@ def test_criterion_08_structure_basis_algebra():
         psi = norm_fro_system(blocks)
         chi = float(np.linalg.norm(blocks.b, 2))
         weights = PerturbationWeights.scalar(psi, chi)
+        system = SolvedSystem.of(blocks, sel)
         worst = max(worst, rel_err(
-            structured_ncn(blocks, sel, weights, "ncn", triple).value,
+            structured_ncn(system, weights, "ncn", triple).value,
             oracles.ncn(blocks, sel, psi, chi),
         ))
         for flavor in ("mcn", "ccn"):
             worst = max(worst, rel_err(
-                structured_inf_cn(blocks, sel, flavor, triple).value,
-                inf_cn(blocks, sel, flavor).value,
+                structured_inf_cn(system, flavor, triple).value,
+                inf_cn(system, flavor).value,
             ))
     ok = ok and worst <= 1e-12
     elapsed = time.perf_counter() - start
@@ -277,11 +274,11 @@ def test_criterion_09_eils_specialization():
             np.zeros((prob.p, prob.p)),
             chi_vec,
         )
-        sel = selector(SELECTOR_CYCLE[i % 4], prob.n, prob.m, prob.p)
+        system = SolvedSystem.of(blocks, selector(SELECTOR_CYCLE[i % 4], prob.n, prob.m, prob.p))
         for xi, norm in (("ncn", "two"), ("mcn", "inf"), ("ccn", "inf")):
             worst = max(worst, rel_err(
-                eils_cn(prob, sel, psi, chi, xi, norm).value,
-                unified_cn(blocks, sel, weights, xi, norm).value,
+                eils_cn(system, psi, chi, xi, norm).value,
+                unified_cn(system, weights, xi, norm).value,
             ))
         y = solve_dspp(blocks).y
         resid = float(np.linalg.norm(prob.C @ y - prob.d, 2))
@@ -299,10 +296,10 @@ def test_criterion_10_hand_oracle_values():
         D=-np.eye(2), E=np.eye(2),
         b=np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
     )
-    sel = selector("x", 2, 2, 2)
-    vm = inf_cn(blocks, sel, "mcn").value
-    vc = inf_cn(blocks, sel, "ccn").value
-    um, uc = (v.value for v in inf_cn_upper(blocks, sel))
+    system = SolvedSystem.of(blocks, selector("x", 2, 2, 2))
+    vm = inf_cn(system, "mcn").value
+    vc = inf_cn(system, "ccn").value
+    um, uc = (v.value for v in inf_cn_upper(system))
     ok = all(abs(v - 2.0) <= 1e-14 for v in (vm, vc, um, uc))
     _report(10, f"identity system gives mcn={vm}, ccn={vc} and max-norm "
                 f"bounds {um}, {uc}, all exactly 2", ok)

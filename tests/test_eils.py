@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import rel_err
-from dsppcond.dspp import DsppBlocks, selector
+from dsppcond.dspp import DsppBlocks, selector, solve_dspp
 from dsppcond.eils import (
     EilsProblem,
     default_scalar_weights,
@@ -21,7 +21,7 @@ from dsppcond.errors import (
     MalformedProblem,
     RankDeficientC,
 )
-from dsppcond.partial_cn import PerturbationWeights, unified_cn
+from dsppcond.partial_cn import PerturbationWeights, SolvedSystem, unified_cn
 
 
 def hand_problem():
@@ -57,7 +57,8 @@ def test_signature_matrix():
 def test_hand_solution():
     # Cy = d forces y = 2; r = b - My = [-1, 1]; x = Jr = [-1, -1];
     # the multiplier balances M^T x + C^T lam = 0, so lam = 2.
-    sol = solve_eils(hand_problem())
+    prob = hand_problem()
+    sol = solve_eils(prob, solve_dspp(eils_reduce(prob)))
     assert np.allclose(sol.y, [2.0], rtol=0, atol=1e-14)
     assert np.allclose(sol.lam, [2.0], rtol=0, atol=1e-14)
     assert np.allclose(sol.x, [-1.0, -1.0], rtol=0, atol=1e-14)
@@ -80,7 +81,7 @@ def test_matches_textbook_normal_equations():
     for _ in range(10):
         n, m, p = 7, 3, 2
         prob = random_problem(rng, n, m, p)
-        sol = solve_eils(prob)
+        sol = solve_eils(prob, solve_dspp(eils_reduce(prob)))
         j = signature_matrix(prob.n1, prob.n2)
         kkt = np.block([
             [prob.M.T @ j @ prob.M, prob.C.T],
@@ -184,33 +185,33 @@ def test_cn_equals_zero_weighted_reduction():
         blocks = eils_reduce(prob)
         psi, chi = default_scalar_weights(prob)
         weights = zeroed_unified_weights(prob, psi, chi)
-        sel = selector(("full", "x", "y", "z")[trial % 4], n, m, p)
+        system = SolvedSystem.of(blocks, selector(("full", "x", "y", "z")[trial % 4], n, m, p))
         for xi, norm in (("ncn", "two"), ("mcn", "inf"), ("ccn", "inf")):
-            direct = eils_cn(prob, sel, psi, chi, xi, norm)
-            general = unified_cn(blocks, sel, weights, xi, norm)
+            direct = eils_cn(system, psi, chi, xi, norm)
+            general = unified_cn(system, weights, xi, norm)
             assert rel_err(direct.value, general.value) < 1e-12
-        assert eils_cn(prob, sel, psi, chi, "ncn", "two").flavor == "eils2"
-        assert eils_cn(prob, sel, psi, chi, "mcn", "inf").flavor == "eilsInf"
+        assert eils_cn(system, psi, chi, "ncn", "two").flavor == "eils2"
+        assert eils_cn(system, psi, chi, "mcn", "inf").flavor == "eilsInf"
 
 
 def test_cn_entrywise_weights_and_validation():
     rng = np.random.default_rng(52)
     prob = random_problem(rng, 5, 2, 1)
-    sel = selector("y", 5, 2, 1)
+    system = SolvedSystem.of(eils_reduce(prob), selector("y", 5, 2, 1))
     psi_pair = (np.abs(prob.M), np.abs(prob.C))
     chi_vec = np.abs(np.concatenate([prob.b, prob.d]))
-    value = eils_cn(prob, sel, psi_pair, chi_vec, "mcn", "inf").value
+    value = eils_cn(system, psi_pair, chi_vec, "mcn", "inf").value
     assert np.isfinite(value) and value > 0
     with pytest.raises(ValueError):
-        eils_cn(prob, sel, -1.0, 1.0, "ncn", "two")
+        eils_cn(system, -1.0, 1.0, "ncn", "two")
     with pytest.raises(ValueError):
-        eils_cn(prob, sel, 1.0, 0.0, "ncn", "two")
+        eils_cn(system, 1.0, 0.0, "ncn", "two")
     with pytest.raises(ValueError):
-        eils_cn(prob, sel, 1.0, 1.0, "ncn", "one")
+        eils_cn(system, 1.0, 1.0, "ncn", "one")
     with pytest.raises(DimensionMismatch):
-        eils_cn(prob, sel, (np.ones((2, 5)), np.abs(prob.C)), 1.0, "ncn", "two")
+        eils_cn(system, (np.ones((2, 5)), np.abs(prob.C)), 1.0, "ncn", "two")
     with pytest.raises(DimensionMismatch):
-        eils_cn(prob, sel, 1.0, np.ones(3), "ncn", "two")
+        eils_cn(system, 1.0, np.ones(3), "ncn", "two")
 
 
 def test_dict_round_trip():
@@ -240,7 +241,7 @@ def test_reduced_blocks_solve_is_consistent():
     prob = random_problem(rng, 6, 3, 2)
     blocks = eils_reduce(prob)
     assert isinstance(blocks, DsppBlocks)
-    sol = solve_eils(prob)
+    sol = solve_eils(prob, solve_dspp(blocks))
     j = signature_matrix(prob.n1, prob.n2)
     assert np.allclose(j @ sol.x + prob.M @ sol.y, prob.b, rtol=0, atol=1e-10)
     assert np.allclose(prob.M.T @ sol.x + prob.C.T @ sol.lam, 0.0, rtol=0, atol=1e-10)

@@ -95,6 +95,9 @@ def test_lu_solver_rejects_singular_and_zero():
     # A pivot far below the scale threshold counts as singular.
     with pytest.raises(SingularMatrix):
         LuSolver([[1.0, 0.0], [0.0, 1e-20]])
+    # Unit pivots, yet cond_2 = 3.8e18: the rcond estimate (1.7e-21) rejects it.
+    with pytest.raises(SingularMatrix):
+        LuSolver(np.eye(64) - np.triu(np.ones((64, 64)), 1))
 
 
 def test_lu_solver_rejects_nonsquare_and_bad_rhs():

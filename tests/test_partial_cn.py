@@ -11,12 +11,13 @@ import pytest
 import dsppcond.partial_cn as pc
 import oracles
 from conftest import random_dspp, rel_err
-from dsppcond.dspp import DsppBlocks, Solution, assemble, factorize, selector, solve_dspp
+from dsppcond.dspp import DsppBlocks, Solution, assemble, selector, solve_dspp
 from dsppcond.errors import DimensionMismatch, ZeroMatrix, ZeroXi
 from dsppcond.linalg import ddagger
 from dsppcond.partial_cn import (
     CnValue,
     PerturbationWeights,
+    SolvedSystem,
     XiChoice,
     build_j,
     definition_ratio,
@@ -131,7 +132,7 @@ def test_ncn_paths_agree_and_label_flavor():
         psi = float(rng.uniform(0.5, 3.0))
         chi = float(rng.uniform(0.5, 3.0))
         a = oracles.ncn(blocks, sel, psi, chi)
-        b = ncn(blocks, sel, psi, chi)
+        b = ncn(SolvedSystem.of(blocks, sel), psi, chi)
         assert b.flavor == "ncn"
         assert rel_err(a, b.value) < 1e-11
 
@@ -140,8 +141,9 @@ def test_ncn_scales_linearly_in_weights():
     rng = np.random.default_rng(26)
     blocks = random_dspp(rng, 3, 3, 2)
     sel = selector("y", 3, 3, 2)
-    base = ncn(blocks, sel, 1.5, 2.5).value
-    scaled = ncn(blocks, sel, 3.0, 5.0).value
+    system = SolvedSystem.of(blocks, sel)
+    base = ncn(system, 1.5, 2.5).value
+    scaled = ncn(system, 3.0, 5.0).value
     assert rel_err(scaled, 2.0 * base) < 1e-12
 
 
@@ -150,7 +152,7 @@ def test_ncn_rejects_bad_arguments():
     blocks = random_dspp(rng, 2, 2, 2)
     sel = selector("x", 2, 2, 2)
     with pytest.raises(ValueError):
-        ncn(blocks, sel, 0.0, 1.0)
+        ncn(SolvedSystem.of(blocks, sel), 0.0, 1.0)
 
 
 def identity_blocks(n=2, m=2, p=2):
@@ -169,10 +171,10 @@ def test_identity_system_hand_values():
     # so mcn = ccn = 2 and both max-norm upper bounds coincide at 2.
     blocks = identity_blocks()
     assert np.array_equal(assemble(blocks), np.eye(6))
-    sel = selector("x", 2, 2, 2)
-    assert abs(inf_cn(blocks, sel, "mcn").value - 2.0) <= 1e-14
-    assert abs(inf_cn(blocks, sel, "ccn").value - 2.0) <= 1e-14
-    mu, cu = inf_cn_upper(blocks, sel)
+    system = SolvedSystem.of(blocks, selector("x", 2, 2, 2))
+    assert abs(inf_cn(system, "mcn").value - 2.0) <= 1e-14
+    assert abs(inf_cn(system, "ccn").value - 2.0) <= 1e-14
+    mu, cu = inf_cn_upper(system)
     assert abs(mu.value - 2.0) <= 1e-14
     assert abs(cu.value - 2.0) <= 1e-14
 
@@ -183,13 +185,13 @@ def test_zero_projection_raises_zero_xi_for_norm_normalizers():
     b = np.zeros(6)
     b[2:] = 1.0
     blocks = DsppBlocks(A=blocks.A, B=blocks.B, C=blocks.C, D=blocks.D, E=blocks.E, b=b)
-    sel = selector("x", 2, 2, 2)
+    system = SolvedSystem.of(blocks, selector("x", 2, 2, 2))
     with pytest.raises(ZeroXi):
-        ncn(blocks, sel, 1.0, 1.0)
+        ncn(system, 1.0, 1.0)
     with pytest.raises(ZeroXi):
-        inf_cn(blocks, sel, "mcn")
+        inf_cn(system, "mcn")
     # The componentwise number stays finite: zero numerator over a zero entry.
-    assert inf_cn(blocks, sel, "ccn").value >= 0.0
+    assert inf_cn(system, "ccn").value >= 0.0
 
 
 def symmetric_toeplitz_from(blocks):
@@ -215,36 +217,61 @@ def test_chunked_numerator_matches_materialized(monkeypatch):
         sol = solve_dspp(blocks)
         lw = sel.L @ sol.w
         want = float(np.max(np.abs(ddagger(lw)) * oracles.inf_numerator(blocks, sel, weights)))
-        got = unified_cn(blocks, sel, weights, "ccn", "inf").value
+        got = unified_cn(SolvedSystem.of(blocks, sel), weights, "ccn", "inf").value
         assert rel_err(got, want) < 1e-12
         # The structured symmetric and Toeplitz terms share the pair kernel.
         sym = symmetric_toeplitz_from(blocks)
         triple = StructureTriple.from_kinds("symmetric", "toeplitz_sym", "toeplitz_sym", n, m, p)
         want_s = oracles.structured_inf(sym, sel, "ccn", triple)
-        assert rel_err(structured_inf_cn(sym, sel, "ccn", triple).value, want_s) < 1e-12
-        # Force many tiny chunks through the same values.
+        got_s = structured_inf_cn(SolvedSystem.of(sym, sel), "ccn", triple).value
+        assert rel_err(got_s, want_s) < 1e-12
+        # Force many tiny chunks through the same values. Fresh systems, so
+        # no numerator cached before the patch is reused.
         monkeypatch.setattr(pc, "_CHUNK_ENTRY_LIMIT", 2)
-        got_chunked = unified_cn(blocks, sel, weights, "ccn", "inf").value
-        got_s_chunked = structured_inf_cn(sym, sel, "ccn", triple).value
+        got_chunked = unified_cn(SolvedSystem.of(blocks, sel), weights, "ccn", "inf").value
+        got_s_chunked = structured_inf_cn(SolvedSystem.of(sym, sel), "ccn", triple).value
         monkeypatch.undo()
         assert rel_err(got_chunked, want) < 1e-12
         assert rel_err(got_s_chunked, want_s) < 1e-12
+
+
+def test_shared_numerator_runs_pair_kernel_once_per_block(monkeypatch):
+    # mcn, ccn and both structured max-norm values of one system share its
+    # B and C pair sums. The triple has no symmetric kind, which runs the
+    # pair kernel for its own term.
+    rng = np.random.default_rng(35)
+    blocks = symmetric_toeplitz_from(random_dspp(rng, 4, 3, 2))
+    system = SolvedSystem.of(blocks, selector("full", 4, 3, 2))
+    triple = StructureTriple.from_kinds("full", "toeplitz_sym", "toeplitz_sym", 4, 3, 2)
+    weight_shapes = []
+    pair_sum = pc._pair_sum
+
+    def counting_pair_sum(*args):
+        weight_shapes.append(args[-1].shape)
+        return pair_sum(*args)
+
+    monkeypatch.setattr(pc, "_pair_sum", counting_pair_sum)
+    for flavor in ("mcn", "ccn"):
+        inf_cn(system, flavor)
+        structured_inf_cn(system, flavor, triple)
+    assert weight_shapes == [blocks.B.shape, blocks.C.shape]
 
 
 def test_unified_cn_consistent_with_specialized_entry_points():
     rng = np.random.default_rng(29)
     blocks = random_dspp(rng, 3, 2, 3)
     sel = selector("z", 3, 2, 3)
+    system = SolvedSystem.of(blocks, sel)
     psi, chi = 2.0, 3.0
     scalar = PerturbationWeights.scalar(psi, chi)
     assert rel_err(
-        unified_cn(blocks, sel, scalar, "ncn", "two").value,
-        ncn(blocks, sel, psi, chi).value,
+        unified_cn(system, scalar, "ncn", "two").value,
+        ncn(system, psi, chi).value,
     ) < 1e-12
     from_data = PerturbationWeights.from_problem(blocks)
     assert rel_err(
-        unified_cn(blocks, sel, from_data, "mcn", "inf").value,
-        inf_cn(blocks, sel, "mcn").value,
+        unified_cn(system, from_data, "mcn", "inf").value,
+        inf_cn(system, "mcn").value,
     ) < 1e-12
     # Entrywise constant weights reproduce the scalar 2-norm value.
     const = PerturbationWeights.entrywise(
@@ -252,11 +279,11 @@ def test_unified_cn_consistent_with_specialized_entry_points():
         np.full((2, 2), psi), np.full((3, 3), psi), np.full(8, chi),
     )
     assert rel_err(
-        unified_cn(blocks, sel, const, "ncn", "two").value,
+        unified_cn(system, const, "ncn", "two").value,
         oracles.ncn(blocks, sel, psi, chi),
     ) < 1e-11
     with pytest.raises(ValueError):
-        unified_cn(blocks, sel, scalar, "ncn", "one")
+        unified_cn(system, scalar, "ncn", "one")
 
 
 def test_dominance_on_random_instances():
@@ -267,11 +294,11 @@ def test_dominance_on_random_instances():
         psi = float(np.linalg.norm(assemble(blocks)))
         chi = float(np.linalg.norm(blocks.b))
         for kind in ("full", "x", "y", "z"):
-            sel = selector(kind, n, m, p)
-            assert ncn(blocks, sel, psi, chi).value <= ncn_upper(blocks, sel, psi, chi).value * (1 + 1e-12)
-            mu, cu = inf_cn_upper(blocks, sel)
-            assert inf_cn(blocks, sel, "mcn").value <= mu.value * (1 + 1e-12)
-            assert inf_cn(blocks, sel, "ccn").value <= cu.value * (1 + 1e-12)
+            system = SolvedSystem.of(blocks, selector(kind, n, m, p))
+            assert ncn(system, psi, chi).value <= ncn_upper(system, psi, chi).value * (1 + 1e-12)
+            mu, cu = inf_cn_upper(system)
+            assert inf_cn(system, "mcn").value <= mu.value * (1 + 1e-12)
+            assert inf_cn(system, "ccn").value <= cu.value * (1 + 1e-12)
 
 
 def test_upper_bound_dominates_for_asymmetric_d():
@@ -285,10 +312,10 @@ def test_upper_bound_dominates_for_asymmetric_d():
         b=np.array([1.0, 2.0, -1.0, 1.0, 0.5]),
     )
     for kind in ("full", "x", "y", "z"):
-        sel = selector(kind, 2, 2, 1)
-        mu, cu = inf_cn_upper(blocks, sel)
-        assert inf_cn(blocks, sel, "mcn").value <= mu.value * (1 + 1e-12)
-        assert inf_cn(blocks, sel, "ccn").value <= cu.value * (1 + 1e-12)
+        system = SolvedSystem.of(blocks, selector(kind, 2, 2, 1))
+        mu, cu = inf_cn_upper(system)
+        assert inf_cn(system, "mcn").value <= mu.value * (1 + 1e-12)
+        assert inf_cn(system, "ccn").value <= cu.value * (1 + 1e-12)
 
 
 def test_definition_ratio_bounded_by_cn_and_extremal_attains():
@@ -298,17 +325,14 @@ def test_definition_ratio_bounded_by_cn_and_extremal_attains():
     psi = float(np.linalg.norm(assemble(blocks)))
     chi = float(np.linalg.norm(blocks.b))
     weights = PerturbationWeights.scalar(psi, chi)
-    cn2 = ncn(blocks, sel, psi, chi).value
-    lu = factorize(blocks)
-    sol = solve_dspp(blocks, lu)
+    system = SolvedSystem.of(blocks, sel)
+    cn2 = ncn(system, psi, chi).value
     for _ in range(50):
-        ratio = definition_ratio(
-            blocks, sel, weights, "ncn", "two", random_deltas(rng, blocks), sol=sol, lu=lu
-        )
+        ratio = definition_ratio(system, weights, "ncn", "two", random_deltas(rng, blocks))
         assert ratio <= cn2 * (1 + 1e-10)
-    deltas, sigma = extremal_direction(blocks, sel, weights, "ncn")
+    deltas, sigma = extremal_direction(system, weights, "ncn")
     assert rel_err(sigma, cn2) < 1e-10
-    attained = definition_ratio(blocks, sel, weights, "ncn", "two", deltas, sol=sol, lu=lu)
+    attained = definition_ratio(system, weights, "ncn", "two", deltas)
     assert rel_err(attained, cn2) < 1e-10
 
 
@@ -319,7 +343,8 @@ def test_extremal_direction_respects_zero_weights():
     bmat[0, :] = 0.0
     blocks = DsppBlocks(A=blocks.A, B=bmat, C=blocks.C, D=blocks.D, E=blocks.E, b=blocks.b)
     weights = PerturbationWeights.from_problem(blocks)
-    deltas, sigma = extremal_direction(blocks, selector("y", 3, 2, 2), weights, "ncn")
+    system = SolvedSystem.of(blocks, selector("y", 3, 2, 2))
+    deltas, sigma = extremal_direction(system, weights, "ncn")
     assert np.array_equal(deltas[1][0, :], np.zeros(3))
     assert sigma > 0
     zero = PerturbationWeights.entrywise(
@@ -327,7 +352,7 @@ def test_extremal_direction_respects_zero_weights():
         np.zeros(blocks.l),
     )
     with pytest.raises(ZeroMatrix):
-        extremal_direction(blocks, selector("y", 3, 2, 2), zero, "ncn")
+        extremal_direction(system, zero, "ncn")
 
 
 def test_definition_ratio_rejects_zero_direction():
@@ -339,7 +364,7 @@ def test_definition_ratio_rejects_zero_direction():
         np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(6),
     )
     with pytest.raises(ValueError):
-        definition_ratio(blocks, selector("x", 2, 2, 2), weights, "ncn", "two", zeros)
+        definition_ratio(SolvedSystem.of(blocks, selector("x", 2, 2, 2)), weights, "ncn", "two", zeros)
 
 
 def test_weights_and_xi_validation():

@@ -10,13 +10,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dsppcond.partial_cn as pc
-import dsppcond.structured as st_mod
 import oracles
 from conftest import rel_err
-from dsppcond.dspp import DsppBlocks, factorize, selector, solve_dspp
-from dsppcond.eils import EilsProblem, eils_cn
+from dsppcond.dspp import DsppBlocks, selector
+from dsppcond.eils import EilsProblem, eils_cn, eils_reduce
 from dsppcond.errors import IndefiniteProblem, RankDeficientC
-from dsppcond.partial_cn import PerturbationWeights, build_j, inf_cn, inv_rows, unified_cn
+from dsppcond.partial_cn import (
+    PerturbationWeights,
+    SolvedSystem,
+    build_j,
+    inf_cn,
+    inf_cn_upper,
+    ncn,
+    ncn_upper,
+    unified_cn,
+)
 from dsppcond.structured import (
     STRUCTURE_KINDS,
     StructureTriple,
@@ -71,10 +79,8 @@ def test_closed_forms_match_oracles(n, m, p, ka, kd, ke, kind, xi, scalar, seed)
     if scalar:
         weights = PerturbationWeights.scalar(*rng.uniform(0.5, 2.0, size=2))
     sel = selector(kind, n, m, p)
-    lu = factorize(blocks)
-    sol = solve_dspp(blocks, lu)
-    rows = inv_rows(blocks, sel, lu)
-    shared = dict(sol=sol, lu=lu, rows=rows)
+    system = SolvedSystem.of(blocks, sel)
+    sol, rows = system.sol, system.rows
 
     # The weighted Gram and the 2-norm values it yields.
     g = oracles.build_g(sol)
@@ -82,23 +88,57 @@ def test_closed_forms_match_oracles(n, m, p, ka, kd, ke, kind, xi, scalar, seed)
     j = build_j(sol, *weights.block_mats(blocks))
     j_ref = (g * w2[None, :]) @ g.T
     assert np.allclose(j, j_ref, rtol=RTOL, atol=RTOL * np.abs(j_ref).max())
-    two = unified_cn(blocks, sel, weights, xi, "two", **shared).value
+    two = unified_cn(system, weights, xi, "two").value
     assert rel_err(two, oracles.unified_two(blocks, sel, weights, xi)) < RTOL
-    s_two = structured_ncn(blocks, sel, weights, xi, triple, **shared).value
+    s_two = structured_ncn(system, weights, xi, triple).value
     assert rel_err(s_two, oracles.structured_two(blocks, sel, weights, xi, triple)) < RTOL
 
     # The max-norm numerators, entry by entry.
     wmats = [np.abs(w) for w in weights.block_mats(blocks)]
     u = pc._inf_numerator(rows, sol, *wmats, np.abs(weights.chi_vec(blocks.l)))
     assert np.allclose(u, oracles.inf_numerator(blocks, sel, weights), rtol=RTOL, atol=0)
-    u_s = st_mod._structured_numerator(blocks, triple, sol, rows)
+    u_s = (
+        system.bc_numerator
+        + triple.a.numerator(rows[:, :n], np.abs(blocks.A), sol.x)
+        + triple.d.numerator(rows[:, n : n + m], np.abs(blocks.D), sol.y)
+        + triple.e.numerator(rows[:, n + m :], np.abs(blocks.E), sol.z)
+    )
     assert np.allclose(u_s, oracles.structured_numerator(blocks, sel, triple), rtol=RTOL, atol=0)
 
     # Structured never exceeds unstructured.
     assert s_two <= two * (1 + RTOL)
     for flavor in ("mcn", "ccn"):
-        s_inf = structured_inf_cn(blocks, sel, flavor, triple, **shared).value
-        assert s_inf <= inf_cn(blocks, sel, flavor, **shared).value * (1 + RTOL)
+        s_inf = structured_inf_cn(system, flavor, triple).value
+        assert s_inf <= inf_cn(system, flavor).value * (1 + RTOL)
+
+
+@SETTINGS
+@given(n=dims, m=dims, p=dims, ka=kinds, kd=kinds, ke=kinds, kind=selectors,
+       order=st.permutations(range(11)), seed=seeds)
+def test_shared_system_matches_fresh_systems(n, m, p, ka, kd, ke, kind, order, seed):
+    rng = np.random.default_rng(seed)
+    triple = StructureTriple.from_kinds(ka, kd, ke, n, m, p)
+    blocks, weights = structured_instance(rng, n, m, p, triple)
+    sel = selector(kind, n, m, p)
+    psi, chi = (float(v) for v in rng.uniform(0.5, 2.0, size=2))
+    data = PerturbationWeights.from_problem(blocks)
+    numbers = [
+        lambda s: ncn(s, psi, chi).value,
+        lambda s: ncn_upper(s, psi, chi).value,
+        lambda s: inf_cn(s, "mcn").value,
+        lambda s: inf_cn(s, "ccn").value,
+        lambda s: tuple(v.value for v in inf_cn_upper(s)),
+        lambda s: structured_ncn(s, weights, "ncn", triple).value,
+        lambda s: structured_inf_cn(s, "mcn", triple).value,
+        lambda s: structured_inf_cn(s, "ccn", triple).value,
+        lambda s: unified_cn(s, weights, "ccn", "two").value,
+        lambda s: unified_cn(s, data, "mcn", "inf").value,
+        lambda s: unified_cn(s, weights, "ccn", "inf").value,
+    ]
+    fresh = [number(SolvedSystem.of(blocks, sel)) for number in numbers]
+    system = SolvedSystem.of(blocks, sel)
+    shared = {i: numbers[i](system) for i in order}
+    assert [shared[i] for i in range(len(numbers))] == fresh
 
 
 @SETTINGS
@@ -125,5 +165,5 @@ def test_eils_matches_explicit_map(m, extra, p_frac, kind, xi, entrywise, seed):
         psi, chi = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0))
     sel = selector(kind, n, m, p)
     for norm in ("two", "inf"):
-        got = eils_cn(prob, sel, psi, chi, xi, norm).value
+        got = eils_cn(SolvedSystem.of(eils_reduce(prob), sel), psi, chi, xi, norm).value
         assert rel_err(got, oracles.eils_cn(prob, sel, psi, chi, xi, norm)) < RTOL

@@ -11,7 +11,7 @@ from dsppcond.dspp import DsppBlocks, assemble, selector
 from dsppcond.errors import DimensionMismatch, NotInSubspace
 from dsppcond.experiments import gen_example2
 from dsppcond.linalg import unvec
-from dsppcond.partial_cn import PerturbationWeights, inf_cn, ncn
+from dsppcond.partial_cn import PerturbationWeights, SolvedSystem, inf_cn, ncn
 from dsppcond.structured import (
     STRUCTURE_KINDS,
     StructureTriple,
@@ -140,12 +140,13 @@ def test_full_triple_degenerates_to_unstructured():
         weights = PerturbationWeights.scalar(psi, chi)
         for kind in ("full", "x", "y", "z"):
             sel = selector(kind, n, m, p)
-            s2 = structured_ncn(blocks, sel, weights, "ncn", triple)
+            system = SolvedSystem.of(blocks, sel)
+            s2 = structured_ncn(system, weights, "ncn", triple)
             assert rel_err(s2.value, oracles.ncn(blocks, sel, psi, chi)) < 1e-12
-            sm = structured_inf_cn(blocks, sel, "mcn", triple)
-            sc = structured_inf_cn(blocks, sel, "ccn", triple)
-            assert rel_err(sm.value, inf_cn(blocks, sel, "mcn").value) < 1e-12
-            assert rel_err(sc.value, inf_cn(blocks, sel, "ccn").value) < 1e-12
+            sm = structured_inf_cn(system, "mcn", triple)
+            sc = structured_inf_cn(system, "ccn", triple)
+            assert rel_err(sm.value, inf_cn(system, "mcn").value) < 1e-12
+            assert rel_err(sc.value, inf_cn(system, "ccn").value) < 1e-12
 
 
 def test_structured_never_exceeds_unstructured():
@@ -157,12 +158,12 @@ def test_structured_never_exceeds_unstructured():
         psi = float(np.linalg.norm(assemble(blocks)))
         chi = float(np.linalg.norm(blocks.b))
         for kind in ("full", "x", "y", "z"):
-            sel = selector(kind, n, m, p)
-            s2 = structured_ncn(blocks, sel, PerturbationWeights.scalar(psi, chi), "ncn", triple)
-            assert s2.value <= ncn(blocks, sel, psi, chi).value * (1 + 1e-9)
+            system = SolvedSystem.of(blocks, selector(kind, n, m, p))
+            s2 = structured_ncn(system, PerturbationWeights.scalar(psi, chi), "ncn", triple)
+            assert s2.value <= ncn(system, psi, chi).value * (1 + 1e-9)
             for flavor in ("mcn", "ccn"):
-                sv = structured_inf_cn(blocks, sel, flavor, triple)
-                assert sv.value <= inf_cn(blocks, sel, flavor).value * (1 + 1e-9)
+                sv = structured_inf_cn(system, flavor, triple)
+                assert sv.value <= inf_cn(system, flavor).value * (1 + 1e-9)
                 assert sv.flavor == "structuredInf"
 
 
@@ -170,21 +171,22 @@ def test_structured_flavor_labels_and_validation():
     rng = np.random.default_rng(43)
     blocks = symmetric_toeplitz_instance(rng, 3, 3, 2)
     sel = selector("x", 3, 3, 2)
+    system = SolvedSystem.of(blocks, sel)
     triple = StructureTriple.from_kinds("symmetric", "toeplitz_sym", "toeplitz_sym", 3, 3, 2)
     weights = PerturbationWeights.scalar(1.0, 1.0)
-    assert structured_ncn(blocks, sel, weights, "ncn", triple).flavor == "structured2"
+    assert structured_ncn(system, weights, "ncn", triple).flavor == "structured2"
     assert triple.kinds() == {"A": "symmetric", "D": "toeplitz_sym", "E": "toeplitz_sym"}
     with pytest.raises(ValueError):
-        structured_inf_cn(blocks, sel, "ncn", triple)
+        structured_inf_cn(system, "ncn", triple)
     bad = StructureTriple(
         a=structure_basis("symmetric", 4),
         d=structure_basis("toeplitz_sym", 3),
         e=structure_basis("toeplitz_sym", 2),
     )
     with pytest.raises(DimensionMismatch):
-        structured_ncn(blocks, sel, weights, "ncn", bad)
+        structured_ncn(system, weights, "ncn", bad)
     with pytest.raises(NotInSubspace):
-        structured_ncn(random_dspp(rng, 3, 3, 2), sel, weights, "ncn", triple)
+        structured_ncn(SolvedSystem.of(random_dspp(rng, 3, 3, 2), sel), weights, "ncn", triple)
 
 
 def test_structured_memory_stays_within_budget():
@@ -195,8 +197,9 @@ def test_structured_memory_stays_within_budget():
     weights = PerturbationWeights.scalar(1.0, 1.0)
     tracemalloc.start()
     try:
-        structured_ncn(blocks, sel, weights, "ncn", triple)
-        structured_inf_cn(blocks, sel, "mcn", triple)
+        system = SolvedSystem.of(blocks, sel)
+        structured_ncn(system, weights, "ncn", triple)
+        structured_inf_cn(system, "mcn", triple)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
