@@ -106,23 +106,23 @@ def parse_q_spec(text: str) -> list[int]:
     return values
 
 
+def _parse_choices(text: str, allowed, what: str) -> list[str]:
+    """A nonempty comma list of values from ``allowed``, duplicates dropped."""
+    chosen = []
+    for tok in (tok.strip() for tok in text.split(",")):
+        if tok and tok not in allowed:
+            raise ValueError(f"unknown {what} {tok!r}, choose from {', '.join(allowed)}")
+        if tok and tok not in chosen:
+            chosen.append(tok)
+    if not chosen:
+        raise ValueError(f"empty {what} list")
+    return chosen
+
+
 def parse_cn_list(text: str) -> list[str]:
     """Parse the --cn flag: 'all' or a comma list drawn from ncn, mcn, ccn."""
     text = text.strip().lower()
-    if text == "all":
-        return list(CN_FLAVORS)
-    flavors = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if tok not in CN_FLAVORS:
-            raise ValueError(f"unknown cn flavor {tok!r}, choose from {', '.join(CN_FLAVORS)}")
-        if tok not in flavors:
-            flavors.append(tok)
-    if not flavors:
-        raise ValueError("empty cn list")
-    return flavors
+    return list(CN_FLAVORS) if text == "all" else _parse_choices(text, CN_FLAVORS, "cn flavor")
 
 
 def parse_structure_spec(text: str) -> dict:
@@ -151,18 +151,7 @@ def parse_structure_spec(text: str) -> dict:
 
 
 def parse_selector_list(text: str) -> list[str]:
-    kinds = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if tok not in ("full", "x", "y", "z"):
-            raise ValueError(f"experiment selectors are full, x, y, z; got {tok!r}")
-        if tok not in kinds:
-            kinds.append(tok)
-    if not kinds:
-        raise ValueError("empty selector list")
-    return kinds
+    return _parse_choices(text, DEFAULT_SELECTORS, "experiment selector")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -133,6 +133,13 @@ def assemble(blocks: DsppBlocks) -> np.ndarray:
     return s
 
 
+def _block_product(mats, x, y, z) -> np.ndarray:
+    """The system assembled from ``mats`` = (A, B, C, D, E) times [x; y; z],
+    without assembling it: [A x + B^T y; B x - D y + C^T z; C y + E z]."""
+    a, b, c, d, e = mats
+    return np.concatenate([a @ x + b.T @ y, b @ x - d @ y + c.T @ z, c @ y + e @ z])
+
+
 def factorize(blocks: DsppBlocks) -> LuSolver:
     """Pivoted factorization of the assembled system (certifies nonsingularity)."""
     return LuSolver(assemble(blocks))
@@ -147,12 +154,13 @@ def solve_dspp(blocks: DsppBlocks, lu: LuSolver | None = None) -> Solution:
     if lu is None:
         lu = factorize(blocks)
     w = lu.solve(blocks.b)
-    resid = float(np.linalg.norm(assemble(blocks) @ w - blocks.b, 2))
+    x, y, z = np.split(w, [blocks.n, blocks.n + blocks.m])
+    sw = _block_product((blocks.A, blocks.B, blocks.C, blocks.D, blocks.E), x, y, z)
+    resid = float(np.linalg.norm(sw - blocks.b, 2))
     bound = RESIDUAL_RTOL * (lu.norm_inf * float(np.linalg.norm(w, 2)) + float(np.linalg.norm(blocks.b, 2)))
     if resid > bound:
         raise SingularMatrix(f"solve residual {resid:.3e} exceeds {bound:.3e}")
-    n, m = blocks.n, blocks.m
-    return Solution(x=w[:n], y=w[n : n + m], z=w[n + m :])
+    return Solution(x=x, y=y, z=z)
 
 
 def selector(kind: str, n: int, m: int, p: int, custom_l=None) -> Selector:
@@ -221,9 +229,17 @@ def problem_to_dict(blocks: DsppBlocks) -> dict:
     }
 
 
+def _system_sumsq(mats) -> float:
+    """Squared Frobenius norm of the system assembled from ``mats`` =
+    (A, B, C, D, E), without assembling it (B and C appear twice). einsum
+    forms no temporary and, unlike a BLAS dot, wakes no BLAS threads."""
+    a, b, c, d, e = (float(np.einsum("ij,ij->", mat, mat)) for mat in mats)
+    return a + 2.0 * b + 2.0 * c + d + e
+
+
 def norm_fro_system(blocks: DsppBlocks) -> float:
     """Frobenius norm of the assembled system matrix."""
-    return float(np.linalg.norm(assemble(blocks), "fro"))
+    return float(np.sqrt(_system_sumsq((blocks.A, blocks.B, blocks.C, blocks.D, blocks.E))))
 
 
 __all__ = [

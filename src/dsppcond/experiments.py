@@ -22,7 +22,10 @@ import numpy as np
 import scipy.linalg
 
 from ._version import __version__
-from .dspp import DsppBlocks, Selector, Solution, factorize, norm_fro_system, selector, solve_dspp
+from .dspp import (
+    DsppBlocks, Selector, Solution, _block_product, _system_sumsq, factorize, norm_fro_system,
+    selector, solve_dspp,
+)
 from .errors import IncompatibleZeroPattern, ZeroXi
 from .linalg import ddagger, kron
 from .partial_cn import (
@@ -206,10 +209,6 @@ def forward_errors(sol: Solution, sol_tilde: Solution, sel: Selector) -> tuple[f
     return r_k, r_m, r_c
 
 
-def _sumsq(x) -> float:
-    return float(np.sum(np.asarray(x) ** 2))
-
-
 def epsilons(pert: PerturbationSet, blocks: DsppBlocks) -> tuple[float, float]:
     """Normwise and componentwise perturbation magnitudes.
 
@@ -218,14 +217,8 @@ def epsilons(pert: PerturbationSet, blocks: DsppBlocks) -> tuple[float, float]:
     |dS| <= eps |S| and |db| <= eps |b|; a perturbation on a zero data entry
     raises :class:`IncompatibleZeroPattern`.
     """
-    num = (
-        _sumsq(pert.dA) + 2 * _sumsq(pert.dB) + 2 * _sumsq(pert.dC)
-        + _sumsq(pert.dD) + _sumsq(pert.dE) + _sumsq(pert.db)
-    )
-    den = (
-        _sumsq(blocks.A) + 2 * _sumsq(blocks.B) + 2 * _sumsq(blocks.C)
-        + _sumsq(blocks.D) + _sumsq(blocks.E) + _sumsq(blocks.b)
-    )
+    num = _system_sumsq(pert.deltas[:5]) + float(np.vdot(pert.db, pert.db))
+    den = _system_sumsq((blocks.A, blocks.B, blocks.C, blocks.D, blocks.E)) + float(np.vdot(blocks.b, blocks.b))
     eps1 = float(np.sqrt(num / den))
 
     eps2 = 0.0
@@ -264,9 +257,8 @@ def first_order_residual(blocks: DsppBlocks, pert: PerturbationSet) -> FirstOrde
 
     def actual_change(t: float) -> np.ndarray:
         pb = apply_perturbation(blocks, pert, t)
-        from .dspp import assemble
-
-        return factorize(pb).solve(pb.b - assemble(pb) @ sol.w)
+        pw = _block_product((pb.A, pb.B, pb.C, pb.D, pb.E), sol.x, sol.y, sol.z)
+        return factorize(pb).solve(pb.b - pw)
 
     curve = []
     actual_full = None

@@ -16,7 +16,8 @@ The first-order response is dw = -S^{-1} [G, -I] [vec(dH); db] with G the
 l x s sensitivity matrix assembled from x, y, z (s = n^2 + nm + mp + m^2 + p^2).
 G itself is never formed: every 2-norm number goes through the l x l weighted
 Gram G diag(w^2) G^T in closed form, and every max-norm number through one
-chunked numerator. Both need only L S^{-1}, obtained from k transposed solves,
+exact numerator that visits only the nonzero weights, within a fixed chunk
+budget. Both need only L S^{-1}, obtained from k transposed solves,
 never an explicit inverse. A :class:`SolvedSystem` holds the factorization,
 the solution and L S^{-1} of one (problem, selector) pair; every entry point
 takes one, so the work is done once however many numbers are asked for.
@@ -29,13 +30,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .dspp import DsppBlocks, Selector, Solution, factorize, solve_dspp
+from .dspp import DsppBlocks, Selector, Solution, _block_product, factorize, solve_dspp
 from .errors import DimensionMismatch, ZeroMatrix, ZeroXi
 from .linalg import LuSolver, as_vector, ddagger, induced_norm
 
-# Entries per chunk of the max-norm pair kernel. A chunk holds at most two
-# float64 temporaries of this size, 64 MB, so the numerator's working memory
-# stays under a 128 MB budget that does not grow with s.
+# Entries per chunk of the max-norm pair kernel (k times some nonzero columns of
+# one weight row). Its two float64 temporaries take at most 64 MB, so the memory
+# beside its inputs and a copy of k_col^T stays under a 128 MB budget for every s.
 _CHUNK_ENTRY_LIMIT = 1 << 22
 
 _XI_KINDS = ("ncn", "mcn", "ccn", "custom")
@@ -210,33 +211,31 @@ def first_order_delta(
     """
     if lu is None:
         lu = factorize(blocks)
-    x, y, z = sol.x, sol.y, sol.z
-    top = da @ x + db_.T @ y
-    mid = db_ @ x - dd @ y + dc.T @ z
-    bot = dc @ y + de @ z
-    return lu.solve(np.asarray(drhs, dtype=float) - np.concatenate([top, mid, bot]))
-
-
-def _chunks(total: int, size: int):
-    for start in range(0, total, size):
-        yield slice(start, min(start + size, total))
+    response = _block_product((da, db_, dc, dd, de), sol.x, sol.y, sol.z)
+    return lu.solve(np.asarray(drhs, dtype=float) - response)
 
 
 def _pair_sum(k_col, v_row, k_row, v_col, w) -> np.ndarray:
     """sum_{r,c} |k_col[:, c] v_row[r] + k_row[:, r] v_col[c]| w[r, c], exactly.
 
-    The k x r x c tensor under the absolute value is accumulated in column
-    chunks of at most ``_CHUNK_ENTRY_LIMIT`` entries, never all at once.
+    Only pairs with a nonzero weight are evaluated: row r gathers the rows
+    ``cols`` of a contiguous copy of k_col^T where w[r] is nonzero, in chunks
+    of at most ``_CHUNK_ENTRY_LIMIT // k``, and adds
+    w[r, cols] |k_col^T[cols] v_row[r] + v_col[cols] (x) k_row[:, r]|.
     """
     k = k_col.shape[0]
-    nr, nc = w.shape
+    k_col_t = np.ascontiguousarray(k_col.T)
     u = np.zeros(k)
-    cb = max(1, _CHUNK_ENTRY_LIMIT // max(1, k * nr))
-    for cs in _chunks(nc, cb):
-        t = k_col[:, None, cs] * v_row[None, :, None]
-        t += k_row[:, :, None] * v_col[None, None, cs]
-        np.abs(t, out=t)
-        u += np.einsum("krc,rc->k", t, w[:, cs])
+    cb = max(1, _CHUNK_ENTRY_LIMIT // max(1, k))
+    for r in range(w.shape[0]):
+        nz = np.flatnonzero(w[r])
+        for start in range(0, nz.size, cb):
+            cols = nz[start : start + cb]
+            t = k_col_t[cols]
+            t *= v_row[r]
+            t += np.multiply.outer(v_col[cols], k_row[:, r])
+            np.abs(t, out=t)
+            u += w[r, cols] @ t
     return u
 
 
@@ -246,21 +245,18 @@ def _ade_numerator(rows, sol, wa, wd, we) -> np.ndarray:
     These column blocks factor through Kronecker identities, so their
     absolute values reduce to small matrix products.
     """
-    n, m = sol.x.size, sol.y.size
-    a1, a2, a3 = np.abs(rows[:, :n]), np.abs(rows[:, n : n + m]), np.abs(rows[:, n + m :])
+    a1, a2, a3 = np.split(np.abs(rows), [sol.x.size, sol.x.size + sol.y.size], axis=1)
     return a1 @ (wa @ np.abs(sol.x)) + a2 @ (wd @ np.abs(sol.y)) + a3 @ (we @ np.abs(sol.z))
 
 
 def _bc_numerator(rows, sol, wb, wc, chi_abs) -> np.ndarray:
     """The B, C and right-hand-side columns of |L S^{-1} [G, -I]| [vec(W); chi].
 
-    The B and C blocks mix two terms before the absolute value and go through
-    the chunked pair kernel, which keeps memory within the chunk budget
-    instead of materializing the k x s matrix.
+    The B and C blocks mix two terms before the absolute value; the pair
+    kernel sums them over the nonzero weights only, within the chunk budget.
     """
     x, y, z = sol.x, sol.y, sol.z
-    n, m = x.size, y.size
-    k1, k2, k3 = rows[:, :n], rows[:, n : n + m], rows[:, n + m :]
+    k1, k2, k3 = np.split(rows, [x.size, x.size + y.size], axis=1)
     u = np.abs(rows) @ chi_abs
     u += _pair_sum(k1, y, k2, x, wb)
     u += _pair_sum(k2, z, k3, y, wc)
@@ -314,6 +310,16 @@ def _sym_top_eig(s: np.ndarray) -> float:
     return float(max(np.linalg.eigvalsh(s)[-1], 0.0))
 
 
+def _scalar_j_norm(sol: Solution, psi: float) -> float:
+    """||J||_2 for the constant weight psi, exactly. With sx = ||x||^2 (and so
+    on), J / psi^2 acts as ``c`` on span{(x,0,0), (0,y,0), (0,0,z)} and as c's
+    diagonal on the complement, which never exceeds c's top eigenvalue."""
+    sx, sy, sz = (float(v @ v) for v in (sol.x, sol.y, sol.z))
+    xy, yz = np.sqrt(sx) * np.sqrt(sy), np.sqrt(sy) * np.sqrt(sz)
+    c = np.array([[sx + sy, xy, 0.0], [xy, sx + sy + sz, yz], [0.0, yz, sy + sz]])
+    return psi * psi * _sym_top_eig(c)
+
+
 def _gram(rows, xivec, j, chi) -> np.ndarray:
     """The k x k Gram Xi L S^{-1} (J + diag chi^2) (L S^{-1})^T Xi; updates ``j``."""
     j[np.diag_indices_from(j)] += np.square(chi)
@@ -334,8 +340,8 @@ def unified_cn(system: SolvedSystem, weights: PerturbationWeights, xi, norm: str
 
     The 2-norm value is the square root of the top eigenvalue of the k x k
     Gram Xi L S^{-1} (J_W + diag chi^2) (L S^{-1})^T Xi, with J_W from
-    :func:`build_j`; the max-norm value goes through the exact chunked
-    numerator. Both hold for scalar and entrywise weights alike.
+    :func:`build_j`; the max-norm value goes through the exact numerator
+    over the nonzero weights. Both hold for scalar and entrywise weights alike.
     """
     if norm not in ("two", "inf"):
         raise ValueError(f"norm must be 'two' or 'inf', got {norm!r}")
@@ -363,10 +369,10 @@ def ncn(system: SolvedSystem, psi: float, chi: float) -> CnValue:
 
 def ncn_upper(system: SolvedSystem, psi: float, chi: float) -> CnValue:
     """Cheap upper bound dominating :func:`ncn`:
-    ||L S^{-1}||_2 (psi ||J||_2^{1/2} + chi) / ||L w||_2."""
+    ||L S^{-1}||_2 (||J_psi||_2^{1/2} + chi) / ||L w||_2 (see :func:`_scalar_j_norm`)."""
     xi_l = XiChoice(kind="ncn").resolve(system.lw)[0]
     weights = PerturbationWeights.scalar(psi, chi)
-    j_top = np.sqrt(_sym_top_eig(build_j(system.sol, *weights.block_mats(system.blocks))))
+    j_top = np.sqrt(_scalar_j_norm(system.sol, weights.psi_scalar))
     return CnValue(induced_norm(system.rows, "two") * (j_top + weights.chi_scalar) / xi_l, "ncn_upper")
 
 
@@ -394,15 +400,12 @@ def inf_cn_upper(system: SolvedSystem) -> tuple[CnValue, CnValue]:
     """Upper bounds dominating the mixed and componentwise numbers.
 
     Uses |L S^{-1}| (h + |b|) with the blockwise magnitude vector
-    h = [|A||x| + |B^T||y|; |B||x| + |D||y| + |C^T||z|; |C||y| + |E||z|].
+    h = [|A||x| + |B^T||y|; |B||x| + |D||y| + |C^T||z|; |C||y| + |E||z|],
+    the block product of the magnitudes with D negated so every term adds.
     """
     blocks, sol = system.blocks, system.sol
-    ax, ay, az = np.abs(sol.x), np.abs(sol.y), np.abs(sol.z)
-    h = np.concatenate([
-        np.abs(blocks.A) @ ax + np.abs(blocks.B.T) @ ay,
-        np.abs(blocks.B) @ ax + np.abs(blocks.D) @ ay + np.abs(blocks.C.T) @ az,
-        np.abs(blocks.C) @ ay + np.abs(blocks.E) @ az,
-    ])
+    mags = (np.abs(blocks.A), np.abs(blocks.B), np.abs(blocks.C), -np.abs(blocks.D), np.abs(blocks.E))
+    h = _block_product(mags, np.abs(sol.x), np.abs(sol.y), np.abs(sol.z))
     v = np.abs(system.rows) @ (h + np.abs(blocks.b))
     mcn_u = CnValue(_inf_value(XiChoice(kind="mcn").resolve(system.lw), v), "mcn_upper")
     ccn_u = CnValue(_inf_value(XiChoice(kind="ccn").resolve(system.lw), v), "ccn_upper")

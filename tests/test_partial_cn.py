@@ -225,14 +225,35 @@ def test_chunked_numerator_matches_materialized(monkeypatch):
         want_s = oracles.structured_inf(sym, sel, "ccn", triple)
         got_s = structured_inf_cn(SolvedSystem.of(sym, sel), "ccn", triple).value
         assert rel_err(got_s, want_s) < 1e-12
-        # Force many tiny chunks through the same values. Fresh systems, so
-        # no numerator cached before the patch is reused.
+        # Force one-column chunks within every row through the same values.
+        # Fresh systems, so no numerator cached before the patch is reused.
         monkeypatch.setattr(pc, "_CHUNK_ENTRY_LIMIT", 2)
         got_chunked = unified_cn(SolvedSystem.of(blocks, sel), weights, "ccn", "inf").value
         got_s_chunked = structured_inf_cn(SolvedSystem.of(sym, sel), "ccn", triple).value
         monkeypatch.undo()
         assert rel_err(got_chunked, want) < 1e-12
         assert rel_err(got_s_chunked, want_s) < 1e-12
+
+
+def test_pair_kernel_evaluates_only_nonzero_weights(monkeypatch):
+    # NaN in every column of k_col and k_row that only zero weights reach:
+    # one evaluated zero-weight pair would make the sum NaN.
+    rng = np.random.default_rng(36)
+    k, nr, nc = 5, 6, 7
+    k_col, k_row = rng.standard_normal((k, nc)), rng.standard_normal((k, nr))
+    v_row, v_col = rng.standard_normal(nr), rng.standard_normal(nc)
+    w = np.abs(rng.standard_normal((nr, nc))) * (rng.random((nr, nc)) < 0.5)
+    w[2, :] = 0.0
+    w[:, 4] = 0.0
+    terms = k_col[:, None, :] * v_row[None, :, None] + k_row[:, :, None] * v_col[None, None, :]
+    want = np.einsum("krc,rc->k", np.abs(terms), w)
+    k_col[:, ~w.any(axis=0)] = np.nan
+    k_row[:, ~w.any(axis=1)] = np.nan
+    for limit in (pc._CHUNK_ENTRY_LIMIT, 2):
+        monkeypatch.setattr(pc, "_CHUNK_ENTRY_LIMIT", limit)
+        got = pc._pair_sum(k_col, v_row, k_row, v_col, w)
+        assert np.all(np.isfinite(got))
+        assert np.allclose(got, want, rtol=1e-13, atol=0)
 
 
 def test_shared_numerator_runs_pair_kernel_once_per_block(monkeypatch):

@@ -1,8 +1,9 @@
 """Property tests: the closed forms against the materialized oracles.
 
-Random shapes, selectors, structure kinds on A, D, E, and scalar weights or
-entrywise weights inside each subspace; the matrix entries come from a drawn
-numpy seed.
+Random shapes, selectors, structure kinds on A, D, E, scalar weights or
+entrywise weights inside each subspace, and sparsity masks on B and C; the
+matrix entries come from a drawn numpy seed. Values never exceed their
+upper bounds.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import dsppcond.partial_cn as pc
 import oracles
 from conftest import rel_err
-from dsppcond.dspp import DsppBlocks, selector
+from dsppcond.dspp import DsppBlocks, Solution, selector
 from dsppcond.eils import EilsProblem, eils_cn, eils_reduce
 from dsppcond.errors import IndefiniteProblem, RankDeficientC
 from dsppcond.partial_cn import (
@@ -40,6 +41,7 @@ dims = st.integers(1, 6)
 kinds = st.sampled_from(STRUCTURE_KINDS)
 selectors = st.sampled_from(("full", "x", "y", "z"))
 seeds = st.integers(0, 2**32 - 1)
+densities = st.sampled_from((0.0, 0.2, 0.5, 1.0))
 
 
 def in_subspace(rng, kind, dim, nonnegative=False):
@@ -110,6 +112,76 @@ def test_closed_forms_match_oracles(n, m, p, ka, kd, ke, kind, xi, scalar, seed)
     for flavor in ("mcn", "ccn"):
         s_inf = structured_inf_cn(system, flavor, triple).value
         assert s_inf <= inf_cn(system, flavor).value * (1 + RTOL)
+
+
+def sparse_block(rng, shape, density, empty_rows):
+    """A standard normal block keeping each entry with probability
+    ``density``, and with about half its rows zeroed if ``empty_rows``."""
+    mat = rng.standard_normal(shape) * (rng.random(shape) < density)
+    if empty_rows:
+        mat[rng.random(shape[0]) < 0.5] = 0.0
+    return mat
+
+
+def sparse_instance(rng, n, m, p, density_b, density_c, empty_rows):
+    return DsppBlocks(
+        A=rng.standard_normal((n, n)),
+        B=sparse_block(rng, (m, n), density_b, empty_rows),
+        C=sparse_block(rng, (p, m), density_c, empty_rows),
+        D=rng.standard_normal((m, m)),
+        E=rng.standard_normal((p, p)),
+        b=rng.standard_normal(n + m + p),
+    )
+
+
+@SETTINGS
+@given(n=dims, m=dims, p=dims, kind=selectors, density_b=densities,
+       density_c=densities, empty_rows=st.booleans(), seed=seeds)
+def test_numerator_over_sparse_data_matches_oracle(
+    n, m, p, kind, density_b, density_c, empty_rows, seed
+):
+    rng = np.random.default_rng(seed)
+    blocks = sparse_instance(rng, n, m, p, density_b, density_c, empty_rows)
+    sel = selector(kind, n, m, p)
+    system = SolvedSystem.of(blocks, sel)
+    want = oracles.inf_numerator(blocks, sel, PerturbationWeights.from_problem(blocks))
+    wmats = [np.abs(w) for w in (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E)]
+    u = pc._inf_numerator(system.rows, system.sol, *wmats, np.abs(blocks.b))
+    assert np.allclose(u, want, rtol=RTOL, atol=0)
+    shared = system.bc_numerator + pc._ade_numerator(
+        system.rows, system.sol, wmats[0], wmats[3], wmats[4]
+    )
+    assert np.allclose(shared, want, rtol=RTOL, atol=0)
+
+
+@SETTINGS
+@given(n=dims, m=dims, p=dims, kind=selectors, density_b=densities,
+       density_c=densities, empty_rows=st.booleans(), seed=seeds)
+def test_values_never_exceed_bounds(n, m, p, kind, density_b, density_c, empty_rows, seed):
+    rng = np.random.default_rng(seed)
+    blocks = sparse_instance(rng, n, m, p, density_b, density_c, empty_rows)
+    system = SolvedSystem.of(blocks, selector(kind, n, m, p))
+    psi, chi = (float(v) for v in rng.uniform(0.5, 2.0, size=2))
+    assert ncn(system, psi, chi).value <= ncn_upper(system, psi, chi).value * (1 + RTOL)
+    mcn_u, ccn_u = inf_cn_upper(system)
+    assert inf_cn(system, "mcn").value <= mcn_u.value * (1 + RTOL)
+    assert inf_cn(system, "ccn").value <= ccn_u.value * (1 + RTOL)
+
+
+@SETTINGS
+@given(n=st.integers(1, 5), m=st.integers(1, 5), p=st.integers(1, 5),
+       zero_x=st.booleans(), zero_z=st.booleans(), seed=seeds)
+def test_scalar_j_norm_matches_top_eigenvalue(n, m, p, zero_x, zero_z, seed):
+    rng = np.random.default_rng(seed)
+    sol = Solution(
+        x=np.zeros(n) if zero_x else rng.standard_normal(n),
+        y=rng.standard_normal(m),
+        z=np.zeros(p) if zero_z else rng.standard_normal(p),
+    )
+    psi = float(rng.uniform(0.5, 2.0))
+    consts = [np.full(shape, psi) for shape in ((n, n), (m, n), (p, m), (m, m), (p, p))]
+    want = pc._sym_top_eig(build_j(sol, *consts))
+    assert rel_err(pc._scalar_j_norm(sol, psi), want) < RTOL
 
 
 @SETTINGS
