@@ -1,8 +1,9 @@
 """Dense linear-algebra kernel.
 
 Column-stacking vec/Kronecker utilities, entrywise operations, induced norms,
-row-pivoted solves certified by a condition estimate, and top singular
-triplets. Everything operates on float64 numpy arrays and is pure.
+row-pivoted solves certified by a condition estimate, and the top-eigenpair
+kernel behind every 2-norm value and top singular triplet. Everything
+operates on float64 numpy arrays and is pure.
 """
 
 from __future__ import annotations
@@ -73,18 +74,32 @@ def hadamard(x, y) -> np.ndarray:
     return x * y
 
 
+def top_eig(s) -> tuple[float, np.ndarray]:
+    """Top eigenpair ``(lam, v)`` of the symmetric part of a positive semidefinite
+    ``s``, from one LAPACK call for that pair only: lam clamped at 0 (rounding
+    may leave it slightly negative), v of unit 2-norm."""
+    k = s.shape[0]
+    sym = s + s.T
+    sym *= 0.5
+    # sym.T is sym in Fortran order, so LAPACK works in place: no second copy.
+    lam, v = scipy.linalg.eigh(sym.T, subset_by_index=[k - 1, k - 1], overwrite_a=True)
+    return float(max(lam[0], 0.0)), v[:, 0]
+
+
 def induced_norm(m, kind: str) -> float:
-    """Induced matrix norm: ``"two"`` (spectral) or ``"inf"`` (max row sum)."""
+    """Induced matrix norm: ``"two"`` (spectral) or ``"inf"`` (max row sum).
+
+    The spectral norm is the sigma of :func:`spectral_top` of m or m^T,
+    whichever has the smaller Gram.
+    """
     m = as_matrix(m)
-    if kind == "two":
-        if m.size == 0:
-            return 0.0
-        return float(np.linalg.svd(m, compute_uv=False)[0])
+    if kind not in ("two", "inf"):
+        raise ValueError(f"unknown norm kind {kind!r}")
+    if not np.any(m):
+        return 0.0
     if kind == "inf":
-        if m.size == 0:
-            return 0.0
         return float(np.abs(m).sum(axis=1).max())
-    raise ValueError(f"unknown norm kind {kind!r}")
+    return spectral_top(m if m.shape[0] <= m.shape[1] else m.T)[0]
 
 
 class LuSolver:
@@ -139,11 +154,16 @@ def solve(m, rhs) -> np.ndarray:
 def spectral_top(m) -> tuple[float, np.ndarray, np.ndarray]:
     """Largest singular value with its left/right singular vectors.
 
-    Returns ``(sigma, u, v)`` with ``M v = sigma u`` up to roundoff. Raises
+    Returns ``(sigma, u, v)`` with ``M v = sigma u`` up to roundoff: sigma^2
+    and u are the top eigenpair of M M^T, and v = M^T u / sigma. Raises
     :class:`ZeroMatrix` for an all-zero input.
     """
     m = as_matrix(m)
     if not np.any(m):
         raise ZeroMatrix("spectral_top of a zero matrix")
-    u_full, s, vt = np.linalg.svd(m)
-    return float(s[0]), u_full[:, 0], vt[0, :]
+    # Scaled by c = max |m_ij|, the Gram neither overflows nor underflows.
+    c = float(np.abs(m).max())
+    t = m / c
+    lam, u = top_eig(t @ t.T)
+    sigma = c * float(np.sqrt(lam))
+    return sigma, u, m.T @ u / sigma

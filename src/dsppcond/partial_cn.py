@@ -32,7 +32,7 @@ import numpy as np
 
 from .dspp import DsppBlocks, Selector, Solution, _block_product, factorize, solve_dspp
 from .errors import DimensionMismatch, ZeroMatrix, ZeroXi
-from .linalg import LuSolver, as_vector, ddagger, induced_norm
+from .linalg import LuSolver, as_vector, ddagger, induced_norm, top_eig
 
 # Entries per chunk of the max-norm pair kernel (k times some nonzero columns of
 # one weight row). Its two float64 temporaries take at most 64 MB, so the memory
@@ -305,11 +305,6 @@ class SolvedSystem:
         return u
 
 
-def _sym_top_eig(s: np.ndarray) -> float:
-    s = (s + s.T) / 2.0
-    return float(max(np.linalg.eigvalsh(s)[-1], 0.0))
-
-
 def _scalar_j_norm(sol: Solution, psi: float) -> float:
     """||J||_2 for the constant weight psi, exactly. With sx = ||x||^2 (and so
     on), J / psi^2 acts as ``c`` on span{(x,0,0), (0,y,0), (0,0,z)} and as c's
@@ -317,22 +312,20 @@ def _scalar_j_norm(sol: Solution, psi: float) -> float:
     sx, sy, sz = (float(v @ v) for v in (sol.x, sol.y, sol.z))
     xy, yz = np.sqrt(sx) * np.sqrt(sy), np.sqrt(sy) * np.sqrt(sz)
     c = np.array([[sx + sy, xy, 0.0], [xy, sx + sy + sz, yz], [0.0, yz, sy + sz]])
-    return psi * psi * _sym_top_eig(c)
+    return psi * psi * top_eig(c)[0]
 
 
-def _gram(rows, xivec, j, chi) -> np.ndarray:
-    """The k x k Gram Xi L S^{-1} (J + diag chi^2) (L S^{-1})^T Xi; updates ``j``."""
-    j[np.diag_indices_from(j)] += np.square(chi)
-    t = ddagger(xivec)[:, None] * rows
-    return t @ j @ t.T
-
-
-def _gram_value(system: SolvedSystem, weights: PerturbationWeights, xivec) -> float:
-    """The weighted 2-norm number: sqrt of the top eigenvalue of the Gram."""
+def _gram_top(system: SolvedSystem, weights: PerturbationWeights, xivec, j=None):
+    """sigma = sqrt(lam) and u for the top eigenpair of the k x k Gram
+    Xi L S^{-1} (J + diag chi^2) (L S^{-1})^T Xi; J defaults to :func:`build_j`
+    of the weights, a given ``j`` is updated in place."""
     blocks = system.blocks
-    j = build_j(system.sol, *weights.block_mats(blocks))
-    gram = _gram(system.rows, xivec, j, weights.chi_vec(blocks.l))
-    return float(np.sqrt(_sym_top_eig(gram)))
+    if j is None:
+        j = build_j(system.sol, *weights.block_mats(blocks))
+    j[np.diag_indices_from(j)] += np.square(weights.chi_vec(blocks.l))
+    t = ddagger(xivec)[:, None] * system.rows
+    lam, u = top_eig(t @ j @ t.T)
+    return float(np.sqrt(lam)), u
 
 
 def unified_cn(system: SolvedSystem, weights: PerturbationWeights, xi, norm: str) -> CnValue:
@@ -347,7 +340,7 @@ def unified_cn(system: SolvedSystem, weights: PerturbationWeights, xi, norm: str
         raise ValueError(f"norm must be 'two' or 'inf', got {norm!r}")
     xivec = _as_xi(xi).resolve(system.lw)
     if norm == "two":
-        return CnValue(_gram_value(system, weights, xivec), "unified2")
+        return CnValue(_gram_top(system, weights, xivec)[0], "unified2")
     blocks = system.blocks
     wmats = tuple(np.abs(w) for w in weights.block_mats(blocks))
     u = _inf_numerator(system.rows, system.sol, *wmats, np.abs(weights.chi_vec(blocks.l)))
@@ -364,12 +357,13 @@ def ncn(system: SolvedSystem, psi: float, chi: float) -> CnValue:
     """
     xivec = XiChoice(kind="ncn").resolve(system.lw)
     weights = PerturbationWeights.scalar(psi, chi)
-    return CnValue(_gram_value(system, weights, xivec), "ncn")
+    return CnValue(_gram_top(system, weights, xivec)[0], "ncn")
 
 
 def ncn_upper(system: SolvedSystem, psi: float, chi: float) -> CnValue:
     """Cheap upper bound dominating :func:`ncn`:
-    ||L S^{-1}||_2 (||J_psi||_2^{1/2} + chi) / ||L w||_2 (see :func:`_scalar_j_norm`)."""
+    ||L S^{-1}||_2 (||J_psi||_2^{1/2} + chi) / ||L w||_2 (see :func:`_scalar_j_norm`),
+    ||L S^{-1}||_2 from a direct solve of its explicit k x k Gram (k <= l)."""
     xi_l = XiChoice(kind="ncn").resolve(system.lw)[0]
     weights = PerturbationWeights.scalar(psi, chi)
     j_top = np.sqrt(_scalar_j_norm(system.sol, weights.psi_scalar))
@@ -452,18 +446,16 @@ def extremal_direction(system: SolvedSystem, weights: PerturbationWeights, xi):
     :func:`first_order_delta`, and scales by the squared weights, so the
     returned block deltas are admissible and their :func:`definition_ratio`
     equals the returned sigma (the 2-norm condition number for this xi).
-    Raises :class:`ZeroMatrix` when the Gram is zero.
+    Raises :class:`ZeroMatrix` when the Gram has no positive eigenvalue.
     """
-    blocks, sol, rows = system.blocks, system.sol, system.rows
+    blocks, sol = system.blocks, system.sol
     xivec = _as_xi(xi).resolve(system.lw)
+    sigma, u = _gram_top(system, weights, xivec)
+    if sigma == 0.0:
+        raise ZeroMatrix("the weighted Gram matrix has top eigenvalue 0")
+    t = system.rows.T @ (ddagger(xivec) * u) / sigma
     wmats = weights.block_mats(blocks)
     chi = weights.chi_vec(blocks.l)
-    gram = _gram(rows, xivec, build_j(sol, *wmats), chi)
-    if not np.any(gram):
-        raise ZeroMatrix("the weighted Gram matrix is zero")
-    evals, evecs = np.linalg.eigh((gram + gram.T) / 2.0)
-    sigma = float(np.sqrt(max(evals[-1], 0.0)))
-    t = rows.T @ (ddagger(xivec) * evecs[:, -1]) / sigma
 
     n, m = blocks.n, blocks.m
     t1, t2, t3 = t[:n], t[n : n + m], t[n + m :]

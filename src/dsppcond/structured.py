@@ -30,10 +30,9 @@ from .partial_cn import (
     PerturbationWeights,
     SolvedSystem,
     _as_xi,
-    _gram,
+    _gram_top,
     _inf_value,
     _pair_sum,
-    _sym_top_eig,
     build_j,
 )
 
@@ -144,36 +143,22 @@ def structure_basis(kind: str, dim: int) -> StructureBasis:
     """
     if dim < 1:
         raise DimensionMismatch("dimension must be >= 1")
-    rows, cols = [], []
+    # gen[i, j]: the generator of entry (i, j), or -1 for an entry pinned to 0.
+    i, j = np.indices((dim, dim), dtype=np.int64)
     if kind == "symmetric":
-        g = 0
-        for i in range(dim):
-            for j in range(i, dim):
-                rows.append(i + j * dim)
-                cols.append(g)
-                if i != j:
-                    rows.append(j + i * dim)
-                    cols.append(g)
-                g += 1
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        gen = lo * dim - lo * (lo - 1) // 2 + hi - lo
     elif kind == "toeplitz_sym":
-        for off in range(dim):
-            for i in range(dim - off):
-                rows.append((i + off) + i * dim)
-                cols.append(off)
-                if off:
-                    rows.append(i + (i + off) * dim)
-                    cols.append(off)
+        gen = np.abs(i - j)
     elif kind == "diagonal":
-        for i in range(dim):
-            rows.append(i + i * dim)
-            cols.append(i)
+        gen = np.where(i == j, i, -1)
     elif kind == "full":
-        rows = list(range(dim * dim))
-        cols = list(range(dim * dim))
+        gen = i + j * dim
     else:
         raise ValueError(f"unsupported structure kind {kind!r}")
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
+    gen = gen.flatten(order="F")
+    rows = np.flatnonzero(gen >= 0)
+    cols = gen[rows]
     counts = np.bincount(cols, minlength=int(cols.max()) + 1)
     return StructureBasis(
         kind=kind, dim=dim, rows=rows, cols=cols,
@@ -241,8 +226,7 @@ def structured_ncn(
     j[:n, :n] += triple.a.gram(wa, sol.x)
     j[n : n + m, n : n + m] += triple.d.gram(wd, sol.y)
     j[n + m :, n + m :] += triple.e.gram(we, sol.z)
-    gram = _gram(system.rows, xivec, j, weights.chi_vec(blocks.l))
-    return CnValue(np.sqrt(_sym_top_eig(gram)), "structured2")
+    return CnValue(_gram_top(system, weights, xivec, j)[0], "structured2")
 
 
 def structured_inf_cn(system: SolvedSystem, xi, triple: StructureTriple) -> CnValue:

@@ -10,7 +10,7 @@ import scipy.sparse
 
 from dsppcond.dspp import solve_dspp
 from dsppcond.eils import eils_reduce
-from dsppcond.linalg import ddagger, induced_norm
+from dsppcond.linalg import ddagger
 from dsppcond.partial_cn import XiChoice, inv_rows
 
 
@@ -56,7 +56,7 @@ def unified_two(blocks, sel, weights, xi):
     scale = np.concatenate([vec_psi(weights, blocks), weights.chi_vec(blocks.l)])
     mat = np.hstack([rows @ build_g(sol), -rows]) * scale[None, :]
     mat *= _xi_dagger(blocks, sel, sol, xi)[:, None]
-    return induced_norm(mat, "two") if np.any(mat) else 0.0
+    return np.linalg.svd(mat, compute_uv=False)[0] if np.any(mat) else 0.0
 
 
 def ncn(blocks, sel, psi, chi):
@@ -64,7 +64,7 @@ def ncn(blocks, sel, psi, chi):
     sol = solve_dspp(blocks)
     rows = inv_rows(blocks, sel)
     mat = np.hstack([psi * (rows @ build_g(sol)), -chi * rows])
-    return induced_norm(mat, "two") / float(np.linalg.norm(sel.L @ sol.w, 2))
+    return np.linalg.svd(mat, compute_uv=False)[0] / float(np.linalg.norm(sel.L @ sol.w, 2))
 
 
 def inf_numerator(blocks, sel, weights):
@@ -96,7 +96,7 @@ def structured_two(blocks, sel, weights, xi, triple):
     gen_part = (_phi_s(triple, n, m, p).T @ t.T).T / u_s[None, :]
     rhs_part = -rows * weights.chi_vec(blocks.l)[None, :]
     mat = np.hstack([gen_part, rhs_part]) * _xi_dagger(blocks, sel, sol, xi)[:, None]
-    return induced_norm(mat, "two") if np.any(mat) else 0.0
+    return np.linalg.svd(mat, compute_uv=False)[0] if np.any(mat) else 0.0
 
 
 def structured_numerator(blocks, sel, triple):
@@ -163,4 +163,30 @@ def eils_cn(prob, sel, psi, chi, xi, norm):
         u = np.abs(ghat) @ np.abs(vec_w) + np.abs(rows_sel) @ np.abs(vec_chi)
         return float(np.max(np.abs(xi_dd) * u))
     mat = np.hstack([ghat * vec_w[None, :], -rows_sel * vec_chi[None, :]]) * xi_dd[:, None]
-    return induced_norm(mat, "two") if np.any(mat) else 0.0
+    return np.linalg.svd(mat, compute_uv=False)[0] if np.any(mat) else 0.0
+
+
+def structure_pairs(kind, dim):
+    """The (vec position, generator) pairs of a structure basis, walked entry
+    by entry: symmetric goes along the upper triangle row by row, toeplitz_sym
+    by diagonal offset, diagonal and full in entry order."""
+    pairs = []
+    if kind == "symmetric":
+        g = 0
+        for i in range(dim):
+            for j in range(i, dim):
+                pairs.append((i + j * dim, g))
+                if i != j:
+                    pairs.append((j + i * dim, g))
+                g += 1
+    elif kind == "toeplitz_sym":
+        for off in range(dim):
+            for i in range(dim - off):
+                pairs.append(((i + off) + i * dim, off))
+                if off:
+                    pairs.append((i + (i + off) * dim, off))
+    elif kind == "diagonal":
+        pairs = [(i + i * dim, i) for i in range(dim)]
+    else:
+        pairs = [(r, r) for r in range(dim * dim)]
+    return sorted(pairs)

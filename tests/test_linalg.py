@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from conftest import rel_err
+from dsppcond.dspp import selector
 from dsppcond.errors import DimensionMismatch, SingularMatrix, ZeroMatrix
+from dsppcond.experiments import gen_example1
 from dsppcond.linalg import (
     LuSolver,
     as_matrix,
@@ -14,9 +17,11 @@ from dsppcond.linalg import (
     kron,
     solve,
     spectral_top,
+    top_eig,
     unvec,
     vec,
 )
+from dsppcond.partial_cn import SolvedSystem
 
 
 def test_vec_is_column_major():
@@ -126,6 +131,45 @@ def test_spectral_top_satisfies_mv_eq_sigma_u():
     assert np.allclose(m @ v, sigma * u, rtol=0, atol=1e-12)
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
     assert abs(sigma - induced_norm(m, "two")) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def spectral_cases():
+    """Tall, wide and rank-deficient random matrices, and L S^-1 of example1
+    at q = 8 for every selector."""
+    rng = np.random.default_rng(4)
+    mats = [
+        rng.standard_normal((9, 4)),
+        rng.standard_normal((4, 9)),
+        rng.standard_normal((7, 2)) @ rng.standard_normal((2, 6)),
+    ]
+    blocks = gen_example1(8, 0)
+    for kind in ("full", "x", "y", "z"):
+        mats.append(SolvedSystem.of(blocks, selector(kind, blocks.n, blocks.m, blocks.p)).rows)
+    return mats
+
+
+# At 1e+-160 the squared entries leave the double range, so a Gram of the
+# unscaled matrix overflows or loses its digits to underflow.
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150, 1e-160, 1e160])
+def test_top_eig_kernel_matches_svd(spectral_cases, scale):
+    for base in spectral_cases:
+        m = scale * base
+        want = np.linalg.svd(m, compute_uv=False)[0]
+        assert rel_err(induced_norm(m, "two"), want) < 1e-12
+        sigma, u, v = spectral_top(m)
+        assert rel_err(sigma, want) < 1e-12
+        assert np.linalg.norm(m @ v - sigma * u) <= 1e-12 * sigma
+        assert abs(np.linalg.norm(u) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+
+
+def test_top_eig_clamps_and_symmetrizes():
+    lam, v = top_eig(np.array([[-1e-20, 0.0], [0.0, -2.0]]))
+    assert lam == 0.0 and abs(abs(v[0]) - 1.0) < 1e-15
+    lam, v = top_eig(np.array([[2.0, 3.0], [1.0, 2.0]]))
+    assert abs(lam - 4.0) < 1e-14
+    assert np.allclose(np.abs(v), np.sqrt([0.5, 0.5]), rtol=0, atol=1e-14)
 
 
 def test_spectral_top_rejects_zero_matrix():

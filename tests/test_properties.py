@@ -3,7 +3,7 @@
 Random shapes, selectors, structure kinds on A, D, E, scalar weights or
 entrywise weights inside each subspace, and sparsity masks on B and C; the
 matrix entries come from a drawn numpy seed. Values never exceed their
-upper bounds.
+upper bounds and do not change when all the data are scaled by one factor.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import dsppcond.partial_cn as pc
 import oracles
 from conftest import rel_err
-from dsppcond.dspp import DsppBlocks, Solution, selector
+from dsppcond.dspp import DsppBlocks, Solution, norm_fro_system, selector
 from dsppcond.eils import EilsProblem, eils_cn, eils_reduce
 from dsppcond.errors import IndefiniteProblem, RankDeficientC
 from dsppcond.partial_cn import (
@@ -180,8 +180,38 @@ def test_scalar_j_norm_matches_top_eigenvalue(n, m, p, zero_x, zero_z, seed):
     )
     psi = float(rng.uniform(0.5, 2.0))
     consts = [np.full(shape, psi) for shape in ((n, n), (m, n), (p, m), (m, m), (p, p))]
-    want = pc._sym_top_eig(build_j(sol, *consts))
+    want = np.linalg.eigvalsh(build_j(sol, *consts))[-1]
     assert rel_err(pc._scalar_j_norm(sol, psi), want) < RTOL
+
+
+@SETTINGS
+@given(n=dims, m=dims, p=dims, ka=kinds, kd=kinds, ke=kinds, kind=selectors,
+       j=st.integers(-60, 60), seed=seeds)
+def test_numbers_invariant_under_data_scaling(n, m, p, ka, kd, ke, kind, j, seed):
+    """(A..E, b) -> 2^j (A..E, b) leaves w, and so every number, unchanged."""
+    rng = np.random.default_rng(seed)
+    triple = StructureTriple.from_kinds(ka, kd, ke, n, m, p)
+    blocks, _ = structured_instance(rng, n, m, p, triple)
+    alpha = 2.0**j
+    scaled = DsppBlocks(*(alpha * v for v in (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E, blocks.b)))
+
+    def numbers(b):
+        system = SolvedSystem.of(b, selector(kind, n, m, p))
+        psi, chi = norm_fro_system(b), float(np.linalg.norm(b.b, 2))
+        weights = PerturbationWeights.scalar(psi, chi)
+        return [
+            ncn(system, psi, chi).value,
+            ncn_upper(system, psi, chi).value,
+            inf_cn(system, "mcn").value,
+            inf_cn(system, "ccn").value,
+            *(v.value for v in inf_cn_upper(system)),
+            structured_ncn(system, weights, "ncn", triple).value,
+            structured_inf_cn(system, "mcn", triple).value,
+            structured_inf_cn(system, "ccn", triple).value,
+        ]
+
+    for got, want in zip(numbers(scaled), numbers(blocks)):
+        assert rel_err(got, want) < RTOL
 
 
 @SETTINGS

@@ -82,6 +82,14 @@ def test_phi_gram_is_integer_diagonal_with_unit_row_sums():
                 assert np.array_equal(row_sums, np.ones(dim * dim))
 
 
+def test_basis_matches_entry_by_entry_walk():
+    for kind in STRUCTURE_KINDS:
+        for dim in range(1, 13):
+            basis = structure_basis(kind, dim)
+            pairs = sorted(zip(basis.rows.tolist(), basis.cols.tolist()))
+            assert pairs == oracles.structure_pairs(kind, dim)
+
+
 def test_extract_reconstruct_round_trip():
     rng = np.random.default_rng(40)
     for kind, dim in (("symmetric", 5), ("toeplitz_sym", 6), ("diagonal", 4), ("full", 3)):
