@@ -30,13 +30,8 @@ from .errors import (
 from .linalg import (
     LuSolver,
     ddagger,
-    hadamard,
     induced_norm,
-    kron,
-    solve,
     spectral_top,
-    unvec,
-    vec,
 )
 from .dspp import (
     SELECTOR_KINDS,
@@ -56,7 +51,6 @@ from .partial_cn import (
     PerturbationWeights,
     SolvedSystem,
     XiChoice,
-    build_j,
     definition_ratio,
     extremal_direction,
     first_order_delta,
@@ -121,14 +115,9 @@ __all__ = [
     "MalformedProblem",
     "DominanceViolation",
     # dense kernels
-    "vec",
-    "unvec",
-    "kron",
     "ddagger",
-    "hadamard",
     "induced_norm",
     "LuSolver",
-    "solve",
     "spectral_top",
     # problem container and solve
     "DsppBlocks",
@@ -147,7 +136,6 @@ __all__ = [
     "PerturbationWeights",
     "XiChoice",
     "SolvedSystem",
-    "build_j",
     "inv_rows",
     "first_order_delta",
     "unified_cn",

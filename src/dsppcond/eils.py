@@ -154,7 +154,7 @@ def _eils_weights(blocks: DsppBlocks, psi, chi) -> PerturbationWeights:
     n, m, p = blocks.n, blocks.m, blocks.p
     if np.isscalar(psi):
         psi = float(psi)
-        if psi <= 0:
+        if not psi > 0:
             raise ValueError("scalar weight must be positive")
         psi_m, psi_c = np.full((n, m), psi), np.full((p, m), psi)
     else:
@@ -163,7 +163,7 @@ def _eils_weights(blocks: DsppBlocks, psi, chi) -> PerturbationWeights:
             raise DimensionMismatch("entrywise weights must be shaped like M and C")
     if np.isscalar(chi):
         chi = float(chi)
-        if chi <= 0:
+        if not chi > 0:
             raise ValueError("scalar weight must be positive")
         chi = np.full(n + p, chi)
     else:

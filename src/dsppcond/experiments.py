@@ -27,7 +27,7 @@ from .dspp import (
     selector, solve_dspp,
 )
 from .errors import IncompatibleZeroPattern, ZeroXi
-from .linalg import ddagger, kron
+from .linalg import ddagger
 from .partial_cn import (
     PerturbationWeights,
     SolvedSystem,
@@ -86,10 +86,10 @@ def gen_example1(q: int, seed) -> DsppBlocks:
     z = _tridiag(0.0, 1.0, -1.0, q) / (q + 1)
     y = np.diag(1.0 + q * np.arange(q))
     eye_q = np.eye(q)
-    lap = kron(eye_q, j) + kron(j, eye_q)
+    lap = np.kron(eye_q, j) + np.kron(j, eye_q)
     a = scipy.linalg.block_diag(lap, lap)
-    b = np.hstack([kron(eye_q, z), kron(z, eye_q)])
-    c = kron(y, z)
+    b = np.hstack([np.kron(eye_q, z), np.kron(z, eye_q)])
+    c = np.kron(y, z)
     qq = q * q
     rhs = rng.standard_normal(4 * qq)
     return DsppBlocks(A=a, B=b, C=c, D=np.eye(qq), E=np.eye(qq), b=rhs)
@@ -122,7 +122,7 @@ def gen_example2(q: int, seed) -> tuple[DsppBlocks, StructureTriple]:
     nhat[np.arange(q), np.arange(q)] = 2.0
     nhat[np.arange(q), np.arange(1, q + 1)] = -1.0
     eye_q = np.eye(q)
-    nmat = np.vstack([kron(nhat, eye_q), kron(eye_q, nhat)])
+    nmat = np.vstack([np.kron(nhat, eye_q), np.kron(eye_q, nhat)])
     bmat = np.hstack([nmat, -np.eye(2 * qt), np.eye(2 * qt)])
 
     mhat = np.zeros((q + 1, q))
@@ -134,7 +134,7 @@ def gen_example2(q: int, seed) -> tuple[DsppBlocks, StructureTriple]:
                 off = abs(i - jj)
                 mhat[i - 1, jj - 1] = ((-1.0) ** off) * (q - off) / q
     mhat[q, q - 1] = 1.0
-    cmat = np.hstack([kron(mhat, eye_q), kron(eye_q, mhat)])
+    cmat = np.hstack([np.kron(mhat, eye_q), np.kron(eye_q, mhat)])
 
     n, m, p = 5 * qt + q, 2 * qt, qt + q
     dgen = rng.standard_normal(m)

@@ -1,9 +1,9 @@
 """Dense linear-algebra kernel.
 
-Column-stacking vec/Kronecker utilities, entrywise operations, induced norms,
-row-pivoted solves certified by a condition estimate, and the top-eigenpair
-kernel behind every 2-norm value and top singular triplet. Everything
-operates on float64 numpy arrays and is pure.
+Input coercion, the pseudo-reciprocal, induced norms, row-pivoted solves
+certified by a condition estimate, and the top-eigenpair kernel behind every
+2-norm value and top singular triplet. Everything operates on float64 numpy
+arrays and is pure.
 """
 
 from __future__ import annotations
@@ -36,26 +36,6 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return v
 
 
-def vec(m) -> np.ndarray:
-    """Stack the columns of ``m`` into one vector (column-major flatten)."""
-    return as_matrix(m).flatten(order="F")
-
-
-def unvec(v, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec`: rebuild a ``rows x cols`` matrix column-major."""
-    v = as_vector(v)
-    if v.size != rows * cols:
-        raise DimensionMismatch(f"cannot reshape length {v.size} to {rows}x{cols}")
-    return v.reshape((rows, cols), order="F")
-
-
-def kron(x, y) -> np.ndarray:
-    """Kronecker product of two matrices: block (i, j) is x[i, j] * y."""
-    x, y = as_matrix(x), as_matrix(y)
-    out = x[:, None, :, None] * y[None, :, None, :]
-    return out.reshape(x.shape[0] * y.shape[0], x.shape[1] * y.shape[1])
-
-
 def ddagger(z) -> np.ndarray:
     """Pseudo-reciprocal: 1/z_i where z_i is nonzero, exactly 1 elsewhere."""
     z = np.asarray(z, dtype=float)
@@ -63,15 +43,6 @@ def ddagger(z) -> np.ndarray:
     nz = z != 0
     out[nz] = 1.0 / z[nz]
     return out
-
-
-def hadamard(x, y) -> np.ndarray:
-    """Entrywise product, shapes must match exactly."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"hadamard shapes differ: {x.shape} vs {y.shape}")
-    return x * y
 
 
 def top_eig(s) -> tuple[float, np.ndarray]:
@@ -140,15 +111,6 @@ class LuSolver:
                 f"rhs has {rhs.shape[0]} rows, matrix is {self.shape[0]}x{self.shape[1]}"
             )
         return scipy.linalg.lu_solve(self._lu, rhs, trans=1 if transpose else 0, check_finite=False)
-
-
-def solve(m, rhs) -> np.ndarray:
-    """Solve ``M x = rhs`` by row-pivoted factorization.
-
-    Raises :class:`SingularMatrix` when the rcond estimate of M falls below
-    the floor l * eps (see :class:`LuSolver`).
-    """
-    return LuSolver(m).solve(rhs)
 
 
 def spectral_top(m) -> tuple[float, np.ndarray, np.ndarray]:

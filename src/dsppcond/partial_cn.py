@@ -18,7 +18,10 @@ G itself is never formed: every 2-norm number goes through the l x l weighted
 Gram G diag(w^2) G^T in closed form, and every max-norm number through one
 exact numerator that visits only the nonzero weights, within a fixed chunk
 budget. Both need only L S^{-1}, obtained from k transposed solves,
-never an explicit inverse. A :class:`SolvedSystem` holds the factorization,
+never an explicit inverse. Both take the structure kinds of dA, dD, dE
+(see :mod:`dsppcond.structured`) as a parameter: each kind adds one term to
+each, and the unstructured numbers are the structured ones with every kind
+"full". A :class:`SolvedSystem` holds the factorization,
 the solution and L S^{-1} of one (problem, selector) pair; every entry point
 takes one, so the work is done once however many numbers are asked for.
 """
@@ -32,7 +35,7 @@ import numpy as np
 
 from .dspp import DsppBlocks, Selector, Solution, _block_product, factorize, solve_dspp
 from .errors import DimensionMismatch, ZeroMatrix, ZeroXi
-from .linalg import LuSolver, as_vector, ddagger, induced_norm, top_eig
+from .linalg import LuSolver, as_matrix, as_vector, ddagger, induced_norm, top_eig
 
 # Entries per chunk of the max-norm pair kernel (k times some nonzero columns of
 # one weight row). Its two float64 temporaries take at most 64 MB, so the memory
@@ -40,6 +43,9 @@ from .linalg import LuSolver, as_vector, ddagger, induced_norm, top_eig
 _CHUNK_ENTRY_LIMIT = 1 << 22
 
 _XI_KINDS = ("ncn", "mcn", "ccn", "custom")
+
+# The structure kinds of A, D, E for the unstructured numbers.
+_UNSTRUCTURED = ("full", "full", "full")
 
 
 @dataclass(frozen=True)
@@ -81,7 +87,8 @@ class PerturbationWeights:
 
     @classmethod
     def entrywise(cls, psi_a, psi_b, psi_c, psi_d, psi_e, chi) -> "PerturbationWeights":
-        blocks = tuple(np.asarray(w, dtype=float) for w in (psi_a, psi_b, psi_c, psi_d, psi_e))
+        mats = (psi_a, psi_b, psi_c, psi_d, psi_e)
+        blocks = tuple(as_matrix(w, f"weight for {name}") for w, name in zip(mats, "ABCDE"))
         return cls(mode="entrywise", psi_blocks=blocks, chi_vector=as_vector(chi, "chi"))
 
     @classmethod
@@ -158,34 +165,74 @@ def _inf_value(xivec, u) -> float:
     return float(np.max(np.abs(ddagger(xivec)) * u))
 
 
-def build_j(sol: Solution, wa, wb, wc, wd, we) -> np.ndarray:
-    """The l x l weighted Gram G diag(w^2) G^T in closed form (no Kronecker).
+def _shifted(v) -> np.ndarray:
+    """Column g is T_g v for the symmetric Toeplitz generator T_g."""
+    dim = v.size
+    out = np.zeros((dim, dim))
+    out[:, 0] = v
+    for g in range(1, dim):
+        out[g:, g] += v[:-g]
+        out[:-g, g] += v[g:]
+    return out
 
-    ``wa`` .. ``we`` are weight matrices shaped like A .. E; squares are taken
-    entrywise (W2 = W * W):
 
-        xx: diag(W2_A x^2 + W2_B^T y^2)
-        yy: diag(W2_B x^2 + W2_D y^2 + W2_C^T z^2)
-        zz: diag(W2_C y^2 + W2_E z^2)
+def _kind_gram(kind: str, w2, v) -> np.ndarray:
+    """The Gram term sum_g (w_g^2 / c_g) (Phi_g v)(Phi_g v)^T of dM v over
+    one structure kind, for squared weights ``w2`` constant on each
+    generator's support (c_g: the generator's entry count). Kinds whose term
+    is diagonal ("full", "diagonal") return just the diagonal.
+    """
+    v2 = np.square(v)
+    if kind == "full":
+        return w2 @ v2
+    if kind == "diagonal":
+        return np.diag(w2) * v2
+    if kind == "symmetric":
+        return (np.diag(w2 @ v2) + w2 * np.outer(v, v)) / 2.0
+    # toeplitz_sym: generator 0 covers the dim diagonal entries, g > 0 the
+    # 2 (dim - g) entries of two off-diagonals.
+    counts = 2.0 * np.arange(v.size, 0, -1)
+    counts[0] = v.size
+    vmat = _shifted(v)
+    return (vmat * (w2[:, 0] / counts)) @ vmat.T
+
+
+def _assemble_j(sol: Solution, wmats, chi, kinds) -> np.ndarray:
+    """The l x l weighted Gram G diag(w) Phi U^{-2} Phi^T diag(w) G^T +
+    diag(chi^2) in closed form (no Kronecker).
+
+    Phi is the 0/1 basis of the perturbations, with dA, dD, dE in the
+    structure ``kinds`` and dB, dC unstructured, and U its column norms;
+    with ``kinds`` all "full", Phi = U = I and this is the unstructured J.
+    ``wmats`` are weight matrices shaped like A .. E, squared once entrywise
+    (W2 = W * W):
+
+        xx: diag(W2_B^T y^2) + K_A(x),   zz: diag(W2_C y^2) + K_E(z),
+        yy: diag(W2_B x^2 + W2_C^T z^2) + K_D(y),
         xy: (W2_B o y x^T)^T,   yz: (W2_C o z y^T)^T,   xz: 0
 
-    Scalar weights enter as constant matrices (see
+    with K_M the :func:`_kind_gram` term of M's kind (diag(W2_M v^2) for
+    "full"). Scalar weights enter as constant matrices (see
     :meth:`PerturbationWeights.block_mats`).
     """
     x, y, z = sol.x, sol.y, sol.z
     n, m = x.size, y.size
-    wa, wb, wc, wd, we = (np.square(w) for w in (wa, wb, wc, wd, we))
+    wa, wb, wc, wd, we = (np.square(w) for w in wmats)
     x2, y2, z2 = np.square(x), np.square(y), np.square(z)
-    diag = np.concatenate([
-        wa @ x2 + wb.T @ y2,
-        wb @ x2 + wd @ y2 + wc.T @ z2,
-        wc @ y2 + we @ z2,
-    ])
-    j = np.diag(diag)
+    terms = [_kind_gram(*args) for args in zip(kinds, (wa, wd, we), (x, y, z))]
+    # A diagonal term is summed into the diagonal in the order of the closed
+    # form (tests/oracles.py build_j), so the all-"full" J equals it bit for
+    # bit; a dense term is added to its block below.
+    ka, kd, ke = (t if t.ndim == 1 else 0.0 for t in terms)
+    j = np.diag(np.concatenate([ka + wb.T @ y2, wb @ x2 + kd + wc.T @ z2, wc @ y2 + ke]))
     j[:n, n : n + m] = (wb * np.outer(y, x)).T
     j[n : n + m, :n] = j[:n, n : n + m].T
     j[n : n + m, n + m :] = (wc * np.outer(z, y)).T
     j[n + m :, n : n + m] = j[n : n + m, n + m :].T
+    for block, t in zip((slice(0, n), slice(n, n + m), slice(n + m, None)), terms):
+        if t.ndim == 2:
+            j[block, block] += t
+    j[np.diag_indices_from(j)] += np.square(chi)
     return j
 
 
@@ -239,14 +286,36 @@ def _pair_sum(k_col, v_row, k_row, v_col, w) -> np.ndarray:
     return u
 
 
-def _ade_numerator(rows, sol, wa, wd, we) -> np.ndarray:
-    """The A, D, E columns of |L S^{-1} G| [vec(W)] for nonnegative weights.
-
-    These column blocks factor through Kronecker identities, so their
-    absolute values reduce to small matrix products.
+def _kind_numerator(kind: str, k, w, v) -> np.ndarray:
+    """sum_g |K Phi_g v| w_g over the generators of one structure kind, for a
+    nonnegative weight matrix ``w`` constant on each generator's support;
+    ``k`` holds the matching columns of L S^{-1}.
     """
-    a1, a2, a3 = np.split(np.abs(rows), [sol.x.size, sol.x.size + sol.y.size], axis=1)
-    return a1 @ (wa @ np.abs(sol.x)) + a2 @ (wd @ np.abs(sol.y)) + a3 @ (we @ np.abs(sol.z))
+    if kind == "full":
+        return np.abs(k) @ (w @ np.abs(v))
+    if kind == "diagonal":
+        return np.abs(k) @ (np.diag(w) * np.abs(v))
+    if kind == "symmetric":
+        # The pair (r, c) and (c, r) share one generator; the diagonal
+        # pair counts its single entry twice, hence the half weight.
+        pair_w = np.triu(w, 1) + np.diag(np.diag(w)) / 2.0
+        return _pair_sum(k, v, k, v, pair_w)
+    return np.abs(k @ _shifted(v)) @ w[:, 0]
+
+
+def _ade_numerator(rows, sol, wa, wd, we, kinds) -> np.ndarray:
+    """The A, D, E columns of |L S^{-1} G Phi| [generators of W] for
+    nonnegative weights, with dA, dD, dE in the structure ``kinds`` (all
+    "full": the unstructured |L S^{-1} G| [vec(W)] columns). These column
+    blocks factor through Kronecker identities, so each kind's term reduces
+    to small matrix products.
+    """
+    n, m = sol.x.size, sol.y.size
+    parts = zip(kinds, np.split(rows, [n, n + m], axis=1), (wa, wd, we), (sol.x, sol.y, sol.z))
+    u = np.zeros(rows.shape[0])
+    for kind, k, w, v in parts:
+        u += _kind_numerator(kind, k, w, v)
+    return u
 
 
 def _bc_numerator(rows, sol, wb, wc, chi_abs) -> np.ndarray:
@@ -261,11 +330,6 @@ def _bc_numerator(rows, sol, wb, wc, chi_abs) -> np.ndarray:
     u += _pair_sum(k1, y, k2, x, wb)
     u += _pair_sum(k2, z, k3, y, wc)
     return u
-
-
-def _inf_numerator(rows, sol, wa, wb, wc, wd, we, chi_abs) -> np.ndarray:
-    """|L S^{-1} [G, -I]| [vec(W); chi] for nonnegative weights, exactly."""
-    return _ade_numerator(rows, sol, wa, wd, we) + _bc_numerator(rows, sol, wb, wc, chi_abs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,14 +379,12 @@ def _scalar_j_norm(sol: Solution, psi: float) -> float:
     return psi * psi * top_eig(c)[0]
 
 
-def _gram_top(system: SolvedSystem, weights: PerturbationWeights, xivec, j=None):
+def _gram_top(system: SolvedSystem, weights: PerturbationWeights, xivec, kinds=_UNSTRUCTURED):
     """sigma = sqrt(lam) and u for the top eigenpair of the k x k Gram
-    Xi L S^{-1} (J + diag chi^2) (L S^{-1})^T Xi; J defaults to :func:`build_j`
-    of the weights, a given ``j`` is updated in place."""
+    Xi L S^{-1} J (L S^{-1})^T Xi, with J from :func:`_assemble_j` for the
+    A, D, E structure ``kinds``."""
     blocks = system.blocks
-    if j is None:
-        j = build_j(system.sol, *weights.block_mats(blocks))
-    j[np.diag_indices_from(j)] += np.square(weights.chi_vec(blocks.l))
+    j = _assemble_j(system.sol, weights.block_mats(blocks), weights.chi_vec(blocks.l), kinds)
     t = ddagger(xivec)[:, None] * system.rows
     lam, u = top_eig(t @ j @ t.T)
     return float(np.sqrt(lam)), u
@@ -332,18 +394,20 @@ def unified_cn(system: SolvedSystem, weights: PerturbationWeights, xi, norm: str
     """The general weighted condition number for norm "two" or "inf".
 
     The 2-norm value is the square root of the top eigenvalue of the k x k
-    Gram Xi L S^{-1} (J_W + diag chi^2) (L S^{-1})^T Xi, with J_W from
-    :func:`build_j`; the max-norm value goes through the exact numerator
-    over the nonzero weights. Both hold for scalar and entrywise weights alike.
+    Gram Xi L S^{-1} J (L S^{-1})^T Xi, with J from :func:`_assemble_j`; the
+    max-norm value goes through the exact numerator over the nonzero
+    weights. Both are the all-"full" structured numbers, and hold for scalar
+    and entrywise weights alike.
     """
     if norm not in ("two", "inf"):
         raise ValueError(f"norm must be 'two' or 'inf', got {norm!r}")
     xivec = _as_xi(xi).resolve(system.lw)
     if norm == "two":
         return CnValue(_gram_top(system, weights, xivec)[0], "unified2")
-    blocks = system.blocks
-    wmats = tuple(np.abs(w) for w in weights.block_mats(blocks))
-    u = _inf_numerator(system.rows, system.sol, *wmats, np.abs(weights.chi_vec(blocks.l)))
+    blocks, sol, rows = system.blocks, system.sol, system.rows
+    wa, wb, wc, wd, we = (np.abs(w) for w in weights.block_mats(blocks))
+    u = _ade_numerator(rows, sol, wa, wd, we, _UNSTRUCTURED)
+    u += _bc_numerator(rows, sol, wb, wc, np.abs(weights.chi_vec(blocks.l)))
     return CnValue(_inf_value(xivec, u), "unifiedInf")
 
 
@@ -352,8 +416,9 @@ def ncn(system: SolvedSystem, psi: float, chi: float) -> CnValue:
 
     The square root of the top eigenvalue of
     L S^{-1} (psi^2 J + chi^2 I) (L S^{-1})^T / ||L w||_2^2, with J the
-    closed-form Gram matrix. A zero L w raises :class:`ZeroXi` before the
-    weights are checked, since weights taken from the data vanish with it.
+    closed-form Gram matrix of :func:`_assemble_j`. A zero L w raises
+    :class:`ZeroXi` before the weights are checked, since weights taken from
+    the data vanish with it.
     """
     xivec = XiChoice(kind="ncn").resolve(system.lw)
     weights = PerturbationWeights.scalar(psi, chi)
@@ -370,6 +435,17 @@ def ncn_upper(system: SolvedSystem, psi: float, chi: float) -> CnValue:
     return CnValue(induced_norm(system.rows, "two") * (j_top + weights.chi_scalar) / xi_l, "ncn_upper")
 
 
+def _data_inf_value(system: SolvedSystem, xi: XiChoice, kinds) -> float:
+    """The max-norm value for the data weights Psi = H, chi = b, with dA, dD,
+    dE in the structure ``kinds``: the system's shared ``bc_numerator`` plus
+    the A, D, E terms of :func:`_ade_numerator`."""
+    blocks = system.blocks
+    u = system.bc_numerator + _ade_numerator(
+        system.rows, system.sol, np.abs(blocks.A), np.abs(blocks.D), np.abs(blocks.E), kinds
+    )
+    return _inf_value(xi.resolve(system.lw), u)
+
+
 def inf_cn(system: SolvedSystem, xi) -> CnValue:
     """Mixed ("mcn") or componentwise ("ccn") condition number of L w.
 
@@ -382,12 +458,7 @@ def inf_cn(system: SolvedSystem, xi) -> CnValue:
     xi = _as_xi(xi)
     if xi.kind not in ("mcn", "ccn"):
         raise ValueError(f"inf_cn supports xi 'mcn' or 'ccn', got {xi.kind!r}")
-    xivec = xi.resolve(system.lw)
-    blocks = system.blocks
-    u = system.bc_numerator + _ade_numerator(
-        system.rows, system.sol, np.abs(blocks.A), np.abs(blocks.D), np.abs(blocks.E)
-    )
-    return CnValue(_inf_value(xivec, u), xi.kind)
+    return CnValue(_data_inf_value(system, xi, _UNSTRUCTURED), xi.kind)
 
 
 def inf_cn_upper(system: SolvedSystem) -> tuple[CnValue, CnValue]:
@@ -477,7 +548,6 @@ __all__ = [
     "PerturbationWeights",
     "XiChoice",
     "SolvedSystem",
-    "build_j",
     "inv_rows",
     "first_order_delta",
     "unified_cn",

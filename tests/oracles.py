@@ -1,8 +1,10 @@
 """Reference formulas that materialize the Kronecker sensitivity maps.
 
-The library never forms the l x s matrix G (s = n^2 + nm + mp + m^2 + p^2)
-or any k x s product with it; these explicit versions exist only so tests
-can compare the closed forms against the definitions. Desk-scale sizes only.
+The library never forms the l x s matrix G (s = n^2 + nm + mp + m^2 + p^2),
+the 0/1 structure bases Phi, or any k x s product with them; these explicit
+versions exist only so tests can compare the closed forms against the
+definitions. Desk-scale sizes only. The small vec, unvec, hadamard and solve
+helpers live here too, since only tests use them.
 """
 
 import numpy as np
@@ -10,8 +12,58 @@ import scipy.sparse
 
 from dsppcond.dspp import solve_dspp
 from dsppcond.eils import eils_reduce
-from dsppcond.linalg import ddagger
+from dsppcond.errors import DimensionMismatch
+from dsppcond.linalg import LuSolver, as_matrix, as_vector, ddagger
 from dsppcond.partial_cn import XiChoice, inv_rows
+
+
+def vec(m) -> np.ndarray:
+    """Stack the columns of ``m`` into one vector (column-major flatten)."""
+    return as_matrix(m).flatten(order="F")
+
+
+def unvec(v, rows: int, cols: int) -> np.ndarray:
+    """Inverse of :func:`vec`: rebuild a ``rows x cols`` matrix column-major."""
+    v = as_vector(v)
+    if v.size != rows * cols:
+        raise DimensionMismatch(f"cannot reshape length {v.size} to {rows}x{cols}")
+    return v.reshape((rows, cols), order="F")
+
+
+def hadamard(x, y) -> np.ndarray:
+    """Entrywise product, shapes must match exactly."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise DimensionMismatch(f"hadamard shapes differ: {x.shape} vs {y.shape}")
+    return x * y
+
+
+def solve(m, rhs) -> np.ndarray:
+    """Solve ``M x = rhs`` through the certified factorization
+    :class:`~dsppcond.linalg.LuSolver`."""
+    return LuSolver(m).solve(rhs)
+
+
+def phi(basis) -> scipy.sparse.csc_array:
+    """The dim^2 x generators 0/1 basis matrix Phi of a structure basis."""
+    data = np.ones(basis.rows.size)
+    return scipy.sparse.csc_array(
+        (data, (basis.rows, basis.cols)), shape=(basis.dim * basis.dim, basis.generators)
+    )
+
+
+def column_norms(basis) -> np.ndarray:
+    """The column 2-norms u of Phi."""
+    return np.sqrt(np.asarray(phi(basis).power(2).sum(axis=0), dtype=float))
+
+
+def reconstruct(basis, g) -> np.ndarray:
+    """The matrix with generator ``g``: unvec(Phi g)."""
+    g = as_vector(g)
+    if g.shape != (basis.generators,):
+        raise DimensionMismatch(f"generator length {g.size}, expected {basis.generators}")
+    return unvec(phi(basis) @ g, basis.dim, basis.dim)
 
 
 def build_g(sol):
@@ -36,6 +88,34 @@ def build_g(sol):
     g[n + m :, offs[2] : offs[3]] = np.kron(y[None, :], np.eye(p))
     g[n + m :, offs[4] :] = np.kron(z[None, :], np.eye(p))
     return g
+
+
+def build_j(sol, wa, wb, wc, wd, we):
+    """The unstructured l x l weighted Gram G diag(w^2) G^T in closed form.
+
+    ``wa`` .. ``we`` are weight matrices shaped like A .. E; squares are taken
+    entrywise (W2 = W * W):
+
+        xx: diag(W2_A x^2 + W2_B^T y^2)
+        yy: diag(W2_B x^2 + W2_D y^2 + W2_C^T z^2)
+        zz: diag(W2_C y^2 + W2_E z^2)
+        xy: (W2_B o y x^T)^T,   yz: (W2_C o z y^T)^T,   xz: 0
+    """
+    x, y, z = sol.x, sol.y, sol.z
+    n, m = x.size, y.size
+    wa, wb, wc, wd, we = (np.square(w) for w in (wa, wb, wc, wd, we))
+    x2, y2, z2 = np.square(x), np.square(y), np.square(z)
+    diag = np.concatenate([
+        wa @ x2 + wb.T @ y2,
+        wb @ x2 + wd @ y2 + wc.T @ z2,
+        wc @ y2 + we @ z2,
+    ])
+    j = np.diag(diag)
+    j[:n, n : n + m] = (wb * np.outer(y, x)).T
+    j[n : n + m, :n] = j[:n, n : n + m].T
+    j[n : n + m, n + m :] = (wc * np.outer(z, y)).T
+    j[n + m :, n : n + m] = j[n : n + m, n + m :].T
+    return j
 
 
 def vec_psi(weights, blocks):
@@ -81,8 +161,25 @@ def _phi_s(triple, n, m, p):
     """Block-diagonal basis over vec(A..E): [Phi_A, I_{nm+mp}, Phi_D, Phi_E]."""
     eye_bc = scipy.sparse.identity(n * m + m * p, format="csc")
     return scipy.sparse.block_diag(
-        [triple.a.phi, eye_bc, triple.d.phi, triple.e.phi], format="csc"
+        [phi(triple.a), eye_bc, phi(triple.d), phi(triple.e)], format="csc"
     )
+
+
+def _u_s(triple, n, m, p):
+    """The column norms of :func:`_phi_s`."""
+    return np.concatenate([
+        column_norms(triple.a), np.ones(n * m + m * p),
+        column_norms(triple.d), column_norms(triple.e),
+    ])
+
+
+def structured_j(blocks, sol, weights, triple):
+    """The structured weighted Gram G diag(w) Phi_s U^-2 Phi_s^T diag(w) G^T
+    + diag(chi^2) from the materialized maps (all "full": build_j + diag(chi^2))."""
+    n, m, p = blocks.n, blocks.m, blocks.p
+    gw = build_g(sol) * vec_psi(weights, blocks)[None, :]
+    gen = (_phi_s(triple, n, m, p).T @ gw.T).T / _u_s(triple, n, m, p)[None, :]
+    return gen @ gen.T + np.diag(np.square(weights.chi_vec(blocks.l)))
 
 
 def structured_two(blocks, sel, weights, xi, triple):
@@ -92,8 +189,7 @@ def structured_two(blocks, sel, weights, xi, triple):
     sol = solve_dspp(blocks)
     rows = inv_rows(blocks, sel)
     t = (rows @ build_g(sol)) * vec_psi(weights, blocks)[None, :]
-    u_s = np.concatenate([triple.a.u, np.ones(n * m + m * p), triple.d.u, triple.e.u])
-    gen_part = (_phi_s(triple, n, m, p).T @ t.T).T / u_s[None, :]
+    gen_part = (_phi_s(triple, n, m, p).T @ t.T).T / _u_s(triple, n, m, p)[None, :]
     rhs_part = -rows * weights.chi_vec(blocks.l)[None, :]
     mat = np.hstack([gen_part, rhs_part]) * _xi_dagger(blocks, sel, sol, xi)[:, None]
     return np.linalg.svd(mat, compute_uv=False)[0] if np.any(mat) else 0.0

