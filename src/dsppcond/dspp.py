@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedProblem, SingularMatrix
-from .linalg import LuSolver, as_matrix, as_vector, induced_norm
+from .linalg import LuSolver, as_matrix, as_vector
 
 SELECTOR_KINDS = ("full", "x", "y", "z", "custom")
 

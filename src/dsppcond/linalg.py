@@ -3,11 +3,16 @@
 Input coercion, the pseudo-reciprocal, induced norms, row-pivoted solves
 certified by a condition estimate, and the top-eigenpair kernel behind every
 2-norm value and top singular triplet. Everything operates on float64 numpy
-arrays and is pure.
+arrays and is pure, apart from the thread pin the command line wraps around
+each command.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import glob
+import os
 import warnings
 
 import numpy as np
@@ -87,7 +92,11 @@ class LuSolver:
         m = as_matrix(m)
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"square matrix required, got {m.shape}")
-        self.norm_inf = induced_norm(m, "inf")
+        # Both norms from one |M|, dropped before lu_factor copies M.
+        a = np.abs(m)
+        self.norm_inf = float(a.sum(axis=1).max(initial=0.0))
+        norm_one = float(a.sum(axis=0).max(initial=0.0))
+        del a
         if self.norm_inf == 0.0:
             raise SingularMatrix("zero matrix")
         with warnings.catch_warnings():
@@ -95,7 +104,6 @@ class LuSolver:
             # SingularMatrix; scipy's advisory warning is redundant here.
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-        norm_one = float(np.abs(m).sum(axis=0).max())
         self.rcond = float(scipy.linalg.lapack.dgecon(lu, norm_one, norm="1")[0])
         floor = m.shape[0] * np.finfo(float).eps
         if not self.rcond >= floor:  # a NaN estimate fails too
@@ -129,3 +137,42 @@ def spectral_top(m) -> tuple[float, np.ndarray, np.ndarray]:
     lam, u = top_eig(t @ t.T)
     sigma = c * float(np.sqrt(lam))
     return sigma, u, m.T @ u / sigma
+
+
+def _numpy_openblas_threads():
+    """``(get, set)`` for the thread count of numpy's bundled OpenBLAS, or
+    None when numpy has none (a build on MKL or Accelerate, say)."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _numpy_blas_single_thread():
+    """Run numpy's OpenBLAS on one thread inside the block, then restore its
+    count, also on an exception.
+
+    numpy and scipy each bundle their own OpenBLAS. After a threaded call a
+    pool's workers keep spinning, so numpy products and scipy LAPACK calls
+    in turn (LU, solves, dgecon, eigh) compete for the same cores. Pinned,
+    numpy's products run in the calling thread and scipy's pool, still
+    sized by OPENBLAS_NUM_THREADS, does all threaded work.
+    """
+    pool = _numpy_openblas_threads()
+    if pool is None:
+        yield
+        return
+    get, set_ = pool
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_dspp
+from dsppcond import cli, linalg
 from dsppcond.cli import (
     MALFORMED_EXIT,
     MISSING_FILE_EXIT,
@@ -307,3 +308,58 @@ def test_structured_csv_rows(capsys, tmp_path):
     assert lines[0] == "flavor,value"
     assert lines[1].startswith("mcn,")
     assert lines[2].startswith("mcn_structured,")
+
+
+@pytest.fixture
+def numpy_pool():
+    """numpy's OpenBLAS ``(get, set)``, set to 2 threads for the test so the
+    pin is visible, and restored after it."""
+    pool = linalg._numpy_openblas_threads()
+    if pool is None:
+        pytest.skip("numpy has no bundled OpenBLAS whose thread count can be read")
+    get, set_ = pool
+    before = get()
+    set_(2)
+    if get() != 2:
+        set_(before)
+        pytest.skip("numpy's OpenBLAS does not accept 2 threads here")
+    yield get
+    set_(before)
+
+
+def recording_command(monkeypatch, name, probe):
+    """Wrap ``_COMMANDS[name]`` so each call appends ``probe()`` to the result."""
+    seen = []
+    command = cli._COMMANDS[name]
+
+    def wrapped(args):
+        seen.append(probe())
+        return command(args)
+
+    monkeypatch.setitem(cli._COMMANDS, name, wrapped)
+    return seen
+
+
+def test_commands_pin_numpy_blas_to_one_thread(capsys, tmp_path, monkeypatch, numpy_pool):
+    seen = recording_command(monkeypatch, "analyze", numpy_pool)
+    path = write_problem(tmp_path / "prob.json", random_dspp(np.random.default_rng(64), 2, 2, 2))
+    assert run(capsys, ["analyze", "--input", path])[0] == 0
+    assert seen == [1]
+    assert numpy_pool() == 2
+    singular = DsppBlocks(
+        A=[[1.0]], B=[[0.0]], C=[[0.0]], D=[[0.0]], E=[[1.0]], b=[1.0, 1.0, 1.0]
+    )
+    path = write_problem(tmp_path / "singular.json", singular)
+    assert run(capsys, ["analyze", "--input", path])[0] == NUMERICAL_EXIT
+    assert seen == [1, 1]
+    assert numpy_pool() == 2
+
+
+def test_commands_run_without_numpy_openblas(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(linalg, "_numpy_openblas_threads", lambda: None)
+    seen = recording_command(monkeypatch, "analyze", lambda: "ran")
+    path = write_problem(tmp_path / "prob.json", random_dspp(np.random.default_rng(65), 2, 2, 2))
+    code, out, _ = run(capsys, ["analyze", "--input", path])
+    assert code == 0
+    assert seen == ["ran"]
+    assert "cn" in json.loads(out)
