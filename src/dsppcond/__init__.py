@@ -24,6 +24,7 @@ from .errors import (
     NotInSubspace,
     RankDeficientC,
     SingularMatrix,
+    UncertifiedBound,
     ZeroMatrix,
     ZeroXi,
 )
@@ -106,6 +107,7 @@ __all__ = [
     "DsppcondError",
     "DimensionMismatch",
     "SingularMatrix",
+    "UncertifiedBound",
     "ZeroMatrix",
     "ZeroXi",
     "NotInSubspace",

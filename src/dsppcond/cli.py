@@ -33,6 +33,7 @@ from .errors import (
     NotInSubspace,
     RankDeficientC,
     SingularMatrix,
+    UncertifiedBound,
     ZeroMatrix,
     ZeroXi,
 )
@@ -46,7 +47,7 @@ from .experiments import (
     write_json_report,
 )
 from .linalg import _numpy_blas_single_thread
-from .partial_cn import PerturbationWeights, SolvedSystem, inf_cn, inf_cn_upper, ncn, ncn_upper
+from .partial_cn import DOMINANCE_RTOL, PerturbationWeights, SolvedSystem, inf_cn, inf_cn_upper, ncn, ncn_upper
 from .structured import STRUCTURE_KINDS, StructureTriple, structured_inf_cn, structured_ncn
 
 USAGE_EXIT = 2
@@ -67,13 +68,11 @@ _NUMERICAL_ERRORS = (
     IncompatibleZeroPattern,
     ZeroMatrix,
     DominanceViolation,
+    UncertifiedBound,
 )
 
 CN_FLAVORS = ("ncn", "mcn", "ccn")
 
-# Slack for the emit-time dominance re-check; generous against the 1e-12
-# guarantee so it only fires on genuine violations.
-DOMINANCE_RTOL = 1e-9
 
 _STRUCTURE_ALIASES = {"toeplitz": "toeplitz_sym"}
 

@@ -43,3 +43,7 @@ class MalformedProblem(DsppcondError):
 
 class DominanceViolation(DsppcondError):
     """A computed condition number exceeds its upper bound."""
+
+
+class UncertifiedBound(DsppcondError):
+    """No top eigenvalue for a bound passed its Cholesky certificate."""

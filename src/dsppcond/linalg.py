@@ -2,9 +2,11 @@
 
 Input coercion, the pseudo-reciprocal, induced norms, row-pivoted solves
 certified by a condition estimate, and the top-eigenpair kernel behind every
-2-norm value and top singular triplet. Everything operates on float64 numpy
-arrays and is pure, apart from the thread pin the command line wraps around
-each command.
+2-norm number: a deterministic Lanczos run on an operator v -> G v, whose
+Ritz value is a lower end for the values and top singular triplets, and
+whose top end is certified by a Cholesky factorization for the bounds.
+Everything operates on float64 numpy arrays and is pure, apart from the
+thread pin the command line wraps around each command.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, SingularMatrix, ZeroMatrix
+from .errors import DimensionMismatch, SingularMatrix, UncertifiedBound, ZeroMatrix
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -50,16 +52,121 @@ def ddagger(z) -> np.ndarray:
     return out
 
 
-def top_eig(s) -> tuple[float, np.ndarray]:
-    """Top eigenpair ``(lam, v)`` of the symmetric part of a positive semidefinite
-    ``s``, from one LAPACK call for that pair only: lam clamped at 0 (rounding
-    may leave it slightly negative), v of unit 2-norm."""
-    k = s.shape[0]
-    sym = s + s.T
-    sym *= 0.5
-    # sym.T is sym in Fortran order, so LAPACK works in place: no second copy.
-    lam, v = scipy.linalg.eigh(sym.T, subset_by_index=[k - 1, k - 1], overwrite_a=True)
-    return float(max(lam[0], 0.0)), v[:, 0]
+# Seed of the Lanczos start vector. Fixed, so every run takes the same steps
+# and prints the same digits.
+_LANCZOS_SEED = 0
+
+
+def _lanczos(apply, k: int):
+    """Lanczos with full reorthogonalization on a symmetric positive
+    semidefinite operator on R^k; ``apply(v)`` returns G v as a new array.
+
+    Starts from a fixed seeded Gaussian vector. After step j the top
+    eigenpair (theta, s) of the j x j tridiagonal T_j comes from
+    ``eigh_tridiagonal``, and the Ritz pair (theta, Q_j s) has residual norm
+    beta_j |s_j|. Yields that pair at every step where beta_j |s_j| <= k eps
+    theta, where the Krylov space is invariant (beta_j = 0), and at step k,
+    where Q_k spans R^k and T_k is G in that basis: the run is exact for
+    small k. A caller that needs more than the first pair continues the run.
+    """
+    eps = np.finfo(float).eps
+    start = np.random.default_rng(_LANCZOS_SEED).standard_normal(k)
+    basis = np.empty((min(k, 32), k))
+    basis[0] = start / np.linalg.norm(start)
+    alpha, beta = np.empty(k), np.empty(k)
+    for j in range(k):
+        span = basis[: j + 1]
+        w = apply(span[j])
+        # Projecting out the whole basis twice keeps it orthonormal to rounding.
+        h = span @ w
+        alpha[j] = h[j]
+        w -= h @ span
+        w -= (span @ w) @ span
+        b = float(np.linalg.norm(w))
+        lam, s = scipy.linalg.eigh_tridiagonal(
+            alpha[: j + 1], beta[:j], select="i", select_range=(j, j), check_finite=False
+        )
+        theta, s = float(lam[0]), s[:, 0]
+        last = j + 1 == k or b == 0.0
+        if last or b * abs(s[-1]) <= k * eps * theta:
+            yield theta, s @ span
+        if last:
+            return
+        beta[j] = b
+        if j + 1 == basis.shape[0]:
+            basis = np.concatenate([basis, np.empty((min(j + 1, k - j - 1), k))])
+        np.divide(w, b, out=basis[j + 1])
+
+
+def top_eig(apply, k: int) -> tuple[float, np.ndarray]:
+    """Top eigenpair ``(lam, u)`` of a symmetric positive semidefinite
+    operator ``apply(v) = G v`` on R^k: the first Ritz pair of
+    :func:`_lanczos`, lam clamped at 0 (rounding may leave it slightly
+    negative), u of unit 2-norm. A Ritz value never exceeds lam_max(G) beyond
+    rounding, so lam is a lower end; a bound takes :func:`_norm_upper`."""
+    theta, u = next(_lanczos(apply, k))
+    return max(theta, 0.0), u
+
+
+def _norm_upper(m) -> float:
+    """A certified upper end for ||M||_2, for the bounds.
+
+    M (or M^T, whichever has the smaller Gram) is scaled by a power of two,
+    exactly, to T with max |t_ij| in [1/2, 1); T is k x n with k <= n. The
+    explicit Gram Gh = fl(T T^T) runs :func:`_lanczos`, and for each Ritz
+    value theta it yields, tau = theta + 2 (k + 2) eps ||Gh||_inf is
+    accepted once the Cholesky factorization of Ah = fl(tau I - Gh)
+    succeeds. The shift only lets that test pass: converged to the top, the
+    Ritz value is at most k eps theta below lam_max(Gh), and the rest leaves
+    Ah room above the factorization's rounding. With R the computed
+    Cholesky factor and rho = || |R|^T |R| 1 ||_inf, the end returned is
+    2^e sqrt(tau + (k + 2) eps rho + (n + 1) eps tr(Gh)), rounded up, and
+    dominates ||M||_2 = 2^e lam_max(T T^T)^{1/2}. With u = eps / 2 and
+    gamma_j = j u / (1 - j u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3 and 10):
+
+    * forming Gh: |Gh - G| <= gamma_n |T| |T|^T entrywise, and
+      || |T| |T|^T ||_2 <= ||T||_F^2 = tr(G) <= tr(Gh) / (1 - gamma_n), so
+      lam_max(G) <= lam_max(Gh) + gamma_n tr(Gh) / (1 - gamma_n);
+    * the factorization: if it succeeds, R^T R = Ah + dA with
+      |dA| <= gamma_{k+1} |R^T| |R| (Higham, Thm 10.3). A symmetric
+      nonnegative matrix has 2-norm at most its largest row sum, so
+      ||dA||_2 <= gamma_{k+1} rho;
+    * forming Ah: only the diagonal rounds, Ah = tau I - Gh + F with
+      |F_ii| <= u |ah_ii| / (1 - u), and ah_ii <= (1 + gamma_{k+1}) rho by
+      the line above, so ||F||_2 <= gamma_1 (1 + gamma_{k+1}) rho. As R^T R
+      is semidefinite, lam_max(Gh) <= tau + ||dA||_2 + ||F||_2.
+
+    Summed, lam_max(G) <= tau + 1.01 ((k + 2) u rho + n u tr(Gh)) for any
+    k, n below 10^13; the two eps terms above are twice that, which also
+    covers the rounding of rho and the trace. Underflow in Gh is
+    negligible, since tr(Gh) >= 1/4. If no Ritz value of the run passes,
+    raises :class:`UncertifiedBound`. Returns 0 for a zero matrix.
+    """
+    m = as_matrix(m)
+    t = m if m.shape[0] <= m.shape[1] else m.T
+    big = float(np.abs(t).max(initial=0.0))
+    if big == 0.0:
+        return 0.0
+    e = int(np.frexp(big)[1])
+    t = np.ldexp(t, -e)
+    k, n = t.shape
+    eps = np.finfo(float).eps
+    g = t @ t.T
+    shift = 2 * (k + 2) * eps * float(np.abs(g).sum(axis=1).max())
+    rounding = (n + 1) * eps * float(np.trace(g))
+    for theta, _ in _lanczos(g.__matmul__, k):
+        tau = theta + shift
+        a = -g
+        a[np.diag_indices(k)] += tau
+        # a.T is a in Fortran order, so LAPACK factors in place.
+        r, info = scipy.linalg.lapack.dpotrf(a.T, overwrite_a=True)
+        if info == 0:
+            np.abs(r, out=r)
+            rho = float((r.sum(axis=1) @ r).max())
+            end = np.nextafter(tau + (k + 2) * eps * rho + rounding, np.inf)
+            return float(np.ldexp(np.nextafter(np.sqrt(end), np.inf), e))
+    raise UncertifiedBound(f"no Ritz value of the {k} x {k} Gram passed the Cholesky test")
 
 
 def induced_norm(m, kind: str) -> float:
@@ -125,16 +232,16 @@ def spectral_top(m) -> tuple[float, np.ndarray, np.ndarray]:
     """Largest singular value with its left/right singular vectors.
 
     Returns ``(sigma, u, v)`` with ``M v = sigma u`` up to roundoff: sigma^2
-    and u are the top eigenpair of M M^T, and v = M^T u / sigma. Raises
-    :class:`ZeroMatrix` for an all-zero input.
+    and u are the :func:`top_eig` pair of v -> M (M^T v), with no Gram formed,
+    and v = M^T u / sigma. Raises :class:`ZeroMatrix` for an all-zero input.
     """
     m = as_matrix(m)
     if not np.any(m):
         raise ZeroMatrix("spectral_top of a zero matrix")
-    # Scaled by c = max |m_ij|, the Gram neither overflows nor underflows.
+    # Scaled by c = max |m_ij|, the products neither overflow nor underflow.
     c = float(np.abs(m).max())
     t = m / c
-    lam, u = top_eig(t @ t.T)
+    lam, u = top_eig(lambda v: t @ (v @ t), t.shape[0])
     sigma = c * float(np.sqrt(lam))
     return sigma, u, m.T @ u / sigma
 
@@ -161,7 +268,7 @@ def _numpy_blas_single_thread():
 
     numpy and scipy each bundle their own OpenBLAS. After a threaded call a
     pool's workers keep spinning, so numpy products and scipy LAPACK calls
-    in turn (LU, solves, dgecon, eigh) compete for the same cores. Pinned,
+    in turn (LU, solves, dgecon, Cholesky) compete for the same cores. Pinned,
     numpy's products run in the calling thread and scipy's pool, still
     sized by OPENBLAS_NUM_THREADS, does all threaded work.
     """

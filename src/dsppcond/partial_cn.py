@@ -35,7 +35,7 @@ import numpy as np
 
 from .dspp import DsppBlocks, Selector, Solution, _block_product, factorize, solve_dspp
 from .errors import DimensionMismatch, ZeroMatrix, ZeroXi
-from .linalg import LuSolver, as_matrix, as_vector, ddagger, induced_norm, top_eig
+from .linalg import LuSolver, _norm_upper, as_matrix, as_vector, ddagger, top_eig
 
 # Entries per chunk of the max-norm pair kernel (k times some nonzero columns of
 # one weight row). Its two float64 temporaries take at most 64 MB, so the memory
@@ -43,6 +43,13 @@ from .linalg import LuSolver, as_matrix, as_vector, ddagger, induced_norm, top_e
 _CHUNK_ENTRY_LIMIT = 1 << 22
 
 _XI_KINDS = ("ncn", "mcn", "ccn", "custom")
+
+# Relative slack of every dominance check (value <= bound, structured <=
+# unstructured). Each side is a top eigenvalue whose stopping rule leaves a
+# relative error of at most k eps (2.3e-13 at k = 1024), or a max-norm sum
+# with a few roundings per term; the closest value/bound pair in the
+# benchmark outputs has ratio 0.9968, so 1e-12 fires only on a real violation.
+DOMINANCE_RTOL = 1e-12
 
 # The structure kinds of A, D, E for the unstructured numbers.
 _UNSTRUCTURED = ("full", "full", "full")
@@ -370,23 +377,25 @@ class SolvedSystem:
 
 
 def _scalar_j_norm(sol: Solution, psi: float) -> float:
-    """||J||_2 for the constant weight psi, exactly. With sx = ||x||^2 (and so
-    on), J / psi^2 acts as ``c`` on span{(x,0,0), (0,y,0), (0,0,z)} and as c's
-    diagonal on the complement, which never exceeds c's top eigenvalue."""
-    sx, sy, sz = (float(v @ v) for v in (sol.x, sol.y, sol.z))
-    xy, yz = np.sqrt(sx) * np.sqrt(sy), np.sqrt(sy) * np.sqrt(sz)
-    c = np.array([[sx + sy, xy, 0.0], [xy, sx + sy + sz, yz], [0.0, yz, sy + sz]])
-    return psi * psi * top_eig(c)[0]
+    """||J||_2 for the constant weight psi, from a certified top end. With
+    a = ||x|| (b = ||y||, d = ||z||), J / psi^2 acts as the 3 x 3 matrix
+    c = F^T F on span{(x,0,0), (0,y,0), (0,0,z)} and as c's diagonal on the
+    complement, which never exceeds c's top eigenvalue; F is the 5 x 3
+    matrix below, so ||J||_2 = psi^2 ||F||_2^2."""
+    a, b, d = (float(np.linalg.norm(v)) for v in (sol.x, sol.y, sol.z))
+    f = np.array([[a, b, 0.0], [b, 0.0, 0.0], [0.0, a, 0.0], [0.0, d, b], [0.0, 0.0, d]])
+    return (psi * _norm_upper(f)) ** 2
 
 
 def _gram_top(system: SolvedSystem, weights: PerturbationWeights, xivec, kinds=_UNSTRUCTURED):
     """sigma = sqrt(lam) and u for the top eigenpair of the k x k Gram
     Xi L S^{-1} J (L S^{-1})^T Xi, with J from :func:`_assemble_j` for the
-    A, D, E structure ``kinds``."""
+    A, D, E structure ``kinds``, applied as v -> T (J (T^T v)) with
+    T = Xi L S^{-1}, so the Gram is never formed."""
     blocks = system.blocks
     j = _assemble_j(system.sol, weights.block_mats(blocks), weights.chi_vec(blocks.l), kinds)
     t = ddagger(xivec)[:, None] * system.rows
-    lam, u = top_eig(t @ j @ t.T)
+    lam, u = top_eig(lambda v: t @ (j @ (v @ t)), t.shape[0])
     return float(np.sqrt(lam)), u
 
 
@@ -428,11 +437,12 @@ def ncn(system: SolvedSystem, psi: float, chi: float) -> CnValue:
 def ncn_upper(system: SolvedSystem, psi: float, chi: float) -> CnValue:
     """Cheap upper bound dominating :func:`ncn`:
     ||L S^{-1}||_2 (||J_psi||_2^{1/2} + chi) / ||L w||_2 (see :func:`_scalar_j_norm`),
-    ||L S^{-1}||_2 from a direct solve of its explicit k x k Gram (k <= l)."""
+    both norms from the Cholesky-certified top end of their explicit Grams
+    (:func:`~dsppcond.linalg._norm_upper`), never below the exact norms."""
     xi_l = XiChoice(kind="ncn").resolve(system.lw)[0]
     weights = PerturbationWeights.scalar(psi, chi)
     j_top = np.sqrt(_scalar_j_norm(system.sol, weights.psi_scalar))
-    return CnValue(induced_norm(system.rows, "two") * (j_top + weights.chi_scalar) / xi_l, "ncn_upper")
+    return CnValue(_norm_upper(system.rows) * (j_top + weights.chi_scalar) / xi_l, "ncn_upper")
 
 
 def _data_inf_value(system: SolvedSystem, xi: XiChoice, kinds) -> float:

@@ -3,46 +3,39 @@
 The library never forms the l x s matrix G (s = n^2 + nm + mp + m^2 + p^2),
 the 0/1 structure bases Phi, or any k x s product with them; these explicit
 versions exist only so tests can compare the closed forms against the
-definitions. Desk-scale sizes only. The small vec, unvec, hadamard and solve
-helpers live here too, since only tests use them.
+definitions. Desk-scale sizes only. The unvec helper and the dense top
+eigenpair that the Lanczos kernel is checked against live here too, since
+only tests use them.
 """
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from dsppcond.dspp import solve_dspp
 from dsppcond.eils import eils_reduce
 from dsppcond.errors import DimensionMismatch
-from dsppcond.linalg import LuSolver, as_matrix, as_vector, ddagger
+from dsppcond.linalg import as_vector, ddagger
 from dsppcond.partial_cn import XiChoice, inv_rows
 
 
-def vec(m) -> np.ndarray:
-    """Stack the columns of ``m`` into one vector (column-major flatten)."""
-    return as_matrix(m).flatten(order="F")
-
-
 def unvec(v, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec`: rebuild a ``rows x cols`` matrix column-major."""
+    """Rebuild a ``rows x cols`` matrix from its column-major flattening."""
     v = as_vector(v)
     if v.size != rows * cols:
         raise DimensionMismatch(f"cannot reshape length {v.size} to {rows}x{cols}")
     return v.reshape((rows, cols), order="F")
 
 
-def hadamard(x, y) -> np.ndarray:
-    """Entrywise product, shapes must match exactly."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"hadamard shapes differ: {x.shape} vs {y.shape}")
-    return x * y
-
-
-def solve(m, rhs) -> np.ndarray:
-    """Solve ``M x = rhs`` through the certified factorization
-    :class:`~dsppcond.linalg.LuSolver`."""
-    return LuSolver(m).solve(rhs)
+def top_eig(s) -> tuple[float, np.ndarray]:
+    """Top eigenpair ``(lam, v)`` of the symmetric part of a positive
+    semidefinite ``s`` from a dense LAPACK ``eigh`` for that pair only: lam
+    clamped at 0 (rounding may leave it slightly negative), v of unit 2-norm.
+    The reference for the Lanczos kernel :func:`dsppcond.linalg.top_eig`."""
+    k = s.shape[0]
+    sym = (s + s.T) / 2.0
+    lam, v = scipy.linalg.eigh(sym, subset_by_index=[k - 1, k - 1])
+    return float(max(lam[0], 0.0)), v[:, 0]
 
 
 def phi(basis) -> scipy.sparse.csc_array:

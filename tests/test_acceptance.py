@@ -23,6 +23,7 @@ from dsppcond.experiments import (
     run_experiment,
 )
 from dsppcond.partial_cn import (
+    DOMINANCE_RTOL,
     PerturbationWeights,
     SolvedSystem,
     definition_ratio,
@@ -94,13 +95,13 @@ def test_criterion_02_dominance_suite():
             vm = inf_cn(system, "mcn").value
             vc = inf_cn(system, "ccn").value
             um, uc = (v.value for v in inf_cn_upper(system))
-            ok = ok and v2 <= u2 * (1 + 1e-12)
-            ok = ok and vm <= um * (1 + 1e-12)
-            ok = ok and vc <= uc * (1 + 1e-12)
+            ok = ok and v2 <= u2 * (1 + DOMINANCE_RTOL)
+            ok = ok and vm <= um * (1 + DOMINANCE_RTOL)
+            ok = ok and vc <= uc * (1 + DOMINANCE_RTOL)
             checked += 3
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60.0
-    _report(2, f"{checked} upper-bound dominances hold with <=1e-12 slack "
+    _report(2, f"{checked} upper-bound dominances hold with <={DOMINANCE_RTOL:g} slack "
                f"(55 instances, 4 selectors)", ok, elapsed)
 
 
@@ -192,9 +193,9 @@ def test_criterion_07_structured_dominance():
     gain_m = 0
     gain_c = 0
     for row in rows:
-        ok = ok and row.ncn_structured <= row.ncn_value * (1 + 1e-9)
-        ok = ok and row.mcn_structured <= row.mcn_value * (1 + 1e-9)
-        ok = ok and row.ccn_structured <= row.ccn_value * (1 + 1e-9)
+        ok = ok and row.ncn_structured <= row.ncn_value * (1 + DOMINANCE_RTOL)
+        ok = ok and row.mcn_structured <= row.mcn_value * (1 + DOMINANCE_RTOL)
+        ok = ok and row.ccn_structured <= row.ccn_value * (1 + DOMINANCE_RTOL)
         gain_m += row.mcn_value / row.mcn_structured >= 1.05
         gain_c += row.ccn_value / row.ccn_structured >= 1.05
     ok = ok and gain_m >= 6 and gain_c >= 6

@@ -8,6 +8,7 @@ import pytest
 from conftest import random_dspp
 from dsppcond import cli, linalg
 from dsppcond.cli import (
+    DOMINANCE_RTOL,
     MALFORMED_EXIT,
     MISSING_FILE_EXIT,
     NUMERICAL_EXIT,
@@ -161,6 +162,20 @@ def test_numerical_failures_exit_5(capsys, tmp_path):
         assert json.loads(out)["error"]["type"] == "ZeroXi"
 
 
+def test_uncertified_bound_exits_5(capsys, tmp_path, monkeypatch):
+    real = linalg._lanczos
+
+    def halved(apply, k):
+        for theta, u in real(apply, k):
+            yield theta / 2.0, u
+
+    monkeypatch.setattr(linalg, "_lanczos", halved)
+    path = write_problem(tmp_path / "prob.json", random_dspp(np.random.default_rng(61), 3, 2, 2))
+    code, out, _ = run(capsys, ["analyze", "--input", path, "--upper-bounds"])
+    assert code == NUMERICAL_EXIT
+    assert json.loads(out)["error"]["type"] == "UncertifiedBound"
+
+
 def test_analyze_json_payload(capsys, tmp_path):
     rng = np.random.default_rng(61)
     blocks = random_dspp(rng, 3, 2, 2)
@@ -178,7 +193,7 @@ def test_analyze_json_payload(capsys, tmp_path):
         value = doc["cn"][flavor]
         upper = doc["upper_bounds"][flavor]
         assert np.isfinite(value) and value > 0
-        assert value <= upper * (1 + 1e-9)
+        assert value <= upper * (1 + DOMINANCE_RTOL)
 
 
 def test_analyze_csv_deterministic(capsys, tmp_path):
@@ -287,8 +302,8 @@ def test_structured_command(capsys, tmp_path):
     assert doc["meta"]["command"] == "structured"
     assert doc["meta"]["structure"] == "A=symmetric,D=toeplitz_sym,E=toeplitz_sym"
     for flavor in ("ncn", "mcn", "ccn"):
-        assert doc["structured_cn"][flavor] <= doc["cn"][flavor] * (1 + 1e-9)
-        assert doc["cn"][flavor] <= doc["upper_bounds"][flavor] * (1 + 1e-9)
+        assert doc["structured_cn"][flavor] <= doc["cn"][flavor] * (1 + DOMINANCE_RTOL)
+        assert doc["cn"][flavor] <= doc["upper_bounds"][flavor] * (1 + DOMINANCE_RTOL)
     # The flag is mandatory for this command.
     assert run(capsys, ["structured", "--input", path])[0] == USAGE_EXIT
     # analyze accepts the same spec optionally.

@@ -8,6 +8,7 @@ import pytest
 
 from dsppcond.dspp import DsppBlocks, Solution, selector
 from dsppcond.errors import IncompatibleZeroPattern, ZeroXi
+from dsppcond.partial_cn import DOMINANCE_RTOL
 from dsppcond.experiments import (
     CSV_COLUMNS,
     CSV_STRUCTURED_COLUMNS,
@@ -206,9 +207,9 @@ def test_run_experiment_rows_and_bounds():
     rows = run_experiment("example1", [2, 3], s=6, seed=1, selectors=("full", "x"))
     assert [(r.q, r.selector) for r in rows] == [(2, "full"), (2, "x"), (3, "full"), (3, "x")]
     for row in rows:
-        assert row.r_k <= row.k2 <= row.k2_upper * (1 + 1e-12)
-        assert row.r_m <= row.km <= row.km_upper * (1 + 1e-12)
-        assert row.r_c <= row.kc <= row.kc_upper * (1 + 1e-12)
+        assert row.r_k <= row.k2 <= row.k2_upper * (1 + DOMINANCE_RTOL)
+        assert row.r_m <= row.km <= row.km_upper * (1 + DOMINANCE_RTOL)
+        assert row.r_c <= row.kc <= row.kc_upper * (1 + DOMINANCE_RTOL)
         assert not row.has_structured
     with pytest.raises(ValueError):
         run_experiment("example3", [2])
@@ -218,9 +219,9 @@ def test_run_experiment_structured_rows():
     rows = run_experiment("example2", [2], s=6, seed=3, selectors=("full",), structured=True)
     (row,) = rows
     assert row.has_structured
-    assert row.ncn_structured <= row.ncn_value * (1 + 1e-9)
-    assert row.mcn_structured <= row.mcn_value * (1 + 1e-9)
-    assert row.ccn_structured <= row.ccn_value * (1 + 1e-9)
+    assert row.ncn_structured <= row.ncn_value * (1 + DOMINANCE_RTOL)
+    assert row.mcn_structured <= row.mcn_value * (1 + DOMINANCE_RTOL)
+    assert row.ccn_structured <= row.ccn_value * (1 + DOMINANCE_RTOL)
 
 
 def test_experiment_row_validation():

@@ -1,13 +1,14 @@
 """Dense kernel tests, mostly against small hand-computed values, plus the
-vec, unvec, hadamard and solve helpers that tests take from ``oracles``."""
+unvec helper and the dense top eigenpair that tests take from ``oracles``."""
 
 import numpy as np
 import pytest
 
 from conftest import rel_err
-from oracles import hadamard, solve, unvec, vec
+import oracles
+from dsppcond import linalg
 from dsppcond.dspp import selector
-from dsppcond.errors import DimensionMismatch, SingularMatrix, ZeroMatrix
+from dsppcond.errors import DimensionMismatch, SingularMatrix, UncertifiedBound, ZeroMatrix
 from dsppcond.experiments import gen_example1
 from dsppcond.linalg import (
     LuSolver,
@@ -16,14 +17,8 @@ from dsppcond.linalg import (
     ddagger,
     induced_norm,
     spectral_top,
-    top_eig,
 )
 from dsppcond.partial_cn import SolvedSystem
-
-
-def test_vec_is_column_major():
-    # vec stacks columns: [[1,2],[3,4]] -> [1,3,2,4]
-    assert np.array_equal(vec([[1.0, 2.0], [3.0, 4.0]]), [1.0, 3.0, 2.0, 4.0])
 
 
 def test_unvec_inverts_vec():
@@ -31,22 +26,16 @@ def test_unvec_inverts_vec():
     for _ in range(20):
         r, c = rng.integers(1, 7, size=2)
         m = rng.standard_normal((r, c))
-        assert np.array_equal(unvec(vec(m), r, c), m)
+        assert np.array_equal(oracles.unvec(m.flatten(order="F"), r, c), m)
 
 
 def test_unvec_rejects_wrong_length():
     with pytest.raises(DimensionMismatch):
-        unvec([1.0, 2.0, 3.0], 2, 2)
+        oracles.unvec([1.0, 2.0, 3.0], 2, 2)
 
 
 def test_ddagger_inverts_nonzeros_and_maps_zero_to_one():
     assert np.array_equal(ddagger([2.0, 0.0, -0.5]), [0.5, 1.0, -2.0])
-
-
-def test_hadamard_requires_matching_shapes():
-    assert np.array_equal(hadamard([1.0, 2.0], [3.0, 4.0]), [3.0, 8.0])
-    with pytest.raises(DimensionMismatch):
-        hadamard(np.ones((2, 2)), np.ones((2, 3)))
 
 
 def test_induced_norms_hand_values():
@@ -98,16 +87,6 @@ def test_lu_solver_rejects_nonsquare_and_bad_rhs():
         lu.solve(np.ones(4))
 
 
-def test_solve_seeded_random_roundtrip():
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        dim = int(rng.integers(2, 9))
-        m = rng.standard_normal((dim, dim))
-        b = rng.standard_normal(dim)
-        x = solve(m, b)
-        assert np.linalg.norm(m @ x - b) < 1e-9 * (np.linalg.norm(m) * np.linalg.norm(x) + 1)
-
-
 def test_spectral_top_satisfies_mv_eq_sigma_u():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((4, 6))
@@ -150,11 +129,28 @@ def test_top_eig_kernel_matches_svd(spectral_cases, scale):
 
 
 def test_top_eig_clamps_and_symmetrizes():
-    lam, v = top_eig(np.array([[-1e-20, 0.0], [0.0, -2.0]]))
+    lam, v = oracles.top_eig(np.array([[-1e-20, 0.0], [0.0, -2.0]]))
     assert lam == 0.0 and abs(abs(v[0]) - 1.0) < 1e-15
-    lam, v = top_eig(np.array([[2.0, 3.0], [1.0, 2.0]]))
+    lam, v = oracles.top_eig(np.array([[2.0, 3.0], [1.0, 2.0]]))
     assert abs(lam - 4.0) < 1e-14
     assert np.allclose(np.abs(v), np.sqrt([0.5, 0.5]), rtol=0, atol=1e-14)
+
+
+def test_norm_upper_continues_the_run_then_raises(monkeypatch):
+    m = np.array([[3.0, 0.0], [0.0, 4.0], [0.0, 0.0]])
+    assert 4.0 <= linalg._norm_upper(m) <= 4.0 * (1 + 1e-12)
+    assert linalg._norm_upper(np.zeros((2, 3))) == 0.0
+    real = linalg._lanczos
+
+    def low_first(apply, k):
+        yield 0.0, None  # far below lam_max: the Cholesky test fails
+        yield from real(apply, k)
+
+    monkeypatch.setattr(linalg, "_lanczos", low_first)
+    assert 4.0 <= linalg._norm_upper(m) <= 4.0 * (1 + 1e-12)
+    monkeypatch.setattr(linalg, "_lanczos", lambda apply, k: iter([(0.0, None)]))
+    with pytest.raises(UncertifiedBound):
+        linalg._norm_upper(m)
 
 
 def test_spectral_top_rejects_zero_matrix():

@@ -15,6 +15,7 @@ from dsppcond.dspp import DsppBlocks, Solution, assemble, selector, solve_dspp
 from dsppcond.errors import DimensionMismatch, ZeroMatrix, ZeroXi
 from dsppcond.linalg import ddagger
 from dsppcond.partial_cn import (
+    DOMINANCE_RTOL,
     CnValue,
     PerturbationWeights,
     SolvedSystem,
@@ -318,10 +319,10 @@ def test_dominance_on_random_instances():
         chi = float(np.linalg.norm(blocks.b))
         for kind in ("full", "x", "y", "z"):
             system = SolvedSystem.of(blocks, selector(kind, n, m, p))
-            assert ncn(system, psi, chi).value <= ncn_upper(system, psi, chi).value * (1 + 1e-12)
+            assert ncn(system, psi, chi).value <= ncn_upper(system, psi, chi).value * (1 + DOMINANCE_RTOL)
             mu, cu = inf_cn_upper(system)
-            assert inf_cn(system, "mcn").value <= mu.value * (1 + 1e-12)
-            assert inf_cn(system, "ccn").value <= cu.value * (1 + 1e-12)
+            assert inf_cn(system, "mcn").value <= mu.value * (1 + DOMINANCE_RTOL)
+            assert inf_cn(system, "ccn").value <= cu.value * (1 + DOMINANCE_RTOL)
 
 
 def test_upper_bound_dominates_for_asymmetric_d():
@@ -337,8 +338,8 @@ def test_upper_bound_dominates_for_asymmetric_d():
     for kind in ("full", "x", "y", "z"):
         system = SolvedSystem.of(blocks, selector(kind, 2, 2, 1))
         mu, cu = inf_cn_upper(system)
-        assert inf_cn(system, "mcn").value <= mu.value * (1 + 1e-12)
-        assert inf_cn(system, "ccn").value <= cu.value * (1 + 1e-12)
+        assert inf_cn(system, "mcn").value <= mu.value * (1 + DOMINANCE_RTOL)
+        assert inf_cn(system, "ccn").value <= cu.value * (1 + DOMINANCE_RTOL)
 
 
 def test_definition_ratio_bounded_by_cn_and_extremal_attains():

@@ -16,7 +16,9 @@ from conftest import rel_err
 from dsppcond.dspp import DsppBlocks, Solution, norm_fro_system, selector
 from dsppcond.eils import EilsProblem, eils_cn, eils_reduce
 from dsppcond.errors import IndefiniteProblem, RankDeficientC
+from dsppcond.linalg import _norm_upper, top_eig
 from dsppcond.partial_cn import (
+    DOMINANCE_RTOL,
     PerturbationWeights,
     SolvedSystem,
     inf_cn,
@@ -109,10 +111,10 @@ def test_closed_forms_match_oracles(n, m, p, ka, kd, ke, kind, xi, scalar, seed)
     assert np.allclose(u_s, oracles.structured_numerator(blocks, sel, triple), rtol=RTOL, atol=0)
 
     # Structured never exceeds unstructured.
-    assert s_two <= two * (1 + RTOL)
+    assert s_two <= two * (1 + DOMINANCE_RTOL)
     for flavor in ("mcn", "ccn"):
         s_inf = structured_inf_cn(system, flavor, triple).value
-        assert s_inf <= inf_cn(system, flavor).value * (1 + RTOL)
+        assert s_inf <= inf_cn(system, flavor).value * (1 + DOMINANCE_RTOL)
 
 
 def sparse_block(rng, shape, density, empty_rows):
@@ -163,10 +165,10 @@ def test_values_never_exceed_bounds(n, m, p, kind, density_b, density_c, empty_r
     blocks = sparse_instance(rng, n, m, p, density_b, density_c, empty_rows)
     system = SolvedSystem.of(blocks, selector(kind, n, m, p))
     psi, chi = (float(v) for v in rng.uniform(0.5, 2.0, size=2))
-    assert ncn(system, psi, chi).value <= ncn_upper(system, psi, chi).value * (1 + RTOL)
+    assert ncn(system, psi, chi).value <= ncn_upper(system, psi, chi).value * (1 + DOMINANCE_RTOL)
     mcn_u, ccn_u = inf_cn_upper(system)
-    assert inf_cn(system, "mcn").value <= mcn_u.value * (1 + RTOL)
-    assert inf_cn(system, "ccn").value <= ccn_u.value * (1 + RTOL)
+    assert inf_cn(system, "mcn").value <= mcn_u.value * (1 + DOMINANCE_RTOL)
+    assert inf_cn(system, "ccn").value <= ccn_u.value * (1 + DOMINANCE_RTOL)
 
 
 @SETTINGS
@@ -181,8 +183,48 @@ def test_scalar_j_norm_matches_top_eigenvalue(n, m, p, zero_x, zero_z, seed):
     )
     psi = float(rng.uniform(0.5, 2.0))
     consts = [np.full(shape, psi) for shape in ((n, n), (m, n), (p, m), (m, m), (p, p))]
-    want = np.linalg.eigvalsh(oracles.build_j(sol, *consts))[-1]
+    want = oracles.top_eig(oracles.build_j(sol, *consts))[0]
     assert rel_err(pc._scalar_j_norm(sol, psi), want) < RTOL
+
+
+def spectrum_instance(rng, k, rank_frac, repeats, n=None):
+    """A k x n matrix U diag(s) V^T (n = k: a PSD k x k U diag(s) U^T) with
+    random orthogonal U, V, round(rank_frac k) nonzero values spread over
+    eight decades, the top one repeated ``repeats`` times; rank 0 is zero."""
+    rank = round(rank_frac * k)
+    s = np.zeros(k)
+    s[:rank] = 10.0 ** -rng.uniform(0.0, 8.0, size=rank)
+    s[: min(rank, repeats)] = 1.0
+    u = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    if n is None:
+        return (u * s) @ u.T
+    v = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    return (u * s) @ v.T
+
+
+@SETTINGS
+@given(k=st.integers(1, 40), rank_frac=st.floats(0.0, 1.0), repeats=st.integers(1, 4),
+       seed=seeds)
+def test_lanczos_top_eig_matches_dense_oracle(k, rank_frac, repeats, seed):
+    g = spectrum_instance(np.random.default_rng(seed), k, rank_frac, repeats)
+    want = oracles.top_eig(g)[0]
+    lam, u = top_eig(g.__matmul__, k)
+    assert rel_err(lam, want) <= RTOL
+    assert np.linalg.norm(g @ u - lam * u) <= RTOL * want
+    again = top_eig(g.__matmul__, k)
+    assert again[0] == lam and np.array_equal(again[1], u)
+
+
+@SETTINGS
+@given(k=st.integers(1, 40), extra=st.integers(0, 20), rank_frac=st.floats(0.0, 1.0),
+       repeats=st.integers(1, 4), wide=st.booleans(), seed=seeds)
+def test_certified_norm_end_dominates_dense_oracle(k, extra, rank_frac, repeats, wide, seed):
+    m = spectrum_instance(np.random.default_rng(seed), k, rank_frac, repeats, k + extra)
+    m = m if wide else m.T
+    want = np.sqrt(oracles.top_eig(m @ m.T)[0])
+    end = _norm_upper(m)
+    assert end >= want
+    assert rel_err(end, want) <= RTOL
 
 
 @SETTINGS

@@ -10,7 +10,7 @@ from conftest import random_dspp, rel_err
 from dsppcond.dspp import DsppBlocks, assemble, selector
 from dsppcond.errors import DimensionMismatch, NotInSubspace
 from dsppcond.experiments import gen_example2
-from dsppcond.partial_cn import PerturbationWeights, SolvedSystem, inf_cn, ncn
+from dsppcond.partial_cn import DOMINANCE_RTOL, PerturbationWeights, SolvedSystem, inf_cn, ncn
 from dsppcond.structured import (
     STRUCTURE_KINDS,
     StructureTriple,
@@ -168,10 +168,10 @@ def test_structured_never_exceeds_unstructured():
         for kind in ("full", "x", "y", "z"):
             system = SolvedSystem.of(blocks, selector(kind, n, m, p))
             s2 = structured_ncn(system, PerturbationWeights.scalar(psi, chi), "ncn", triple)
-            assert s2.value <= ncn(system, psi, chi).value * (1 + 1e-9)
+            assert s2.value <= ncn(system, psi, chi).value * (1 + DOMINANCE_RTOL)
             for flavor in ("mcn", "ccn"):
                 sv = structured_inf_cn(system, flavor, triple)
-                assert sv.value <= inf_cn(system, flavor).value * (1 + 1e-9)
+                assert sv.value <= inf_cn(system, flavor).value * (1 + DOMINANCE_RTOL)
                 assert sv.flavor == "structuredInf"
 
 
