@@ -6,7 +6,8 @@ certified by a condition estimate, and the top-eigenpair kernel behind every
 Ritz value is a lower end for the values and top singular triplets, and
 whose top end is certified by a Cholesky factorization for the bounds.
 Everything operates on float64 numpy arrays and is pure, apart from the
-thread pin the command line wraps around each command.
+BLAS thread pins: the one the command line wraps around each command, and
+the one each experiment worker sets at its start.
 """
 
 from __future__ import annotations
@@ -199,11 +200,10 @@ class LuSolver:
         m = as_matrix(m)
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"square matrix required, got {m.shape}")
-        # Both norms from one |M|, dropped before lu_factor copies M.
-        a = np.abs(m)
-        self.norm_inf = float(a.sum(axis=1).max(initial=0.0))
-        norm_one = float(a.sum(axis=0).max(initial=0.0))
-        del a
+        # LAPACK dlange on the Fortran view M^T, with no |M| temporary: its
+        # 1-norm is M's infinity norm and its infinity norm M's 1-norm.
+        self.norm_inf = float(scipy.linalg.lapack.dlange("1", m.T))
+        norm_one = float(scipy.linalg.lapack.dlange("I", m.T))
         if self.norm_inf == 0.0:
             raise SingularMatrix("zero matrix")
         with warnings.catch_warnings():
@@ -246,19 +246,32 @@ def spectral_top(m) -> tuple[float, np.ndarray, np.ndarray]:
     return sigma, u, m.T @ u / sigma
 
 
-def _numpy_openblas_threads():
-    """``(get, set)`` for the thread count of numpy's bundled OpenBLAS, or
-    None when numpy has none (a build on MKL or Accelerate, say)."""
-    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+def _openblas_threads(package):
+    """``(get, set)`` for the thread count of the OpenBLAS that the wheel of
+    ``package`` (the numpy or scipy module) bundles in ``<name>.libs``, or
+    None when it bundles none (a build on MKL or Accelerate, say). numpy's
+    64-bit-integer build suffixes the symbols with ``64_``, scipy's does not.
+    """
+    libdir = os.path.join(os.path.dirname(package.__file__), os.pardir, f"{package.__name__}.libs")
     for path in glob.glob(os.path.join(libdir, "*openblas*")):
         lib = ctypes.CDLL(path)
-        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-        if get is not None and set_ is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
     return None
+
+
+def _blas_one_thread() -> None:
+    """Set numpy's and scipy's bundled OpenBLAS to one thread each, for the
+    rest of the process: the initializer of the experiment workers."""
+    for package in (np, scipy):
+        pool = _openblas_threads(package)
+        if pool is not None:
+            pool[1](1)
 
 
 @contextlib.contextmanager
@@ -272,7 +285,7 @@ def _numpy_blas_single_thread():
     numpy's products run in the calling thread and scipy's pool, still
     sized by OPENBLAS_NUM_THREADS, does all threaded work.
     """
-    pool = _numpy_openblas_threads()
+    pool = _openblas_threads(np)
     if pool is None:
         yield
         return

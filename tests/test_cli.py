@@ -1,12 +1,15 @@
 """Command-line interface: flag parsing, exit codes, payloads, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import random_dspp
-from dsppcond import cli, linalg
+from dsppcond import cli, experiments, linalg
 from dsppcond.cli import (
     DOMINANCE_RTOL,
     MALFORMED_EXIT,
@@ -20,6 +23,7 @@ from dsppcond.cli import (
     parse_structure_spec,
 )
 from dsppcond.dspp import DsppBlocks, problem_to_dict
+from dsppcond.errors import ZeroXi
 
 
 def write_json(path, doc):
@@ -329,7 +333,7 @@ def test_structured_csv_rows(capsys, tmp_path):
 def numpy_pool():
     """numpy's OpenBLAS ``(get, set)``, set to 2 threads for the test so the
     pin is visible, and restored after it."""
-    pool = linalg._numpy_openblas_threads()
+    pool = linalg._openblas_threads(np)
     if pool is None:
         pytest.skip("numpy has no bundled OpenBLAS whose thread count can be read")
     get, set_ = pool
@@ -371,10 +375,41 @@ def test_commands_pin_numpy_blas_to_one_thread(capsys, tmp_path, monkeypatch, nu
 
 
 def test_commands_run_without_numpy_openblas(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(linalg, "_numpy_openblas_threads", lambda: None)
+    monkeypatch.setattr(linalg, "_openblas_threads", lambda package: None)
     seen = recording_command(monkeypatch, "analyze", lambda: "ran")
     path = write_problem(tmp_path / "prob.json", random_dspp(np.random.default_rng(65), 2, 2, 2))
     code, out, _ = run(capsys, ["analyze", "--input", path])
     assert code == 0
     assert seen == ["ran"]
     assert "cn" in json.loads(out)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_experiment_csv_independent_of_threads_and_cores():
+    """Fresh processes: the CSV is the same bytes under one and two OpenBLAS
+    threads, and with the process on one CPU (one worker) or on all."""
+    argv = [sys.executable, "-m", "dsppcond.cli",
+            "experiment", "example1", "--q", "6", "--seed", "3"]
+
+    def csv(threads, preexec_fn=None):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+        proc = subprocess.run(argv, capture_output=True, env=env, preexec_fn=preexec_fn, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    one_cpu = min(os.sched_getaffinity(0))
+    reference = csv(1)
+    assert reference.startswith(b"# generator=")
+    assert csv(2) == reference
+    assert csv(2, preexec_fn=lambda: os.sched_setaffinity(0, {one_cpu})) == reference
+
+
+def test_experiment_row_error_exits_5(capsys, monkeypatch):
+    def no_xi(*args):
+        raise ZeroXi("L w is zero")
+
+    # Patched before the pool forks, so the workers inherit it.
+    monkeypatch.setattr(experiments, "forward_errors", no_xi)
+    code, out, _ = run(capsys, ["experiment", "example1", "--q", "2", "--selector", "full,x"])
+    assert code == NUMERICAL_EXIT
+    assert json.loads(out)["error"]["type"] == "ZeroXi"

@@ -2,10 +2,13 @@
 
 import io
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
+import scipy
 
+from dsppcond import experiments, linalg
 from dsppcond.dspp import DsppBlocks, Solution, selector
 from dsppcond.errors import IncompatibleZeroPattern, ZeroXi
 from dsppcond.partial_cn import DOMINANCE_RTOL
@@ -213,6 +216,46 @@ def test_run_experiment_rows_and_bounds():
         assert not row.has_structured
     with pytest.raises(ValueError):
         run_experiment("example3", [2])
+
+
+def test_run_experiment_rows_reproduce_in_isolation():
+    both = run_experiment("example1", [4, 6], s=6, seed=5)
+    alone = run_experiment("example1", [6], s=6, seed=5)
+    assert [r.q for r in both] == [4] * 4 + [6] * 4
+    assert both[4:] == alone
+    assert not multiprocessing.active_children()
+
+
+def test_run_experiment_raises_worker_errors_with_their_type(monkeypatch):
+    def no_xi(*args):
+        raise ZeroXi("L w is zero")
+
+    # Patched before the pool forks, so the workers inherit it.
+    monkeypatch.setattr(experiments, "forward_errors", no_xi)
+    with pytest.raises(ZeroXi, match="L w is zero"):
+        run_experiment("example1", [2, 3], selectors=("full", "x"))
+    assert not multiprocessing.active_children()
+
+
+def _worker_blas_threads(*task):
+    """Stands in for a row: the thread counts of the bundled OpenBLAS pools."""
+    return [linalg._openblas_threads(package)[0]() for package in (np, scipy)]
+
+
+def test_run_experiment_workers_run_blas_on_one_thread(monkeypatch):
+    pools = [linalg._openblas_threads(package) for package in (np, scipy)]
+    if None in pools:
+        pytest.skip("numpy or scipy has no bundled OpenBLAS whose thread count can be read")
+    before = [get() for get, _ in pools]
+    for _, set_ in pools:
+        set_(2)
+    monkeypatch.setattr(experiments, "_experiment_row", _worker_blas_threads)
+    try:
+        counts = run_experiment("example1", [2, 3], selectors=("full", "x"))
+    finally:
+        for (_, set_), count in zip(pools, before):
+            set_(count)
+    assert counts == [[1, 1]] * 4
 
 
 def test_run_experiment_structured_rows():
