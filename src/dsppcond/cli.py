@@ -46,7 +46,7 @@ from .experiments import (
     write_csv_report,
     write_json_report,
 )
-from .linalg import _numpy_blas_single_thread
+from .linalg import _blas_single_thread
 from .partial_cn import DOMINANCE_RTOL, PerturbationWeights, SolvedSystem, inf_cn, inf_cn_upper, ncn, ncn_upper
 from .structured import STRUCTURE_KINDS, StructureTriple, structured_inf_cn, structured_ncn
 
@@ -400,7 +400,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     out_path = getattr(args, "out", None)
     try:
-        with _numpy_blas_single_thread():
+        with _blas_single_thread(np):
             text = _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"dsppcond: usage error: {exc}", file=sys.stderr)

@@ -12,12 +12,13 @@ A, B, C, D, E, b in that order, column-major within each block. Experiment
 rows derive child seeds from SeedSequence((seed, q, selector_index)), so rows
 are independent.
 
-Parallelism: run_experiment computes its rows in a pool of worker processes,
-one per usable CPU up to one per row, and each worker runs numpy's and
-scipy's OpenBLAS on one thread. Every row runs in a worker, also with one
-row or on one CPU, so every row sees the same BLAS on every host: a report
-is bitwise the same whatever the core count or OPENBLAS_NUM_THREADS, and any
-subset of rows reproduces in isolation.
+Parallelism: every row runs with numpy's and scipy's OpenBLAS on one thread,
+so a report is bitwise the same whatever the core count or
+OPENBLAS_NUM_THREADS, and any subset of rows reproduces in isolation.
+run_experiment computes the rows of a large enough experiment in a pool of
+forked worker processes, one per usable CPU up to one per row and no more
+than free memory holds; the others run in the calling process, with the same
+results.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import threading
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +39,7 @@ from .dspp import (
     selector, solve_dspp,
 )
 from .errors import IncompatibleZeroPattern, ZeroXi
-from .linalg import _blas_one_thread, ddagger
+from .linalg import _blas_single_thread, ddagger
 from .partial_cn import (
     PerturbationWeights,
     SolvedSystem,
@@ -371,6 +374,62 @@ def _experiment_row(family, q, idx, kind, s, seed, structured) -> ExperimentRow:
     )
 
 
+# A pool costs about 0.1 s to fork and to warm its workers (2 vCPUs); rows
+# whose system sizes l have squares summing to less than this take about as
+# long on one thread (0.3 s for the example1 rows at q = 4..10), so they run
+# in-process.
+_POOL_MIN_WORK = 1 << 20
+
+# A row's peak memory over its process's, in bytes per l^2: measured 6-12
+# doubles per l^2 for example1 and example2 rows at l = 256..1600, with and
+# without structured values.
+_ROW_PEAK_BYTES_PER_L2 = 16 * 8
+
+
+def _system_size(family: str, q: int) -> int:
+    """l = n + m + p of the family's system at size q."""
+    return 4 * q * q if family == "example1" else 8 * q * q + 2 * q
+
+
+def _free_memory() -> int | None:
+    """Free physical memory in bytes, or None where the platform cannot say."""
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _pool_workers(sizes: list[int]) -> int:
+    """Worker processes for rows of system sizes ``sizes``, or 1 to run them
+    in the calling process.
+
+    Up to one worker per usable CPU and per row, and no more than free memory
+    holds rows of the largest size at once. One worker would only add the
+    fork, and so would rows too small to pay for it. A daemonic process
+    (a pool worker itself) cannot have children, forking a process with
+    other Python threads can deadlock on a lock one of them holds, and
+    tracemalloc sees only its own process, so these run their rows in-process.
+    """
+    if (
+        sum(l * l for l in sizes) < _POOL_MIN_WORK
+        or multiprocessing.current_process().daemon
+        or threading.active_count() > 1
+        or tracemalloc.is_tracing()
+    ):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, len(sizes))
+    free = _free_memory()
+    if free is not None:
+        workers = min(workers, free // (_ROW_PEAK_BYTES_PER_L2 * max(sizes, default=1) ** 2))
+    return max(1, workers)
+
+
+def _single_thread_row(*task) -> ExperimentRow:
+    with _blas_single_thread(np, scipy):
+        return _experiment_row(*task)
+
+
 def run_experiment(
     family: str,
     q_list,
@@ -387,11 +446,13 @@ def run_experiment(
     With ``structured=True`` the raw condition numbers and their structured
     counterparts (symmetric A, symmetric Toeplitz D and E) are added.
 
-    The rows run in a pool of ``min(usable CPUs, rows)`` worker processes,
-    forked where the platform can fork, one row per task; each worker sets
-    both bundled OpenBLAS libraries to one thread first. Rows come back in
-    order. An error raised in a row is raised here with its type, and every
-    worker has exited and been reaped when this returns or raises.
+    Every row runs with numpy's and scipy's OpenBLAS on one thread. With more
+    than one worker (see ``_pool_workers``) the rows run in a pool forked
+    where the platform can fork, one row per task; otherwise they run here,
+    one after another, each row's system released before the next is built.
+    Rows come back in order either way, bitwise the same. An error raised in
+    a row is raised here with its type, and every worker has exited and been
+    reaped when this returns or raises.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -400,12 +461,14 @@ def run_experiment(
         for q in q_list
         for idx, kind in enumerate(selectors)
     ]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = _pool_workers([_system_size(family, q) for q in q_list for _ in selectors])
+    if workers == 1:
+        return [_single_thread_row(*task) for task in tasks]
     context = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     )
-    with context.Pool(max(1, min(cpus, len(tasks))), initializer=_blas_one_thread) as pool:
-        rows = pool.starmap(_experiment_row, tasks, chunksize=1)
+    with context.Pool(workers) as pool:
+        rows = pool.starmap(_single_thread_row, tasks, chunksize=1)
         pool.close()
         pool.join()
     return rows

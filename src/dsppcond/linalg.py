@@ -6,15 +6,18 @@ certified by a condition estimate, and the top-eigenpair kernel behind every
 Ritz value is a lower end for the values and top singular triplets, and
 whose top end is certified by a Cholesky factorization for the bounds.
 Everything operates on float64 numpy arrays and is pure, apart from the
-BLAS thread pins: the one the command line wraps around each command, and
-the one each experiment worker sets at its start.
+BLAS thread pins that the command line and each experiment row wrap around
+their work.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import glob
+import importlib
+import itertools
 import os
 import warnings
 
@@ -246,18 +249,30 @@ def spectral_top(m) -> tuple[float, np.ndarray, np.ndarray]:
     return sigma, u, m.T @ u / sigma
 
 
+# Per package, an extension module that links its BLAS. dlsym on a loaded
+# module also searches the libraries it links, wherever they are installed
+# (a wheel's bundled copy, a distribution's or conda's libopenblas); Windows
+# does not, so the wheel's own <name>.libs directory is searched as well.
+_BLAS_EXTENSIONS = {"numpy": "numpy.linalg._umath_linalg", "scipy": "scipy.linalg._fblas"}
+
+
+@functools.cache
 def _openblas_threads(package):
-    """``(get, set)`` for the thread count of the OpenBLAS that the wheel of
-    ``package`` (the numpy or scipy module) bundles in ``<name>.libs``, or
-    None when it bundles none (a build on MKL or Accelerate, say). numpy's
-    64-bit-integer build suffixes the symbols with ``64_``, scipy's does not.
+    """``(get, set)`` for the thread count of the OpenBLAS that ``package``
+    (the numpy or scipy module) calls, or None when it calls another BLAS
+    (MKL or Accelerate, say).
+
+    The wheels of numpy >= 2 and scipy >= 1.13 prefix the symbols with
+    ``scipy_``, earlier wheels and system builds do not; a 64-bit-integer
+    build suffixes them with ``64_``.
     """
+    module = importlib.import_module(_BLAS_EXTENSIONS[package.__name__])
     libdir = os.path.join(os.path.dirname(package.__file__), os.pardir, f"{package.__name__}.libs")
-    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+    for path in (module.__file__, *glob.glob(os.path.join(libdir, "*openblas*"))):
         lib = ctypes.CDLL(path)
-        for suffix in ("64_", ""):
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+        for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("64_", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
             if get is not None and set_ is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
@@ -265,34 +280,26 @@ def _openblas_threads(package):
     return None
 
 
-def _blas_one_thread() -> None:
-    """Set numpy's and scipy's bundled OpenBLAS to one thread each, for the
-    rest of the process: the initializer of the experiment workers."""
-    for package in (np, scipy):
-        pool = _openblas_threads(package)
-        if pool is not None:
-            pool[1](1)
-
-
 @contextlib.contextmanager
-def _numpy_blas_single_thread():
-    """Run numpy's OpenBLAS on one thread inside the block, then restore its
-    count, also on an exception.
+def _blas_single_thread(*packages):
+    """Run the OpenBLAS of each of ``packages`` (numpy, scipy) on one thread
+    inside the block, then restore each count, also on an exception. A
+    package on another BLAS is left alone.
 
     numpy and scipy each bundle their own OpenBLAS. After a threaded call a
     pool's workers keep spinning, so numpy products and scipy LAPACK calls
-    in turn (LU, solves, dgecon, Cholesky) compete for the same cores. Pinned,
-    numpy's products run in the calling thread and scipy's pool, still
-    sized by OPENBLAS_NUM_THREADS, does all threaded work.
+    in turn (LU, solves, dgecon, Cholesky) compete for the same cores. The
+    command line pins numpy's: its products run in the calling thread and
+    scipy's pool, still sized by OPENBLAS_NUM_THREADS, does all threaded
+    work. Experiment rows pin both, so their rounding does not depend on
+    the thread count.
     """
-    pool = _openblas_threads(np)
-    if pool is None:
-        yield
-        return
-    get, set_ = pool
-    before = get()
-    set_(1)
+    pools = [pool for pool in map(_openblas_threads, packages) if pool is not None]
+    before = [get() for get, _ in pools]
+    for _, set_ in pools:
+        set_(1)
     try:
         yield
     finally:
-        set_(before)
+        for (_, set_), count in zip(pools, before):
+            set_(count)

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from conftest import random_dspp
 from dsppcond import cli, experiments, linalg
@@ -387,9 +388,12 @@ def test_commands_run_without_numpy_openblas(capsys, tmp_path, monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
 def test_experiment_csv_independent_of_threads_and_cores():
     """Fresh processes: the CSV is the same bytes under one and two OpenBLAS
-    threads, and with the process on one CPU (one worker) or on all."""
+    threads, and with the process on one CPU (rows in-process) or on all
+    (rows in a pool where there are two or more)."""
+    if None in (linalg._openblas_threads(np), linalg._openblas_threads(scipy)):
+        pytest.skip("numpy or scipy calls no OpenBLAS whose thread count can be set")
     argv = [sys.executable, "-m", "dsppcond.cli",
-            "experiment", "example1", "--q", "6", "--seed", "3"]
+            "experiment", "example1", "--q", "6:12:6", "--seed", "3"]
 
     def csv(threads, preexec_fn=None):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
@@ -410,6 +414,7 @@ def test_experiment_row_error_exits_5(capsys, monkeypatch):
 
     # Patched before the pool forks, so the workers inherit it.
     monkeypatch.setattr(experiments, "forward_errors", no_xi)
+    monkeypatch.setattr(experiments, "_POOL_MIN_WORK", 0)
     code, out, _ = run(capsys, ["experiment", "example1", "--q", "2", "--selector", "full,x"])
     assert code == NUMERICAL_EXIT
     assert json.loads(out)["error"]["type"] == "ZeroXi"

@@ -1,8 +1,12 @@
 """Experiment harness: generators, perturbations, measurements, reports."""
 
+import contextlib
 import io
 import json
 import multiprocessing
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,7 +222,15 @@ def test_run_experiment_rows_and_bounds():
         run_experiment("example3", [2])
 
 
-def test_run_experiment_rows_reproduce_in_isolation():
+# Each row-running test runs once in a pool (any experiment is large enough;
+# on one usable CPU this is in-process too) and once in-process.
+@pytest.fixture(params=["pool", "in_process"])
+def rows_path(request, monkeypatch):
+    monkeypatch.setattr(experiments, "_POOL_MIN_WORK", 0 if request.param == "pool" else float("inf"))
+    return request.param
+
+
+def test_run_experiment_rows_reproduce_in_isolation(rows_path):
     both = run_experiment("example1", [4, 6], s=6, seed=5)
     alone = run_experiment("example1", [6], s=6, seed=5)
     assert [r.q for r in both] == [4] * 4 + [6] * 4
@@ -226,7 +238,14 @@ def test_run_experiment_rows_reproduce_in_isolation():
     assert not multiprocessing.active_children()
 
 
-def test_run_experiment_raises_worker_errors_with_their_type(monkeypatch):
+def test_run_experiment_pool_and_in_process_rows_agree(monkeypatch):
+    monkeypatch.setattr(experiments, "_POOL_MIN_WORK", float("inf"))
+    in_process = run_experiment("example2", [2, 3], s=6, seed=5, structured=True)
+    monkeypatch.setattr(experiments, "_POOL_MIN_WORK", 0)
+    assert run_experiment("example2", [2, 3], s=6, seed=5, structured=True) == in_process
+
+
+def test_run_experiment_raises_worker_errors_with_their_type(monkeypatch, rows_path):
     def no_xi(*args):
         raise ZeroXi("L w is zero")
 
@@ -238,24 +257,85 @@ def test_run_experiment_raises_worker_errors_with_their_type(monkeypatch):
 
 
 def _worker_blas_threads(*task):
-    """Stands in for a row: the thread counts of the bundled OpenBLAS pools."""
+    """Stands in for a row: the thread counts of the OpenBLAS pools."""
     return [linalg._openblas_threads(package)[0]() for package in (np, scipy)]
 
 
-def test_run_experiment_workers_run_blas_on_one_thread(monkeypatch):
+def test_run_experiment_rows_run_blas_on_one_thread(monkeypatch, rows_path):
     pools = [linalg._openblas_threads(package) for package in (np, scipy)]
     if None in pools:
-        pytest.skip("numpy or scipy has no bundled OpenBLAS whose thread count can be read")
+        pytest.skip("numpy or scipy calls no OpenBLAS whose thread count can be read")
     before = [get() for get, _ in pools]
     for _, set_ in pools:
         set_(2)
     monkeypatch.setattr(experiments, "_experiment_row", _worker_blas_threads)
     try:
         counts = run_experiment("example1", [2, 3], selectors=("full", "x"))
+        after = [get() for get, _ in pools]
     finally:
         for (_, set_), count in zip(pools, before):
             set_(count)
     assert counts == [[1, 1]] * 4
+    assert after == [2, 2]
+
+
+def _row_pid(*task):
+    return os.getpid()
+
+
+@contextlib.contextmanager
+def _other_thread():
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join()
+
+
+@contextlib.contextmanager
+def _tracemalloc_on():
+    tracemalloc.start()
+    try:
+        yield
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("min_work, free_memory, context, pooled", [
+    (0, None, contextlib.nullcontext, True),
+    (None, None, contextlib.nullcontext, False),
+    (0, 0, contextlib.nullcontext, False),
+    (0, None, _other_thread, False),
+    (0, None, _tracemalloc_on, False),
+], ids=["large", "small", "no_free_memory", "other_thread", "tracemalloc"])
+def test_run_experiment_pools_only_where_it_can_pay(monkeypatch, min_work, free_memory, context, pooled):
+    if pooled and len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs two usable CPUs")
+    if min_work is not None:
+        monkeypatch.setattr(experiments, "_POOL_MIN_WORK", min_work)
+    if free_memory is not None:
+        monkeypatch.setattr(experiments, "_free_memory", lambda: free_memory)
+    monkeypatch.setattr(experiments, "_experiment_row", _row_pid)
+    with context():
+        pids = run_experiment("example1", [2, 3], selectors=("full", "x"))
+    assert (os.getpid() not in pids) == pooled
+    assert pooled or set(pids) == {os.getpid()}
+
+
+def _rows_in_worker(q_list):
+    return run_experiment("example1", q_list, s=6, seed=5)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+def test_run_experiment_inside_a_pool_worker(monkeypatch):
+    """A daemonic pool worker cannot have children: its rows run in-process."""
+    monkeypatch.setattr(experiments, "_POOL_MIN_WORK", 0)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        rows = pool.apply_async(_rows_in_worker, ([4, 6],)).get(timeout=60)
+    assert rows == run_experiment("example1", [4, 6], s=6, seed=5)
 
 
 def test_run_experiment_structured_rows():

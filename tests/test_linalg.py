@@ -1,6 +1,8 @@
 """Dense kernel tests, mostly against small hand-computed values, plus the
 unvec helper and the dense top eigenpair that tests take from ``oracles``."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,25 @@ def test_norm_upper_continues_the_run_then_raises(monkeypatch):
     monkeypatch.setattr(linalg, "_lanczos", lambda apply, k: iter([(0.0, None)]))
     with pytest.raises(UncertifiedBound):
         linalg._norm_upper(m)
+
+
+@pytest.mark.parametrize("prefix", ["scipy_openblas", "openblas"])
+@pytest.mark.parametrize("suffix", ["64_", ""])
+def test_openblas_locator_reads_every_symbol_naming(monkeypatch, prefix, suffix):
+    """numpy >= 2 and scipy >= 1.13 wheels prefix the symbols with scipy_,
+    earlier wheels and system builds do not; ILP64 builds suffix them 64_."""
+    def get():
+        return 3
+
+    def set_(count):
+        pass
+
+    lib = types.SimpleNamespace(**{f"{prefix}_get_num_threads{suffix}": get,
+                                   f"{prefix}_set_num_threads{suffix}": set_})
+    monkeypatch.setattr(linalg.ctypes, "CDLL", lambda path: lib)
+    assert linalg._openblas_threads.__wrapped__(np) == (get, set_)
+    monkeypatch.setattr(linalg.ctypes, "CDLL", lambda path: types.SimpleNamespace())
+    assert linalg._openblas_threads.__wrapped__(np) is None
 
 
 def test_spectral_top_rejects_zero_matrix():
