@@ -28,12 +28,7 @@ from .errors import (
     ZeroMatrix,
     ZeroXi,
 )
-from .linalg import (
-    LuSolver,
-    ddagger,
-    induced_norm,
-    spectral_top,
-)
+from .linalg import LuSolver, ddagger
 from .dspp import (
     SELECTOR_KINDS,
     DsppBlocks,
@@ -118,9 +113,7 @@ __all__ = [
     "DominanceViolation",
     # dense kernels
     "ddagger",
-    "induced_norm",
     "LuSolver",
-    "spectral_top",
     # problem container and solve
     "DsppBlocks",
     "Solution",

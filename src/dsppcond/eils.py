@@ -33,7 +33,7 @@ from .errors import (
     RankDeficientC,
     SingularMatrix,
 )
-from .linalg import as_matrix, as_vector, induced_norm
+from .linalg import _norm_inf, as_matrix, as_vector
 from .partial_cn import CnValue, PerturbationWeights, SolvedSystem, _as_xi, unified_cn
 
 # Rank tolerance for the constraint matrix, relative to its inf-norm.
@@ -83,7 +83,7 @@ class EilsProblem:
             raise DimensionMismatch("b must have length n and d length p")
 
         _, r, _ = scipy.linalg.qr(self.C.T, mode="economic", pivoting=True)
-        tol = RANK_RTOL * induced_norm(self.C, "inf")
+        tol = RANK_RTOL * _norm_inf(self.C)
         rank = int(np.sum(np.abs(np.diag(r)) > tol))
         if rank < p:
             raise RankDeficientC(f"constraint matrix has rank {rank} < {p}")
@@ -141,7 +141,7 @@ def solve_eils(prob: EilsProblem, sol: Solution) -> EilsSolution:
     y = sol.y
     resid_c = float(np.linalg.norm(prob.C @ y - prob.d, 2))
     bound = CONSTRAINT_RTOL * (
-        induced_norm(prob.C, "inf") * float(np.linalg.norm(y, 2)) + float(np.linalg.norm(prob.d, 2))
+        _norm_inf(prob.C) * float(np.linalg.norm(y, 2)) + float(np.linalg.norm(prob.d, 2))
     )
     if resid_c > bound:
         raise SingularMatrix(f"constraint residual {resid_c:.3e} exceeds {bound:.3e}")

@@ -1,13 +1,13 @@
 """Dense linear-algebra kernel.
 
-Input coercion, the pseudo-reciprocal, induced norms, row-pivoted solves
-certified by a condition estimate, and the top-eigenpair kernel behind every
-2-norm number: a deterministic Lanczos run on an operator v -> G v, whose
-Ritz value is a lower end for the values and top singular triplets, and
-whose top end is certified by a Cholesky factorization for the bounds.
-Everything operates on float64 numpy arrays and is pure, apart from the
-BLAS thread pins that the command line and each experiment row wrap around
-their work.
+Input coercion, the pseudo-reciprocal, the infinity norm (LAPACK dlange),
+row-pivoted solves certified by a condition estimate, and the one 2-norm
+route: a deterministic Lanczos run on an operator v -> G v, whose Ritz
+pair (:func:`top_eig`) gives the values and worst-case directions, and
+whose top end, certified by a Cholesky factorization (:func:`_norm_upper`),
+gives the bounds. Everything operates on float64 numpy arrays and is pure,
+apart from the BLAS thread pins that the command line and each experiment
+row wrap around their work.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, SingularMatrix, UncertifiedBound, ZeroMatrix
+from .errors import DimensionMismatch, SingularMatrix, UncertifiedBound
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -173,20 +173,10 @@ def _norm_upper(m) -> float:
     raise UncertifiedBound(f"no Ritz value of the {k} x {k} Gram passed the Cholesky test")
 
 
-def induced_norm(m, kind: str) -> float:
-    """Induced matrix norm: ``"two"`` (spectral) or ``"inf"`` (max row sum).
-
-    The spectral norm is the sigma of :func:`spectral_top` of m or m^T,
-    whichever has the smaller Gram.
-    """
-    m = as_matrix(m)
-    if kind not in ("two", "inf"):
-        raise ValueError(f"unknown norm kind {kind!r}")
-    if not np.any(m):
-        return 0.0
-    if kind == "inf":
-        return float(np.abs(m).sum(axis=1).max())
-    return spectral_top(m if m.shape[0] <= m.shape[1] else m.T)[0]
+def _norm_inf(m) -> float:
+    """||M||_inf, the largest row sum of |M|: LAPACK dlange's 1-norm of the
+    Fortran view M^T, with no |M| temporary."""
+    return float(scipy.linalg.lapack.dlange("1", m.T))
 
 
 class LuSolver:
@@ -203,9 +193,8 @@ class LuSolver:
         m = as_matrix(m)
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"square matrix required, got {m.shape}")
-        # LAPACK dlange on the Fortran view M^T, with no |M| temporary: its
-        # 1-norm is M's infinity norm and its infinity norm M's 1-norm.
-        self.norm_inf = float(scipy.linalg.lapack.dlange("1", m.T))
+        # M's 1-norm is the infinity norm of the Fortran view M^T.
+        self.norm_inf = _norm_inf(m)
         norm_one = float(scipy.linalg.lapack.dlange("I", m.T))
         if self.norm_inf == 0.0:
             raise SingularMatrix("zero matrix")
@@ -229,24 +218,6 @@ class LuSolver:
                 f"rhs has {rhs.shape[0]} rows, matrix is {self.shape[0]}x{self.shape[1]}"
             )
         return scipy.linalg.lu_solve(self._lu, rhs, trans=1 if transpose else 0, check_finite=False)
-
-
-def spectral_top(m) -> tuple[float, np.ndarray, np.ndarray]:
-    """Largest singular value with its left/right singular vectors.
-
-    Returns ``(sigma, u, v)`` with ``M v = sigma u`` up to roundoff: sigma^2
-    and u are the :func:`top_eig` pair of v -> M (M^T v), with no Gram formed,
-    and v = M^T u / sigma. Raises :class:`ZeroMatrix` for an all-zero input.
-    """
-    m = as_matrix(m)
-    if not np.any(m):
-        raise ZeroMatrix("spectral_top of a zero matrix")
-    # Scaled by c = max |m_ij|, the products neither overflow nor underflow.
-    c = float(np.abs(m).max())
-    t = m / c
-    lam, u = top_eig(lambda v: t @ (v @ t), t.shape[0])
-    sigma = c * float(np.sqrt(lam))
-    return sigma, u, m.T @ u / sigma
 
 
 # Per package, an extension module that links its BLAS. dlsym on a loaded

@@ -15,15 +15,17 @@ mixed (max-norm normalizer) and componentwise (entrywise normalizer) numbers.
 The first-order response is dw = -S^{-1} [G, -I] [vec(dH); db] with G the
 l x s sensitivity matrix assembled from x, y, z (s = n^2 + nm + mp + m^2 + p^2).
 G itself is never formed: every 2-norm number goes through the l x l weighted
-Gram G diag(w^2) G^T in closed form, and every max-norm number through one
-exact numerator that visits only the nonzero weights, within a fixed chunk
-budget. Both need only L S^{-1}, obtained from k transposed solves,
-never an explicit inverse. Both take the structure kinds of dA, dD, dE
-(see :mod:`dsppcond.structured`) as a parameter: each kind adds one term to
-each, and the unstructured numbers are the structured ones with every kind
-"full". A :class:`SolvedSystem` holds the factorization,
-the solution and L S^{-1} of one (problem, selector) pair; every entry point
-takes one, so the work is done once however many numbers are asked for.
+Gram J = G diag(w^2) G^T, applied blockwise in closed form (a diagonal, the
+xy and yz blocks and one term per structure kind) and never assembled, and
+every max-norm number through one exact numerator that visits only the
+nonzero weights, within a fixed chunk budget. Both need only L S^{-1},
+obtained from k transposed solves, never an explicit inverse. Both take
+the structure kinds of dA, dD, dE (see :mod:`dsppcond.structured`) as a
+parameter: each kind adds one term to each, and the unstructured numbers
+are the structured ones with every kind "full". A :class:`SolvedSystem`
+holds the factorization, the solution and L S^{-1} of one (problem,
+selector) pair; every entry point takes one, so the work is done once
+however many numbers are asked for.
 """
 
 from __future__ import annotations
@@ -183,30 +185,34 @@ def _shifted(v) -> np.ndarray:
     return out
 
 
-def _kind_gram(kind: str, w2, v) -> np.ndarray:
-    """The Gram term sum_g (w_g^2 / c_g) (Phi_g v)(Phi_g v)^T of dM v over
-    one structure kind, for squared weights ``w2`` constant on each
-    generator's support (c_g: the generator's entry count). Kinds whose term
-    is diagonal ("full", "diagonal") return just the diagonal.
+def _kind_op(kind: str, w2, v):
+    """u -> K u for the Gram term K = sum_g (w_g^2 / c_g) (Phi_g v)(Phi_g v)^T
+    of dM v over one structure kind, for squared weights ``w2`` constant on
+    each generator's support (c_g: the generator's entry count).
     """
     v2 = np.square(v)
     if kind == "full":
-        return w2 @ v2
+        d = w2 @ v2
+        return lambda u: d * u
     if kind == "diagonal":
-        return np.diag(w2) * v2
+        d = np.diag(w2) * v2
+        return lambda u: d * u
     if kind == "symmetric":
-        return (np.diag(w2 @ v2) + w2 * np.outer(v, v)) / 2.0
+        d = w2 @ v2
+        return lambda u: (d * u + v * (w2 @ (v * u))) / 2.0
     # toeplitz_sym: generator 0 covers the dim diagonal entries, g > 0 the
     # 2 (dim - g) entries of two off-diagonals.
     counts = 2.0 * np.arange(v.size, 0, -1)
     counts[0] = v.size
     vmat = _shifted(v)
-    return (vmat * (w2[:, 0] / counts)) @ vmat.T
+    c = w2[:, 0] / counts
+    return lambda u: vmat @ (c * (u @ vmat))
 
 
-def _assemble_j(sol: Solution, wmats, chi, kinds) -> np.ndarray:
-    """The l x l weighted Gram G diag(w) Phi U^{-2} Phi^T diag(w) G^T +
-    diag(chi^2) in closed form (no Kronecker).
+def _j_operator(sol: Solution, wmats, chi, kinds):
+    """u -> J u for the l x l weighted Gram
+    J = G diag(w) Phi U^{-2} Phi^T diag(w) G^T + diag(chi^2), applied
+    blockwise in closed form (no Kronecker, no l x l array).
 
     Phi is the 0/1 basis of the perturbations, with dA, dD, dE in the
     structure ``kinds`` and dB, dC unstructured, and U its column norms;
@@ -218,29 +224,31 @@ def _assemble_j(sol: Solution, wmats, chi, kinds) -> np.ndarray:
         yy: diag(W2_B x^2 + W2_C^T z^2) + K_D(y),
         xy: (W2_B o y x^T)^T,   yz: (W2_C o z y^T)^T,   xz: 0
 
-    with K_M the :func:`_kind_gram` term of M's kind (diag(W2_M v^2) for
+    with K_M the :func:`_kind_op` term of M's kind (diag(W2_M v^2) for
     "full"). Scalar weights enter as constant matrices (see
-    :meth:`PerturbationWeights.block_mats`).
+    :meth:`PerturbationWeights.block_mats`). One product costs
+    2 (nm + mp) for the off-diagonal blocks plus the kind terms.
     """
     x, y, z = sol.x, sol.y, sol.z
     n, m = x.size, y.size
     wa, wb, wc, wd, we = (np.square(w) for w in wmats)
-    x2, y2, z2 = np.square(x), np.square(y), np.square(z)
-    terms = [_kind_gram(*args) for args in zip(kinds, (wa, wd, we), (x, y, z))]
-    # A diagonal term is summed into the diagonal in the order of the closed
-    # form (tests/oracles.py build_j), so the all-"full" J equals it bit for
-    # bit; a dense term is added to its block below.
-    ka, kd, ke = (t if t.ndim == 1 else 0.0 for t in terms)
-    j = np.diag(np.concatenate([ka + wb.T @ y2, wb @ x2 + kd + wc.T @ z2, wc @ y2 + ke]))
-    j[:n, n : n + m] = (wb * np.outer(y, x)).T
-    j[n : n + m, :n] = j[:n, n : n + m].T
-    j[n : n + m, n + m :] = (wc * np.outer(z, y)).T
-    j[n + m :, n : n + m] = j[n : n + m, n + m :].T
-    for block, t in zip((slice(0, n), slice(n, n + m), slice(n + m, None)), terms):
-        if t.ndim == 2:
-            j[block, block] += t
-    j[np.diag_indices_from(j)] += np.square(chi)
-    return j
+    ka, kd, ke = (_kind_op(*args) for args in zip(kinds, (wa, wd, we), (x, y, z)))
+    y2 = np.square(y)
+    d = np.square(chi)
+    d[:n] += wb.T @ y2
+    d[n : n + m] += wb @ np.square(x) + wc.T @ np.square(z)
+    d[n + m :] += wc @ y2
+    dx, dy, dz = np.split(d, [n, n + m])
+
+    def apply(u):
+        ux, uy, uz = np.split(u, [n, n + m])
+        return np.concatenate([
+            dx * ux + ka(ux) + x * (wb.T @ (y * uy)),
+            dy * uy + kd(uy) + y * (wb @ (x * ux) + wc.T @ (z * uz)),
+            dz * uz + ke(uz) + z * (wc @ (y * uy)),
+        ])
+
+    return apply
 
 
 def inv_rows(blocks: DsppBlocks, sel: Selector, lu: LuSolver | None = None) -> np.ndarray:
@@ -389,13 +397,13 @@ def _scalar_j_norm(sol: Solution, psi: float) -> float:
 
 def _gram_top(system: SolvedSystem, weights: PerturbationWeights, xivec, kinds=_UNSTRUCTURED):
     """sigma = sqrt(lam) and u for the top eigenpair of the k x k Gram
-    Xi L S^{-1} J (L S^{-1})^T Xi, with J from :func:`_assemble_j` for the
-    A, D, E structure ``kinds``, applied as v -> T (J (T^T v)) with
-    T = Xi L S^{-1}, so the Gram is never formed."""
+    Xi L S^{-1} J (L S^{-1})^T Xi, with J the :func:`_j_operator` of the
+    A, D, E structure ``kinds``, applied as v -> T J(T^T v) with
+    T = Xi L S^{-1}, so neither the Gram nor J is ever formed."""
     blocks = system.blocks
-    j = _assemble_j(system.sol, weights.block_mats(blocks), weights.chi_vec(blocks.l), kinds)
+    j = _j_operator(system.sol, weights.block_mats(blocks), weights.chi_vec(blocks.l), kinds)
     t = ddagger(xivec)[:, None] * system.rows
-    lam, u = top_eig(lambda v: t @ (j @ (v @ t)), t.shape[0])
+    lam, u = top_eig(lambda v: t @ j(v @ t), t.shape[0])
     return float(np.sqrt(lam)), u
 
 
@@ -403,7 +411,7 @@ def unified_cn(system: SolvedSystem, weights: PerturbationWeights, xi, norm: str
     """The general weighted condition number for norm "two" or "inf".
 
     The 2-norm value is the square root of the top eigenvalue of the k x k
-    Gram Xi L S^{-1} J (L S^{-1})^T Xi, with J from :func:`_assemble_j`; the
+    Gram Xi L S^{-1} J (L S^{-1})^T Xi, with J from :func:`_j_operator`; the
     max-norm value goes through the exact numerator over the nonzero
     weights. Both are the all-"full" structured numbers, and hold for scalar
     and entrywise weights alike.
@@ -425,7 +433,7 @@ def ncn(system: SolvedSystem, psi: float, chi: float) -> CnValue:
 
     The square root of the top eigenvalue of
     L S^{-1} (psi^2 J + chi^2 I) (L S^{-1})^T / ||L w||_2^2, with J the
-    closed-form Gram matrix of :func:`_assemble_j`. A zero L w raises
+    closed-form Gram of :func:`_j_operator`. A zero L w raises
     :class:`ZeroXi` before the weights are checked, since weights taken from
     the data vanish with it.
     """

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dspp import DsppBlocks
 from .errors import DimensionMismatch, NotInSubspace
-from .linalg import induced_norm
+from .linalg import _norm_inf
 from .partial_cn import CnValue, PerturbationWeights, SolvedSystem, _as_xi, _data_inf_value, _gram_top
 
 STRUCTURE_KINDS = ("symmetric", "toeplitz_sym", "diagonal", "full")
@@ -63,7 +63,7 @@ class StructureBasis:
         recon = np.zeros(v.size)
         recon[self.rows] = g[self.cols]
         resid = float(np.max(np.abs(v - recon))) if v.size else 0.0
-        if resid > MEMBERSHIP_RTOL * induced_norm(mat, "inf"):
+        if resid > MEMBERSHIP_RTOL * _norm_inf(mat):
             raise NotInSubspace(
                 f"matrix is not {self.kind} (residual {resid:.3e})"
             )

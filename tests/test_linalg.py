@@ -10,16 +10,9 @@ from conftest import rel_err
 import oracles
 from dsppcond import linalg
 from dsppcond.dspp import selector
-from dsppcond.errors import DimensionMismatch, SingularMatrix, UncertifiedBound, ZeroMatrix
+from dsppcond.errors import DimensionMismatch, SingularMatrix, UncertifiedBound
 from dsppcond.experiments import gen_example1
-from dsppcond.linalg import (
-    LuSolver,
-    as_matrix,
-    as_vector,
-    ddagger,
-    induced_norm,
-    spectral_top,
-)
+from dsppcond.linalg import LuSolver, as_matrix, as_vector, ddagger, top_eig
 from dsppcond.partial_cn import SolvedSystem
 
 
@@ -41,13 +34,11 @@ def test_ddagger_inverts_nonzeros_and_maps_zero_to_one():
 
 
 def test_induced_norms_hand_values():
-    m = [[1.0, -2.0], [3.0, 4.0]]
-    assert induced_norm(m, "inf") == 7.0
+    m = np.array([[1.0, -2.0], [3.0, 4.0]])
+    assert linalg._norm_inf(m) == 7.0
     # Rectangular spectral norm: singular values of diag-like stack are 4, 3.
     tall = [[3.0, 0.0], [0.0, 4.0], [0.0, 0.0]]
-    assert abs(induced_norm(tall, "two") - 4.0) < 1e-14
-    with pytest.raises(ValueError):
-        induced_norm(m, "one")
+    assert 4.0 <= linalg._norm_upper(tall) <= 4.0 * (1 + 1e-12)
 
 
 def test_lu_solver_matches_hand_inverse():
@@ -89,16 +80,6 @@ def test_lu_solver_rejects_nonsquare_and_bad_rhs():
         lu.solve(np.ones(4))
 
 
-def test_spectral_top_satisfies_mv_eq_sigma_u():
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((4, 6))
-    sigma, u, v = spectral_top(m)
-    assert sigma > 0
-    assert np.allclose(m @ v, sigma * u, rtol=0, atol=1e-12)
-    assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-    assert abs(sigma - induced_norm(m, "two")) < 1e-12
-
-
 @pytest.fixture(scope="module")
 def spectral_cases():
     """Tall, wide and rank-deficient random matrices, and L S^-1 of example1
@@ -122,12 +103,18 @@ def test_top_eig_kernel_matches_svd(spectral_cases, scale):
     for base in spectral_cases:
         m = scale * base
         want = np.linalg.svd(m, compute_uv=False)[0]
-        assert rel_err(induced_norm(m, "two"), want) < 1e-12
-        sigma, u, v = spectral_top(m)
+        # Scaled by c = max |m_ij|, the products neither overflow nor underflow.
+        c = float(np.abs(m).max())
+        t = m / c
+        lam, u = top_eig(lambda v: t @ (v @ t), t.shape[0])
+        sigma = c * float(np.sqrt(lam))
         assert rel_err(sigma, want) < 1e-12
-        assert np.linalg.norm(m @ v - sigma * u) <= 1e-12 * sigma
+        assert np.linalg.norm(t @ (u @ t) - lam * u) <= 1e-12 * lam
         assert abs(np.linalg.norm(u) - 1.0) < 1e-12
+        v = m.T @ u / sigma
+        assert np.linalg.norm(m @ v - sigma * u) <= 1e-12 * sigma
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+        assert want <= linalg._norm_upper(m) <= want * (1 + 1e-12)
 
 
 def test_top_eig_clamps_and_symmetrizes():
@@ -172,11 +159,6 @@ def test_openblas_locator_reads_every_symbol_naming(monkeypatch, prefix, suffix)
     assert linalg._openblas_threads.__wrapped__(np) == (get, set_)
     monkeypatch.setattr(linalg.ctypes, "CDLL", lambda path: types.SimpleNamespace())
     assert linalg._openblas_threads.__wrapped__(np) is None
-
-
-def test_spectral_top_rejects_zero_matrix():
-    with pytest.raises(ZeroMatrix):
-        spectral_top(np.zeros((2, 3)))
 
 
 def test_as_matrix_and_as_vector_validate():

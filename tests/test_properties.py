@@ -87,14 +87,15 @@ def test_closed_forms_match_oracles(n, m, p, ka, kd, ke, kind, xi, scalar, seed)
     kinds = (ka, kd, ke)
     full = ("full", "full", "full")
 
-    # The weighted Gram, unstructured and for the drawn kinds, entry by entry,
-    # and the 2-norm values it yields.
+    # The weighted Gram operator on the columns of I_l, unstructured and for
+    # the drawn kinds, entry by entry, and the 2-norm values it yields.
     wmats, chi = weights.block_mats(blocks), weights.chi_vec(blocks.l)
     g = oracles.build_g(sol)
     w2 = np.square(oracles.vec_psi(weights, blocks))
     j_ref = (g * w2[None, :]) @ g.T + np.diag(np.square(chi))
     for ks, ref in ((full, j_ref), (kinds, oracles.structured_j(blocks, sol, weights, triple))):
-        j = pc._assemble_j(sol, wmats, chi, ks)
+        apply = pc._j_operator(sol, wmats, chi, ks)
+        j = np.column_stack([apply(e) for e in np.eye(blocks.l)])
         assert np.allclose(j, ref, rtol=RTOL, atol=RTOL * np.abs(ref).max())
     two = unified_cn(system, weights, xi, "two").value
     assert rel_err(two, oracles.unified_two(blocks, sel, weights, xi)) < RTOL
