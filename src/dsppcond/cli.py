@@ -48,7 +48,7 @@ from .experiments import (
 )
 from .linalg import _blas_single_thread
 from .partial_cn import DOMINANCE_RTOL, PerturbationWeights, SolvedSystem, inf_cn, inf_cn_upper, ncn, ncn_upper
-from .structured import STRUCTURE_KINDS, StructureTriple, structured_inf_cn, structured_ncn
+from .structured import StructureTriple, structured_inf_cn, structured_ncn
 
 USAGE_EXIT = 2
 MISSING_FILE_EXIT = 3
@@ -125,7 +125,7 @@ def parse_cn_list(text: str) -> list[str]:
     return list(CN_FLAVORS) if text == "all" else _parse_choices(text, CN_FLAVORS, "cn flavor")
 
 
-def parse_structure_spec(text: str) -> dict:
+def parse_structure_spec(text: str) -> StructureTriple:
     """Parse 'A=symmetric,D=toeplitz,E=toeplitz'; omitted blocks mean full."""
     kinds = {}
     for item in text.split(","):
@@ -140,14 +140,12 @@ def parse_structure_spec(text: str) -> dict:
         kind = _STRUCTURE_ALIASES.get(kind, kind)
         if key not in ("A", "D", "E"):
             raise ValueError(f"structure applies to blocks A, D, E, not {key!r}")
-        if kind not in STRUCTURE_KINDS:
-            raise ValueError(f"unknown structure kind {kind!r}, choose from {', '.join(STRUCTURE_KINDS)}")
         if key in kinds:
             raise ValueError(f"block {key} appears twice in the structure spec")
         kinds[key] = kind
     if not kinds:
         raise ValueError("empty structure spec")
-    return {"A": kinds.get("A", "full"), "D": kinds.get("D", "full"), "E": kinds.get("E", "full")}
+    return StructureTriple(kinds.get("A", "full"), kinds.get("D", "full"), kinds.get("E", "full"))
 
 
 def parse_selector_list(text: str) -> list[str]:
@@ -228,7 +226,7 @@ def _check_dominance(value: float, upper: float, label: str) -> None:
         raise DominanceViolation(f"{label} = {value!r} exceeds its bound {upper!r}")
 
 
-def _analyze_payload(args, structure_kinds: dict | None) -> str:
+def _analyze_payload(args, triple: StructureTriple | None) -> str:
     doc = _load_json(args.input)
     blocks = problem_from_dict(doc)
     sel = _selector_from(args.selector, doc, blocks.n, blocks.m, blocks.p)
@@ -237,13 +235,6 @@ def _analyze_payload(args, structure_kinds: dict | None) -> str:
     system = SolvedSystem.of(blocks, sel)
     psi = norm_fro_system(blocks)
     chi = float(np.linalg.norm(blocks.b, 2))
-
-    triple = None
-    if structure_kinds is not None:
-        triple = StructureTriple.from_kinds(
-            structure_kinds["A"], structure_kinds["D"], structure_kinds["E"],
-            blocks.n, blocks.m, blocks.p,
-        )
 
     values: dict[str, float] = {}
     uppers: dict[str, float] = {}
@@ -275,8 +266,8 @@ def _analyze_payload(args, structure_kinds: dict | None) -> str:
     meta = report_meta()
     meta["command"] = args.command
     meta["selector"] = args.selector
-    if structure_kinds is not None:
-        meta["structure"] = ",".join(f"{k}={structure_kinds[k]}" for k in ("A", "D", "E"))
+    if triple is not None:
+        meta["structure"] = ",".join(f"{k}={v}" for k, v in zip("ADE", triple))
 
     if args.format == "json":
         payload = {
@@ -288,7 +279,7 @@ def _analyze_payload(args, structure_kinds: dict | None) -> str:
         }
         if args.upper_bounds:
             payload["upper_bounds"] = uppers
-        if structure_kinds is not None:
+        if triple is not None:
             payload["structured_cn"] = structured_values
         return json.dumps(payload, indent=2) + "\n"
 
@@ -306,8 +297,8 @@ def _analyze_payload(args, structure_kinds: dict | None) -> str:
 
 
 def _cmd_analyze(args) -> str:
-    kinds = parse_structure_spec(args.structure) if args.structure else None
-    return _analyze_payload(args, kinds)
+    triple = parse_structure_spec(args.structure) if args.structure else None
+    return _analyze_payload(args, triple)
 
 
 def _cmd_structured(args) -> str:

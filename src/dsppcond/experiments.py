@@ -156,8 +156,7 @@ def gen_example2(q: int, seed) -> tuple[DsppBlocks, StructureTriple]:
         A=a, B=bmat, C=cmat,
         D=scipy.linalg.toeplitz(dgen), E=scipy.linalg.toeplitz(egen), b=rhs,
     )
-    triple = StructureTriple.from_kinds("symmetric", "toeplitz_sym", "toeplitz_sym", n, m, p)
-    return blocks, triple
+    return blocks, StructureTriple("symmetric", "toeplitz_sym", "toeplitz_sym")
 
 
 @dataclass(frozen=True)
@@ -333,9 +332,7 @@ def _experiment_row(family, q, idx, kind, s, seed, structured) -> ExperimentRow:
     gen_seed, pert_seed = _row_seeds(seed, q, idx)
     if family == "example1":
         blocks = gen_example1(q, gen_seed)
-        triple = StructureTriple.from_kinds(
-            "symmetric", "toeplitz_sym", "toeplitz_sym", blocks.n, blocks.m, blocks.p
-        ) if structured else None
+        triple = StructureTriple("symmetric", "toeplitz_sym", "toeplitz_sym")
     else:
         blocks, triple = gen_example2(q, gen_seed)
     sel = selector(kind, blocks.n, blocks.m, blocks.p)

@@ -1,10 +1,9 @@
 """Linear structure subspaces and structure-preserving condition numbers.
 
-A structure kind (symmetric, symmetric Toeplitz, diagonal, or full) is encoded
-by a 0/1 basis matrix Phi mapping a generator vector g to vec(M) = Phi g. Each
-vec position belongs to at most one generator, so Phi^T Phi = diag(u^2) with
-integer squared column norms, and membership/extraction are exact scatter and
-gather operations.
+A structure kind (symmetric, symmetric Toeplitz, diagonal, or full) spans a
+subspace of square matrices with a 0/1 basis Phi mapping a generator vector g
+to vec(M) = Phi g. Each vec position belongs to at most one generator, so
+Phi^T Phi = diag(u^2) with integer squared column norms.
 
 Restricting the perturbations of A, D, E to such subspaces (B, C stay
 unstructured) tightens the condition numbers; the 2-norm variant rescales the
@@ -13,17 +12,19 @@ over comparably normalized directions. Each kind contributes one closed-form
 term to the weighted Gram and one to the max-norm numerator, so the
 generator-coordinate map is never formed. Those terms live in
 :mod:`dsppcond.partial_cn`, whose unstructured numbers are the case with every
-kind "full"; this module holds the index map of each kind, the membership
-check, and the structured entry points.
+kind "full". This module holds the structure triple (the kind names of A, D,
+E), the membership check, read off each matrix without Phi, and the
+structured entry points; :func:`structure_basis` builds Phi's index map on
+request, for generator extraction and tests.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dspp import DsppBlocks
 from .errors import DimensionMismatch, NotInSubspace
 from .linalg import _norm_inf
 from .partial_cn import CnValue, PerturbationWeights, SolvedSystem, _as_xi, _data_inf_value, _gram_top
@@ -32,6 +33,59 @@ STRUCTURE_KINDS = ("symmetric", "toeplitz_sym", "diagonal", "full")
 
 # Membership tolerance: residual vs 1e-12 * norm_inf of the matrix.
 MEMBERSHIP_RTOL = 1e-12
+
+
+class StructureTriple(namedtuple("StructureTriple", ("a", "d", "e"))):
+    """Structure kinds of the A, D, E blocks (B and C stay unstructured): the
+    ``kinds`` tuple of :mod:`dsppcond.partial_cn`, for blocks of any size."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: str, d: str, e: str):
+        for kind in (a, d, e):
+            if kind not in STRUCTURE_KINDS:
+                raise ValueError(f"unknown structure kind {kind!r}, choose from {', '.join(STRUCTURE_KINDS)}")
+        return super().__new__(cls, a, d, e)
+
+    _make = classmethod(lambda cls, kinds: cls(*kinds))  # _replace builds through it
+
+    @classmethod
+    def full(cls):
+        return cls("full", "full", "full")
+
+
+def _membership_residual(kind: str, mat: np.ndarray) -> float:
+    """max |M - P(M)| for the projection P onto the subspace of ``kind``,
+    which averages the entries of each generator's support and pins the
+    entries outside every support to 0. At most one dim x dim temporary.
+    """
+    if kind == "full":
+        return 0.0
+    if kind == "diagonal":
+        off = np.abs(mat)
+        np.fill_diagonal(off, 0.0)
+        return float(off.max())
+    if kind == "symmetric":
+        diff = mat - mat.T
+        np.abs(diff, out=diff)
+        return float(diff.max()) / 2.0
+    # toeplitz_sym: generator g > 0 covers the diagonals +g and -g together.
+    resid = 0.0
+    for g in range(mat.shape[0]):
+        band = np.concatenate([np.diagonal(mat, g), np.diagonal(mat, -g)]) if g else np.diagonal(mat)
+        resid = max(resid, float(np.max(np.abs(band - band.mean()))))
+    return resid
+
+
+def _checked_kinds(kinds, mats):
+    """``kinds``, once each of ``mats`` lies in the subspace of its kind. The
+    one accept rule: :class:`NotInSubspace` unless the residual is at most
+    ``MEMBERSHIP_RTOL`` times the matrix's infinity norm."""
+    for kind, mat in zip(kinds, mats):
+        resid = _membership_residual(kind, mat)
+        if resid > MEMBERSHIP_RTOL * _norm_inf(mat):
+            raise NotInSubspace(f"matrix is not {kind} (residual {resid:.3e})")
+    return kinds
 
 
 @dataclass(eq=False)
@@ -57,17 +111,10 @@ class StructureBasis:
         mat = np.asarray(mat, dtype=float)
         if mat.shape != (self.dim, self.dim):
             raise DimensionMismatch(f"expected {self.dim}x{self.dim}, got {mat.shape}")
+        _checked_kinds((self.kind,), (mat,))
         v = mat.flatten(order="F")
         g = np.bincount(self.cols, weights=v[self.rows], minlength=self.generators)
-        g = g / self.counts
-        recon = np.zeros(v.size)
-        recon[self.rows] = g[self.cols]
-        resid = float(np.max(np.abs(v - recon))) if v.size else 0.0
-        if resid > MEMBERSHIP_RTOL * _norm_inf(mat):
-            raise NotInSubspace(
-                f"matrix is not {self.kind} (residual {resid:.3e})"
-            )
-        return g
+        return g / self.counts
 
 
 def structure_basis(kind: str, dim: int) -> StructureBasis:
@@ -99,47 +146,6 @@ def structure_basis(kind: str, dim: int) -> StructureBasis:
     return StructureBasis(kind=kind, dim=dim, rows=rows, cols=cols, counts=counts)
 
 
-@dataclass(frozen=True)
-class StructureTriple:
-    """Structure kinds for the A, D, E blocks (B and C stay unstructured)."""
-
-    a: StructureBasis
-    d: StructureBasis
-    e: StructureBasis
-
-    @classmethod
-    def from_kinds(cls, kind_a: str, kind_d: str, kind_e: str, n: int, m: int, p: int):
-        return cls(
-            a=structure_basis(kind_a, n),
-            d=structure_basis(kind_d, m),
-            e=structure_basis(kind_e, p),
-        )
-
-    @classmethod
-    def full(cls, n: int, m: int, p: int):
-        return cls.from_kinds("full", "full", "full", n, m, p)
-
-    def kinds(self) -> dict:
-        return {"A": self.a.kind, "D": self.d.kind, "E": self.e.kind}
-
-
-def _checked_kinds(triple: StructureTriple, blocks: DsppBlocks) -> tuple:
-    """The A, D, E kinds of ``triple``, once its dimensions match the blocks
-    and A, D, E lie in its subspaces."""
-    want = (blocks.n, blocks.m, blocks.p)
-    got = (triple.a.dim, triple.d.dim, triple.e.dim)
-    if want != got:
-        raise DimensionMismatch(f"structure dims {got} do not match blocks {want}")
-    _check_members(triple, blocks.A, blocks.D, blocks.E)
-    return (triple.a.kind, triple.d.kind, triple.e.kind)
-
-
-def _check_members(triple: StructureTriple, ma, md, me):
-    """Membership of A, D, E (or their weights) in the declared subspaces."""
-    for basis, mat in ((triple.a, ma), (triple.d, md), (triple.e, me)):
-        basis.extract(mat)
-
-
 def structured_ncn(
     system: SolvedSystem, weights: PerturbationWeights, xi, triple: StructureTriple
 ) -> CnValue:
@@ -151,10 +157,11 @@ def structured_ncn(
     place of "full" for A, D, E. Never exceeds the unstructured value for the
     same weights.
     """
-    kinds = _checked_kinds(triple, system.blocks)
+    blocks = system.blocks
+    kinds = _checked_kinds(triple, (blocks.A, blocks.D, blocks.E))
     if not weights.is_scalar:
-        wa, _, _, wd, we = weights.block_mats(system.blocks)
-        _check_members(triple, wa, wd, we)
+        wa, _, _, wd, we = weights.block_mats(blocks)
+        _checked_kinds(triple, (wa, wd, we))
     xivec = _as_xi(xi).resolve(system.lw)
     return CnValue(_gram_top(system, weights, xivec, kinds)[0], "structured2")
 
@@ -168,7 +175,8 @@ def structured_inf_cn(system: SolvedSystem, xi, triple: StructureTriple) -> CnVa
     :func:`~dsppcond.partial_cn.inf_cn`, with the triple's kinds in place of
     "full" for A, D, E.
     """
-    kinds = _checked_kinds(triple, system.blocks)
+    blocks = system.blocks
+    kinds = _checked_kinds(triple, (blocks.A, blocks.D, blocks.E))
     xi = _as_xi(xi)
     if xi.kind not in ("mcn", "ccn"):
         raise ValueError(f"structured_inf_cn supports xi 'mcn' or 'ccn', got {xi.kind!r}")

@@ -17,6 +17,7 @@ from dsppcond.eils import eils_reduce
 from dsppcond.errors import DimensionMismatch
 from dsppcond.linalg import as_vector, ddagger
 from dsppcond.partial_cn import XiChoice, inv_rows
+from dsppcond.structured import structure_basis
 
 
 def unvec(v, rows: int, cols: int) -> np.ndarray:
@@ -49,6 +50,16 @@ def phi(basis) -> scipy.sparse.csc_array:
 def column_norms(basis) -> np.ndarray:
     """The column 2-norms u of Phi."""
     return np.sqrt(np.asarray(phi(basis).power(2).sum(axis=0), dtype=float))
+
+
+def projection_residual(basis, mat) -> np.ndarray:
+    """M - P(M) for the orthogonal projection P onto the structure subspace:
+    unvec(v - Phi ((Phi^T v) / counts)) with v = vec(M) and counts = Phi^T 1,
+    the entry count of each generator's support."""
+    ph = phi(basis)
+    v = np.asarray(mat, dtype=float).flatten(order="F")
+    counts = ph.T @ np.ones(v.size)
+    return unvec(v - ph @ ((ph.T @ v) / counts), basis.dim, basis.dim)
 
 
 def reconstruct(basis, g) -> np.ndarray:
@@ -153,16 +164,17 @@ def inf_numerator(blocks, sel, weights):
 def _phi_s(triple, n, m, p):
     """Block-diagonal basis over vec(A..E): [Phi_A, I_{nm+mp}, Phi_D, Phi_E]."""
     eye_bc = scipy.sparse.identity(n * m + m * p, format="csc")
-    return scipy.sparse.block_diag(
-        [phi(triple.a), eye_bc, phi(triple.d), phi(triple.e)], format="csc"
-    )
+    return scipy.sparse.block_diag([
+        phi(structure_basis(triple.a, n)), eye_bc,
+        phi(structure_basis(triple.d, m)), phi(structure_basis(triple.e, p)),
+    ], format="csc")
 
 
 def _u_s(triple, n, m, p):
     """The column norms of :func:`_phi_s`."""
     return np.concatenate([
-        column_norms(triple.a), np.ones(n * m + m * p),
-        column_norms(triple.d), column_norms(triple.e),
+        column_norms(structure_basis(triple.a, n)), np.ones(n * m + m * p),
+        column_norms(structure_basis(triple.d, m)), column_norms(structure_basis(triple.e, p)),
     ])
 
 
@@ -191,11 +203,11 @@ def structured_two(blocks, sel, weights, xi, triple):
 def structured_numerator(blocks, sel, triple):
     """|L S^{-1} G Phi| |generators of H| + |L S^{-1}| |b|."""
     gen_abs = np.concatenate([
-        np.abs(triple.a.extract(blocks.A)),
+        np.abs(structure_basis(triple.a, blocks.n).extract(blocks.A)),
         np.abs(blocks.B).flatten(order="F"),
         np.abs(blocks.C).flatten(order="F"),
-        np.abs(triple.d.extract(blocks.D)),
-        np.abs(triple.e.extract(blocks.E)),
+        np.abs(structure_basis(triple.d, blocks.m).extract(blocks.D)),
+        np.abs(structure_basis(triple.e, blocks.p).extract(blocks.E)),
     ])
     sol = solve_dspp(blocks)
     rows = inv_rows(blocks, sel)

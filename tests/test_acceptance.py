@@ -226,7 +226,7 @@ def test_criterion_08_structure_basis_algebra():
     for i in range(5):
         n, m, p = (int(v) for v in rng.integers(2, 6, size=3))
         blocks = random_dspp(rng, n, m, p)
-        triple = StructureTriple.full(n, m, p)
+        triple = StructureTriple.full()
         sel = selector(SELECTOR_CYCLE[i % 4], n, m, p)
         psi = norm_fro_system(blocks)
         chi = float(np.linalg.norm(blocks.b, 2))

@@ -25,6 +25,7 @@ from dsppcond.cli import (
 )
 from dsppcond.dspp import DsppBlocks, problem_to_dict
 from dsppcond.errors import ZeroXi
+from dsppcond.structured import StructureTriple
 
 
 def write_json(path, doc):
@@ -67,8 +68,8 @@ def test_parse_cn_list():
 
 def test_parse_structure_spec():
     spec = parse_structure_spec("A=symmetric,D=toeplitz,E=toeplitz")
-    assert spec == {"A": "symmetric", "D": "toeplitz_sym", "E": "toeplitz_sym"}
-    assert parse_structure_spec("D=diagonal") == {"A": "full", "D": "diagonal", "E": "full"}
+    assert spec == StructureTriple("symmetric", "toeplitz_sym", "toeplitz_sym")
+    assert parse_structure_spec("D=diagonal") == StructureTriple("full", "diagonal", "full")
     for bad in ("B=symmetric", "A=circulant", "A=symmetric,A=full", "", "symmetric"):
         with pytest.raises(ValueError):
             parse_structure_spec(bad)

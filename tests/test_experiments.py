@@ -112,7 +112,7 @@ def test_gen_example2_frozen_values():
     assert np.array_equal(blocks.E[:, 0], egen)
     assert np.array_equal(blocks.E, blocks.E.T)
     assert np.array_equal(blocks.b, rhs)
-    assert triple.kinds() == {"A": "symmetric", "D": "toeplitz_sym", "E": "toeplitz_sym"}
+    assert triple == ("symmetric", "toeplitz_sym", "toeplitz_sym")
 
 
 def test_generators_reject_bad_arguments():

@@ -224,7 +224,7 @@ def test_chunked_numerator_matches_materialized(monkeypatch):
         assert rel_err(got, want) < 1e-12
         # The structured symmetric and Toeplitz terms share the pair kernel.
         sym = symmetric_toeplitz_from(blocks)
-        triple = StructureTriple.from_kinds("symmetric", "toeplitz_sym", "toeplitz_sym", n, m, p)
+        triple = StructureTriple("symmetric", "toeplitz_sym", "toeplitz_sym")
         want_s = oracles.structured_inf(sym, sel, "ccn", triple)
         got_s = structured_inf_cn(SolvedSystem.of(sym, sel), "ccn", triple).value
         assert rel_err(got_s, want_s) < 1e-12
@@ -266,7 +266,7 @@ def test_shared_numerator_runs_pair_kernel_once_per_block(monkeypatch):
     rng = np.random.default_rng(35)
     blocks = symmetric_toeplitz_from(random_dspp(rng, 4, 3, 2))
     system = SolvedSystem.of(blocks, selector("full", 4, 3, 2))
-    triple = StructureTriple.from_kinds("full", "toeplitz_sym", "toeplitz_sym", 4, 3, 2)
+    triple = StructureTriple("full", "toeplitz_sym", "toeplitz_sym")
     weight_shapes = []
     pair_sum = pc._pair_sum
 

@@ -16,7 +16,7 @@ from conftest import rel_err
 from dsppcond.dspp import DsppBlocks, Solution, norm_fro_system, selector
 from dsppcond.eils import EilsProblem, eils_cn, eils_reduce
 from dsppcond.errors import IndefiniteProblem, RankDeficientC
-from dsppcond.linalg import _norm_upper, top_eig
+from dsppcond.linalg import _norm_inf, _norm_upper, top_eig
 from dsppcond.partial_cn import (
     DOMINANCE_RTOL,
     PerturbationWeights,
@@ -28,8 +28,10 @@ from dsppcond.partial_cn import (
     unified_cn,
 )
 from dsppcond.structured import (
+    MEMBERSHIP_RTOL,
     STRUCTURE_KINDS,
     StructureTriple,
+    _membership_residual,
     structure_basis,
     structured_inf_cn,
     structured_ncn,
@@ -52,21 +54,20 @@ def in_subspace(rng, kind, dim, nonnegative=False):
 
 
 def structured_instance(rng, n, m, p, triple):
-    kinds = (triple.a.kind, triple.d.kind, triple.e.kind)
     blocks = DsppBlocks(
-        A=in_subspace(rng, kinds[0], n),
+        A=in_subspace(rng, triple.a, n),
         B=rng.standard_normal((m, n)),
         C=rng.standard_normal((p, m)),
-        D=in_subspace(rng, kinds[1], m),
-        E=in_subspace(rng, kinds[2], p),
+        D=in_subspace(rng, triple.d, m),
+        E=in_subspace(rng, triple.e, p),
         b=rng.standard_normal(n + m + p),
     )
     weights = PerturbationWeights.entrywise(
-        in_subspace(rng, kinds[0], n, True),
+        in_subspace(rng, triple.a, n, True),
         np.abs(rng.standard_normal((m, n))),
         np.abs(rng.standard_normal((p, m))),
-        in_subspace(rng, kinds[1], m, True),
-        in_subspace(rng, kinds[2], p, True),
+        in_subspace(rng, triple.d, m, True),
+        in_subspace(rng, triple.e, p, True),
         np.abs(rng.standard_normal(n + m + p)),
     )
     return blocks, weights
@@ -77,7 +78,7 @@ def structured_instance(rng, n, m, p, triple):
        xi=st.sampled_from(("ncn", "mcn", "ccn")), scalar=st.booleans(), seed=seeds)
 def test_closed_forms_match_oracles(n, m, p, ka, kd, ke, kind, xi, scalar, seed):
     rng = np.random.default_rng(seed)
-    triple = StructureTriple.from_kinds(ka, kd, ke, n, m, p)
+    triple = StructureTriple(ka, kd, ke)
     blocks, weights = structured_instance(rng, n, m, p, triple)
     if scalar:
         weights = PerturbationWeights.scalar(*rng.uniform(0.5, 2.0, size=2))
@@ -229,12 +230,34 @@ def test_certified_norm_end_dominates_dense_oracle(k, extra, rank_frac, repeats,
 
 
 @SETTINGS
+@given(kind=kinds, dim=st.integers(1, 12), factor=st.sampled_from((0.0, 0.5, 2.0)),
+       j=st.integers(-30, 30), seed=seeds)
+def test_membership_residual_matches_projection_oracle(kind, dim, factor, j, seed):
+    """The per-kind residual equals max |M - P(M)| of the materialized
+    projection to a few ulps of ||M||_inf, and both accept or reject alike:
+    in-subspace matrices, and ones moved off the subspace by 0.5x and 2x
+    the tolerance (no such direction exists for "full" or at dim 1)."""
+    rng = np.random.default_rng(seed)
+    basis = structure_basis(kind, dim)
+    mat = 2.0**j * oracles.reconstruct(basis, rng.standard_normal(basis.generators))
+    off = oracles.projection_residual(basis, rng.standard_normal((dim, dim)))
+    top = float(np.abs(off).max())
+    if top > 0:
+        mat = mat + off * (factor * MEMBERSHIP_RTOL * _norm_inf(mat) / top)
+    tol = MEMBERSHIP_RTOL * _norm_inf(mat)
+    want = float(np.abs(oracles.projection_residual(basis, mat)).max())
+    got = _membership_residual(kind, mat)
+    assert abs(got - want) <= 4 * np.finfo(float).eps * _norm_inf(mat)
+    assert (got <= tol) == (want <= tol) == (factor < 1 or top == 0)
+
+
+@SETTINGS
 @given(n=dims, m=dims, p=dims, ka=kinds, kd=kinds, ke=kinds, kind=selectors,
        j=st.integers(-60, 60), seed=seeds)
 def test_numbers_invariant_under_data_scaling(n, m, p, ka, kd, ke, kind, j, seed):
     """(A..E, b) -> 2^j (A..E, b) leaves w, and so every number, unchanged."""
     rng = np.random.default_rng(seed)
-    triple = StructureTriple.from_kinds(ka, kd, ke, n, m, p)
+    triple = StructureTriple(ka, kd, ke)
     blocks, _ = structured_instance(rng, n, m, p, triple)
     alpha = 2.0**j
     scaled = DsppBlocks(*(alpha * v for v in (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E, blocks.b)))
@@ -263,7 +286,7 @@ def test_numbers_invariant_under_data_scaling(n, m, p, ka, kd, ke, kind, j, seed
        order=st.permutations(range(11)), seed=seeds)
 def test_shared_system_matches_fresh_systems(n, m, p, ka, kd, ke, kind, order, seed):
     rng = np.random.default_rng(seed)
-    triple = StructureTriple.from_kinds(ka, kd, ke, n, m, p)
+    triple = StructureTriple(ka, kd, ke)
     blocks, weights = structured_instance(rng, n, m, p, triple)
     sel = selector(kind, n, m, p)
     psi, chi = (float(v) for v in rng.uniform(0.5, 2.0, size=2))

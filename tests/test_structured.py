@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
 from conftest import random_dspp, rel_err
@@ -14,6 +15,7 @@ from dsppcond.partial_cn import DOMINANCE_RTOL, PerturbationWeights, SolvedSyste
 from dsppcond.structured import (
     STRUCTURE_KINDS,
     StructureTriple,
+    _checked_kinds,
     structure_basis,
     structured_inf_cn,
     structured_ncn,
@@ -142,7 +144,7 @@ def test_full_triple_degenerates_to_unstructured():
     rng = np.random.default_rng(41)
     for _ in range(5):
         n, m, p = (int(v) for v in rng.integers(2, 5, size=3))
-        triple = StructureTriple.full(n, m, p)
+        triple = StructureTriple.full()
         blocks = random_dspp(rng, n, m, p)
         psi = float(np.linalg.norm(assemble(blocks)))
         chi = float(np.linalg.norm(blocks.b))
@@ -161,7 +163,7 @@ def test_structured_never_exceeds_unstructured():
     rng = np.random.default_rng(42)
     for _ in range(6):
         n, m, p = (int(v) for v in rng.integers(2, 6, size=3))
-        triple = StructureTriple.from_kinds("symmetric", "toeplitz_sym", "toeplitz_sym", n, m, p)
+        triple = StructureTriple("symmetric", "toeplitz_sym", "toeplitz_sym")
         blocks = symmetric_toeplitz_instance(rng, n, m, p)
         psi = float(np.linalg.norm(assemble(blocks)))
         chi = float(np.linalg.norm(blocks.b))
@@ -180,19 +182,16 @@ def test_structured_flavor_labels_and_validation():
     blocks = symmetric_toeplitz_instance(rng, 3, 3, 2)
     sel = selector("x", 3, 3, 2)
     system = SolvedSystem.of(blocks, sel)
-    triple = StructureTriple.from_kinds("symmetric", "toeplitz_sym", "toeplitz_sym", 3, 3, 2)
+    triple = StructureTriple("symmetric", "toeplitz_sym", "toeplitz_sym")
     weights = PerturbationWeights.scalar(1.0, 1.0)
     assert structured_ncn(system, weights, "ncn", triple).flavor == "structured2"
-    assert triple.kinds() == {"A": "symmetric", "D": "toeplitz_sym", "E": "toeplitz_sym"}
+    assert triple == ("symmetric", "toeplitz_sym", "toeplitz_sym")
     with pytest.raises(ValueError):
         structured_inf_cn(system, "ncn", triple)
-    bad = StructureTriple(
-        a=structure_basis("symmetric", 4),
-        d=structure_basis("toeplitz_sym", 3),
-        e=structure_basis("toeplitz_sym", 2),
-    )
-    with pytest.raises(DimensionMismatch):
-        structured_ncn(system, weights, "ncn", bad)
+    for make in (lambda: StructureTriple("circulant", "full", "full"),
+                 lambda: triple._replace(d="circulant")):
+        with pytest.raises(ValueError):
+            make()
     with pytest.raises(NotInSubspace):
         structured_ncn(SolvedSystem.of(random_dspp(rng, 3, 3, 2), sel), weights, "ncn", triple)
 
@@ -212,3 +211,28 @@ def test_structured_memory_stays_within_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 128 * 2**20
+
+
+def test_membership_check_memory_stays_within_two_blocks():
+    # The check reads each kind off the matrix itself; the index maps of
+    # structure_basis alone were several dim^2 int64 arrays.
+    rng = np.random.default_rng(44)
+    dim = 1024
+    dense = rng.standard_normal((dim, dim))
+    members = {
+        "symmetric": dense + dense.T,
+        "toeplitz_sym": scipy.linalg.toeplitz(rng.standard_normal(dim)),
+        "diagonal": np.diag(rng.standard_normal(dim)),
+        "full": dense,
+    }
+    for kind, mat in members.items():
+        tracemalloc.start()
+        try:
+            _checked_kinds((kind,), (mat,))
+            if kind != "full":
+                with pytest.raises(NotInSubspace):
+                    _checked_kinds((kind,), (dense,))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * dense.nbytes + 2**20, kind
