@@ -7,9 +7,10 @@ squares file), and ``structured`` (structure-respecting condition numbers).
 
 Exit codes: 0 success, 2 usage error, 3 input file not found, 4 malformed
 input, 5 numerical failure (singular system, zero normalizer, violated
-dominance). Failures with code 3, 4 or 5 write a machine-readable JSON
-error record to --out when given, else to stdout. Output is deterministic:
-the same command produces byte-identical bytes on every run.
+dominance, a failing LAPACK routine). Failures with code 3, 4 or 5 write a
+machine-readable JSON error record to --out when given, else to stdout.
+Output is deterministic: the same command produces byte-identical bytes on
+every run.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -63,6 +65,7 @@ _MALFORMED_ERRORS = (
     DimensionMismatch,
 )
 _NUMERICAL_ERRORS = (
+    np.linalg.LinAlgError,
     SingularMatrix,
     ZeroXi,
     IncompatibleZeroPattern,
@@ -231,6 +234,12 @@ def _analyze_payload(args, triple: StructureTriple | None) -> str:
     blocks = problem_from_dict(doc)
     sel = _selector_from(args.selector, doc, blocks.n, blocks.m, blocks.p)
     flavors = parse_cn_list(args.cn)
+    # Every number but the weights is invariant under exact power-of-two scaling
+    # of (S, b): take max |entry| into [1/2, 1), where psi^2 cannot over/underflow.
+    data = (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E, blocks.b)
+    scale = math.frexp(max(max(a.max(), -a.min()) for a in data))[1]
+    for a in data:
+        np.ldexp(a, -scale, out=a)
 
     system = SolvedSystem.of(blocks, sel)
     psi = norm_fro_system(blocks)
@@ -274,7 +283,7 @@ def _analyze_payload(args, triple: StructureTriple | None) -> str:
             "meta": meta,
             "selector": args.selector,
             "dims": {"n": blocks.n, "m": blocks.m, "p": blocks.p, "l": blocks.l, "k": sel.k},
-            "weights": {"psi": psi, "chi": chi},
+            "weights": {"psi": math.ldexp(psi, scale), "chi": math.ldexp(chi, scale)},
             "cn": values,
         }
         if args.upper_bounds:
@@ -393,15 +402,15 @@ def main(argv=None) -> int:
     try:
         with _blas_single_thread(np):
             text = _COMMANDS[args.command](args)
-    except ValueError as exc:
-        print(f"dsppcond: usage error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
     except FileNotFoundError as exc:
         return _fail(exc, MISSING_FILE_EXIT, out_path)
     except _MALFORMED_ERRORS as exc:
         return _fail(exc, MALFORMED_EXIT, out_path)
-    except _NUMERICAL_ERRORS as exc:
+    except _NUMERICAL_ERRORS as exc:  # before ValueError, which LinAlgError subclasses
         return _fail(exc, NUMERICAL_EXIT, out_path)
+    except ValueError as exc:
+        print(f"dsppcond: usage error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
     _write_output(text, out_path)
     return 0
 

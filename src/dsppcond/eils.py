@@ -34,7 +34,7 @@ from .errors import (
     SingularMatrix,
 )
 from .linalg import _norm_inf, as_matrix, as_vector
-from .partial_cn import CnValue, PerturbationWeights, SolvedSystem, _as_xi, unified_cn
+from .partial_cn import CnValue, PerturbationWeights, SolvedSystem, _as_xi, _positive, unified_cn
 
 # Rank tolerance for the constraint matrix, relative to its inf-norm.
 RANK_RTOL = 1e-10
@@ -149,30 +149,13 @@ def solve_eils(prob: EilsProblem, sol: Solution) -> EilsSolution:
 
 
 def _eils_weights(blocks: DsppBlocks, psi, chi) -> PerturbationWeights:
-    """Entrywise weights of the embedded system: (M, C) and (b, d) as given,
-    zero on A, D, E and on the middle right-hand side block."""
+    """Weights of the embedded system: (M, C) and (b, d) as given (a scalar must
+    be positive, and stays a number), 0 on A, D, E and the middle of b."""
     n, m, p = blocks.n, blocks.m, blocks.p
-    if np.isscalar(psi):
-        psi = float(psi)
-        if not psi > 0:
-            raise ValueError("scalar weight must be positive")
-        psi_m, psi_c = np.full((n, m), psi), np.full((p, m), psi)
-    else:
-        psi_m, psi_c = (np.asarray(w, dtype=float) for w in psi)
-        if psi_m.shape != (n, m) or psi_c.shape != (p, m):
-            raise DimensionMismatch("entrywise weights must be shaped like M and C")
-    if np.isscalar(chi):
-        chi = float(chi)
-        if not chi > 0:
-            raise ValueError("scalar weight must be positive")
-        chi = np.full(n + p, chi)
-    else:
-        chi = as_vector(chi, "chi")
-        if chi.size != n + p:
-            raise DimensionMismatch(f"chi must have length {n + p}")
+    psi_m, psi_c = (_positive(psi),) * 2 if np.isscalar(psi) else psi
+    chi = np.full(n + p, _positive(chi)) if np.isscalar(chi) else as_vector(chi, "chi")
     return PerturbationWeights.entrywise(
-        np.zeros((n, n)), psi_m.T, psi_c, np.zeros((m, m)), np.zeros((p, p)),
-        np.concatenate([chi[:n], np.zeros(m), chi[n:]]),
+        0.0, np.transpose(psi_m), psi_c, 0.0, 0.0, np.concatenate([chi[:n], np.zeros(m), chi[n:]])
     )
 
 

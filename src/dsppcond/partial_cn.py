@@ -8,9 +8,11 @@ perturbations (dA, dB, dC, dD, dE, db) to the observed part L w:
 
 over admissible perturbation directions, where dw is the first-order response
 and the weights Psi (per data block) and chi (right-hand side) define what
-"relative" means. Taking tau = gamma = 2 with the 2-norm of L w as normalizer
-gives the normwise number; tau = gamma = inf with Psi = H, chi = b gives the
-mixed (max-norm normalizer) and componentwise (entrywise normalizer) numbers.
+"relative" means: each is a number or a matrix (chi: a vector), a number psi
+standing for the constant matrix psi 11^T. Taking tau = gamma = 2 with the
+2-norm of L w as normalizer and numbers Psi, chi gives the normwise number;
+tau = gamma = inf with Psi = H, chi = b gives the mixed (max-norm
+normalizer) and componentwise (entrywise normalizer) numbers.
 
 The first-order response is dw = -S^{-1} [G, -I] [vec(dH); db] with G the
 l x s sensitivity matrix assembled from x, y, z (s = n^2 + nm + mp + m^2 + p^2).
@@ -71,60 +73,70 @@ class CnValue:
         object.__setattr__(self, "value", v)
 
 
+def _positive(v) -> float:
+    """A scalar weight, which must be a positive finite number."""
+    if not 0.0 < float(v) < np.inf:
+        raise ValueError("scalar weight must be positive and finite")
+    return float(v)
+
+
+def _weight(w, name: str, coerce):
+    """A block weight: a finite number as a float, an array through ``coerce``."""
+    if np.ndim(w):
+        return coerce(w, name)
+    if not np.isfinite(float(w)):
+        raise ValueError(f"{name} is not finite")
+    return float(w)
+
+
 @dataclass(frozen=True)
 class PerturbationWeights:
     """Weights defining admissible perturbations and their size.
 
-    Scalar mode: one positive Psi for all data blocks and one positive chi for
-    the right-hand side. Entrywise mode: five matrices shaped like A, B, C, D,
-    E plus a length-l vector; a zero weight entry pins the corresponding
-    perturbation entry to zero.
+    ``psi`` holds the weights of A, B, C, D, E, each a finite number or a
+    matrix shaped like its block, and ``chi`` that of b, a number or a
+    length-l vector. A number stands for the constant matrix (vector) of
+    that value; a zero weight entry pins its perturbation entry to zero.
     """
 
-    mode: str
-    psi_scalar: float | None = None
-    chi_scalar: float | None = None
-    psi_blocks: tuple | None = None
-    chi_vector: np.ndarray | None = None
+    psi: tuple
+    chi: float | np.ndarray
+
+    def __post_init__(self):
+        named = zip(self.psi, "ABCDE", strict=True)
+        object.__setattr__(self, "psi", tuple(_weight(w, f"weight for {n}", as_matrix) for w, n in named))
+        object.__setattr__(self, "chi", _weight(self.chi, "chi", as_vector))
 
     @classmethod
     def scalar(cls, psi: float, chi: float) -> "PerturbationWeights":
-        psi, chi = float(psi), float(chi)
-        if not (psi > 0 and chi > 0):
-            raise ValueError("scalar weights must be positive")
-        return cls(mode="scalar", psi_scalar=psi, chi_scalar=chi)
+        """One positive number for all data blocks and one for the right-hand side."""
+        return cls((_positive(psi),) * 5, _positive(chi))
 
     @classmethod
     def entrywise(cls, psi_a, psi_b, psi_c, psi_d, psi_e, chi) -> "PerturbationWeights":
-        mats = (psi_a, psi_b, psi_c, psi_d, psi_e)
-        blocks = tuple(as_matrix(w, f"weight for {name}") for w, name in zip(mats, "ABCDE"))
-        return cls(mode="entrywise", psi_blocks=blocks, chi_vector=as_vector(chi, "chi"))
+        return cls((psi_a, psi_b, psi_c, psi_d, psi_e), chi)
 
     @classmethod
     def from_problem(cls, blocks: DsppBlocks) -> "PerturbationWeights":
         """The relative-to-the-data choice Psi = H, chi = b."""
         return cls.entrywise(blocks.A, blocks.B, blocks.C, blocks.D, blocks.E, blocks.b)
 
-    @property
-    def is_scalar(self) -> bool:
-        return self.mode == "scalar"
-
-    def block_mats(self, blocks: DsppBlocks) -> tuple:
-        """The five weight matrices, expanding scalar mode to constant blocks."""
-        shapes = [blocks.A, blocks.B, blocks.C, blocks.D, blocks.E]
-        if self.is_scalar:
-            return tuple(np.full(b.shape, self.psi_scalar) for b in shapes)
-        for w, b, name in zip(self.psi_blocks, shapes, "ABCDE"):
-            if w.shape != b.shape:
+    def for_blocks(self, blocks: DsppBlocks) -> tuple:
+        """``(psi, chi)``, once every matrix weight has its block's shape and a
+        vector chi length l; numbers are returned as numbers."""
+        for w, b, name in zip(self.psi, (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E), "ABCDE"):
+            if np.ndim(w) and w.shape != b.shape:
                 raise DimensionMismatch(f"weight for {name} has shape {w.shape}, expected {b.shape}")
-        return self.psi_blocks
+        if np.ndim(self.chi) and self.chi.size != blocks.l:
+            raise DimensionMismatch(f"chi has length {self.chi.size}, expected {blocks.l}")
+        return self.psi, self.chi
 
-    def chi_vec(self, l: int) -> np.ndarray:
-        if self.is_scalar:
-            return np.full(l, self.chi_scalar)
-        if self.chi_vector.size != l:
-            raise DimensionMismatch(f"chi has length {self.chi_vector.size}, expected {l}")
-        return self.chi_vector
+
+def _expand(psi, sol: Solution) -> tuple:
+    """The five block weights as arrays shaped like A .. E; a number becomes a
+    zero-stride view (``np.broadcast_to``), so no block-sized array holds it."""
+    n, m, p = sol.x.size, sol.y.size, sol.z.size
+    return tuple(np.broadcast_to(w, s) for w, s in zip(psi, ((n, n), (m, n), (p, m), (m, m), (p, p))))
 
 
 @dataclass(frozen=True)
@@ -209,7 +221,7 @@ def _kind_op(kind: str, w2, v):
     return lambda u: vmat @ (c * (u @ vmat))
 
 
-def _j_operator(sol: Solution, wmats, chi, kinds):
+def _j_operator(sol: Solution, psi, chi, kinds):
     """u -> J u for the l x l weighted Gram
     J = G diag(w) Phi U^{-2} Phi^T diag(w) G^T + diag(chi^2), applied
     blockwise in closed form (no Kronecker, no l x l array).
@@ -217,24 +229,24 @@ def _j_operator(sol: Solution, wmats, chi, kinds):
     Phi is the 0/1 basis of the perturbations, with dA, dD, dE in the
     structure ``kinds`` and dB, dC unstructured, and U its column norms;
     with ``kinds`` all "full", Phi = U = I and this is the unstructured J.
-    ``wmats`` are weight matrices shaped like A .. E, squared once entrywise
-    (W2 = W * W):
+    ``psi`` are the block weights of :class:`PerturbationWeights`, squared
+    once entrywise (W2 = W * W):
 
         xx: diag(W2_B^T y^2) + K_A(x),   zz: diag(W2_C y^2) + K_E(z),
         yy: diag(W2_B x^2 + W2_C^T z^2) + K_D(y),
         xy: (W2_B o y x^T)^T,   yz: (W2_C o z y^T)^T,   xz: 0
 
     with K_M the :func:`_kind_op` term of M's kind (diag(W2_M v^2) for
-    "full"). Scalar weights enter as constant matrices (see
-    :meth:`PerturbationWeights.block_mats`). One product costs
-    2 (nm + mp) for the off-diagonal blocks plus the kind terms.
+    "full"). A number weight enters as a zero-stride view of its square
+    (:func:`_expand`). One product costs 2 (nm + mp) for the off-diagonal
+    blocks plus the kind terms.
     """
     x, y, z = sol.x, sol.y, sol.z
     n, m = x.size, y.size
-    wa, wb, wc, wd, we = (np.square(w) for w in wmats)
+    wa, wb, wc, wd, we = _expand([np.square(w) for w in psi], sol)
     ka, kd, ke = (_kind_op(*args) for args in zip(kinds, (wa, wd, we), (x, y, z)))
     y2 = np.square(y)
-    d = np.square(chi)
+    d = np.square(np.broadcast_to(chi, n + m + z.size))
     d[:n] += wb.T @ y2
     d[n : n + m] += wb @ np.square(x) + wc.T @ np.square(z)
     d[n + m :] += wc @ y2
@@ -398,12 +410,11 @@ def _scalar_j_norm(sol: Solution, psi: float) -> float:
 def _gram_top(system: SolvedSystem, weights: PerturbationWeights, xivec, kinds=_UNSTRUCTURED):
     """sigma = sqrt(lam) and u for the top eigenpair of the k x k Gram
     Xi L S^{-1} J (L S^{-1})^T Xi, with J the :func:`_j_operator` of the
-    A, D, E structure ``kinds``, applied as v -> T J(T^T v) with
-    T = Xi L S^{-1}, so neither the Gram nor J is ever formed."""
-    blocks = system.blocks
-    j = _j_operator(system.sol, weights.block_mats(blocks), weights.chi_vec(blocks.l), kinds)
-    t = ddagger(xivec)[:, None] * system.rows
-    lam, u = top_eig(lambda v: t @ j(v @ t), t.shape[0])
+    A, D, E structure ``kinds``, applied as v -> Xi L S^{-1} J((L S^{-1})^T Xi v)
+    on k-vectors, so neither the Gram, J, nor Xi L S^{-1} is ever formed."""
+    j = _j_operator(system.sol, *weights.for_blocks(system.blocks), kinds)
+    xd, rows = ddagger(xivec), system.rows
+    lam, u = top_eig(lambda v: xd * (rows @ j((xd * v) @ rows)), rows.shape[0])
     return float(np.sqrt(lam)), u
 
 
@@ -413,18 +424,19 @@ def unified_cn(system: SolvedSystem, weights: PerturbationWeights, xi, norm: str
     The 2-norm value is the square root of the top eigenvalue of the k x k
     Gram Xi L S^{-1} J (L S^{-1})^T Xi, with J from :func:`_j_operator`; the
     max-norm value goes through the exact numerator over the nonzero
-    weights. Both are the all-"full" structured numbers, and hold for scalar
-    and entrywise weights alike.
+    weights, with a number weight expanded to a zero-stride view of its
+    absolute value. Both are the all-"full" structured numbers.
     """
     if norm not in ("two", "inf"):
         raise ValueError(f"norm must be 'two' or 'inf', got {norm!r}")
     xivec = _as_xi(xi).resolve(system.lw)
     if norm == "two":
         return CnValue(_gram_top(system, weights, xivec)[0], "unified2")
-    blocks, sol, rows = system.blocks, system.sol, system.rows
-    wa, wb, wc, wd, we = (np.abs(w) for w in weights.block_mats(blocks))
+    sol, rows = system.sol, system.rows
+    psi, chi = weights.for_blocks(system.blocks)
+    wa, wb, wc, wd, we = _expand([np.abs(w) for w in psi], sol)
     u = _ade_numerator(rows, sol, wa, wd, we, _UNSTRUCTURED)
-    u += _bc_numerator(rows, sol, wb, wc, np.abs(weights.chi_vec(blocks.l)))
+    u += _bc_numerator(rows, sol, wb, wc, np.broadcast_to(np.abs(chi), rows.shape[1]))
     return CnValue(_inf_value(xivec, u), "unifiedInf")
 
 
@@ -448,9 +460,8 @@ def ncn_upper(system: SolvedSystem, psi: float, chi: float) -> CnValue:
     both norms from the Cholesky-certified top end of their explicit Grams
     (:func:`~dsppcond.linalg._norm_upper`), never below the exact norms."""
     xi_l = XiChoice(kind="ncn").resolve(system.lw)[0]
-    weights = PerturbationWeights.scalar(psi, chi)
-    j_top = np.sqrt(_scalar_j_norm(system.sol, weights.psi_scalar))
-    return CnValue(_norm_upper(system.rows) * (j_top + weights.chi_scalar) / xi_l, "ncn_upper")
+    j_top = np.sqrt(_scalar_j_norm(system.sol, _positive(psi)))
+    return CnValue(_norm_upper(system.rows) * (j_top + _positive(chi)) / xi_l, "ncn_upper")
 
 
 def _data_inf_value(system: SolvedSystem, xi: XiChoice, kinds) -> float:
@@ -512,13 +523,9 @@ def definition_ratio(
     dw = first_order_delta(blocks, system.sol, da, db_, dc, dd, de, drhs, lu=system.lu)
     num_vec = ddagger(_as_xi(xi).resolve(system.lw)) * (system.sel.L @ dw)
 
-    wmats = weights.block_mats(blocks)
-    den_parts = [
-        (ddagger(w) * d).flatten(order="F")
-        for w, d in zip(wmats, (da, db_, dc, dd, de))
-    ]
-    den_parts.append(ddagger(weights.chi_vec(blocks.l)) * drhs)
-    den_vec = np.concatenate(den_parts)
+    psi, chi = weights.for_blocks(blocks)
+    den_parts = [(ddagger(w) * d).flatten(order="F") for w, d in zip(psi, (da, db_, dc, dd, de))]
+    den_vec = np.concatenate([*den_parts, ddagger(chi) * drhs])
 
     ords = {"two": 2, "inf": np.inf}[norm]
     den = float(np.linalg.norm(den_vec, ords))
@@ -543,13 +550,12 @@ def extremal_direction(system: SolvedSystem, weights: PerturbationWeights, xi):
     if sigma == 0.0:
         raise ZeroMatrix("the weighted Gram matrix has top eigenvalue 0")
     t = system.rows.T @ (ddagger(xivec) * u) / sigma
-    wmats = weights.block_mats(blocks)
-    chi = weights.chi_vec(blocks.l)
+    psi, chi = weights.for_blocks(blocks)
 
     n, m = blocks.n, blocks.m
     t1, t2, t3 = t[:n], t[n : n + m], t[n + m :]
     x, y, z = sol.x, sol.y, sol.z
-    wa, wb, wc, wd, we = (np.square(w) for w in wmats)
+    wa, wb, wc, wd, we = (np.square(w) for w in psi)
     deltas = (
         wa * np.outer(t1, x),
         wb * (np.outer(y, t1) + np.outer(t2, x)),

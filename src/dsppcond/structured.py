@@ -151,17 +151,19 @@ def structured_ncn(
 ) -> CnValue:
     """2-norm condition number with A, D, E perturbations kept in-structure.
 
-    A, D, E (and entrywise weight blocks for them) must lie in the declared
-    subspaces. The Gram is the one of :func:`~dsppcond.partial_cn.ncn` and
+    A, D, E and their matrix weights must lie in the declared subspaces; a
+    number weight is constant on every generator's support. The Gram is the
+    one of :func:`~dsppcond.partial_cn.ncn` and
     :func:`~dsppcond.partial_cn.unified_cn`, with the triple's kinds in
     place of "full" for A, D, E. Never exceeds the unstructured value for the
     same weights.
     """
     blocks = system.blocks
     kinds = _checked_kinds(triple, (blocks.A, blocks.D, blocks.E))
-    if not weights.is_scalar:
-        wa, _, _, wd, we = weights.block_mats(blocks)
-        _checked_kinds(triple, (wa, wd, we))
+    wa, _, _, wd, we = weights.for_blocks(blocks)[0]
+    for kind, w in zip(kinds, (wa, wd, we)):
+        if np.ndim(w):
+            _checked_kinds((kind,), (w,))
     xivec = _as_xi(xi).resolve(system.lw)
     return CnValue(_gram_top(system, weights, xivec, kinds)[0], "structured2")
 

@@ -1,5 +1,7 @@
 """Shared test helpers: seeded random problems and acceptance reporting."""
 
+import tracemalloc
+
 import numpy as np
 
 from dsppcond import DsppBlocks
@@ -27,6 +29,16 @@ def random_dspp(rng, n, m, p, scale_b=1.0):
 
 def random_sizes(rng, lo=2, hi=8):
     return tuple(int(v) for v in rng.integers(lo, hi + 1, size=3))
+
+
+def traced_peak(fn, *args):
+    """The peak of the memory tracemalloc traces while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def rel_err(got, want):

@@ -123,8 +123,15 @@ def build_j(sol, wa, wb, wc, wd, we):
 
 
 def vec_psi(weights, blocks):
-    """Column-stacked weight vector over all five blocks, in A,B,C,D,E order."""
-    return np.concatenate([w.flatten(order="F") for w in weights.block_mats(blocks)])
+    """Column-stacked weight vector over all five blocks, in A,B,C,D,E order;
+    a number weight is expanded to the constant block it stands for."""
+    mats = (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E)
+    return np.concatenate([np.full(b.shape, w).flatten(order="F") for w, b in zip(weights.psi, mats)])
+
+
+def chi_vec(weights, blocks):
+    """The right-hand-side weight as a length-l vector."""
+    return np.full(blocks.l, weights.chi)
 
 
 def _xi_dagger(blocks, sel, sol, xi):
@@ -137,7 +144,7 @@ def unified_two(blocks, sel, weights, xi):
     matrix Xi L S^{-1} [G, -I] diag(vec(W); chi)."""
     sol = solve_dspp(blocks)
     rows = inv_rows(blocks, sel)
-    scale = np.concatenate([vec_psi(weights, blocks), weights.chi_vec(blocks.l)])
+    scale = np.concatenate([vec_psi(weights, blocks), chi_vec(weights, blocks)])
     mat = np.hstack([rows @ build_g(sol), -rows]) * scale[None, :]
     mat *= _xi_dagger(blocks, sel, sol, xi)[:, None]
     return np.linalg.svd(mat, compute_uv=False)[0] if np.any(mat) else 0.0
@@ -157,7 +164,7 @@ def inf_numerator(blocks, sel, weights):
     sol = solve_dspp(blocks)
     g = build_g(sol)
     vec_w = np.abs(vec_psi(weights, blocks))
-    chi = np.abs(weights.chi_vec(blocks.l))
+    chi = np.abs(chi_vec(weights, blocks))
     return np.abs(rows @ g) @ vec_w + np.abs(rows) @ chi
 
 
@@ -184,7 +191,7 @@ def structured_j(blocks, sol, weights, triple):
     n, m, p = blocks.n, blocks.m, blocks.p
     gw = build_g(sol) * vec_psi(weights, blocks)[None, :]
     gen = (_phi_s(triple, n, m, p).T @ gw.T).T / _u_s(triple, n, m, p)[None, :]
-    return gen @ gen.T + np.diag(np.square(weights.chi_vec(blocks.l)))
+    return gen @ gen.T + np.diag(np.square(chi_vec(weights, blocks)))
 
 
 def structured_two(blocks, sel, weights, xi, triple):
@@ -195,7 +202,7 @@ def structured_two(blocks, sel, weights, xi, triple):
     rows = inv_rows(blocks, sel)
     t = (rows @ build_g(sol)) * vec_psi(weights, blocks)[None, :]
     gen_part = (_phi_s(triple, n, m, p).T @ t.T).T / _u_s(triple, n, m, p)[None, :]
-    rhs_part = -rows * weights.chi_vec(blocks.l)[None, :]
+    rhs_part = -rows * chi_vec(weights, blocks)[None, :]
     mat = np.hstack([gen_part, rhs_part]) * _xi_dagger(blocks, sel, sol, xi)[:, None]
     return np.linalg.svd(mat, compute_uv=False)[0] if np.any(mat) else 0.0
 

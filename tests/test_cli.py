@@ -182,6 +182,19 @@ def test_uncertified_bound_exits_5(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["error"]["type"] == "UncertifiedBound"
 
 
+def test_linalg_error_exits_5(capsys, tmp_path, monkeypatch):
+    # LinAlgError subclasses ValueError, yet a failing kernel is a numerical
+    # failure, not a usage error.
+    def fails(apply, k):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(linalg, "_lanczos", fails)
+    path = write_problem(tmp_path / "prob.json", random_dspp(np.random.default_rng(61), 3, 2, 2))
+    code, out, _ = run(capsys, ["analyze", "--input", path])
+    assert code == NUMERICAL_EXIT
+    assert json.loads(out)["error"]["type"] == "LinAlgError"
+
+
 def test_analyze_json_payload(capsys, tmp_path):
     rng = np.random.default_rng(61)
     blocks = random_dspp(rng, 3, 2, 2)
@@ -316,6 +329,31 @@ def test_structured_command(capsys, tmp_path):
     code, out, _ = run(capsys, ["analyze", "--input", path, "--structure", spec])
     assert code == 0
     assert "structured_cn" in json.loads(out)
+
+
+def test_power_of_two_scaling_leaves_reports_unchanged(capsys, tmp_path):
+    # At 2^530 psi^2 = ||S||_F^2 overflows, at 2^-560 psi underflows to 0;
+    # every reported number is invariant under the exact scaling of (S, b)
+    # except the weights, which scale with it.
+    path = symmetric_toeplitz_problem(tmp_path)
+    doc = json.loads((tmp_path / "structured.json").read_text(encoding="utf-8"))
+    commands = (
+        ["analyze", "--upper-bounds", "--input"],
+        ["structured", "--structure", "A=symmetric,D=toeplitz,E=toeplitz", "--upper-bounds", "--input"],
+    )
+    for argv in commands:
+        code, out, _ = run(capsys, argv + [path])
+        assert code == 0
+        want = json.loads(out)
+        for e in (530, -560):
+            scaled = {k: np.ldexp(v, e).tolist() if k in ("A", "B", "C", "D", "E", "b") else v
+                      for k, v in doc.items()}
+            code, out, _ = run(capsys, argv + [write_json(tmp_path / f"scaled{e}.json", scaled)])
+            assert code == 0
+            got = json.loads(out)
+            for key in ("cn", "upper_bounds", "structured_cn"):
+                assert got.get(key) == want.get(key)
+            assert got["weights"] == {k: float(np.ldexp(v, e)) for k, v in want["weights"].items()}
 
 
 def test_structured_csv_rows(capsys, tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import rel_err
+from conftest import rel_err, traced_peak
 from dsppcond.dspp import DsppBlocks, selector, solve_dspp
 from dsppcond.eils import (
     EilsProblem,
@@ -225,6 +225,17 @@ def test_cn_rejects_nan_weights_before_evaluating():
     nan_m = np.full(prob.M.shape, np.nan)
     with pytest.raises(ValueError, match="weight for B has non-finite"):
         eils_cn(system, (nan_m, np.abs(prob.C)), 1.0, "ncn", "two")
+
+
+def test_eils_cn_memory_budget():
+    # A scalar psi stays a number on M and C, and A, D, E carry the number 0,
+    # so beside the solved system the 2-norm number holds the Lanczos basis
+    # and O(l) vectors, less than the n x n A block itself.
+    n, m, p = 200, 40, 10
+    prob = random_problem(np.random.default_rng(54), n, m, p)
+    system = SolvedSystem.of(eils_reduce(prob), selector("full", n, m, p))
+    psi, chi = default_scalar_weights(prob)
+    assert traced_peak(eils_cn, system, psi, chi, "ncn", "two") < system.blocks.A.nbytes
 
 
 def test_dict_round_trip():

@@ -10,9 +10,10 @@ import pytest
 
 import dsppcond.partial_cn as pc
 import oracles
-from conftest import random_dspp, rel_err
-from dsppcond.dspp import DsppBlocks, Solution, assemble, selector, solve_dspp
+from conftest import random_dspp, rel_err, traced_peak
+from dsppcond.dspp import DsppBlocks, Solution, assemble, norm_fro_system, selector, solve_dspp
 from dsppcond.errors import DimensionMismatch, ZeroMatrix, ZeroXi
+from dsppcond.experiments import gen_example1
 from dsppcond.linalg import ddagger
 from dsppcond.partial_cn import (
     DOMINANCE_RTOL,
@@ -411,7 +412,7 @@ def test_weights_and_xi_validation():
         np.ones((2, 2)), np.ones(6),
     )
     with pytest.raises(DimensionMismatch):
-        wrong.block_mats(blocks)
+        wrong.for_blocks(blocks)
 
 
 def test_entrywise_weights_rejected_at_construction():
@@ -427,6 +428,18 @@ def test_entrywise_weights_rejected_at_construction():
             PerturbationWeights.entrywise(*flat_block, np.ones(6))
     with pytest.raises(ValueError, match="chi has non-finite"):
         PerturbationWeights.entrywise(*ok, np.array([1.0, np.nan, 1.0, 1.0, 1.0, 1.0]))
+
+
+def test_ncn_memory_budget():
+    # Beside the solved system, ncn holds the Lanczos basis (32 k-vectors
+    # until a run needs more) and O(l) vectors: no array shaped like a data
+    # block or like L S^-1. At example1 q = 16 (l = 1024, k = 256 and 1024)
+    # that stays under one 256 x 256 block, a quarter of the 512 x 512 A.
+    blocks = gen_example1(16, 0)
+    psi, chi = norm_fro_system(blocks), float(np.linalg.norm(blocks.b))
+    for kind in ("y", "full"):
+        system = SolvedSystem.of(blocks, selector(kind, blocks.n, blocks.m, blocks.p))
+        assert traced_peak(ncn, system, psi, chi) < 256 * 256 * 8
 
 
 def test_cn_value_validation():

@@ -1,9 +1,10 @@
 """Property tests: the closed forms against the materialized oracles.
 
-Random shapes, selectors, structure kinds on A, D, E, scalar weights or
-entrywise weights inside each subspace, and sparsity masks on B and C; the
-matrix entries come from a drawn numpy seed. Values never exceed their
-upper bounds and do not change when all the data are scaled by one factor.
+Random shapes, selectors, structure kinds on A, D, E, block weights that
+are each a number (0 included) or a matrix inside its subspace, and
+sparsity masks on B and C; the matrix entries come from a drawn numpy
+seed. Values never exceed their upper bounds and do not change when all the
+data are scaled by one factor.
 """
 
 import numpy as np
@@ -45,6 +46,7 @@ kinds = st.sampled_from(STRUCTURE_KINDS)
 selectors = st.sampled_from(("full", "x", "y", "z"))
 seeds = st.integers(0, 2**32 - 1)
 densities = st.sampled_from((0.0, 0.2, 0.5, 1.0))
+weight_forms = st.tuples(*[st.sampled_from(("matrix", "number", "zero"))] * 6)
 
 
 def in_subspace(rng, kind, dim, nonnegative=False):
@@ -75,13 +77,16 @@ def structured_instance(rng, n, m, p, triple):
 
 @SETTINGS
 @given(n=dims, m=dims, p=dims, ka=kinds, kd=kinds, ke=kinds, kind=selectors,
-       xi=st.sampled_from(("ncn", "mcn", "ccn")), scalar=st.booleans(), seed=seeds)
-def test_closed_forms_match_oracles(n, m, p, ka, kd, ke, kind, xi, scalar, seed):
+       xi=st.sampled_from(("ncn", "mcn", "ccn")), forms=weight_forms, seed=seeds)
+def test_closed_forms_match_oracles(n, m, p, ka, kd, ke, kind, xi, forms, seed):
     rng = np.random.default_rng(seed)
     triple = StructureTriple(ka, kd, ke)
     blocks, weights = structured_instance(rng, n, m, p, triple)
-    if scalar:
-        weights = PerturbationWeights.scalar(*rng.uniform(0.5, 2.0, size=2))
+    # Each of the six weights stays a matrix (a vector for chi) or becomes a
+    # number; the oracles expand numbers themselves.
+    numbers = {"number": rng.uniform(0.5, 2.0), "zero": 0.0}
+    drawn = weights.psi + (weights.chi,)
+    weights = PerturbationWeights.entrywise(*(numbers.get(f, w) for f, w in zip(forms, drawn)))
     sel = selector(kind, n, m, p)
     system = SolvedSystem.of(blocks, sel)
     sol, rows = system.sol, system.rows
@@ -90,12 +95,12 @@ def test_closed_forms_match_oracles(n, m, p, ka, kd, ke, kind, xi, scalar, seed)
 
     # The weighted Gram operator on the columns of I_l, unstructured and for
     # the drawn kinds, entry by entry, and the 2-norm values it yields.
-    wmats, chi = weights.block_mats(blocks), weights.chi_vec(blocks.l)
+    psi, chi = weights.for_blocks(blocks)
     g = oracles.build_g(sol)
     w2 = np.square(oracles.vec_psi(weights, blocks))
-    j_ref = (g * w2[None, :]) @ g.T + np.diag(np.square(chi))
+    j_ref = (g * w2[None, :]) @ g.T + np.diag(np.square(oracles.chi_vec(weights, blocks)))
     for ks, ref in ((full, j_ref), (kinds, oracles.structured_j(blocks, sol, weights, triple))):
-        apply = pc._j_operator(sol, wmats, chi, ks)
+        apply = pc._j_operator(sol, psi, chi, ks)
         j = np.column_stack([apply(e) for e in np.eye(blocks.l)])
         assert np.allclose(j, ref, rtol=RTOL, atol=RTOL * np.abs(ref).max())
     two = unified_cn(system, weights, xi, "two").value
@@ -104,9 +109,9 @@ def test_closed_forms_match_oracles(n, m, p, ka, kd, ke, kind, xi, scalar, seed)
     assert rel_err(s_two, oracles.structured_two(blocks, sel, weights, xi, triple)) < RTOL
 
     # The max-norm numerators, entry by entry.
-    wa, wb, wc, wd, we = (np.abs(w) for w in wmats)
+    wa, wb, wc, wd, we = pc._expand([np.abs(w) for w in psi], sol)
     u = pc._ade_numerator(rows, sol, wa, wd, we, full)
-    u += pc._bc_numerator(rows, sol, wb, wc, np.abs(chi))
+    u += pc._bc_numerator(rows, sol, wb, wc, np.abs(oracles.chi_vec(weights, blocks)))
     assert np.allclose(u, oracles.inf_numerator(blocks, sel, weights), rtol=RTOL, atol=0)
     data = [np.abs(v) for v in (blocks.A, blocks.D, blocks.E)]
     u_s = system.bc_numerator + pc._ade_numerator(rows, sol, *data, kinds)
