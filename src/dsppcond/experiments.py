@@ -12,13 +12,21 @@ A, B, C, D, E, b in that order, column-major within each block. Experiment
 rows derive child seeds from SeedSequence((seed, q, selector_index)), so rows
 are independent.
 
+Tasks: rows that share one system matrix run as one task, which factorizes
+it once and solves each part x, y, z of S^{-1} at most once; a row's
+L S^{-1} is a read-only view of those rows. example1's A..E depend on q
+alone, so the selectors of one q share a task; example2 draws D and E per
+row, so each of its rows is a task. A system whose l^3 exceeds about one
+worker's share of the experiment's sum of l^3 is split into several tasks,
+and tasks run largest system first.
+
 Parallelism: every row runs with numpy's and scipy's OpenBLAS on one thread,
-so a report is bitwise the same whatever the core count or
-OPENBLAS_NUM_THREADS, and any subset of rows reproduces in isolation.
-run_experiment computes the rows of a large enough experiment in a pool of
-forked worker processes, one per usable CPU up to one per row and no more
-than free memory holds; the others run in the calling process, with the same
-results.
+and each part of S^{-1} is always solved by the same call, so a report is
+bitwise the same whatever the core count, OPENBLAS_NUM_THREADS or task
+split, and any subset of rows reproduces in isolation. run_experiment
+computes the tasks of a large enough experiment in a pool of forked worker
+processes, one per usable CPU up to one per row and no more than free
+memory holds; the others run in the calling process, with the same results.
 """
 
 from __future__ import annotations
@@ -328,16 +336,54 @@ def _row_seeds(seed, q: int, selector_index: int) -> tuple[int, int]:
     return int(gen_seed), int(pert_seed)
 
 
-def _experiment_row(family, q, idx, kind, s, seed, structured) -> ExperimentRow:
-    gen_seed, pert_seed = _row_seeds(seed, q, idx)
+def _family_system(family: str, q: int, gen_seed: int) -> tuple[DsppBlocks, StructureTriple]:
+    """The family's blocks at size q and the structure of its A, D, E."""
     if family == "example1":
-        blocks = gen_example1(q, gen_seed)
-        triple = StructureTriple("symmetric", "toeplitz_sym", "toeplitz_sym")
-    else:
-        blocks, triple = gen_example2(q, gen_seed)
-    sel = selector(kind, blocks.n, blocks.m, blocks.p)
-    system = SolvedSystem.of(blocks, sel)
+        return gen_example1(q, gen_seed), StructureTriple("symmetric", "toeplitz_sym", "toeplitz_sym")
+    return gen_example2(q, gen_seed)
 
+
+class _FactoredSystem:
+    """One factorized system matrix and the rows of S^{-1} its selectors read.
+
+    L S^{-1} of the selector x, y or z is a set of rows of S^{-1}, and that of
+    "full" is all of them. Each part's rows come from one transposed solve,
+    made at most once, on first use, and written in place into one
+    Fortran-ordered l x l buffer that holds S^{-T}; the pages of a part never
+    asked for are never touched. A part is always solved by the same call,
+    so its rows are bitwise the same whatever selectors share the buffer.
+    """
+
+    def __init__(self, blocks: DsppBlocks):
+        self.blocks = blocks
+        self.lu = factorize(blocks)
+        n, m, l = blocks.n, blocks.m, blocks.l
+        self._parts = {"x": (0, n), "y": (n, n + m), "z": (n + m, l)}
+        self._inv_t = np.zeros((l, l), order="F")
+        self._solved = set()
+
+    def matches(self, blocks: DsppBlocks) -> bool:
+        """Whether ``blocks`` has this system's A..E, entry for entry."""
+        return all(np.array_equal(getattr(self.blocks, name), getattr(blocks, name)) for name in "ABCDE")
+
+    def rows(self, kind: str) -> np.ndarray:
+        """L S^{-1} of the selector ``kind``, a read-only view of the buffer."""
+        for part in self._parts if kind == "full" else (kind,):
+            if part not in self._solved:
+                lo, hi = self._parts[part]
+                cols = self._inv_t[:, lo:hi]
+                cols[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
+                self.lu.solve(cols, transpose=True, overwrite=True)
+                self._solved.add(part)
+        lo, hi = (0, self.blocks.l) if kind == "full" else self._parts[kind]
+        view = self._inv_t.T[lo:hi]
+        view.flags.writeable = False
+        return view
+
+
+def _experiment_row(system: SolvedSystem, triple, q, s, pert_seed, structured) -> ExperimentRow:
+    """Perturb, re-solve, measure and predict for one solved system."""
+    blocks, sel = system.blocks, system.sel
     pert = perturb(blocks, s, pert_seed)
     sol_tilde = solve_dspp(apply_perturbation(blocks, pert))
     r_k, r_m, r_c = forward_errors(system.sol, sol_tilde, sel)
@@ -363,12 +409,34 @@ def _experiment_row(family, q, idx, kind, s, seed, structured) -> ExperimentRow:
             ccn_structured=structured_inf_cn(system, "ccn", triple).value,
         )
     return ExperimentRow(
-        selector=kind, q=int(q),
+        selector=sel.kind, q=int(q),
         r_k=r_k, k2=eps1 * cn2, k2_upper=eps1 * cn2_u,
         r_m=r_m, km=eps2 * mcn_v, km_upper=eps2 * mcn_u,
         r_c=r_c, kc=eps2 * ccn_v, kc_upper=eps2 * ccn_u,
         eps1=eps1, eps2=eps2, **extra,
     )
+
+
+def _experiment_task(family, q, rows, s, seed, structured) -> list[ExperimentRow]:
+    """The experiment rows ``rows``, (selector index, selector kind) pairs,
+    of the family at size q.
+
+    A row reuses the factorization and the rows of S^{-1} of the row before
+    it only when its A..E equal that row's; otherwise its system is
+    factorized anew.
+    """
+    out, system = [], None
+    for idx, kind in rows:
+        gen_seed, pert_seed = _row_seeds(seed, q, idx)
+        blocks, triple = _family_system(family, q, gen_seed)
+        if system is None or not system.matches(blocks):
+            system = _FactoredSystem(blocks)
+        solved = SolvedSystem(
+            blocks, selector(kind, blocks.n, blocks.m, blocks.p), system.lu,
+            solve_dspp(blocks, system.lu), system.rows(kind),
+        )
+        out.append(_experiment_row(solved, triple, q, s, pert_seed, structured))
+    return out
 
 
 # A pool costs about 0.1 s to fork and to warm its workers (2 vCPUs); rows
@@ -377,10 +445,12 @@ def _experiment_row(family, q, idx, kind, s, seed, structured) -> ExperimentRow:
 # in-process.
 _POOL_MIN_WORK = 1 << 20
 
-# A row's peak memory over its process's, in bytes per l^2: measured 6-12
-# doubles per l^2 for example1 and example2 rows at l = 256..1600, with and
-# without structured values.
-_ROW_PEAK_BYTES_PER_L2 = 16 * 8
+# A task's peak memory over its process's, in bytes per l^2: measured 5.6-10.1
+# doubles per l^2 of peak RSS (6.1-7.5 traced by tracemalloc) for example1
+# tasks of all four selectors and example2 rows at l = 256..1600, with and
+# without structured values. A task peaks where its largest row does, as
+# its rows share one l x l buffer of S^{-1}.
+_TASK_PEAK_BYTES_PER_L2 = 16 * 8
 
 
 def _system_size(family: str, q: int) -> int:
@@ -401,7 +471,7 @@ def _pool_workers(sizes: list[int]) -> int:
     in the calling process.
 
     Up to one worker per usable CPU and per row, and no more than free memory
-    holds rows of the largest size at once. One worker would only add the
+    holds tasks of the largest size at once. One worker would only add the
     fork, and so would rows too small to pay for it. A daemonic process
     (a pool worker itself) cannot have children, forking a process with
     other Python threads can deadlock on a lock one of them holds, and
@@ -418,13 +488,24 @@ def _pool_workers(sizes: list[int]) -> int:
     workers = min(cpus, len(sizes))
     free = _free_memory()
     if free is not None:
-        workers = min(workers, free // (_ROW_PEAK_BYTES_PER_L2 * max(sizes, default=1) ** 2))
+        workers = min(workers, free // (_TASK_PEAK_BYTES_PER_L2 * max(sizes, default=1) ** 2))
     return max(1, workers)
 
 
-def _single_thread_row(*task) -> ExperimentRow:
+def _task_counts(sizes: list[int], rows: list[int], workers: int) -> list[int]:
+    """The number of tasks of each system, for systems of sizes l ``sizes``
+    with ``rows`` rows each, on ``workers`` workers:
+    t = min(rows, max(1, round(W l^3 / sum l^3))), the sum over all the
+    systems. A system with up to about one worker's share of the
+    factorization work runs as one task, a larger one is split so that no
+    worker waits long on it."""
+    total = sum(l**3 for l in sizes)
+    return [min(r, max(1, round(workers * l**3 / total))) for l, r in zip(sizes, rows)]
+
+
+def _single_thread_task(*task) -> list[ExperimentRow]:
     with _blas_single_thread(np, scipy):
-        return _experiment_row(*task)
+        return _experiment_task(*task)
 
 
 def run_experiment(
@@ -443,32 +524,59 @@ def run_experiment(
     With ``structured=True`` the raw condition numbers and their structured
     counterparts (symmetric A, symmetric Toeplitz D and E) are added.
 
-    Every row runs with numpy's and scipy's OpenBLAS on one thread. With more
-    than one worker (see ``_pool_workers``) the rows run in a pool forked
-    where the platform can fork, one row per task; otherwise they run here,
-    one after another, each row's system released before the next is built.
-    Rows come back in order either way, bitwise the same. An error raised in
-    a row is raised here with its type, and every worker has exited and been
-    reaped when this returns or raises.
+    The unit of work is a task: rows that share one system matrix, and so
+    its factorization and its rows of S^{-1} (see ``_FactoredSystem``).
+    example1's A..E depend on q alone, so the selectors of one q share a
+    system; example2 draws D and E per row, so each of its rows has its own.
+    With W the worker count of ``_pool_workers``, each system's rows are
+    split into ``_task_counts`` tasks (one, unless the system carries more
+    than about a worker's share of sum l^3), and the tasks run largest
+    system first. Every row runs with numpy's and scipy's OpenBLAS on one
+    thread, and each part of S^{-1} is solved by the same call whatever
+    else shares its task, so a row is bitwise the same alone, in any
+    experiment, under any split and on any worker count.
+
+    With W > 1 the tasks run in a pool of min(W, tasks) workers, forked
+    where the platform can fork; otherwise they run here, one after
+    another, each task's systems released before the next is built. Rows
+    come back in order either way. An error raised in a task is raised here
+    with its type, and every worker has exited and been reaped when this
+    returns or raises.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    tasks = [
-        (family, q, idx, kind, s, seed, structured)
-        for q in q_list
-        for idx, kind in enumerate(selectors)
+    rows = [(q, idx, kind) for q in q_list for idx, kind in enumerate(selectors)]
+    systems: dict = {}  # the positions of each system's rows
+    for pos, (q, idx, _) in enumerate(rows):
+        systems.setdefault((q, None if family == "example1" else idx), []).append(pos)
+    workers = _pool_workers([_system_size(family, q) for q, _, _ in rows])
+    sizes = [_system_size(family, q) for q, _ in systems]
+    tasks = []
+    for l, members, t in zip(
+        sizes, systems.values(), _task_counts(sizes, [len(m) for m in systems.values()], workers)
+    ):
+        cuts = [len(members) * i // t for i in range(t + 1)]
+        tasks += [(l, members[a:b]) for a, b in zip(cuts, cuts[1:])]
+    tasks.sort(key=lambda task: -task[0])
+    args = [
+        (family, rows[members[0]][0], tuple(rows[pos][1:] for pos in members), s, seed, structured)
+        for _, members in tasks
     ]
-    workers = _pool_workers([_system_size(family, q) for q in q_list for _ in selectors])
     if workers == 1:
-        return [_single_thread_row(*task) for task in tasks]
-    context = multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    )
-    with context.Pool(workers) as pool:
-        rows = pool.starmap(_single_thread_row, tasks, chunksize=1)
-        pool.close()
-        pool.join()
-    return rows
+        results = [_single_thread_task(*task) for task in args]
+    else:
+        context = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+        )
+        with context.Pool(min(workers, len(args))) as pool:
+            results = pool.starmap(_single_thread_task, args, chunksize=1)
+            pool.close()
+            pool.join()
+    out = [None] * len(rows)
+    for (_, members), task_rows in zip(tasks, results):
+        for pos, row in zip(members, task_rows):
+            out[pos] = row
+    return out
 
 
 def report_meta(family: str | None = None, s: int | None = None, seed=None) -> dict:

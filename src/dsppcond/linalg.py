@@ -210,14 +210,25 @@ class LuSolver:
         self._lu = (lu, piv)
         self.shape = m.shape
 
-    def solve(self, rhs, transpose: bool = False) -> np.ndarray:
-        """Solve ``M x = rhs`` (or ``M^T x = rhs``); rhs may be 1-D or 2-D."""
+    def solve(self, rhs, transpose: bool = False, overwrite: bool = False) -> np.ndarray:
+        """Solve ``M x = rhs`` (or ``M^T x = rhs``); rhs may be 1-D or 2-D.
+
+        With ``overwrite``, the float64 array ``rhs`` receives the solution
+        and is returned; LAPACK solves in place, with no copy, when ``rhs`` is
+        Fortran-contiguous.
+        """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.shape[0]:
             raise DimensionMismatch(
                 f"rhs has {rhs.shape[0]} rows, matrix is {self.shape[0]}x{self.shape[1]}"
             )
-        return scipy.linalg.lu_solve(self._lu, rhs, trans=1 if transpose else 0, check_finite=False)
+        x = scipy.linalg.lu_solve(
+            self._lu, rhs, trans=1 if transpose else 0, overwrite_b=overwrite, check_finite=False
+        )
+        if overwrite and x is not rhs:
+            rhs[...] = x
+            return rhs
+        return x
 
 
 # Per package, an extension module that links its BLAS. dlsym on a loaded

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import multiprocessing
 import os
@@ -12,10 +13,10 @@ import numpy as np
 import pytest
 import scipy
 
-from dsppcond import experiments, linalg
+from dsppcond import dspp, experiments, linalg, partial_cn
 from dsppcond.dspp import DsppBlocks, Solution, selector
 from dsppcond.errors import IncompatibleZeroPattern, ZeroXi
-from dsppcond.partial_cn import DOMINANCE_RTOL
+from dsppcond.partial_cn import DOMINANCE_RTOL, inv_rows
 from dsppcond.experiments import (
     CSV_COLUMNS,
     CSV_STRUCTURED_COLUMNS,
@@ -238,6 +239,116 @@ def test_run_experiment_rows_reproduce_in_isolation(rows_path):
     assert not multiprocessing.active_children()
 
 
+@pytest.mark.parametrize("family, q_list", [("example1", [4, 6]), ("example2", [2, 3])])
+def test_rows_alone_equal_rows_sharing_a_task(rows_path, family, q_list):
+    """Selectors are what share a task's work, so each row computed in a
+    task of its own (with the seeds of its selector index) equals its row
+    in the four-selector run."""
+    together = run_experiment(family, q_list, s=6, seed=5)
+    alone = [
+        row
+        for q in q_list
+        for idx, kind in enumerate(DEFAULT_SELECTORS)
+        for row in experiments._single_thread_task(family, q, ((idx, kind),), 6, 5, False)
+    ]
+    assert alone == together
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4, 8])
+def test_rows_are_the_same_under_any_split(monkeypatch, rows_path, workers):
+    reference = run_experiment("example1", [4, 6, 8], s=6, seed=5)
+    task_counts = experiments._task_counts
+    counts = []
+
+    def forced(sizes, rows, _workers):
+        counts.append(task_counts(sizes, rows, workers))
+        return counts[-1]
+
+    monkeypatch.setattr(experiments, "_task_counts", forced)
+    assert run_experiment("example1", [4, 6, 8], s=6, seed=5) == reference
+    assert counts == [{1: [1, 1, 1], 2: [1, 1, 2], 4: [1, 1, 3], 8: [1, 1, 4]}[workers]]
+
+
+def test_task_counts_on_the_sweep():
+    sizes = [4 * q * q for q in range(4, 17, 2)]
+    rows = [4] * len(sizes)
+    assert experiments._task_counts(sizes, rows, 1) == [1] * 7
+    assert experiments._task_counts(sizes, rows, 2) == [1] * 7
+    assert experiments._task_counts(sizes, rows, 4) == [1] * 6 + [2]
+    assert experiments._task_counts(sizes, rows, 8) == [1] * 5 + [2, 4]
+
+
+def _count_factorizations(monkeypatch):
+    """Counts dspp.factorize calls, wherever the package looks the name up,
+    and keeps the matrices' A..E."""
+    calls = []
+    original = dspp.factorize
+
+    def counted(blocks):
+        calls.append(tuple(getattr(blocks, name) for name in "ABCDE"))
+        return original(blocks)
+
+    for module in (dspp, partial_cn, experiments):
+        monkeypatch.setattr(module, "factorize", counted)
+    return calls
+
+
+def test_rows_of_one_system_share_its_factorization(monkeypatch):
+    monkeypatch.setattr(experiments, "_POOL_MIN_WORK", float("inf"))
+    calls = _count_factorizations(monkeypatch)
+    run_experiment("example1", [4, 6], s=6, seed=5)
+    # One per system (q = 4, 6) and one per row's perturbed system.
+    assert len(calls) == 2 + 8
+
+
+def test_rows_with_their_own_matrix_factorize_it(monkeypatch):
+    """example2 draws D and E per row: in one task, every row still
+    factorizes its own system, so the rows equal those run one per task."""
+    reference = run_experiment("example2", [3], s=6, seed=5)
+    calls = _count_factorizations(monkeypatch)
+    rows = experiments._single_thread_task(
+        "example2", 3, tuple(enumerate(DEFAULT_SELECTORS)), 6, 5, False
+    )
+    assert rows == reference
+    assert len(calls) == 8
+    unperturbed = calls[::2]
+    assert all(not np.array_equal(a[3], b[3]) for a, b in itertools.combinations(unperturbed, 2))
+
+
+def _counted_system(monkeypatch, blocks):
+    """A _FactoredSystem whose solves record their numbers of columns."""
+    system = experiments._FactoredSystem(blocks)
+    solves, solve = [], system.lu.solve
+
+    def counted(rhs, **kw):
+        solves.append(rhs.shape[1])
+        return solve(rhs, **kw)
+
+    monkeypatch.setattr(system.lu, "solve", counted)
+    return system, solves
+
+
+def test_factored_system_solves_each_part_once_on_demand(monkeypatch):
+    blocks = gen_example1(3, 5)
+    n, m, p = blocks.n, blocks.m, blocks.p
+    alone, alone_solves = _counted_system(monkeypatch, blocks)
+    full = alone.rows("full")
+    assert alone_solves == [n, m, p]
+    with pytest.raises(ValueError):
+        full[0, 0] = 1.0
+    scale = np.abs(full).max()
+    np.testing.assert_allclose(full, inv_rows(blocks, selector("full", n, m, p)), rtol=0, atol=1e-13 * scale)
+
+    shared, solves = _counted_system(monkeypatch, blocks)
+    assert not shared.rows("y").flags.writeable
+    assert solves == [m]
+    assert np.array_equal(shared.rows("full"), full)
+    assert solves == [m, n, p]
+    for kind in ("x", "y", "z"):
+        assert np.array_equal(shared.rows(kind), inv_rows(blocks, selector(kind, n, m, p)))
+    assert solves == [m, n, p]
+
+
 def test_run_experiment_pool_and_in_process_rows_agree(monkeypatch):
     monkeypatch.setattr(experiments, "_POOL_MIN_WORK", float("inf"))
     in_process = run_experiment("example2", [2, 3], s=6, seed=5, structured=True)
@@ -256,9 +367,10 @@ def test_run_experiment_raises_worker_errors_with_their_type(monkeypatch, rows_p
     assert not multiprocessing.active_children()
 
 
-def _worker_blas_threads(*task):
-    """Stands in for a row: the thread counts of the OpenBLAS pools."""
-    return [linalg._openblas_threads(package)[0]() for package in (np, scipy)]
+def _worker_blas_threads(family, q, rows, *rest):
+    """Stands in for a task: the thread counts of the OpenBLAS pools, once
+    per row."""
+    return [[linalg._openblas_threads(package)[0]() for package in (np, scipy)]] * len(rows)
 
 
 def test_run_experiment_rows_run_blas_on_one_thread(monkeypatch, rows_path):
@@ -268,7 +380,7 @@ def test_run_experiment_rows_run_blas_on_one_thread(monkeypatch, rows_path):
     before = [get() for get, _ in pools]
     for _, set_ in pools:
         set_(2)
-    monkeypatch.setattr(experiments, "_experiment_row", _worker_blas_threads)
+    monkeypatch.setattr(experiments, "_experiment_task", _worker_blas_threads)
     try:
         counts = run_experiment("example1", [2, 3], selectors=("full", "x"))
         after = [get() for get, _ in pools]
@@ -279,8 +391,8 @@ def test_run_experiment_rows_run_blas_on_one_thread(monkeypatch, rows_path):
     assert after == [2, 2]
 
 
-def _row_pid(*task):
-    return os.getpid()
+def _row_pid(family, q, rows, *rest):
+    return [os.getpid()] * len(rows)
 
 
 @contextlib.contextmanager
@@ -318,7 +430,7 @@ def test_run_experiment_pools_only_where_it_can_pay(monkeypatch, min_work, free_
         monkeypatch.setattr(experiments, "_POOL_MIN_WORK", min_work)
     if free_memory is not None:
         monkeypatch.setattr(experiments, "_free_memory", lambda: free_memory)
-    monkeypatch.setattr(experiments, "_experiment_row", _row_pid)
+    monkeypatch.setattr(experiments, "_experiment_task", _row_pid)
     with context():
         pids = run_experiment("example1", [2, 3], selectors=("full", "x"))
     assert (os.getpid() not in pids) == pooled

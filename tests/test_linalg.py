@@ -59,6 +59,21 @@ def test_lu_solver_accepts_matrix_rhs():
     assert np.allclose(m @ got, rhs, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_lu_solver_overwrites_the_rhs(order):
+    """With overwrite, the rhs holds the solution: written in place for the
+    columns of a Fortran-ordered buffer, copied back for a C-ordered one."""
+    rng = np.random.default_rng(2)
+    m = rng.standard_normal((5, 5))
+    lu = LuSolver(m)
+    buf = np.array(rng.standard_normal((5, 4)), order=order)
+    cols = buf[:, 1:3]
+    want = lu.solve(cols, transpose=True)
+    got = lu.solve(cols, transpose=True, overwrite=True)
+    assert got is cols
+    assert np.array_equal(buf[:, 1:3], want)
+
+
 def test_lu_solver_rejects_singular_and_zero():
     with pytest.raises(SingularMatrix):
         LuSolver([[1.0, 2.0], [2.0, 4.0]])
