@@ -71,6 +71,7 @@ from .eils import (
     default_scalar_weights,
     eils_cn,
     eils_from_dict,
+    eils_inf_cn,
     eils_reduce,
     eils_to_dict,
     signature_matrix,
@@ -154,6 +155,7 @@ __all__ = [
     "eils_reduce",
     "solve_eils",
     "eils_cn",
+    "eils_inf_cn",
     "default_scalar_weights",
     "eils_from_dict",
     "eils_to_dict",

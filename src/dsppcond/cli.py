@@ -25,7 +25,7 @@ import numpy as np
 
 from ._version import __version__
 from .dspp import SELECTOR_KINDS, Selector, norm_fro_system, problem_from_dict, selector
-from .eils import default_scalar_weights, eils_cn, eils_from_dict, eils_reduce, solve_eils
+from .eils import default_scalar_weights, eils_cn, eils_from_dict, eils_inf_cn, eils_reduce, solve_eils
 from .errors import (
     DimensionMismatch,
     DominanceViolation,
@@ -346,12 +346,10 @@ def _cmd_eils(args) -> str:
     esol = solve_eils(prob, system.sol)
 
     psi, chi = default_scalar_weights(prob)
-    abs_weights = (np.abs(prob.M), np.abs(prob.C))
-    abs_chi = np.abs(np.concatenate([prob.b, prob.d]))
     cn = {
         "ncn": eils_cn(system, psi, chi, "ncn", "two").value,
-        "mcn": eils_cn(system, abs_weights, abs_chi, "mcn", "inf").value,
-        "ccn": eils_cn(system, abs_weights, abs_chi, "ccn", "inf").value,
+        "mcn": eils_inf_cn(system, "mcn").value,
+        "ccn": eils_inf_cn(system, "ccn").value,
     }
     meta = report_meta()
     meta["command"] = "eils"

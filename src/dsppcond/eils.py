@@ -34,7 +34,7 @@ from .errors import (
     SingularMatrix,
 )
 from .linalg import _norm_inf, as_matrix, as_vector
-from .partial_cn import CnValue, PerturbationWeights, SolvedSystem, _as_xi, _positive, unified_cn
+from .partial_cn import CnValue, PerturbationWeights, SolvedSystem, _as_xi, _inf_value, _positive, unified_cn
 
 # Rank tolerance for the constraint matrix, relative to its inf-norm.
 RANK_RTOL = 1e-10
@@ -175,7 +175,9 @@ def eils_cn(system: SolvedSystem, psi, chi, xi, norm: str) -> CnValue:
     ``psi`` is a positive scalar or a pair of matrices shaped like (M, C);
     ``chi`` is a positive scalar or a length n+p vector. This is
     :func:`unified_cn` of the reduced system with weights pinned to zero on
-    A, D, E and the middle right-hand side block. A zero L w raises
+    A, D, E and the middle right-hand side block; for the data weights
+    (|M|, |C|), |[b; d]| and the max norm, :func:`eils_inf_cn` gives the same
+    value from the system's shared numerator. A zero L w raises
     :class:`ZeroXi` before the weights are checked, since weights taken from
     the data vanish with it.
     """
@@ -185,6 +187,22 @@ def eils_cn(system: SolvedSystem, psi, chi, xi, norm: str) -> CnValue:
     weights = _eils_weights(system.blocks, psi, chi)
     value = unified_cn(system, weights, xi, norm).value
     return CnValue(value, "eils2" if norm == "two" else "eilsInf")
+
+
+def eils_inf_cn(system: SolvedSystem, xi) -> CnValue:
+    """Mixed ("mcn") or componentwise ("ccn") condition number of L w for the
+    embedded system, with the data weights (|M|, |C|) and |[b; d]|.
+
+    With A, D, E weighted 0 and chi = |[b; 0; d]|, the |b| of the embedding,
+    the max-norm numerator of :func:`eils_cn` is exactly the system's shared
+    ``bc_numerator``, so the two numbers read it and the pair kernel runs
+    once per block. The value equals
+    ``eils_cn(system, (|M|, |C|), |[b; d]|, xi, "inf")`` bit for bit.
+    """
+    xi = _as_xi(xi)
+    if xi.kind not in ("mcn", "ccn"):
+        raise ValueError(f"eils_inf_cn supports xi 'mcn' or 'ccn', got {xi.kind!r}")
+    return CnValue(_inf_value(xi.resolve(system.lw), system.bc_numerator), "eilsInf")
 
 
 def eils_from_dict(doc) -> EilsProblem:
@@ -221,6 +239,7 @@ __all__ = [
     "eils_reduce",
     "solve_eils",
     "eils_cn",
+    "eils_inf_cn",
     "default_scalar_weights",
     "eils_from_dict",
     "eils_to_dict",

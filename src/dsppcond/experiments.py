@@ -36,7 +36,7 @@ import multiprocessing
 import os
 import threading
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -101,7 +101,7 @@ def gen_example1(q: int, seed) -> DsppBlocks:
     """
     if q < 2:
         raise ValueError("q must be >= 2")
-    rng = _generator(seed)
+    rhs = _example1_rhs(q, seed)
     j = _tridiag(-1.0, 2.0, -1.0, q) / (q + 1) ** 2
     z = _tridiag(0.0, 1.0, -1.0, q) / (q + 1)
     y = np.diag(1.0 + q * np.arange(q))
@@ -111,8 +111,12 @@ def gen_example1(q: int, seed) -> DsppBlocks:
     b = np.hstack([np.kron(eye_q, z), np.kron(z, eye_q)])
     c = np.kron(y, z)
     qq = q * q
-    rhs = rng.standard_normal(4 * qq)
     return DsppBlocks(A=a, B=b, C=c, D=np.eye(qq), E=np.eye(qq), b=rhs)
+
+
+def _example1_rhs(q: int, seed) -> np.ndarray:
+    """The right-hand side of :func:`gen_example1`, its one seeded draw."""
+    return _generator(seed).standard_normal(4 * q * q)
 
 
 def gen_example2(q: int, seed) -> tuple[DsppBlocks, StructureTriple]:
@@ -336,10 +340,20 @@ def _row_seeds(seed, q: int, selector_index: int) -> tuple[int, int]:
     return int(gen_seed), int(pert_seed)
 
 
-def _family_system(family: str, q: int, gen_seed: int) -> tuple[DsppBlocks, StructureTriple]:
-    """The family's blocks at size q and the structure of its A, D, E."""
+def _family_system(
+    family: str, q: int, gen_seed: int, prev: DsppBlocks | None
+) -> tuple[DsppBlocks, StructureTriple]:
+    """The family's blocks at size q and the structure of its A, D, E.
+
+    example1's A..E depend on q only, so given the blocks ``prev`` of an
+    earlier row at the same q, the row keeps prev's A..E arrays and draws
+    only its b, from the stream :func:`gen_example1` uses.
+    """
     if family == "example1":
-        return gen_example1(q, gen_seed), StructureTriple("symmetric", "toeplitz_sym", "toeplitz_sym")
+        triple = StructureTriple("symmetric", "toeplitz_sym", "toeplitz_sym")
+        if prev is None:
+            return gen_example1(q, gen_seed), triple
+        return replace(prev, b=_example1_rhs(q, gen_seed)), triple
     return gen_example2(q, gen_seed)
 
 
@@ -363,8 +377,10 @@ class _FactoredSystem:
         self._solved = set()
 
     def matches(self, blocks: DsppBlocks) -> bool:
-        """Whether ``blocks`` has this system's A..E, entry for entry."""
-        return all(np.array_equal(getattr(self.blocks, name), getattr(blocks, name)) for name in "ABCDE")
+        """Whether ``blocks`` has this system's A..E: the same arrays, or
+        equal entry for entry."""
+        pairs = [(getattr(self.blocks, name), getattr(blocks, name)) for name in "ABCDE"]
+        return all(a is b for a, b in pairs) or all(np.array_equal(a, b) for a, b in pairs)
 
     def rows(self, kind: str) -> np.ndarray:
         """L S^{-1} of the selector ``kind``, a read-only view of the buffer."""
@@ -421,14 +437,15 @@ def _experiment_task(family, q, rows, s, seed, structured) -> list[ExperimentRow
     """The experiment rows ``rows``, (selector index, selector kind) pairs,
     of the family at size q.
 
-    A row reuses the factorization and the rows of S^{-1} of the row before
+    example1 builds its A..E once per task (see :func:`_family_system`). A
+    row reuses the factorization and the rows of S^{-1} of the row before
     it only when its A..E equal that row's; otherwise its system is
     factorized anew.
     """
     out, system = [], None
     for idx, kind in rows:
         gen_seed, pert_seed = _row_seeds(seed, q, idx)
-        blocks, triple = _family_system(family, q, gen_seed)
+        blocks, triple = _family_system(family, q, gen_seed, None if system is None else system.blocks)
         if system is None or not system.matches(blocks):
             system = _FactoredSystem(blocks)
         solved = SolvedSystem(

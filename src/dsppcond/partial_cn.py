@@ -36,14 +36,17 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy
+from scipy.linalg.blas import dger
 
 from .dspp import DsppBlocks, Selector, Solution, _block_product, factorize, solve_dspp
 from .errors import DimensionMismatch, ZeroMatrix, ZeroXi
-from .linalg import LuSolver, _norm_upper, as_matrix, as_vector, ddagger, top_eig
+from .linalg import LuSolver, _blas_single_thread, _norm_upper, as_matrix, as_vector, ddagger, top_eig
 
 # Entries per chunk of the max-norm pair kernel (k times some nonzero columns of
-# one weight row). Its two float64 temporaries take at most 64 MB, so the memory
-# beside its inputs and a copy of k_col^T stays under a 128 MB budget for every s.
+# one weight row). Its one float64 chunk buffer takes at most 32 MB, so beside
+# its inputs and a copy of k_col^T the kernel holds that buffer and O(k + l)
+# vectors, a budget that does not grow with s.
 _CHUNK_ENTRY_LIMIT = 1 << 22
 
 _XI_KINDS = ("ncn", "mcn", "ccn", "custom")
@@ -294,22 +297,29 @@ def _pair_sum(k_col, v_row, k_row, v_col, w) -> np.ndarray:
 
     Only pairs with a nonzero weight are evaluated: row r gathers the rows
     ``cols`` of a contiguous copy of k_col^T where w[r] is nonzero, in chunks
-    of at most ``_CHUNK_ENTRY_LIMIT // k``, and adds
-    w[r, cols] |k_col^T[cols] v_row[r] + v_col[cols] (x) k_row[:, r]|.
+    of at most ``_CHUNK_ENTRY_LIMIT // k``, into one C-ordered buffer t
+    allocated once, scales t by v_row[r], adds the rank-one term
+    v_col[cols] (x) k_row[:, r] in place (BLAS ``dger`` on the
+    Fortran-ordered t^T), and accumulates w[r, cols] |t|.
     """
     k = k_col.shape[0]
     k_col_t = np.ascontiguousarray(k_col.T)
     u = np.zeros(k)
     cb = max(1, _CHUNK_ENTRY_LIMIT // max(1, k))
-    for r in range(w.shape[0]):
-        nz = np.flatnonzero(w[r])
-        for start in range(0, nz.size, cb):
-            cols = nz[start : start + cb]
-            t = k_col_t[cols]
-            t *= v_row[r]
-            t += np.multiply.outer(v_col[cols], k_row[:, r])
-            np.abs(t, out=t)
-            u += w[r, cols] @ t
+    buf = np.empty((min(cb, w.shape[1]), k))
+    # One dger per chunk, between numpy calls: scipy's pool would start its
+    # threads for each and leave them spinning against the calling thread.
+    with _blas_single_thread(scipy):
+        for r in range(w.shape[0]):
+            nz = np.flatnonzero(w[r])
+            for start in range(0, nz.size, cb):
+                cols = nz[start : start + cb]
+                # mode="clip" writes straight into ``out``; "raise" would buffer.
+                t = np.take(k_col_t, cols, axis=0, out=buf[: cols.size], mode="clip")
+                t *= v_row[r]
+                t = dger(1.0, k_row[:, r], v_col[cols], a=t.T, overwrite_a=True).T
+                np.abs(t, out=t)
+                u += w[r, cols] @ t
     return u
 
 
@@ -467,12 +477,14 @@ def ncn_upper(system: SolvedSystem, psi: float, chi: float) -> CnValue:
 def _data_inf_value(system: SolvedSystem, xi: XiChoice, kinds) -> float:
     """The max-norm value for the data weights Psi = H, chi = b, with dA, dD,
     dE in the structure ``kinds``: the system's shared ``bc_numerator`` plus
-    the A, D, E terms of :func:`_ade_numerator`."""
+    the A, D, E terms of :func:`_ade_numerator`. A zero L w raises
+    :class:`ZeroXi` before any numerator is evaluated."""
     blocks = system.blocks
+    xivec = xi.resolve(system.lw)
     u = system.bc_numerator + _ade_numerator(
         system.rows, system.sol, np.abs(blocks.A), np.abs(blocks.D), np.abs(blocks.E), kinds
     )
-    return _inf_value(xi.resolve(system.lw), u)
+    return _inf_value(xivec, u)
 
 
 def inf_cn(system: SolvedSystem, xi) -> CnValue:

@@ -10,7 +10,7 @@ import pytest
 import scipy
 
 from conftest import random_dspp
-from dsppcond import cli, experiments, linalg
+from dsppcond import cli, experiments, linalg, partial_cn
 from dsppcond.cli import (
     DOMINANCE_RTOL,
     MALFORMED_EXIT,
@@ -296,6 +296,31 @@ def test_eils_payload(capsys, tmp_path):
         assert np.isfinite(doc["cn"][flavor]) and doc["cn"][flavor] > 0
     bad = write_json(tmp_path / "bad_eils.json", {"M": [[1.0]]})
     assert run(capsys, ["eils", "--input", bad])[0] == MALFORMED_EXIT
+
+
+def test_eils_max_norm_values_share_one_numerator(capsys, tmp_path, monkeypatch):
+    # mcn and ccn read the embedded system's shared B, C and rhs numerator:
+    # the pair kernel runs once for B = M^T and once for C.
+    rng = np.random.default_rng(66)
+    n, m, p = 6, 3, 2
+    mmat = rng.standard_normal((n, m))
+    mmat[n - 1 :, :] *= 0.03
+    path = write_json(tmp_path / "eils.json", {
+        "M": mmat.tolist(), "C": rng.standard_normal((p, m)).tolist(), "n1": n - 1, "n2": 1,
+        "b": rng.standard_normal(n).tolist(), "d": rng.standard_normal(p).tolist(),
+    })
+    weight_shapes = []
+    pair_sum = partial_cn._pair_sum
+
+    def counting_pair_sum(*args):
+        weight_shapes.append(args[-1].shape)
+        return pair_sum(*args)
+
+    monkeypatch.setattr(partial_cn, "_pair_sum", counting_pair_sum)
+    code, out, _ = run(capsys, ["eils", "--input", path, "--selector", "full"])
+    assert code == 0
+    assert weight_shapes == [(m, n), (p, m)]
+    assert json.loads(out)["cn"]["mcn"] > 0
 
 
 def symmetric_toeplitz_problem(tmp_path):

@@ -10,6 +10,7 @@ from dsppcond.eils import (
     default_scalar_weights,
     eils_cn,
     eils_from_dict,
+    eils_inf_cn,
     eils_reduce,
     eils_to_dict,
     signature_matrix,
@@ -192,6 +193,25 @@ def test_cn_equals_zero_weighted_reduction():
             assert rel_err(direct.value, general.value) < 1e-12
         assert eils_cn(system, psi, chi, "ncn", "two").flavor == "eils2"
         assert eils_cn(system, psi, chi, "mcn", "inf").flavor == "eilsInf"
+
+
+def test_inf_cn_equals_data_weighted_eils_cn_bit_for_bit():
+    rng = np.random.default_rng(55)
+    for trial in range(8):
+        m = int(rng.integers(2, 5))
+        n, p = m + int(rng.integers(1, 4)), int(rng.integers(1, m + 1))
+        prob = random_problem(rng, n, m, p)
+        system = SolvedSystem.of(eils_reduce(prob), selector(("full", "x", "y", "z")[trial % 4], n, m, p))
+        psi_pair = (np.abs(prob.M), np.abs(prob.C))
+        chi_vec = np.abs(np.concatenate([prob.b, prob.d]))
+        for xi in ("mcn", "ccn"):
+            got = eils_inf_cn(system, xi)
+            assert got.flavor == "eilsInf"
+            # A fresh system, so the general route evaluates its own numerator.
+            fresh = SolvedSystem.of(system.blocks, system.sel)
+            assert got.value == eils_cn(fresh, psi_pair, chi_vec, xi, "inf").value
+    with pytest.raises(ValueError, match="supports xi 'mcn' or 'ccn'"):
+        eils_inf_cn(system, "ncn")
 
 
 def test_cn_entrywise_weights_and_validation():

@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,6 +314,44 @@ def test_rows_with_their_own_matrix_factorize_it(monkeypatch):
     assert len(calls) == 8
     unperturbed = calls[::2]
     assert all(not np.array_equal(a[3], b[3]) for a, b in itertools.combinations(unperturbed, 2))
+
+
+def test_example1_task_builds_its_blocks_once(monkeypatch):
+    """example1's A..E depend on q only: a four-selector task builds them
+    once and draws only b per row, each row's b that of gen_example1 at the
+    row's generator seed, and every row reuses one factorization."""
+    built = []
+    generate = experiments.gen_example1
+
+    def counted(q, seed):
+        built.append(q)
+        return generate(q, seed)
+
+    monkeypatch.setattr(experiments, "gen_example1", counted)
+    calls = _count_factorizations(monkeypatch)
+    experiments._single_thread_task("example1", 3, tuple(enumerate(DEFAULT_SELECTORS)), 6, 5, False)
+    assert built == [3]
+    # One factorization of the system, one per row's perturbed system.
+    assert len(calls) == 1 + len(DEFAULT_SELECTORS)
+    for idx in range(1, len(DEFAULT_SELECTORS)):
+        gen_seed = _row_seeds(5, 3, idx)[0]
+        blocks, _ = experiments._family_system("example1", 3, gen_seed, generate(3, 0))
+        assert np.array_equal(blocks.b, generate(3, gen_seed).b)
+
+
+def test_factored_system_matches_same_arrays_at_once(monkeypatch):
+    blocks = gen_example1(3, 5)
+    system = experiments._FactoredSystem(blocks)
+    new_b = replace(blocks, b=np.ones(blocks.l))
+    copied = replace(blocks, A=blocks.A.copy())
+    other_d = replace(blocks, D=2.0 * blocks.D)
+    assert system.matches(copied) and not system.matches(other_d)
+
+    def no_entry_check(*args):
+        raise AssertionError("entries compared for the same arrays")
+
+    monkeypatch.setattr(np, "array_equal", no_entry_check)
+    assert system.matches(new_b)
 
 
 def _counted_system(monkeypatch, blocks):

@@ -13,7 +13,7 @@ import oracles
 from conftest import random_dspp, rel_err, traced_peak
 from dsppcond.dspp import DsppBlocks, Solution, assemble, norm_fro_system, selector, solve_dspp
 from dsppcond.errors import DimensionMismatch, ZeroMatrix, ZeroXi
-from dsppcond.experiments import gen_example1
+from dsppcond.experiments import _FactoredSystem, gen_example1
 from dsppcond.linalg import ddagger
 from dsppcond.partial_cn import (
     DOMINANCE_RTOL,
@@ -239,6 +239,12 @@ def test_chunked_numerator_matches_materialized(monkeypatch):
         assert rel_err(got_s_chunked, want_s) < 1e-12
 
 
+def _pair_oracle(k_col, v_row, k_row, v_col, w):
+    """The pair sum by brute force, every (r, c) term materialized."""
+    terms = k_col[:, None, :] * v_row[None, :, None] + k_row[:, :, None] * v_col[None, None, :]
+    return np.einsum("krc,rc->k", np.abs(terms), w)
+
+
 def test_pair_kernel_evaluates_only_nonzero_weights(monkeypatch):
     # NaN in every column of k_col and k_row that only zero weights reach:
     # one evaluated zero-weight pair would make the sum NaN.
@@ -249,8 +255,7 @@ def test_pair_kernel_evaluates_only_nonzero_weights(monkeypatch):
     w = np.abs(rng.standard_normal((nr, nc))) * (rng.random((nr, nc)) < 0.5)
     w[2, :] = 0.0
     w[:, 4] = 0.0
-    terms = k_col[:, None, :] * v_row[None, :, None] + k_row[:, :, None] * v_col[None, None, :]
-    want = np.einsum("krc,rc->k", np.abs(terms), w)
+    want = _pair_oracle(k_col, v_row, k_row, v_col, w)
     k_col[:, ~w.any(axis=0)] = np.nan
     k_row[:, ~w.any(axis=1)] = np.nan
     for limit in (pc._CHUNK_ENTRY_LIMIT, 2):
@@ -258,6 +263,87 @@ def test_pair_kernel_evaluates_only_nonzero_weights(monkeypatch):
         got = pc._pair_sum(k_col, v_row, k_row, v_col, w)
         assert np.all(np.isfinite(got))
         assert np.allclose(got, want, rtol=1e-13, atol=0)
+
+
+def _pair_cases():
+    """Kernel arguments (k_col, v_row, k_row, v_col, w) over the layouts it meets."""
+    rng = np.random.default_rng(37)
+    nr, nc, k = 4, 5, 6
+    cases = [(  # k = 1
+        rng.standard_normal((1, nc)), rng.standard_normal(nr),
+        rng.standard_normal((1, nr)), rng.standard_normal(nc),
+        np.abs(rng.standard_normal((nr, nc))),
+    )]
+    w = np.abs(rng.standard_normal((nr, nc))) * (rng.random((nr, nc)) < 0.4)
+    w[0] = 0.0
+    w[0, 3] = 2.5  # a row with one nonzero
+    w[1] = np.abs(rng.standard_normal(nc)) + 0.1  # a fully dense row
+    cases.append((
+        rng.standard_normal((k, nc)), rng.standard_normal(nr),
+        rng.standard_normal((k, nr)), rng.standard_normal(nc), w,
+    ))
+    # A transposed weight view, as eils passes |M|^T for B.
+    cases.append((
+        rng.standard_normal((k, nc)), rng.standard_normal(nr),
+        rng.standard_normal((k, nr)), rng.standard_normal(nc),
+        np.abs(rng.standard_normal((nc, nr))).T,
+    ))
+    # The read-only rows of one Fortran-ordered S^-T buffer, as the
+    # experiment tasks share them, split into the B and C column blocks.
+    blocks = random_dspp(rng, 4, 3, 2)
+    rows = _FactoredSystem(blocks).rows("full")
+    assert not rows.flags.writeable and rows.base.flags.f_contiguous
+    sol = solve_dspp(blocks)
+    k1, k2, k3 = np.split(rows, [4, 7], axis=1)
+    cases.append((k1, sol.y, k2, sol.x, np.abs(blocks.B)))
+    cases.append((k2, sol.z, k3, sol.y, np.abs(blocks.C)))
+    return cases
+
+
+@pytest.mark.parametrize("limit", [pc._CHUNK_ENTRY_LIMIT, 2])
+def test_pair_kernel_matches_oracle_over_layouts(monkeypatch, limit):
+    monkeypatch.setattr(pc, "_CHUNK_ENTRY_LIMIT", limit)
+    for args in _pair_cases():
+        np.testing.assert_allclose(pc._pair_sum(*args), _pair_oracle(*args), rtol=1e-13, atol=0)
+
+
+def test_pair_kernel_adds_rank_one_term_in_place(monkeypatch):
+    # dger silently returns an updated copy when its ``a`` is not
+    # Fortran-ordered; the kernel hands it the transpose of its C-ordered
+    # chunk buffer, so every update must land in that buffer.
+    dger = pc.dger
+    c_ordered = np.zeros((3, 2))
+    assert dger(1.0, np.ones(3), np.ones(2), a=c_ordered, overwrite_a=True) is not c_ordered
+    in_place = []
+
+    def checked(alpha, x, y, a, overwrite_a):
+        out = dger(alpha, x, y, a=a, overwrite_a=overwrite_a)
+        in_place.append(out is a and a.base is not None and a.base.flags.c_contiguous)
+        return out
+
+    monkeypatch.setattr(pc, "dger", checked)
+    for limit in (pc._CHUNK_ENTRY_LIMIT, 2):
+        monkeypatch.setattr(pc, "_CHUNK_ENTRY_LIMIT", limit)
+        for args in _pair_cases():
+            pc._pair_sum(*args)
+    assert in_place and all(in_place)
+
+
+def test_bc_numerator_memory_budget():
+    # Beside its inputs, each pair kernel holds a copy of k_col^T and one
+    # chunk buffer (a whole weight row here, as k max(n, m) entries fit one
+    # chunk), plus O(k + l) vectors; the right-hand-side term's |L S^-1| is
+    # no larger. The largest kernel is C's, with k_col = the k x m block.
+    n, m, p = 200, 300, 100
+    blocks = random_dspp(np.random.default_rng(38), n, m, p)
+    system = SolvedSystem.of(blocks, selector("full", n, m, p))
+    b = system.blocks
+    args = (system.rows, system.sol, np.abs(b.B), np.abs(b.C), np.abs(b.b))
+    k = system.rows.shape[0]
+    assert k * max(n, m) <= pc._CHUNK_ENTRY_LIMIT
+    k_col_t = chunk = k * m * 8
+    vectors = 16 * (k + b.l) * 8
+    assert traced_peak(pc._bc_numerator, *args) < k_col_t + chunk + vectors
 
 
 def test_shared_numerator_runs_pair_kernel_once_per_block(monkeypatch):
