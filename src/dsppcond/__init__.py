@@ -44,6 +44,7 @@ from .dspp import (
 )
 from .partial_cn import (
     CnValue,
+    Factors,
     PerturbationWeights,
     SolvedSystem,
     XiChoice,
@@ -52,7 +53,6 @@ from .partial_cn import (
     first_order_delta,
     inf_cn,
     inf_cn_upper,
-    inv_rows,
     ncn,
     ncn_upper,
     unified_cn,
@@ -131,8 +131,8 @@ __all__ = [
     "CnValue",
     "PerturbationWeights",
     "XiChoice",
+    "Factors",
     "SolvedSystem",
-    "inv_rows",
     "first_order_delta",
     "unified_cn",
     "ncn",

@@ -9,8 +9,8 @@ l = n + m + p:
     [ 0   C    E   ] [z]   [b3]
 
 Note the minus sign: D is stored as given and negated during assembly. This
-module holds the block container, assembly, the pivoted solve, selector
-matrices that project out parts of the solution, and the JSON problem format.
+module holds the block container, assembly, the pivoted solve, the selectors
+that project out parts of the solution, and the JSON problem format.
 """
 
 from __future__ import annotations
@@ -109,14 +109,23 @@ class Solution:
 
 @dataclass(frozen=True)
 class Selector:
-    """A row selector L (k x l) marking which solution entries are observed."""
+    """Which part L w of a length-l solution w is observed: the entries lo:hi
+    of w for "full", "x", "y" and "z" (L is those rows of I_l, never formed),
+    or the rows of a dense k x l matrix ``custom`` (then lo:hi is 0:l)."""
 
     kind: str
-    L: np.ndarray
+    lo: int
+    hi: int
+    l: int
+    custom: np.ndarray | None = None
 
     @property
     def k(self) -> int:
-        return self.L.shape[0]
+        return self.hi - self.lo if self.custom is None else self.custom.shape[0]
+
+    def take(self, v: np.ndarray) -> np.ndarray:
+        """L v for a length-l vector v: a slice of v, or the custom product."""
+        return v[self.lo : self.hi] if self.custom is None else self.custom @ v
 
 
 def assemble(blocks: DsppBlocks) -> np.ndarray:
@@ -164,27 +173,22 @@ def solve_dspp(blocks: DsppBlocks, lu: LuSolver | None = None) -> Solution:
 
 
 def selector(kind: str, n: int, m: int, p: int, custom_l=None) -> Selector:
-    """Build a selector: full solution, one part, or a caller-supplied L."""
+    """Build a selector: full solution, one part, or a caller-supplied L with
+    1 <= k <= l rows."""
     l = n + m + p
-    if kind == "full":
-        mat = np.eye(l)
-    elif kind == "x":
-        mat = np.hstack([np.eye(n), np.zeros((n, m + p))])
-    elif kind == "y":
-        mat = np.hstack([np.zeros((m, n)), np.eye(m), np.zeros((m, p))])
-    elif kind == "z":
-        mat = np.hstack([np.zeros((p, n + m)), np.eye(p)])
-    elif kind == "custom":
-        if custom_l is None:
-            raise ValueError("custom selector needs an explicit matrix")
-        mat = as_matrix(custom_l, "L")
-        if mat.shape[1] != l:
-            raise DimensionMismatch(f"L has {mat.shape[1]} columns, expected {l}")
-        if mat.shape[0] > l:
-            raise DimensionMismatch("L may not have more rows than columns")
-    else:
+    ranges = {"full": (0, l), "x": (0, n), "y": (n, n + m), "z": (n + m, l)}
+    if kind in ranges:
+        return Selector(kind, *ranges[kind], l)
+    if kind != "custom":
         raise ValueError(f"unknown selector kind {kind!r}")
-    return Selector(kind=kind, L=mat)
+    if custom_l is None:
+        raise ValueError("custom selector needs an explicit matrix")
+    mat = as_matrix(custom_l, "L")
+    if mat.shape[1] != l:
+        raise DimensionMismatch(f"L has {mat.shape[1]} columns, expected {l}")
+    if not 1 <= mat.shape[0] <= l:
+        raise DimensionMismatch(f"L has {mat.shape[0]} rows, expected 1 to {l}")
+    return Selector(kind, 0, l, l, mat)
 
 
 def problem_from_dict(doc) -> DsppBlocks:

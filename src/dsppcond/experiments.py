@@ -12,13 +12,14 @@ A, B, C, D, E, b in that order, column-major within each block. Experiment
 rows derive child seeds from SeedSequence((seed, q, selector_index)), so rows
 are independent.
 
-Tasks: rows that share one system matrix run as one task, which factorizes
-it once and solves each part x, y, z of S^{-1} at most once; a row's
-L S^{-1} is a read-only view of those rows. example1's A..E depend on q
-alone, so the selectors of one q share a task; example2 draws D and E per
-row, so each of its rows is a task. A system whose l^3 exceeds about one
-worker's share of the experiment's sum of l^3 is split into several tasks,
-and tasks run largest system first.
+Tasks: rows that share one system matrix run as one task, whose rows share
+one :class:`~dsppcond.partial_cn.Factors`: the system is factorized once and
+each part x, y, z of S^{-1} solved at most once; a row's L S^{-1} is a
+read-only view of those rows. example1's A..E depend on q alone, so the
+selectors of one q share a task; example2 draws D and E per row, so each of
+its rows is a task. A system whose l^3 exceeds about one worker's share of
+the experiment's sum of l^3 is split into several tasks, and tasks run
+largest system first.
 
 Parallelism: every row runs with numpy's and scipy's OpenBLAS on one thread,
 and each part of S^{-1} is always solved by the same call, so a report is
@@ -49,6 +50,7 @@ from .dspp import (
 from .errors import IncompatibleZeroPattern, ZeroXi
 from .linalg import _blas_single_thread, ddagger
 from .partial_cn import (
+    Factors,
     PerturbationWeights,
     SolvedSystem,
     first_order_delta,
@@ -220,10 +222,10 @@ def apply_perturbation(blocks: DsppBlocks, pert: PerturbationSet, scale: float =
 
 def forward_errors(sol: Solution, sol_tilde: Solution, sel: Selector) -> tuple[float, float, float]:
     """Measured relative changes of L w: 2-norm, max-norm, componentwise."""
-    lw = sel.L @ sol.w
-    dlw = sel.L @ sol_tilde.w - lw
+    lw = sel.take(sol.w)
+    dlw = sel.take(sol_tilde.w) - lw
     n2 = float(np.linalg.norm(lw, 2))
-    ninf = float(np.max(np.abs(lw))) if lw.size else 0.0
+    ninf = float(np.max(np.abs(lw)))
     if n2 == 0.0 or ninf == 0.0:
         raise ZeroXi("L w is zero, relative forward errors are undefined")
     r_k = float(np.linalg.norm(dlw, 2)) / n2
@@ -357,46 +359,6 @@ def _family_system(
     return gen_example2(q, gen_seed)
 
 
-class _FactoredSystem:
-    """One factorized system matrix and the rows of S^{-1} its selectors read.
-
-    L S^{-1} of the selector x, y or z is a set of rows of S^{-1}, and that of
-    "full" is all of them. Each part's rows come from one transposed solve,
-    made at most once, on first use, and written in place into one
-    Fortran-ordered l x l buffer that holds S^{-T}; the pages of a part never
-    asked for are never touched. A part is always solved by the same call,
-    so its rows are bitwise the same whatever selectors share the buffer.
-    """
-
-    def __init__(self, blocks: DsppBlocks):
-        self.blocks = blocks
-        self.lu = factorize(blocks)
-        n, m, l = blocks.n, blocks.m, blocks.l
-        self._parts = {"x": (0, n), "y": (n, n + m), "z": (n + m, l)}
-        self._inv_t = np.zeros((l, l), order="F")
-        self._solved = set()
-
-    def matches(self, blocks: DsppBlocks) -> bool:
-        """Whether ``blocks`` has this system's A..E: the same arrays, or
-        equal entry for entry."""
-        pairs = [(getattr(self.blocks, name), getattr(blocks, name)) for name in "ABCDE"]
-        return all(a is b for a, b in pairs) or all(np.array_equal(a, b) for a, b in pairs)
-
-    def rows(self, kind: str) -> np.ndarray:
-        """L S^{-1} of the selector ``kind``, a read-only view of the buffer."""
-        for part in self._parts if kind == "full" else (kind,):
-            if part not in self._solved:
-                lo, hi = self._parts[part]
-                cols = self._inv_t[:, lo:hi]
-                cols[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
-                self.lu.solve(cols, transpose=True, overwrite=True)
-                self._solved.add(part)
-        lo, hi = (0, self.blocks.l) if kind == "full" else self._parts[kind]
-        view = self._inv_t.T[lo:hi]
-        view.flags.writeable = False
-        return view
-
-
 def _experiment_row(system: SolvedSystem, triple, q, s, pert_seed, structured) -> ExperimentRow:
     """Perturb, re-solve, measure and predict for one solved system."""
     blocks, sel = system.blocks, system.sel
@@ -437,22 +399,19 @@ def _experiment_task(family, q, rows, s, seed, structured) -> list[ExperimentRow
     """The experiment rows ``rows``, (selector index, selector kind) pairs,
     of the family at size q.
 
-    example1 builds its A..E once per task (see :func:`_family_system`). A
-    row reuses the factorization and the rows of S^{-1} of the row before
-    it only when its A..E equal that row's; otherwise its system is
-    factorized anew.
+    example1 builds its A..E once per task (see :func:`_family_system`), so
+    its rows share one :class:`Factors`: one factorization and one buffer of
+    S^{-1} rows. example2 draws D and E per row, so each row factorizes its
+    own system.
     """
-    out, system = [], None
+    out, blocks, factors = [], None, None
     for idx, kind in rows:
         gen_seed, pert_seed = _row_seeds(seed, q, idx)
-        blocks, triple = _family_system(family, q, gen_seed, None if system is None else system.blocks)
-        if system is None or not system.matches(blocks):
-            system = _FactoredSystem(blocks)
-        solved = SolvedSystem(
-            blocks, selector(kind, blocks.n, blocks.m, blocks.p), system.lu,
-            solve_dspp(blocks, system.lu), system.rows(kind),
-        )
-        out.append(_experiment_row(solved, triple, q, s, pert_seed, structured))
+        blocks, triple = _family_system(family, q, gen_seed, blocks)
+        if factors is None or family != "example1":
+            factors = Factors(blocks)
+        system = SolvedSystem.of(blocks, selector(kind, blocks.n, blocks.m, blocks.p), factors)
+        out.append(_experiment_row(system, triple, q, s, pert_seed, structured))
     return out
 
 
@@ -542,7 +501,7 @@ def run_experiment(
     counterparts (symmetric A, symmetric Toeplitz D and E) are added.
 
     The unit of work is a task: rows that share one system matrix, and so
-    its factorization and its rows of S^{-1} (see ``_FactoredSystem``).
+    its factorization and its rows of S^{-1} (one ``partial_cn.Factors``).
     example1's A..E depend on q alone, so the selectors of one q share a
     system; example2 draws D and E per row, so each of its rows has its own.
     With W the worker count of ``_pool_workers``, each system's rows are

@@ -20,14 +20,15 @@ G itself is never formed: every 2-norm number goes through the l x l weighted
 Gram J = G diag(w^2) G^T, applied blockwise in closed form (a diagonal, the
 xy and yz blocks and one term per structure kind) and never assembled, and
 every max-norm number through one exact numerator that visits only the
-nonzero weights, within a fixed chunk budget. Both need only L S^{-1},
-obtained from k transposed solves, never an explicit inverse. Both take
-the structure kinds of dA, dD, dE (see :mod:`dsppcond.structured`) as a
-parameter: each kind adds one term to each, and the unstructured numbers
-are the structured ones with every kind "full". A :class:`SolvedSystem`
-holds the factorization, the solution and L S^{-1} of one (problem,
-selector) pair; every entry point takes one, so the work is done once
-however many numbers are asked for.
+nonzero weights, within a fixed chunk budget. Both need only L S^{-1}:
+the rows lo:hi of S^{-1} for a range selector, made by the part solves of
+one :class:`Factors` buffer, or k transposed solves against a custom L;
+never an explicit inverse. Both take the structure kinds of dA, dD, dE
+(see :mod:`dsppcond.structured`) as a parameter: each kind adds one term
+to each, and the unstructured numbers are the structured ones with every
+kind "full". A :class:`SolvedSystem` holds the factors, the solution and
+L S^{-1} of one (problem, selector) pair; every entry point takes one, so
+the work is done once however many numbers are asked for.
 """
 
 from __future__ import annotations
@@ -266,15 +267,6 @@ def _j_operator(sol: Solution, psi, chi, kinds):
     return apply
 
 
-def inv_rows(blocks: DsppBlocks, sel: Selector, lu: LuSolver | None = None) -> np.ndarray:
-    """The k x l matrix L S^{-1}, via k transposed solves of the factorization."""
-    if lu is None:
-        lu = factorize(blocks)
-    if sel.L.shape[1] != blocks.l:
-        raise DimensionMismatch(f"selector has {sel.L.shape[1]} columns, system is {blocks.l}")
-    return lu.solve(sel.L.T, transpose=True).T
-
-
 def first_order_delta(
     blocks: DsppBlocks,
     sol: Solution,
@@ -369,33 +361,76 @@ def _bc_numerator(rows, sol, wb, wc, chi_abs) -> np.ndarray:
     return u
 
 
+class Factors:
+    """The factorization of one system matrix and the rows of S^{-1} that
+    selectors read: L S^{-1} of a range selector is rows lo:hi of S^{-1}.
+
+    Each part x, y, z of those rows comes from one transposed solve, made at
+    most once, on first use, and written in place into one Fortran-ordered
+    l x l buffer that holds S^{-T}, allocated on the first range request; a
+    range reads the parts it covers. A part is always solved by the same
+    call, so its rows are bitwise the same whatever selectors share the
+    factors. A custom L is solved against directly.
+    """
+
+    def __init__(self, blocks: DsppBlocks):
+        self.lu = factorize(blocks)
+        self._cuts = (0, blocks.n, blocks.n + blocks.m, blocks.l)
+        self._inv_t = None
+        self._solved = set()
+
+    def rows(self, sel: Selector) -> np.ndarray:
+        """L S^{-1} (k x l) of the selector ``sel``, read-only."""
+        if sel.custom is not None:
+            out = self.lu.solve(sel.custom.T, transpose=True).T
+        else:
+            if self._inv_t is None:
+                self._inv_t = np.zeros((self._cuts[-1],) * 2, order="F")
+            for lo, hi in zip(self._cuts, self._cuts[1:]):
+                if sel.lo <= lo and hi <= sel.hi and lo not in self._solved:
+                    cols = self._inv_t[:, lo:hi]
+                    cols[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
+                    self.lu.solve(cols, transpose=True, overwrite=True)
+                    self._solved.add(lo)
+            out = self._inv_t.T[sel.lo : sel.hi]
+        out.flags.writeable = False
+        return out
+
+
 @dataclass(frozen=True, eq=False)
 class SolvedSystem:
     """One factorized and solved system with a selector: the work that every
     condition number of the pair (blocks, sel) shares.
 
-    ``rows`` is the k x l matrix L S^{-1}. Build with :meth:`of`. Two values
-    are computed on first use and kept: ``lw`` = L w, and ``bc_numerator``,
-    the data-weighted B, C and right-hand-side part of the max-norm
-    numerator, which the mixed, componentwise and structured max-norm numbers
-    all add their A, D, E terms to.
+    Build with :meth:`of`. Three values are computed on first use and kept:
+    ``rows``, the k x l matrix L S^{-1} from the system's :class:`Factors`;
+    ``lw`` = L w; and ``bc_numerator``, the data-weighted B, C and
+    right-hand-side part of the max-norm numerator, which the mixed,
+    componentwise and structured max-norm numbers all add their A, D, E
+    terms to.
     """
 
     blocks: DsppBlocks
     sel: Selector
-    lu: LuSolver
+    factors: Factors
     sol: Solution
-    rows: np.ndarray
 
     @classmethod
-    def of(cls, blocks: DsppBlocks, sel: Selector) -> "SolvedSystem":
-        """Factorize and solve once, then form L S^{-1} from the same factors."""
-        lu = factorize(blocks)
-        return cls(blocks, sel, lu, solve_dspp(blocks, lu), inv_rows(blocks, sel, lu))
+    def of(cls, blocks: DsppBlocks, sel: Selector, factors: Factors | None = None) -> "SolvedSystem":
+        """Solve with ``factors``, the factorization of this system matrix
+        (made here when None), whose buffer of S^{-1} rows it then shares."""
+        if sel.l != blocks.l:
+            raise DimensionMismatch(f"selector has {sel.l} columns, system is {blocks.l}")
+        factors = Factors(blocks) if factors is None else factors
+        return cls(blocks, sel, factors, solve_dspp(blocks, factors.lu))
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return self.factors.rows(self.sel)
 
     @cached_property
     def lw(self) -> np.ndarray:
-        return self.sel.L @ self.sol.w
+        return self.sel.take(self.sol.w)
 
     @cached_property
     def bc_numerator(self) -> np.ndarray:
@@ -532,8 +567,8 @@ def definition_ratio(
         raise ValueError(f"norm must be 'two' or 'inf', got {norm!r}")
     blocks = system.blocks
     da, db_, dc, dd, de, drhs = [np.asarray(d, dtype=float) for d in deltas]
-    dw = first_order_delta(blocks, system.sol, da, db_, dc, dd, de, drhs, lu=system.lu)
-    num_vec = ddagger(_as_xi(xi).resolve(system.lw)) * (system.sel.L @ dw)
+    dw = first_order_delta(blocks, system.sol, da, db_, dc, dd, de, drhs, lu=system.factors.lu)
+    num_vec = ddagger(_as_xi(xi).resolve(system.lw)) * system.sel.take(dw)
 
     psi, chi = weights.for_blocks(blocks)
     den_parts = [(ddagger(w) * d).flatten(order="F") for w, d in zip(psi, (da, db_, dc, dd, de))]
@@ -583,8 +618,8 @@ __all__ = [
     "CnValue",
     "PerturbationWeights",
     "XiChoice",
+    "Factors",
     "SolvedSystem",
-    "inv_rows",
     "first_order_delta",
     "unified_cn",
     "ncn",

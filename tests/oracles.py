@@ -3,7 +3,8 @@
 The library never forms the l x s matrix G (s = n^2 + nm + mp + m^2 + p^2),
 the 0/1 structure bases Phi, or any k x s product with them; these explicit
 versions exist only so tests can compare the closed forms against the
-definitions. Desk-scale sizes only. The unvec helper and the dense top
+definitions. Desk-scale sizes only. The unvec helper, the dense selector
+matrix L with L S^{-1} from one solve against it, and the dense top
 eigenpair that the Lanczos kernel is checked against live here too, since
 only tests use them.
 """
@@ -12,11 +13,11 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from dsppcond.dspp import solve_dspp
+from dsppcond.dspp import factorize, solve_dspp
 from dsppcond.eils import eils_reduce
 from dsppcond.errors import DimensionMismatch
 from dsppcond.linalg import as_vector, ddagger
-from dsppcond.partial_cn import XiChoice, inv_rows
+from dsppcond.partial_cn import XiChoice
 from dsppcond.structured import structure_basis
 
 
@@ -26,6 +27,17 @@ def unvec(v, rows: int, cols: int) -> np.ndarray:
     if v.size != rows * cols:
         raise DimensionMismatch(f"cannot reshape length {v.size} to {rows}x{cols}")
     return v.reshape((rows, cols), order="F")
+
+
+def selector_matrix(sel) -> np.ndarray:
+    """The dense k x l matrix L of a selector: rows lo:hi of I_l for a range,
+    the caller's matrix for "custom"."""
+    return np.eye(sel.l)[sel.lo : sel.hi] if sel.custom is None else sel.custom
+
+
+def inv_rows(blocks, sel) -> np.ndarray:
+    """L S^{-1} from k transposed solves against the dense L^T."""
+    return factorize(blocks).solve(selector_matrix(sel).T, transpose=True).T
 
 
 def top_eig(s) -> tuple[float, np.ndarray]:
@@ -136,7 +148,7 @@ def chi_vec(weights, blocks):
 
 def _xi_dagger(blocks, sel, sol, xi):
     xi = xi if isinstance(xi, XiChoice) else XiChoice(kind=str(xi))
-    return ddagger(xi.resolve(sel.L @ sol.w))
+    return ddagger(xi.resolve(selector_matrix(sel) @ sol.w))
 
 
 def unified_two(blocks, sel, weights, xi):
@@ -155,7 +167,7 @@ def ncn(blocks, sel, psi, chi):
     sol = solve_dspp(blocks)
     rows = inv_rows(blocks, sel)
     mat = np.hstack([psi * (rows @ build_g(sol)), -chi * rows])
-    return np.linalg.svd(mat, compute_uv=False)[0] / float(np.linalg.norm(sel.L @ sol.w, 2))
+    return np.linalg.svd(mat, compute_uv=False)[0] / float(np.linalg.norm(selector_matrix(sel) @ sol.w, 2))
 
 
 def inf_numerator(blocks, sel, weights):
@@ -224,7 +236,7 @@ def structured_numerator(blocks, sel, triple):
 
 def structured_inf(blocks, sel, xi, triple):
     """Structured mixed ("mcn") or componentwise ("ccn") number."""
-    lw = sel.L @ solve_dspp(blocks).w
+    lw = selector_matrix(sel) @ solve_dspp(blocks).w
     u = structured_numerator(blocks, sel, triple)
     if xi == "mcn":
         return float(np.max(u)) / float(np.max(np.abs(lw)))

@@ -83,24 +83,29 @@ def test_blocks_validate_shapes_and_finiteness():
 
 def test_selector_kinds_and_shapes():
     n, m, p = 2, 3, 4
-    assert np.array_equal(selector("full", n, m, p).L, np.eye(9))
+    w = np.arange(9.0)
+    sf = selector("full", n, m, p)
+    assert (sf.lo, sf.hi, sf.l, sf.k) == (0, 9, 9, 9) and sf.custom is None
+    assert np.array_equal(sf.take(w), w)
     sx = selector("x", n, m, p)
-    assert sx.k == 2 and np.array_equal(sx.L @ np.arange(9.0), [0.0, 1.0])
+    assert sx.k == 2 and np.array_equal(sx.take(w), [0.0, 1.0])
     sy = selector("y", n, m, p)
-    assert sy.k == 3 and np.array_equal(sy.L @ np.arange(9.0), [2.0, 3.0, 4.0])
+    assert sy.k == 3 and np.array_equal(sy.take(w), [2.0, 3.0, 4.0])
     sz = selector("z", n, m, p)
-    assert sz.k == 4 and np.array_equal(sz.L @ np.arange(9.0), [5.0, 6.0, 7.0, 8.0])
+    assert sz.k == 4 and np.array_equal(sz.take(w), [5.0, 6.0, 7.0, 8.0])
 
 
 def test_selector_custom_and_errors():
     smat = selector("custom", 1, 1, 1, custom_l=[[0.0, 1.0, 0.0]])
-    assert smat.k == 1
+    assert smat.k == 1 and np.array_equal(smat.take(np.array([4.0, 5.0, 6.0])), [5.0])
     with pytest.raises(ValueError):
         selector("custom", 1, 1, 1)
     with pytest.raises(DimensionMismatch):
         selector("custom", 1, 1, 1, custom_l=[[1.0, 0.0]])
     with pytest.raises(DimensionMismatch):
         selector("custom", 1, 1, 1, custom_l=np.ones((4, 3)))
+    with pytest.raises(DimensionMismatch):
+        selector("custom", 1, 1, 1, custom_l=np.zeros((0, 3)))
     with pytest.raises(ValueError):
         selector("parts", 1, 1, 1)
 

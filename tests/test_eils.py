@@ -255,6 +255,7 @@ def test_eils_cn_memory_budget():
     prob = random_problem(np.random.default_rng(54), n, m, p)
     system = SolvedSystem.of(eils_reduce(prob), selector("full", n, m, p))
     psi, chi = default_scalar_weights(prob)
+    system.rows  # formed on first use, and part of the solved system
     assert traced_peak(eils_cn, system, psi, chi, "ncn", "two") < system.blocks.A.nbytes
 
 

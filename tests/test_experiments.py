@@ -8,16 +8,16 @@ import multiprocessing
 import os
 import threading
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy
 
+import oracles
 from dsppcond import dspp, experiments, linalg, partial_cn
 from dsppcond.dspp import DsppBlocks, Solution, selector
 from dsppcond.errors import IncompatibleZeroPattern, ZeroXi
-from dsppcond.partial_cn import DOMINANCE_RTOL, inv_rows
+from dsppcond.partial_cn import DOMINANCE_RTOL, Factors
 from dsppcond.experiments import (
     CSV_COLUMNS,
     CSV_STRUCTURED_COLUMNS,
@@ -339,52 +339,38 @@ def test_example1_task_builds_its_blocks_once(monkeypatch):
         assert np.array_equal(blocks.b, generate(3, gen_seed).b)
 
 
-def test_factored_system_matches_same_arrays_at_once(monkeypatch):
-    blocks = gen_example1(3, 5)
-    system = experiments._FactoredSystem(blocks)
-    new_b = replace(blocks, b=np.ones(blocks.l))
-    copied = replace(blocks, A=blocks.A.copy())
-    other_d = replace(blocks, D=2.0 * blocks.D)
-    assert system.matches(copied) and not system.matches(other_d)
-
-    def no_entry_check(*args):
-        raise AssertionError("entries compared for the same arrays")
-
-    monkeypatch.setattr(np, "array_equal", no_entry_check)
-    assert system.matches(new_b)
-
-
 def _counted_system(monkeypatch, blocks):
-    """A _FactoredSystem whose solves record their numbers of columns."""
-    system = experiments._FactoredSystem(blocks)
-    solves, solve = [], system.lu.solve
+    """Factors whose solves record their numbers of columns."""
+    factors = Factors(blocks)
+    solves, solve = [], factors.lu.solve
 
     def counted(rhs, **kw):
         solves.append(rhs.shape[1])
         return solve(rhs, **kw)
 
-    monkeypatch.setattr(system.lu, "solve", counted)
-    return system, solves
+    monkeypatch.setattr(factors.lu, "solve", counted)
+    return factors, solves
 
 
 def test_factored_system_solves_each_part_once_on_demand(monkeypatch):
     blocks = gen_example1(3, 5)
     n, m, p = blocks.n, blocks.m, blocks.p
+    sels = {kind: selector(kind, n, m, p) for kind in DEFAULT_SELECTORS}
     alone, alone_solves = _counted_system(monkeypatch, blocks)
-    full = alone.rows("full")
+    full = alone.rows(sels["full"])
     assert alone_solves == [n, m, p]
     with pytest.raises(ValueError):
         full[0, 0] = 1.0
     scale = np.abs(full).max()
-    np.testing.assert_allclose(full, inv_rows(blocks, selector("full", n, m, p)), rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(full, oracles.inv_rows(blocks, sels["full"]), rtol=0, atol=1e-13 * scale)
 
     shared, solves = _counted_system(monkeypatch, blocks)
-    assert not shared.rows("y").flags.writeable
+    assert not shared.rows(sels["y"]).flags.writeable
     assert solves == [m]
-    assert np.array_equal(shared.rows("full"), full)
+    assert np.array_equal(shared.rows(sels["full"]), full)
     assert solves == [m, n, p]
     for kind in ("x", "y", "z"):
-        assert np.array_equal(shared.rows(kind), inv_rows(blocks, selector(kind, n, m, p)))
+        assert np.array_equal(shared.rows(sels[kind]), oracles.inv_rows(blocks, sels[kind]))
     assert solves == [m, n, p]
 
 

@@ -13,11 +13,12 @@ import oracles
 from conftest import random_dspp, rel_err, traced_peak
 from dsppcond.dspp import DsppBlocks, Solution, assemble, norm_fro_system, selector, solve_dspp
 from dsppcond.errors import DimensionMismatch, ZeroMatrix, ZeroXi
-from dsppcond.experiments import _FactoredSystem, gen_example1
+from dsppcond.experiments import gen_example1
 from dsppcond.linalg import ddagger
 from dsppcond.partial_cn import (
     DOMINANCE_RTOL,
     CnValue,
+    Factors,
     PerturbationWeights,
     SolvedSystem,
     XiChoice,
@@ -26,7 +27,6 @@ from dsppcond.partial_cn import (
     first_order_delta,
     inf_cn,
     inf_cn_upper,
-    inv_rows,
     ncn,
     ncn_upper,
     unified_cn,
@@ -107,12 +107,14 @@ def test_build_j_is_gram_of_g():
 def test_inv_rows_solves_against_selector():
     rng = np.random.default_rng(22)
     blocks = random_dspp(rng, 3, 2, 2)
-    for kind in ("full", "x", "y", "z"):
-        sel = selector(kind, 3, 2, 2)
-        rows = inv_rows(blocks, sel)
-        assert np.allclose(rows @ assemble(blocks), sel.L, rtol=0, atol=1e-10)
+    custom = rng.standard_normal((2, 7))
+    for kind in ("full", "x", "y", "z", "custom"):
+        sel = selector(kind, 3, 2, 2, custom if kind == "custom" else None)
+        rows = SolvedSystem.of(blocks, sel).rows
+        assert not rows.flags.writeable
+        assert np.allclose(rows @ assemble(blocks), oracles.selector_matrix(sel), rtol=0, atol=1e-10)
     with pytest.raises(DimensionMismatch):
-        inv_rows(blocks, selector("x", 3, 2, 3))
+        SolvedSystem.of(blocks, selector("x", 3, 2, 3))
 
 
 def test_first_order_delta_solves_increment_equation():
@@ -219,7 +221,7 @@ def test_chunked_numerator_matches_materialized(monkeypatch):
         sel = selector(("full", "x", "y", "z")[trial % 4], n, m, p)
         weights = PerturbationWeights.from_problem(blocks)
         sol = solve_dspp(blocks)
-        lw = sel.L @ sol.w
+        lw = sel.take(sol.w)
         want = float(np.max(np.abs(ddagger(lw)) * oracles.inf_numerator(blocks, sel, weights)))
         got = unified_cn(SolvedSystem.of(blocks, sel), weights, "ccn", "inf").value
         assert rel_err(got, want) < 1e-12
@@ -291,7 +293,7 @@ def _pair_cases():
     # The read-only rows of one Fortran-ordered S^-T buffer, as the
     # experiment tasks share them, split into the B and C column blocks.
     blocks = random_dspp(rng, 4, 3, 2)
-    rows = _FactoredSystem(blocks).rows("full")
+    rows = Factors(blocks).rows(selector("full", 4, 3, 2))
     assert not rows.flags.writeable and rows.base.flags.f_contiguous
     sol = solve_dspp(blocks)
     k1, k2, k3 = np.split(rows, [4, 7], axis=1)
@@ -525,7 +527,20 @@ def test_ncn_memory_budget():
     psi, chi = norm_fro_system(blocks), float(np.linalg.norm(blocks.b))
     for kind in ("y", "full"):
         system = SolvedSystem.of(blocks, selector(kind, blocks.n, blocks.m, blocks.p))
+        system.rows  # formed on first use, and part of the solved system
         assert traced_peak(ncn, system, psi, chi) < 256 * 256 * 8
+
+
+def test_full_rows_memory_budget():
+    # A range selector holds no l-sized array. Beside the blocks, the rows
+    # of "full" hold the l x l LU factors and one l x l buffer of S^-T: the
+    # assembled matrix is freed once its LU copy is made, so the peak is
+    # 2 l^2 doubles plus O(l) vectors (measured 2 l^2 + 6 l at l = 400).
+    blocks = gen_example1(10, 0)
+    dims, l = (blocks.n, blocks.m, blocks.p), blocks.l
+    assert traced_peak(selector, "full", *dims) < l * 8
+    peak = traced_peak(lambda: SolvedSystem.of(blocks, selector("full", *dims)).rows)
+    assert peak <= (2 * l * l + 16 * l) * 8
 
 
 def test_cn_value_validation():

@@ -1,6 +1,6 @@
 """Property tests: the closed forms against the materialized oracles.
 
-Random shapes, selectors, structure kinds on A, D, E, block weights that
+Random shapes, selectors (ranges and random custom L), structure kinds on A, D, E, block weights that
 are each a number (0 included) or a matrix inside its subspace, and
 sparsity masks on B and C; the matrix entries come from a drawn numpy
 seed. Values never exceed their upper bounds and do not change when all the
@@ -43,7 +43,8 @@ SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=
 
 dims = st.integers(1, 6)
 kinds = st.sampled_from(STRUCTURE_KINDS)
-selectors = st.sampled_from(("full", "x", "y", "z"))
+ranges = st.sampled_from(("full", "x", "y", "z"))
+selectors = st.sampled_from(("full", "x", "y", "z", "custom"))
 seeds = st.integers(0, 2**32 - 1)
 densities = st.sampled_from((0.0, 0.2, 0.5, 1.0))
 weight_forms = st.tuples(*[st.sampled_from(("matrix", "number", "zero"))] * 6)
@@ -53,6 +54,13 @@ def in_subspace(rng, kind, dim, nonnegative=False):
     basis = structure_basis(kind, dim)
     g = rng.standard_normal(basis.generators)
     return oracles.reconstruct(basis, np.abs(g) if nonnegative else g)
+
+
+def draw_selector(rng, kind, n, m, p):
+    """The selector ``kind``; "custom" is a random k x l L with 1 <= k <= l."""
+    l = n + m + p
+    custom = rng.standard_normal((int(rng.integers(1, l + 1)), l)) if kind == "custom" else None
+    return selector(kind, n, m, p, custom)
 
 
 def structured_instance(rng, n, m, p, triple):
@@ -87,7 +95,7 @@ def test_closed_forms_match_oracles(n, m, p, ka, kd, ke, kind, xi, forms, seed):
     numbers = {"number": rng.uniform(0.5, 2.0), "zero": 0.0}
     drawn = weights.psi + (weights.chi,)
     weights = PerturbationWeights.entrywise(*(numbers.get(f, w) for f, w in zip(forms, drawn)))
-    sel = selector(kind, n, m, p)
+    sel = draw_selector(rng, kind, n, m, p)
     system = SolvedSystem.of(blocks, sel)
     sol, rows = system.sol, system.rows
     kinds = (ka, kd, ke)
@@ -145,7 +153,7 @@ def sparse_instance(rng, n, m, p, density_b, density_c, empty_rows):
 
 
 @SETTINGS
-@given(n=dims, m=dims, p=dims, kind=selectors, density_b=densities,
+@given(n=dims, m=dims, p=dims, kind=ranges, density_b=densities,
        density_c=densities, empty_rows=st.booleans(), seed=seeds)
 def test_numerator_over_sparse_data_matches_oracle(
     n, m, p, kind, density_b, density_c, empty_rows, seed
@@ -165,7 +173,7 @@ def test_numerator_over_sparse_data_matches_oracle(
 
 
 @SETTINGS
-@given(n=dims, m=dims, p=dims, kind=selectors, density_b=densities,
+@given(n=dims, m=dims, p=dims, kind=ranges, density_b=densities,
        density_c=densities, empty_rows=st.booleans(), seed=seeds)
 def test_values_never_exceed_bounds(n, m, p, kind, density_b, density_c, empty_rows, seed):
     rng = np.random.default_rng(seed)
@@ -257,7 +265,7 @@ def test_membership_residual_matches_projection_oracle(kind, dim, factor, j, see
 
 
 @SETTINGS
-@given(n=dims, m=dims, p=dims, ka=kinds, kd=kinds, ke=kinds, kind=selectors,
+@given(n=dims, m=dims, p=dims, ka=kinds, kd=kinds, ke=kinds, kind=ranges,
        j=st.integers(-60, 60), seed=seeds)
 def test_numbers_invariant_under_data_scaling(n, m, p, ka, kd, ke, kind, j, seed):
     """(A..E, b) -> 2^j (A..E, b) leaves w, and so every number, unchanged."""
@@ -293,7 +301,7 @@ def test_shared_system_matches_fresh_systems(n, m, p, ka, kd, ke, kind, order, s
     rng = np.random.default_rng(seed)
     triple = StructureTriple(ka, kd, ke)
     blocks, weights = structured_instance(rng, n, m, p, triple)
-    sel = selector(kind, n, m, p)
+    sel = draw_selector(rng, kind, n, m, p)
     psi, chi = (float(v) for v in rng.uniform(0.5, 2.0, size=2))
     data = PerturbationWeights.from_problem(blocks)
     numbers = [
@@ -317,7 +325,7 @@ def test_shared_system_matches_fresh_systems(n, m, p, ka, kd, ke, kind, order, s
 
 @SETTINGS
 @given(m=st.integers(1, 5), extra=st.integers(1, 3), p_frac=st.floats(0.0, 1.0),
-       kind=selectors, xi=st.sampled_from(("ncn", "mcn", "ccn")),
+       kind=ranges, xi=st.sampled_from(("ncn", "mcn", "ccn")),
        entrywise=st.booleans(), seed=seeds)
 def test_eils_matches_explicit_map(m, extra, p_frac, kind, xi, entrywise, seed):
     n = min(m + extra, 6)
