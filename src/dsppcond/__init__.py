@@ -91,6 +91,7 @@ from .experiments import (
     gen_example1,
     gen_example2,
     perturb,
+    perturbed_change,
     report_meta,
     run_experiment,
     write_csv_report,
@@ -170,6 +171,7 @@ __all__ = [
     "gen_example2",
     "perturb",
     "apply_perturbation",
+    "perturbed_change",
     "forward_errors",
     "epsilons",
     "first_order_residual",

@@ -241,6 +241,18 @@ def _system_sumsq(mats) -> float:
     return a + 2.0 * b + 2.0 * c + d + e
 
 
+def _system_norms(mats) -> tuple[float, float]:
+    """||M||_1 and ||M||_inf of the system M assembled from ``mats`` =
+    (A, B, C, D, E), without assembling it: the largest column and row sums
+    of |M|, taken blockwise (B and C enter as themselves and transposed)."""
+    (ca, cb, cc, cd, ce), (ra, rb, rc, rd, re) = zip(
+        *((a.sum(axis=0), a.sum(axis=1)) for a in map(np.abs, mats))
+    )
+    one = max(float((ca + cb).max()), float((rb + cd + cc).max()), float((rc + ce).max()))
+    inf = max(float((ra + cb).max()), float((rb + rd + cc).max()), float((rc + re).max()))
+    return one, inf
+
+
 def norm_fro_system(blocks: DsppBlocks) -> float:
     """Frobenius norm of the assembled system matrix."""
     return float(np.sqrt(_system_sumsq((blocks.A, blocks.B, blocks.C, blocks.D, blocks.E))))

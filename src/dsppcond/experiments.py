@@ -12,6 +12,14 @@ A, B, C, D, E, b in that order, column-major within each block. Experiment
 rows derive child seeds from SeedSequence((seed, q, selector_index)), so rows
 are independent.
 
+Perturbed solves: a row's solution change dw = w~ - w is refined in
+increment form on its system's factors (:func:`perturbed_change`), with no
+perturbed system formed, wherever ||dS||_1 / (rcond ||S||_1) < 1/2 certifies
+S + dS nonsingular and the refined w~ passes the solve's residual test; any
+other row factorizes S + dS, as a singular one raises. At s = 8 every row
+of the benchmark sweep refines, so a system is factorized once for all its
+rows.
+
 Tasks: rows that share one system matrix run as one task, whose rows share
 one :class:`~dsppcond.partial_cn.Factors`: the system is factorized once and
 each part x, y, z of S^{-1} solved at most once; a row's L S^{-1} is a
@@ -44,11 +52,11 @@ import scipy.linalg
 
 from ._version import __version__
 from .dspp import (
-    DsppBlocks, Selector, Solution, _block_product, _system_sumsq, factorize, norm_fro_system,
-    selector, solve_dspp,
+    RESIDUAL_RTOL, DsppBlocks, Selector, Solution, _block_product, _system_norms, _system_sumsq,
+    factorize, norm_fro_system, selector, solve_dspp,
 )
 from .errors import IncompatibleZeroPattern, ZeroXi
-from .linalg import _blas_single_thread, ddagger
+from .linalg import LuSolver, _blas_single_thread, ddagger
 from .partial_cn import (
     Factors,
     PerturbationWeights,
@@ -201,12 +209,14 @@ def perturb(blocks: DsppBlocks, s: int, seed) -> PerturbationSet:
         raise ValueError("magnitude exponent s must be >= 1")
     rng = _generator(seed)
     factor = 10.0 ** (-s)
-    parts = [
-        factor * _normal_like(rng, mat) * mat
-        for mat in (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E)
-    ]
-    db = factor * rng.standard_normal(blocks.l) * blocks.b
-    return PerturbationSet(*parts, db=db, s=s)
+    parts = []
+    # factor * g * mat, scaled in place: one array per block.
+    for mat in (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E, blocks.b):
+        g = _normal_like(rng, mat)
+        g *= factor
+        g *= mat
+        parts.append(g)
+    return PerturbationSet(*parts, s=s)
 
 
 def apply_perturbation(blocks: DsppBlocks, pert: PerturbationSet, scale: float = 1.0) -> DsppBlocks:
@@ -220,10 +230,67 @@ def apply_perturbation(blocks: DsppBlocks, pert: PerturbationSet, scale: float =
     )
 
 
-def forward_errors(sol: Solution, sol_tilde: Solution, sel: Selector) -> tuple[float, float, float]:
-    """Measured relative changes of L w: 2-norm, max-norm, componentwise."""
+def perturbed_change(blocks: DsppBlocks, sol: Solution, lu: LuSolver, pert: PerturbationSet) -> np.ndarray:
+    """The solution change dw = w~ - w of the perturbed system
+    (S + dS) w~ = b + db, from ``sol``, S w = b, and ``lu``, S's factors.
+
+    Certificate. With rho = ||dS||_1 / (rcond ||S||_1), rcond and ||S||_1
+    being what ``lu`` certified S with, rcond ||S||_1 is 1 / ||S^-1||_1 and
+    ||S^-1 dS||_1 <= rho. If rho < 1/2, S + dS = S (I + S^-1 dS) is
+    nonsingular, ||(S + dS)^-1||_1 <= ||S^-1||_1 / (1 - rho) and
+    ||S + dS||_1 <= (1 + rho rcond) ||S||_1, so its rcond is at least
+    rcond (1 - rho) / (1 + rho rcond); that must also clear the floor l eps
+    that :class:`~dsppcond.linalg.LuSolver` holds a factorized matrix to.
+    ||dS||_1 and ||dS||_inf are taken blockwise from the deltas.
+
+    A certified perturbation is refined in increment form on S's factors
+    (Skeel, Math. Comp. 35, 1980; Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 12): with r0 = db - dS w, dw <- dw + c for
+    c = S^-1 (r0 - S dw - dS dw), S and dS applied blockwise, while each
+    correction's 1-norm is below half the previous one's; in exact arithmetic
+    each is at most rho times the last. No perturbed block or l x l matrix
+    is formed, and dw is not the difference of two nearby solutions, so it
+    has no cancellation. dw is accepted when the residual of w~ = w + dw,
+    (b - S w) + (r0 - (S + dS) dw), has 2-norm at most RESIDUAL_RTOL
+    ((||S||_inf - ||dS||_inf) ||w~|| + ||b + db||): :func:`solve_dspp`'s
+    test with ||S + dS||_inf replaced by its lower end, so at least as strict.
+
+    Any other perturbation is applied and the perturbed system factorized
+    and solved, dw = w~ - w, which raises
+    :class:`~dsppcond.errors.SingularMatrix` where S + dS is singular.
+    """
+    mats = (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E)
+    deltas = pert.deltas[:5]
+    d_one, d_inf = _system_norms(deltas)
+    rho = d_one / (lu.rcond * lu.norm_one)
+    if rho < 0.5 and lu.rcond * (1.0 - rho) / (1.0 + rho * lu.rcond) >= blocks.l * np.finfo(float).eps:
+        cuts = [blocks.n, blocks.n + blocks.m]
+        r0 = pert.db - _block_product(deltas, sol.x, sol.y, sol.z)
+        dw, r, size = np.zeros(blocks.l), r0, np.inf
+        while True:
+            c = lu.solve(r)
+            step = float(np.linalg.norm(c, 1))
+            if not step < size / 2:
+                break
+            dw += c
+            size = step
+            parts = np.split(dw, cuts)
+            r = r0 - _block_product(mats, *parts) - _block_product(deltas, *parts)
+        resid = float(np.linalg.norm(blocks.b - _block_product(mats, sol.x, sol.y, sol.z) + r))
+        bound = RESIDUAL_RTOL * (
+            (lu.norm_inf - d_inf) * float(np.linalg.norm(sol.w + dw))
+            + float(np.linalg.norm(blocks.b + pert.db))
+        )
+        if resid <= bound:
+            return dw
+    return solve_dspp(apply_perturbation(blocks, pert)).w - sol.w
+
+
+def forward_errors(sol: Solution, dw: np.ndarray, sel: Selector) -> tuple[float, float, float]:
+    """Measured relative changes of L w by the solution change ``dw``:
+    2-norm, max-norm, componentwise."""
     lw = sel.take(sol.w)
-    dlw = sel.take(sol_tilde.w) - lw
+    dlw = sel.take(dw)
     n2 = float(np.linalg.norm(lw, 2))
     ninf = float(np.max(np.abs(lw)))
     if n2 == 0.0 or ninf == 0.0:
@@ -272,23 +339,20 @@ class FirstOrderCheck:
 def first_order_residual(blocks: DsppBlocks, pert: PerturbationSet) -> FirstOrderCheck:
     """Compare the true solution change against the first-order prediction.
 
-    The true change at scale t solves (S + t dS) dw = (b + t db) - (S + t dS) w,
-    the increment form of re-solving; this avoids cancellation in w~ - w. The
-    remainder ||actual(t) - t predicted|| shrinks quadratically in t.
+    The true change at scale t is :func:`perturbed_change` for the deltas
+    times t (exact, as t is a power of two): refined on S's factors in
+    increment form, with no cancellation in w~ - w, wherever the perturbation
+    is certified. The remainder ||actual(t) - t predicted|| shrinks
+    quadratically in t.
     """
     lu = factorize(blocks)
     sol = solve_dspp(blocks, lu)
     predicted = first_order_delta(blocks, sol, *pert.deltas, lu=lu)
-
-    def actual_change(t: float) -> np.ndarray:
-        pb = apply_perturbation(blocks, pert, t)
-        pw = _block_product((pb.A, pb.B, pb.C, pb.D, pb.E), sol.x, sol.y, sol.z)
-        return factorize(pb).solve(pb.b - pw)
-
     curve = []
     actual_full = None
     for t in (1.0, 0.5, 0.25):
-        act = actual_change(t)
+        scaled = PerturbationSet(*(t * d for d in pert.deltas), s=pert.s)
+        act = perturbed_change(blocks, sol, lu, scaled)
         if t == 1.0:
             actual_full = act
         curve.append((t, float(np.linalg.norm(act - t * predicted, 2))))
@@ -360,11 +424,12 @@ def _family_system(
 
 
 def _experiment_row(system: SolvedSystem, triple, q, s, pert_seed, structured) -> ExperimentRow:
-    """Perturb, re-solve, measure and predict for one solved system."""
+    """Perturb, measure the solution change on the system's factors, and
+    predict for one solved system."""
     blocks, sel = system.blocks, system.sel
     pert = perturb(blocks, s, pert_seed)
-    sol_tilde = solve_dspp(apply_perturbation(blocks, pert))
-    r_k, r_m, r_c = forward_errors(system.sol, sol_tilde, sel)
+    dw = perturbed_change(blocks, system.sol, system.factors.lu, pert)
+    r_k, r_m, r_c = forward_errors(system.sol, dw, sel)
     eps1, eps2 = epsilons(pert, blocks)
 
     psi = norm_fro_system(blocks)
@@ -421,11 +486,13 @@ def _experiment_task(family, q, rows, s, seed, structured) -> list[ExperimentRow
 # in-process.
 _POOL_MIN_WORK = 1 << 20
 
-# A task's peak memory over its process's, in bytes per l^2: measured 5.6-10.1
-# doubles per l^2 of peak RSS (6.1-7.5 traced by tracemalloc) for example1
-# tasks of all four selectors and example2 rows at l = 256..1600, with and
-# without structured values. A task peaks where its largest row does, as
-# its rows share one l x l buffer of S^{-1}.
+# A task's peak memory over its process's, in bytes per l^2: measured 6.7-8.3
+# doubles per l^2 of peak RSS (6.2-6.5 traced by tracemalloc) for example1
+# tasks of all four selectors and example2 `full` rows at l = 256..1600, with
+# and without structured values, at s = 8. The traced peaks are the same as
+# when every row factorized its perturbed system, so that l x l matrix and
+# its LU did not set these peaks. A task peaks where its largest row does,
+# as its rows share one l x l buffer of S^{-1}.
 _TASK_PEAK_BYTES_PER_L2 = 16 * 8
 
 
@@ -635,6 +702,7 @@ __all__ = [
     "gen_example2",
     "perturb",
     "apply_perturbation",
+    "perturbed_change",
     "forward_errors",
     "epsilons",
     "first_order_residual",

@@ -186,7 +186,8 @@ class LuSolver:
     condition number ``rcond`` from the LU factors in O(l^2). Factoring raises
     :class:`SingularMatrix` when ``rcond`` falls below the floor l * eps (a
     zero matrix is rejected outright), so a constructed instance certifies
-    that M is numerically nonsingular: cond_1(M) <= 1 / (l * eps).
+    that M is numerically nonsingular: cond_1(M) <= 1 / (l * eps). The
+    norms ``norm_one`` and ``norm_inf`` of M are kept.
     """
 
     def __init__(self, m):
@@ -195,7 +196,7 @@ class LuSolver:
             raise DimensionMismatch(f"square matrix required, got {m.shape}")
         # M's 1-norm is the infinity norm of the Fortran view M^T.
         self.norm_inf = _norm_inf(m)
-        norm_one = float(scipy.linalg.lapack.dlange("I", m.T))
+        self.norm_one = float(scipy.linalg.lapack.dlange("I", m.T))
         if self.norm_inf == 0.0:
             raise SingularMatrix("zero matrix")
         with warnings.catch_warnings():
@@ -203,7 +204,7 @@ class LuSolver:
             # SingularMatrix; scipy's advisory warning is redundant here.
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-        self.rcond = float(scipy.linalg.lapack.dgecon(lu, norm_one, norm="1")[0])
+        self.rcond = float(scipy.linalg.lapack.dgecon(lu, self.norm_one, norm="1")[0])
         floor = m.shape[0] * np.finfo(float).eps
         if not self.rcond >= floor:  # a NaN estimate fails too
             raise SingularMatrix(f"rcond estimate {self.rcond:.3e} below {floor:.3e}")

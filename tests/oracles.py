@@ -6,15 +6,18 @@ versions exist only so tests can compare the closed forms against the
 definitions. Desk-scale sizes only. The unvec helper, the dense selector
 matrix L with L S^{-1} from one solve against it, and the dense top
 eigenpair that the Lanczos kernel is checked against live here too, since
-only tests use them.
+only tests use them. So do the two solves with a factorization of a
+perturbed system that the experiments' refined solution change is checked
+against.
 """
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from dsppcond.dspp import factorize, solve_dspp
+from dsppcond.dspp import DsppBlocks, assemble, factorize, solve_dspp
 from dsppcond.eils import eils_reduce
+from dsppcond.experiments import apply_perturbation
 from dsppcond.errors import DimensionMismatch
 from dsppcond.linalg import as_vector, ddagger
 from dsppcond.partial_cn import XiChoice
@@ -38,6 +41,18 @@ def selector_matrix(sel) -> np.ndarray:
 def inv_rows(blocks, sel) -> np.ndarray:
     """L S^{-1} from k transposed solves against the dense L^T."""
     return factorize(blocks).solve(selector_matrix(sel).T, transpose=True).T
+
+
+def perturbed_resolve(blocks, pert) -> np.ndarray:
+    """w~ - w from a factorization and solve of the perturbed system S + dS."""
+    return solve_dspp(apply_perturbation(blocks, pert)).w - solve_dspp(blocks).w
+
+
+def perturbed_increment(blocks, sol, pert) -> np.ndarray:
+    """(S + dS)^{-1} (db - dS w) from a factorization of S + dS: the change
+    that refinement on S's factors converges to, with no cancellation."""
+    rhs = pert.db - assemble(DsppBlocks(*pert.deltas[:5], b=pert.db)) @ sol.w
+    return factorize(apply_perturbation(blocks, pert)).solve(rhs)
 
 
 def top_eig(s) -> tuple[float, np.ndarray]:

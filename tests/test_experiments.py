@@ -16,7 +16,7 @@ import scipy
 import oracles
 from dsppcond import dspp, experiments, linalg, partial_cn
 from dsppcond.dspp import DsppBlocks, Solution, selector
-from dsppcond.errors import IncompatibleZeroPattern, ZeroXi
+from dsppcond.errors import IncompatibleZeroPattern, SingularMatrix, ZeroXi
 from dsppcond.partial_cn import DOMINANCE_RTOL, Factors
 from dsppcond.experiments import (
     CSV_COLUMNS,
@@ -35,6 +35,7 @@ from dsppcond.experiments import (
     gen_example1,
     gen_example2,
     perturb,
+    perturbed_change,
     report_meta,
     rows_to_dicts,
     run_experiment,
@@ -127,18 +128,124 @@ def test_generators_reject_bad_arguments():
 
 
 def test_perturb_reproduces_stream_and_keeps_zeros():
-    blocks = gen_example1(2, 3)
-    pert = perturb(blocks, 6, 11)
-    assert pert.s == 6
-    rng = np.random.Generator(np.random.PCG64(11))
-    for delta, base in zip(pert.deltas[:5], (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E)):
-        g = rng.standard_normal(base.size).reshape(base.shape, order="F")
-        assert np.array_equal(delta, 1e-6 * g * base)
-        assert np.all(delta[base == 0.0] == 0.0)
-    gb = rng.standard_normal(blocks.l)
-    assert np.array_equal(pert.db, 1e-6 * gb * blocks.b)
+    """perturb scales each draw in place, and every delta is still
+    10^-s * g * X bit for bit: zero data entries stay zero, with the sign
+    each takes from g."""
+    cases = [
+        (gen_example1(2, 3), 6, 11), (gen_example1(3, 1), 8, 0), (gen_example1(4, 1), 1, 11),
+        (gen_example2(2, 1)[0], 6, 3), (gen_example2(3, 1)[0], 3, 29),
+    ]
+    for blocks, s, seed in cases:
+        pert = perturb(blocks, s, seed)
+        assert pert.s == s
+        rng = np.random.Generator(np.random.PCG64(seed))
+        signed_zeros = 0
+        for delta, base in zip(pert.deltas, (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E, blocks.b)):
+            want = 10.0 ** (-s) * rng.standard_normal(base.size).reshape(base.shape, order="F") * base
+            assert delta.shape == want.shape and delta.tobytes() == want.tobytes()
+            assert np.all(delta[base == 0.0] == 0.0)
+            signed_zeros += int(np.signbit(delta[base == 0.0]).sum())
+        assert signed_zeros > 0
     with pytest.raises(ValueError):
         perturb(blocks, 0, 11)
+
+
+def _solved(family, q):
+    blocks = gen_example1(q, 3) if family == "example1" else gen_example2(q, 3)[0]
+    lu = dspp.factorize(blocks)
+    return blocks, dspp.solve_dspp(blocks, lu), lu
+
+
+@pytest.mark.parametrize("family, q", [
+    ("example1", 4), ("example1", 8), ("example1", 12), ("example2", 3), ("example2", 5),
+])
+def test_perturbed_change_matches_the_lu_resolve(monkeypatch, family, q):
+    """The solution change refined on S's factors against the oracle that
+    factorizes S + dS. The oracle's w~ is off by about eps kappa ||w||
+    (kappa = 1 / rcond, the 1-norm condition estimate), which w~ - w keeps,
+    and ||dw|| is about 10^-s ||w||, so the two agree to 10^s eps kappa
+    relative. At s = 8 every perturbation is certified and refined with no
+    factorization; at s = 2 none is, and the change is the oracle's. A
+    refined change solves (S + dS) dw = db - dS w, as a factorization of
+    S + dS does with no cancellation, so those two agree to eps kappa."""
+    blocks, sol, lu = _solved(family, q)
+    calls = _count_factorizations(monkeypatch)
+    eps_kappa = np.finfo(float).eps / lu.rcond
+    for s in (2, 4, 6, 8):
+        pert = perturb(blocks, s, 11)
+        before = len(calls)
+        dw = perturbed_change(blocks, sol, lu, pert)
+        refactorized = len(calls) - before
+        want = oracles.perturbed_resolve(blocks, pert)
+        assert np.linalg.norm(dw - want) <= 10.0**s * eps_kappa * np.linalg.norm(want)
+        if s in (2, 8):
+            assert refactorized == (1 if s == 2 else 0)
+        if refactorized:
+            assert dw.tobytes() == want.tobytes()
+        else:
+            exact = oracles.perturbed_increment(blocks, sol, pert)
+            assert np.linalg.norm(dw - exact) <= eps_kappa * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("family, q", [("example1", 12), ("example2", 7)])
+def test_uncertified_perturbation_falls_back_to_the_lu_resolve(monkeypatch, family, q):
+    """At s = 1 the perturbation is far from certified on these systems
+    (||dS||_1 / (rcond ||S||_1) is 6.3e3 and 1.7e5): the perturbed system
+    is factorized, with no refinement step on S's factors, and the row's
+    change and errors are the oracle's bit for bit."""
+    blocks, sol, lu = _solved(family, q)
+    pert = perturb(blocks, 1, 11)
+    calls = _count_factorizations(monkeypatch)
+    monkeypatch.setattr(lu, "solve", lambda *args: pytest.fail("refined an uncertified change"))
+    dw = perturbed_change(blocks, sol, lu, pert)
+    assert len(calls) == 1
+    want = oracles.perturbed_resolve(blocks, pert)
+    assert dw.tobytes() == want.tobytes()
+    gen_seed, pert_seed = _row_seeds(5, q, 2)
+    (row,) = experiments._single_thread_task(family, q, ((2, "y"),), 1, 5, False)
+    blocks, _ = experiments._family_system(family, q, gen_seed, None)
+    pert = perturb(blocks, 1, pert_seed)
+    sel = selector("y", blocks.n, blocks.m, blocks.p)
+    # Rows run BLAS on one thread, so the oracle does too.
+    with linalg._blas_single_thread(np, scipy):
+        errors = forward_errors(dspp.solve_dspp(blocks), oracles.perturbed_resolve(blocks, pert), sel)
+    assert (row.r_k, row.r_m, row.r_c) == errors
+
+
+def test_refined_change_passes_the_solve_residual_test(monkeypatch):
+    """An accepted w~ = w + dw passes solve_dspp's residual test on the
+    assembled perturbed system. With a zero tolerance no refinement is
+    accepted, and a certified perturbation falls back to the oracle."""
+    blocks, sol, lu = _solved("example1", 8)
+    pert = perturb(blocks, 8, 11)
+    w_tilde = sol.w + perturbed_change(blocks, sol, lu, pert)
+    tilde = experiments.apply_perturbation(blocks, pert)
+    s_tilde = dspp.assemble(tilde)
+    resid = np.linalg.norm(tilde.b - s_tilde @ w_tilde)
+    norm_inf = np.linalg.norm(s_tilde, np.inf)
+    assert resid <= dspp.RESIDUAL_RTOL * (norm_inf * np.linalg.norm(w_tilde) + np.linalg.norm(tilde.b))
+    monkeypatch.setattr(experiments, "RESIDUAL_RTOL", 0.0)
+    calls = _count_factorizations(monkeypatch)
+    dw = perturbed_change(blocks, sol, lu, pert)
+    assert len(calls) == 1
+    assert dw.tobytes() == oracles.perturbed_resolve(blocks, pert).tobytes()
+
+
+def test_singular_perturbed_system_raises(monkeypatch):
+    """A perturbation that makes S + dS singular fails the certificate, and
+    factorizing S + dS raises SingularMatrix, from the helper and the row."""
+    blocks = DsppBlocks(A=[[2.0]], B=[[1.0]], C=[[1.0]], D=[[3.0]], E=[[1.0]], b=[1.0, 1.0, 1.0])
+    zero = np.zeros((1, 1))
+    pert = PerturbationSet(
+        dA=zero, dB=zero, dC=-blocks.C, dD=zero, dE=-blocks.E, db=np.zeros(3), s=1
+    )
+    lu = dspp.factorize(blocks)
+    with pytest.raises(SingularMatrix):
+        perturbed_change(blocks, dspp.solve_dspp(blocks, lu), lu, pert)
+    monkeypatch.setattr(experiments, "perturb", lambda *args: pert)
+    system = partial_cn.SolvedSystem.of(blocks, selector("full", 1, 1, 1))
+    with pytest.raises(SingularMatrix):
+        experiments._experiment_row(system, None, 1, 1, 0, False)
 
 
 def test_apply_perturbation_scales_all_blocks():
@@ -154,15 +261,15 @@ def test_apply_perturbation_scales_all_blocks():
 
 def test_forward_errors_hand_values():
     sol = Solution(x=np.array([2.0]), y=np.array([5.0]), z=np.array([1.0]))
-    sol_tilde = Solution(x=np.array([2.0]), y=np.array([5.0]), z=np.array([1.1]))
+    dw = np.array([0.0, 0.0, 0.1])
     sel = selector("custom", 1, 1, 1, custom_l=np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
-    r_k, r_m, r_c = forward_errors(sol, sol_tilde, sel)
+    r_k, r_m, r_c = forward_errors(sol, dw, sel)
     assert abs(r_k - 0.1 / np.sqrt(5.0)) < 1e-15
     assert abs(r_m - 0.05) < 1e-15
     assert abs(r_c - 0.1) < 1e-14
     zero = Solution(x=np.array([0.0]), y=np.array([5.0]), z=np.array([1.0]))
     with pytest.raises(ZeroXi):
-        forward_errors(zero, sol_tilde, selector("x", 1, 1, 1))
+        forward_errors(zero, dw, selector("x", 1, 1, 1))
 
 
 def test_epsilons_hand_values():
@@ -298,22 +405,37 @@ def test_rows_of_one_system_share_its_factorization(monkeypatch):
     monkeypatch.setattr(experiments, "_POOL_MIN_WORK", float("inf"))
     calls = _count_factorizations(monkeypatch)
     run_experiment("example1", [4, 6], s=6, seed=5)
-    # One per system (q = 4, 6) and one per row's perturbed system.
-    assert len(calls) == 2 + 8
+    # One per system (q = 4, 6): every row refines on its system's factors.
+    assert len(calls) == 2
+
+
+def test_sweep_factorizes_each_system_once(monkeypatch):
+    """At s = 8 every row of the sweep refines on its system's factors: 7
+    factorizations for 7 systems and 28 rows."""
+    monkeypatch.setattr(experiments, "_POOL_MIN_WORK", float("inf"))
+    calls = _count_factorizations(monkeypatch)
+    rows = run_experiment("example1", list(range(4, 17, 2)), s=8)
+    assert len(rows) == 28
+    assert len(calls) == 7
 
 
 def test_rows_with_their_own_matrix_factorize_it(monkeypatch):
     """example2 draws D and E per row: in one task, every row still
-    factorizes its own system, so the rows equal those run one per task."""
+    factorizes its own system, so the rows equal those run one per task.
+    The x row's perturbation is not certified (||dS||_1 / (rcond ||S||_1)
+    is 0.976 there), so that row also factorizes its perturbed system."""
     reference = run_experiment("example2", [3], s=6, seed=5)
     calls = _count_factorizations(monkeypatch)
     rows = experiments._single_thread_task(
         "example2", 3, tuple(enumerate(DEFAULT_SELECTORS)), 6, 5, False
     )
     assert rows == reference
-    assert len(calls) == 8
-    unperturbed = calls[::2]
-    assert all(not np.array_equal(a[3], b[3]) for a, b in itertools.combinations(unperturbed, 2))
+    assert len(calls) == 5
+    systems = calls[:2] + calls[3:]
+    assert all(not np.array_equal(a[3], b[3]) for a, b in itertools.combinations(systems, 2))
+    blocks, _ = experiments.gen_example2(3, _row_seeds(5, 3, 1)[0])
+    pert = perturb(blocks, 6, _row_seeds(5, 3, 1)[1])
+    assert np.array_equal(calls[2][3], blocks.D + pert.dD)
 
 
 def test_example1_task_builds_its_blocks_once(monkeypatch):
@@ -331,8 +453,8 @@ def test_example1_task_builds_its_blocks_once(monkeypatch):
     calls = _count_factorizations(monkeypatch)
     experiments._single_thread_task("example1", 3, tuple(enumerate(DEFAULT_SELECTORS)), 6, 5, False)
     assert built == [3]
-    # One factorization of the system, one per row's perturbed system.
-    assert len(calls) == 1 + len(DEFAULT_SELECTORS)
+    # One factorization of the system, which every row refines on.
+    assert len(calls) == 1
     for idx in range(1, len(DEFAULT_SELECTORS)):
         gen_seed = _row_seeds(5, 3, idx)[0]
         blocks, _ = experiments._family_system("example1", 3, gen_seed, generate(3, 0))
