@@ -154,11 +154,19 @@ def factorize(blocks: DsppBlocks) -> LuSolver:
     return LuSolver(assemble(blocks))
 
 
+def _residual_bound(norm_inf: float, w: np.ndarray, b: np.ndarray) -> float:
+    """The largest residual 2-norm ||b - M w|| that a solve of M w = b is
+    accepted with, given ||M||_inf (or a lower end of it, which is stricter):
+    RESIDUAL_RTOL (||M||_inf ||w|| + ||b||)."""
+    return RESIDUAL_RTOL * (norm_inf * float(np.linalg.norm(w, 2)) + float(np.linalg.norm(b, 2)))
+
+
 def solve_dspp(blocks: DsppBlocks, lu: LuSolver | None = None) -> Solution:
     """Solve the system and split the solution into its three parts.
 
     Raises :class:`SingularMatrix` when the assembled matrix is numerically
-    singular or the residual check fails.
+    singular or the residual exceeds :func:`_residual_bound` with ``lu``'s
+    ||S||_inf.
     """
     if lu is None:
         lu = factorize(blocks)
@@ -166,7 +174,7 @@ def solve_dspp(blocks: DsppBlocks, lu: LuSolver | None = None) -> Solution:
     x, y, z = np.split(w, [blocks.n, blocks.n + blocks.m])
     sw = _block_product((blocks.A, blocks.B, blocks.C, blocks.D, blocks.E), x, y, z)
     resid = float(np.linalg.norm(sw - blocks.b, 2))
-    bound = RESIDUAL_RTOL * (lu.norm_inf * float(np.linalg.norm(w, 2)) + float(np.linalg.norm(blocks.b, 2)))
+    bound = _residual_bound(lu.norm_inf, w, blocks.b)
     if resid > bound:
         raise SingularMatrix(f"solve residual {resid:.3e} exceeds {bound:.3e}")
     return Solution(x=x, y=y, z=z)

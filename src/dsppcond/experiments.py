@@ -13,12 +13,11 @@ rows derive child seeds from SeedSequence((seed, q, selector_index)), so rows
 are independent.
 
 Perturbed solves: a row's solution change dw = w~ - w is refined in
-increment form on its system's factors (:func:`perturbed_change`), with no
-perturbed system formed, wherever ||dS||_1 / (rcond ||S||_1) < 1/2 certifies
-S + dS nonsingular and the refined w~ passes the solve's residual test; any
-other row factorizes S + dS, as a singular one raises. At s = 8 every row
-of the benchmark sweep refines, so a system is factorized once for all its
-rows.
+increment form (:func:`perturbed_change`) on its system's factors wherever
+||dS||_1 / (rcond ||S||_1) < 1/2 certifies S + dS nonsingular and w~ passes
+the solve's residual test, and otherwise on a factorization of S + dS. At
+s = 8 every row of the benchmark sweep refines on S's factors, so a system
+is factorized once for all its rows.
 
 Tasks: rows that share one system matrix run as one task, whose rows share
 one :class:`~dsppcond.partial_cn.Factors`: the system is factorized once and
@@ -52,10 +51,10 @@ import scipy.linalg
 
 from ._version import __version__
 from .dspp import (
-    RESIDUAL_RTOL, DsppBlocks, Selector, Solution, _block_product, _system_norms, _system_sumsq,
+    DsppBlocks, Selector, Solution, _block_product, _residual_bound, _system_norms, _system_sumsq,
     factorize, norm_fro_system, selector, solve_dspp,
 )
-from .errors import IncompatibleZeroPattern, ZeroXi
+from .errors import IncompatibleZeroPattern, SingularMatrix, ZeroXi
 from .linalg import LuSolver, _blas_single_thread, ddagger
 from .partial_cn import (
     Factors,
@@ -219,56 +218,55 @@ def perturb(blocks: DsppBlocks, s: int, seed) -> PerturbationSet:
     return PerturbationSet(*parts, s=s)
 
 
-def apply_perturbation(blocks: DsppBlocks, pert: PerturbationSet, scale: float = 1.0) -> DsppBlocks:
-    return DsppBlocks(
-        A=blocks.A + scale * pert.dA,
-        B=blocks.B + scale * pert.dB,
-        C=blocks.C + scale * pert.dC,
-        D=blocks.D + scale * pert.dD,
-        E=blocks.E + scale * pert.dE,
-        b=blocks.b + scale * pert.db,
-    )
+def apply_perturbation(blocks: DsppBlocks, pert: PerturbationSet) -> DsppBlocks:
+    """The perturbed blocks: each block plus its delta."""
+    data = (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E, blocks.b)
+    return DsppBlocks(*(x + d for x, d in zip(data, pert.deltas)))
 
 
 def perturbed_change(blocks: DsppBlocks, sol: Solution, lu: LuSolver, pert: PerturbationSet) -> np.ndarray:
     """The solution change dw = w~ - w of the perturbed system
     (S + dS) w~ = b + db, from ``sol``, S w = b, and ``lu``, S's factors.
 
-    Certificate. With rho = ||dS||_1 / (rcond ||S||_1), rcond and ||S||_1
-    being what ``lu`` certified S with, rcond ||S||_1 is 1 / ||S^-1||_1 and
-    ||S^-1 dS||_1 <= rho. If rho < 1/2, S + dS = S (I + S^-1 dS) is
-    nonsingular, ||(S + dS)^-1||_1 <= ||S^-1||_1 / (1 - rho) and
-    ||S + dS||_1 <= (1 + rho rcond) ||S||_1, so its rcond is at least
-    rcond (1 - rho) / (1 + rho rcond); that must also clear the floor l eps
-    that :class:`~dsppcond.linalg.LuSolver` holds a factorized matrix to.
-    ||dS||_1 and ||dS||_inf are taken blockwise from the deltas.
+    One algorithm, iterative refinement in increment form (Skeel, Math.
+    Comp. 35, 1980; Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 12) on factors F: with r0 = db - dS w, dw <- dw + F^-1 (r0 - S dw -
+    dS dw), S and dS applied blockwise, while each correction's 1-norm is
+    below half the previous one's. dw is not the difference of two nearby
+    solutions, so it has no cancellation. It is accepted when the residual
+    of w~ = w + dw, (b - S w) + (r0 - (S + dS) dw), passes the solve's test
+    (:func:`~dsppcond.dspp._residual_bound`) with F's ||S + dS||_inf.
 
-    A certified perturbation is refined in increment form on S's factors
-    (Skeel, Math. Comp. 35, 1980; Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 12): with r0 = db - dS w, dw <- dw + c for
-    c = S^-1 (r0 - S dw - dS dw), S and dS applied blockwise, while each
-    correction's 1-norm is below half the previous one's; in exact arithmetic
-    each is at most rho times the last. No perturbed block or l x l matrix
-    is formed, and dw is not the difference of two nearby solutions, so it
-    has no cancellation. dw is accepted when the residual of w~ = w + dw,
-    (b - S w) + (r0 - (S + dS) dw), has 2-norm at most RESIDUAL_RTOL
-    ((||S||_inf - ||dS||_inf) ||w~|| + ||b + db||): :func:`solve_dspp`'s
-    test with ||S + dS||_inf replaced by its lower end, so at least as strict.
-
-    Any other perturbation is applied and the perturbed system factorized
-    and solved, dw = w~ - w, which raises
-    :class:`~dsppcond.errors.SingularMatrix` where S + dS is singular.
+    The certificate picks F. With rho = ||dS||_1 / (rcond ||S||_1), rcond
+    and ||S||_1 being what ``lu`` certified S with, ||S^-1 dS||_1 <= rho.
+    If rho < 1/2, S + dS = S (I + S^-1 dS) is nonsingular and its rcond is
+    at least rcond (1 - rho) / (1 + rho rcond), which must also clear the
+    floor l eps of :class:`~dsppcond.linalg.LuSolver`. Then F is ``lu``,
+    each correction is at most rho times the last in exact arithmetic, no
+    perturbed block or l x l matrix is formed, and the test takes the lower
+    end ||S||_inf - ||dS||_inf (||dS|| blockwise from the deltas), so it is
+    at least as strict. Otherwise, or where that w~ fails the test, F is a
+    factorization of S + dS, with its own ||.||_inf; a singular S + dS, or a
+    w~ that fails there too, raises :class:`~dsppcond.errors.SingularMatrix`.
     """
     mats = (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E)
     deltas = pert.deltas[:5]
     d_one, d_inf = _system_norms(deltas)
     rho = d_one / (lu.rcond * lu.norm_one)
-    if rho < 0.5 and lu.rcond * (1.0 - rho) / (1.0 + rho * lu.rcond) >= blocks.l * np.finfo(float).eps:
-        cuts = [blocks.n, blocks.n + blocks.m]
-        r0 = pert.db - _block_product(deltas, sol.x, sol.y, sol.z)
+    certified = rho < 0.5 and lu.rcond * (1.0 - rho) / (1.0 + rho * lu.rcond) >= blocks.l * np.finfo(float).eps
+
+    def attempts():
+        if certified:
+            yield lu, lu.norm_inf - d_inf
+        tilde = factorize(apply_perturbation(blocks, pert))
+        yield tilde, tilde.norm_inf
+
+    cuts = [blocks.n, blocks.n + blocks.m]
+    r0 = pert.db - _block_product(deltas, sol.x, sol.y, sol.z)
+    for f, norm_inf in attempts():
         dw, r, size = np.zeros(blocks.l), r0, np.inf
         while True:
-            c = lu.solve(r)
+            c = f.solve(r)
             step = float(np.linalg.norm(c, 1))
             if not step < size / 2:
                 break
@@ -277,13 +275,10 @@ def perturbed_change(blocks: DsppBlocks, sol: Solution, lu: LuSolver, pert: Pert
             parts = np.split(dw, cuts)
             r = r0 - _block_product(mats, *parts) - _block_product(deltas, *parts)
         resid = float(np.linalg.norm(blocks.b - _block_product(mats, sol.x, sol.y, sol.z) + r))
-        bound = RESIDUAL_RTOL * (
-            (lu.norm_inf - d_inf) * float(np.linalg.norm(sol.w + dw))
-            + float(np.linalg.norm(blocks.b + pert.db))
-        )
+        bound = _residual_bound(norm_inf, sol.w + dw, blocks.b + pert.db)
         if resid <= bound:
             return dw
-    return solve_dspp(apply_perturbation(blocks, pert)).w - sol.w
+    raise SingularMatrix(f"perturbed solve residual {resid:.3e} exceeds {bound:.3e}")
 
 
 def forward_errors(sol: Solution, dw: np.ndarray, sel: Selector) -> tuple[float, float, float]:
@@ -340,10 +335,9 @@ def first_order_residual(blocks: DsppBlocks, pert: PerturbationSet) -> FirstOrde
     """Compare the true solution change against the first-order prediction.
 
     The true change at scale t is :func:`perturbed_change` for the deltas
-    times t (exact, as t is a power of two): refined on S's factors in
-    increment form, with no cancellation in w~ - w, wherever the perturbation
-    is certified. The remainder ||actual(t) - t predicted|| shrinks
-    quadratically in t.
+    times t (exact, as t is a power of two), refined in increment form with
+    no cancellation in w~ - w. The remainder ||actual(t) - t predicted||
+    shrinks quadratically in t.
     """
     lu = factorize(blocks)
     sol = solve_dspp(blocks, lu)
@@ -489,10 +483,8 @@ _POOL_MIN_WORK = 1 << 20
 # A task's peak memory over its process's, in bytes per l^2: measured 6.7-8.3
 # doubles per l^2 of peak RSS (6.2-6.5 traced by tracemalloc) for example1
 # tasks of all four selectors and example2 `full` rows at l = 256..1600, with
-# and without structured values, at s = 8. The traced peaks are the same as
-# when every row factorized its perturbed system, so that l x l matrix and
-# its LU did not set these peaks. A task peaks where its largest row does,
-# as its rows share one l x l buffer of S^{-1}.
+# and without structured values, at s = 8. A task peaks where its largest
+# row does, as its rows share one l x l buffer of S^{-1}.
 _TASK_PEAK_BYTES_PER_L2 = 16 * 8
 
 

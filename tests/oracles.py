@@ -8,7 +8,7 @@ matrix L with L S^{-1} from one solve against it, and the dense top
 eigenpair that the Lanczos kernel is checked against live here too, since
 only tests use them. So do the two solves with a factorization of a
 perturbed system that the experiments' refined solution change is checked
-against.
+against; the difference w~ - w of two solutions is computed only here.
 """
 
 import numpy as np
@@ -44,7 +44,8 @@ def inv_rows(blocks, sel) -> np.ndarray:
 
 
 def perturbed_resolve(blocks, pert) -> np.ndarray:
-    """w~ - w from a factorization and solve of the perturbed system S + dS."""
+    """w~ - w from a factorization and solve of the perturbed system S + dS,
+    with the cancellation of a difference of two nearby solutions."""
     return solve_dspp(apply_perturbation(blocks, pert)).w - solve_dspp(blocks).w
 
 
