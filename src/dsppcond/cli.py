@@ -398,7 +398,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     out_path = getattr(args, "out", None)
     try:
-        with _blas_single_thread(np):
+        with _blas_single_thread():
             text = _COMMANDS[args.command](args)
     except FileNotFoundError as exc:
         return _fail(exc, MISSING_FILE_EXIT, out_path)

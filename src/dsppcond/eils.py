@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dspp import DsppBlocks, Solution
 from .errors import (
@@ -33,7 +32,7 @@ from .errors import (
     RankDeficientC,
     SingularMatrix,
 )
-from .linalg import _norm_inf, as_matrix, as_vector
+from .linalg import _norm_inf, as_matrix, as_vector, pivoted_qr_diagonal
 from .partial_cn import CnValue, PerturbationWeights, SolvedSystem, _as_xi, _inf_value, _positive, unified_cn
 
 # Rank tolerance for the constraint matrix, relative to its inf-norm.
@@ -82,14 +81,13 @@ class EilsProblem:
         if self.b.size != n or self.d.size != p:
             raise DimensionMismatch("b must have length n and d length p")
 
-        _, r, _ = scipy.linalg.qr(self.C.T, mode="economic", pivoting=True)
         tol = RANK_RTOL * _norm_inf(self.C)
-        rank = int(np.sum(np.abs(np.diag(r)) > tol))
+        rank = int(np.sum(pivoted_qr_diagonal(self.C.T) > tol))
         if rank < p:
             raise RankDeficientC(f"constraint matrix has rank {rank} < {p}")
 
         if m > p:
-            null = scipy.linalg.svd(self.C)[2][p:, :].T
+            null = np.linalg.svd(self.C)[2][p:, :].T
             j = signature_matrix(self.n1, self.n2)
             gram = null.T @ (self.M.T @ j @ self.M) @ null
             gram = (gram + gram.T) / 2.0

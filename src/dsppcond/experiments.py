@@ -28,13 +28,14 @@ its rows is a task. A system whose l^3 exceeds about one worker's share of
 the experiment's sum of l^3 is split into several tasks, and tasks run
 largest system first.
 
-Parallelism: every row runs with numpy's and scipy's OpenBLAS on one thread,
-and each part of S^{-1} is always solved by the same call, so a report is
-bitwise the same whatever the core count, OPENBLAS_NUM_THREADS or task
-split, and any subset of rows reproduces in isolation. run_experiment
-computes the tasks of a large enough experiment in a pool of forked worker
-processes, one per usable CPU up to one per row and no more than free
-memory holds; the others run in the calling process, with the same results.
+Parallelism: every row runs with numpy's OpenBLAS, which does all the
+package's BLAS and LAPACK work, on one thread, and each part of S^{-1} is
+always solved by the same call, so a report is bitwise the same whatever
+the core count, OPENBLAS_NUM_THREADS or task split, and any subset of rows
+reproduces in isolation. run_experiment computes the tasks of a large
+enough experiment in a pool of forked worker processes, one per usable CPU
+up to one per row and no more than free memory holds; the others run in the
+calling process, with the same results.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from ._version import __version__
 from .dspp import (
@@ -116,11 +116,27 @@ def gen_example1(q: int, seed) -> DsppBlocks:
     y = np.diag(1.0 + q * np.arange(q))
     eye_q = np.eye(q)
     lap = np.kron(eye_q, j) + np.kron(j, eye_q)
-    a = scipy.linalg.block_diag(lap, lap)
+    a = _block_diag(lap, lap)
     b = np.hstack([np.kron(eye_q, z), np.kron(z, eye_q)])
     c = np.kron(y, z)
     qq = q * q
     return DsppBlocks(A=a, B=b, C=c, D=np.eye(qq), E=np.eye(qq), b=rhs)
+
+
+def _block_diag(*mats) -> np.ndarray:
+    """The block-diagonal matrix of ``mats``, zero elsewhere."""
+    out = np.zeros(tuple(map(sum, zip(*(mat.shape for mat in mats)))))
+    r = c = 0
+    for mat in mats:
+        out[r : r + mat.shape[0], c : c + mat.shape[1]] = mat
+        r, c = r + mat.shape[0], c + mat.shape[1]
+    return out
+
+
+def _toeplitz(gen) -> np.ndarray:
+    """The symmetric Toeplitz matrix T_ij = gen[|i - j|]."""
+    idx = np.arange(gen.size)
+    return gen[np.abs(idx[:, None] - idx[None, :])]
 
 
 def _example1_rhs(q: int, seed) -> np.ndarray:
@@ -149,7 +165,7 @@ def gen_example2(q: int, seed) -> tuple[DsppBlocks, StructureTriple]:
     zmat = np.exp(-2.0 * (idx[:, None] ** 2 + idx[None, :] ** 2))
     s2 = np.concatenate([np.ones(qt), 1e-5 * np.arange(1, qt + 1) ** 2])
     s3 = 1e-5 * (np.arange(1, 2 * qt + 1) + qt) ** 2
-    a = scipy.linalg.block_diag(2.0 * zmat @ zmat.T + np.eye(qh), np.diag(s2), np.diag(s3))
+    a = _block_diag(2.0 * zmat @ zmat.T + np.eye(qh), np.diag(s2), np.diag(s3))
 
     nhat = np.zeros((q, q + 1))
     nhat[np.arange(q), np.arange(q)] = 2.0
@@ -175,7 +191,7 @@ def gen_example2(q: int, seed) -> tuple[DsppBlocks, StructureTriple]:
     rhs = rng.standard_normal(n + m + p)
     blocks = DsppBlocks(
         A=a, B=bmat, C=cmat,
-        D=scipy.linalg.toeplitz(dgen), E=scipy.linalg.toeplitz(egen), b=rhs,
+        D=_toeplitz(dgen), E=_toeplitz(egen), b=rhs,
     )
     return blocks, StructureTriple("symmetric", "toeplitz_sym", "toeplitz_sym")
 
@@ -539,7 +555,7 @@ def _task_counts(sizes: list[int], rows: list[int], workers: int) -> list[int]:
 
 
 def _single_thread_task(*task) -> list[ExperimentRow]:
-    with _blas_single_thread(np, scipy):
+    with _blas_single_thread():
         return _experiment_task(*task)
 
 
@@ -566,10 +582,10 @@ def run_experiment(
     With W the worker count of ``_pool_workers``, each system's rows are
     split into ``_task_counts`` tasks (one, unless the system carries more
     than about a worker's share of sum l^3), and the tasks run largest
-    system first. Every row runs with numpy's and scipy's OpenBLAS on one
-    thread, and each part of S^{-1} is solved by the same call whatever
-    else shares its task, so a row is bitwise the same alone, in any
-    experiment, under any split and on any worker count.
+    system first. Every row runs with numpy's OpenBLAS, the package's one
+    BLAS and LAPACK, on one thread, and each part of S^{-1} is solved by the
+    same call whatever else shares its task, so a row is bitwise the same
+    alone, in any experiment, under any split and on any worker count.
 
     With W > 1 the tasks run in a pool of min(W, tasks) workers, forked
     where the platform can fork; otherwise they run here, one after

@@ -8,6 +8,15 @@ whose top end, certified by a Cholesky factorization (:func:`_norm_upper`),
 gives the bounds. Everything operates on float64 numpy arrays and is pure,
 apart from the BLAS thread pins that the command line and each experiment
 row wrap around their work.
+
+The LAPACK and BLAS routines (dgetrf, dgetrs, dgecon, dlange, dpotrf,
+dstebz, dstein, dgeqp3, dger; contracts in Anderson et al., LAPACK Users'
+Guide, SIAM 1999) are called through ctypes in the one OpenBLAS that numpy
+links, so the package loads one BLAS with one thread pool. Their symbols
+are found by name: prefixed ``scipy_`` (the numpy >= 2 wheels) or not, and
+suffixed ``_64_`` (64-bit integer arguments) or ``_`` (32-bit). Where numpy's
+library exports none of these namings, importing the package raises
+ImportError.
 """
 
 from __future__ import annotations
@@ -19,10 +28,8 @@ import glob
 import importlib
 import itertools
 import os
-import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, SingularMatrix, UncertifiedBound
 
@@ -56,6 +63,169 @@ def ddagger(z) -> np.ndarray:
     return out
 
 
+# The routines called in numpy's LAPACK and BLAS, with the number of their
+# arguments; the CHARACTER ones among them (the second number) each take a
+# hidden length, which gfortran appends after the listed arguments.
+_ROUTINES = {
+    "dgetrf": (6, 0), "dgetrs": (9, 1), "dgecon": (9, 1), "dlange": (6, 1),
+    "dpotrf": (5, 1), "dstebz": (18, 2), "dstein": (13, 0), "dgeqp3": (9, 0),
+    "dger": (9, 0),
+}
+_NAMINGS = tuple(itertools.product(("scipy_", ""), ("_64_", "_")))
+
+
+def _blas_libraries():
+    """The loaded libraries to search for BLAS symbols: numpy's linalg
+    extension, then, for Windows, the OpenBLAS in the wheel's numpy.libs.
+    dlsym on a loaded module also searches the libraries it links, wherever
+    they are installed (the wheel's bundled copy, a distribution's or
+    conda's libopenblas); Windows does not."""
+    module = importlib.import_module("numpy.linalg._umath_linalg")
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in (module.__file__, *glob.glob(os.path.join(libdir, "*openblas*"))):
+        yield ctypes.CDLL(path)
+
+
+def _bind():
+    """``(routines, integer dtype)``: each routine of ``_ROUTINES`` as a
+    ctypes function under the first naming that the library exports in
+    full, and the numpy dtype of its INTEGER arguments."""
+    for lib in _blas_libraries():
+        for prefix, suffix in _NAMINGS:
+            try:
+                funcs = {name: lib[f"{prefix}{name}{suffix}"] for name in _ROUTINES}
+            except AttributeError:
+                continue
+            for name, func in funcs.items():
+                args, chars = _ROUTINES[name]
+                func.argtypes = [ctypes.c_void_p] * args + [ctypes.c_size_t] * chars
+                func.restype = ctypes.c_double if name == "dlange" else None
+            return funcs, np.dtype(np.int64 if suffix == "_64_" else np.int32)
+    names = ", ".join(f"{prefix}{name}{suffix}" for prefix, suffix in _NAMINGS for name in _ROUTINES)
+    raise ImportError(f"numpy's BLAS/LAPACK library exports none of the namings tried: {names}")
+
+
+_LAPACK, _INT = _bind()
+_CINT = np.ctypeslib.as_ctypes_type(_INT)
+
+
+def _call(name: str, *args):
+    """Call the routine ``name``, every argument by reference as Fortran
+    takes it: an ndarray by its data address, an int as an INTEGER, a float
+    as a DOUBLE PRECISION, a str as a CHARACTER (its hidden length
+    appended). The boxed scalars live in ``boxes`` until the call returns."""
+    boxes, addresses, lengths = [], [], []
+    for arg in args:
+        if isinstance(arg, np.ndarray):
+            addresses.append(arg.ctypes.data)
+            continue
+        if isinstance(arg, str):
+            box = ctypes.c_char(arg.encode())
+            lengths.append(len(arg))
+        elif isinstance(arg, float):
+            box = ctypes.c_double(arg)
+        else:
+            box = _CINT(arg)
+        boxes.append(box)
+        addresses.append(ctypes.addressof(box))
+    return _LAPACK[name](*addresses, *lengths)
+
+
+def _info(name: str, info) -> int:
+    """The INFO output of ``name``; a negative one, an illegal argument, raises."""
+    code = int(info[0])
+    if code < 0:
+        raise ValueError(f"illegal value in argument {-code} of LAPACK {name}")
+    return code
+
+
+def _lange(norm: str, m) -> float:
+    """LAPACK dlange's ``norm`` ("1" or "I") of the Fortran view M^T."""
+    a = np.ascontiguousarray(m, dtype=float)
+    rows, cols = a.shape
+    work = np.empty(max(1, cols))
+    return _call("dlange", norm, cols, rows, a, max(1, cols), work)
+
+
+def _top_tridiagonal(d, e) -> tuple[float, np.ndarray]:
+    """The top eigenpair of the symmetric tridiagonal matrix with diagonal d
+    and off-diagonal e: LAPACK dstebz by bisection for the largest
+    eigenvalue, then dstein by inverse iteration for its unit eigenvector.
+    A failure to converge raises LinAlgError."""
+    n = d.size
+    if n == 1:
+        return float(d[0]), np.ones(1)
+    found, nsplit, info = (np.zeros(1, _INT) for _ in range(3))
+    w, iblock, isplit = np.empty(n), np.empty(n, _INT), np.empty(n, _INT)
+    _call("dstebz", "I", "B", n, 0.0, 0.0, n, n, 0.0, d, e, found, nsplit, w,
+          iblock, isplit, np.empty(4 * n), np.empty(3 * n, _INT), info)
+    if _info("dstebz", info) or found[0] != 1:
+        raise np.linalg.LinAlgError("dstebz found no top eigenvalue")
+    z = np.empty(n)
+    _call("dstein", n, d, e, 1, w, iblock, isplit, z, n, np.empty(5 * n),
+          np.empty(n, _INT), np.empty(1, _INT), info)
+    if _info("dstein", info):
+        raise np.linalg.LinAlgError("dstein: the top eigenvector did not converge")
+    return float(w[0]), z
+
+
+def pivoted_qr_diagonal(a) -> np.ndarray:
+    """|diag R| of the column-pivoted QR factorization A P = Q R (LAPACK
+    dgeqp3, with the workspace its query asks for)."""
+    q = np.array(a, dtype=float, order="F")
+    rows, cols = q.shape
+    jpvt, tau, info = np.zeros(cols, _INT), np.empty(min(rows, cols)), np.zeros(1, _INT)
+    work = np.empty(1)
+    _call("dgeqp3", rows, cols, q, max(1, rows), jpvt, tau, work, -1, info)
+    work = np.empty(max(1, int(work[0])))
+    _call("dgeqp3", rows, cols, q, max(1, rows), jpvt, tau, work, work.size, info)
+    _info("dgeqp3", info)
+    return np.abs(np.diagonal(q))
+
+
+class RankOneUpdate:
+    """In-place rank-one updates ``a[:, :n] += xs[:, r] y[:n]^T`` (BLAS dger)
+    of one Fortran-ordered float64 buffer ``a``.
+
+    The arrays are checked and their addresses taken once, here, so that an
+    update (``update(r, n)``) is one foreign call with no array conversion;
+    the updater keeps them alive. ``xs`` may be any float64 view whose
+    columns have a positive element stride, such as the read-only rows of a
+    :class:`~dsppcond.partial_cn.Factors` buffer. Each updater owns the cells
+    its scalar arguments are passed in, so updaters share no state.
+    """
+
+    def __init__(self, a, xs, y):
+        for arr, ndim in ((a, 2), (xs, 2), (y, 1)):
+            if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
+                    and arr.ndim == ndim and arr.flags.aligned):
+                raise ValueError(f"float64 {ndim}-D arrays required")
+        m = a.shape[0]
+        if not (a.flags.f_contiguous and a.flags.writeable):
+            raise ValueError("a must be a writeable Fortran-ordered array")
+        if xs.shape[0] != m or not (y.flags.c_contiguous and y.size >= a.shape[1]):
+            raise DimensionMismatch(f"xs needs {m} rows and y at least {a.shape[1]} contiguous entries")
+        incx = xs.strides[0] // 8 if m > 1 else 1
+        if incx <= 0:
+            raise ValueError("the columns of xs need a positive stride")
+        self._arrays = (a, xs, y)
+        # Cells: m, n, incx, incy, lda; then alpha = 1.
+        self._cells = np.array([m, 0, incx, 1, max(1, m)], dtype=_INT)
+        self._alpha = np.ones(1)
+        cell = self._cells.ctypes.data
+        self._m, self._n, self._incx, self._incy, self._lda = (cell + i * _INT.itemsize for i in range(5))
+        self._alpha_at = self._alpha.ctypes.data
+        self._x, self._x_step, self._cols = xs.ctypes.data, xs.strides[1], xs.shape[1]
+        self._y, self._a, self._capacity = y.ctypes.data, a.ctypes.data, a.shape[1]
+
+    def update(self, r: int, n: int) -> None:
+        if not (0 <= r < self._cols and 0 <= n <= self._capacity):
+            raise IndexError(f"column {r} or width {n} out of range")
+        self._cells[1] = n
+        _LAPACK["dger"](self._m, self._n, self._alpha_at, self._x + r * self._x_step,
+                        self._incx, self._y, self._incy, self._a, self._lda)
+
+
 # Seed of the Lanczos start vector. Fixed, so every run takes the same steps
 # and prints the same digits.
 _LANCZOS_SEED = 0
@@ -67,8 +237,8 @@ def _lanczos(apply, k: int):
 
     Starts from a fixed seeded Gaussian vector. After step j the top
     eigenpair (theta, s) of the j x j tridiagonal T_j comes from
-    ``eigh_tridiagonal``, and the Ritz pair (theta, Q_j s) has residual norm
-    beta_j |s_j|. Yields that pair at every step where beta_j |s_j| <= k eps
+    :func:`_top_tridiagonal`, and the Ritz pair (theta, Q_j s) has residual
+    norm beta_j |s_j|. Yields that pair at every step where beta_j |s_j| <= k eps
     theta, where the Krylov space is invariant (beta_j = 0), and at step k,
     where Q_k spans R^k and T_k is G in that basis: the run is exact for
     small k. A caller that needs more than the first pair continues the run.
@@ -87,10 +257,7 @@ def _lanczos(apply, k: int):
         w -= h @ span
         w -= (span @ w) @ span
         b = float(np.linalg.norm(w))
-        lam, s = scipy.linalg.eigh_tridiagonal(
-            alpha[: j + 1], beta[:j], select="i", select_range=(j, j), check_finite=False
-        )
-        theta, s = float(lam[0]), s[:, 0]
+        theta, s = _top_tridiagonal(alpha[: j + 1], beta[:j])
         last = j + 1 == k or b == 0.0
         if last or b * abs(s[-1]) <= k * eps * theta:
             yield theta, s @ span
@@ -163,9 +330,15 @@ def _norm_upper(m) -> float:
         tau = theta + shift
         a = -g
         a[np.diag_indices(k)] += tau
-        # a.T is a in Fortran order, so LAPACK factors in place.
-        r, info = scipy.linalg.lapack.dpotrf(a.T, overwrite_a=True)
-        if info == 0:
+        # a.T is a in Fortran order, so LAPACK factors it in place into the
+        # upper triangle R of r = a.T; the rest of r, a's strict upper
+        # triangle, still holds -g and is cleared.
+        info = np.zeros(1, _INT)
+        _call("dpotrf", "U", k, a, k, info)
+        if _info("dpotrf", info) == 0:
+            for i in range(k - 1):
+                a[i, i + 1 :] = 0.0
+            r = a.T
             np.abs(r, out=r)
             rho = float((r.sum(axis=1) @ r).max())
             end = np.nextafter(tau + (k + 2) * eps * rho + rounding, np.inf)
@@ -176,7 +349,7 @@ def _norm_upper(m) -> float:
 def _norm_inf(m) -> float:
     """||M||_inf, the largest row sum of |M|: LAPACK dlange's 1-norm of the
     Fortran view M^T, with no |M| temporary."""
-    return float(scipy.linalg.lapack.dlange("1", m.T))
+    return _lange("1", m)
 
 
 class LuSolver:
@@ -196,19 +369,22 @@ class LuSolver:
             raise DimensionMismatch(f"square matrix required, got {m.shape}")
         # M's 1-norm is the infinity norm of the Fortran view M^T.
         self.norm_inf = _norm_inf(m)
-        self.norm_one = float(scipy.linalg.lapack.dlange("I", m.T))
+        self.norm_one = _lange("I", m)
         if self.norm_inf == 0.0:
             raise SingularMatrix("zero matrix")
-        with warnings.catch_warnings():
-            # The rcond check below turns exact singularity into
-            # SingularMatrix; scipy's advisory warning is redundant here.
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(m, check_finite=False)
-        self.rcond = float(scipy.linalg.lapack.dgecon(lu, self.norm_one, norm="1")[0])
-        floor = m.shape[0] * np.finfo(float).eps
+        n = m.shape[0]
+        lu, piv, info = np.array(m, order="F"), np.empty(n, _INT), np.zeros(1, _INT)
+        _call("dgetrf", n, n, lu, n, piv, info)
+        if _info("dgetrf", info):
+            self.rcond = 0.0  # an exactly zero pivot
+        else:
+            rcond = np.zeros(1)
+            _call("dgecon", "1", n, lu, n, self.norm_one, rcond, np.empty(4 * n), np.empty(n, _INT), info)
+            self.rcond = float(rcond[0])
+        floor = n * np.finfo(float).eps
         if not self.rcond >= floor:  # a NaN estimate fails too
             raise SingularMatrix(f"rcond estimate {self.rcond:.3e} below {floor:.3e}")
-        self._lu = (lu, piv)
+        self._lu, self._piv = lu, piv
         self.shape = m.shape
 
     def solve(self, rhs, transpose: bool = False, overwrite: bool = False) -> np.ndarray:
@@ -223,36 +399,28 @@ class LuSolver:
             raise DimensionMismatch(
                 f"rhs has {rhs.shape[0]} rows, matrix is {self.shape[0]}x{self.shape[1]}"
             )
-        x = scipy.linalg.lu_solve(
-            self._lu, rhs, trans=1 if transpose else 0, overwrite_b=overwrite, check_finite=False
-        )
+        in_place = overwrite and rhs.flags.f_contiguous and rhs.flags.writeable
+        x = rhs if in_place else np.array(rhs, order="F")
+        n, info = self.shape[0], np.zeros(1, _INT)
+        nrhs = 1 if x.ndim == 1 else x.shape[1]
+        _call("dgetrs", "T" if transpose else "N", n, nrhs, self._lu, n, self._piv, x, n, info)
+        _info("dgetrs", info)
         if overwrite and x is not rhs:
             rhs[...] = x
             return rhs
         return x
 
 
-# Per package, an extension module that links its BLAS. dlsym on a loaded
-# module also searches the libraries it links, wherever they are installed
-# (a wheel's bundled copy, a distribution's or conda's libopenblas); Windows
-# does not, so the wheel's own <name>.libs directory is searched as well.
-_BLAS_EXTENSIONS = {"numpy": "numpy.linalg._umath_linalg", "scipy": "scipy.linalg._fblas"}
-
-
 @functools.cache
-def _openblas_threads(package):
-    """``(get, set)`` for the thread count of the OpenBLAS that ``package``
-    (the numpy or scipy module) calls, or None when it calls another BLAS
-    (MKL or Accelerate, say).
+def _openblas_threads():
+    """``(get, set)`` for the thread count of the OpenBLAS that numpy calls,
+    or None when it calls another BLAS (MKL or Accelerate, say).
 
-    The wheels of numpy >= 2 and scipy >= 1.13 prefix the symbols with
-    ``scipy_``, earlier wheels and system builds do not; a 64-bit-integer
-    build suffixes them with ``64_``.
+    The numpy >= 2 wheels prefix the symbols with ``scipy_``, earlier wheels
+    and system builds do not; a 64-bit-integer build suffixes them with
+    ``64_``.
     """
-    module = importlib.import_module(_BLAS_EXTENSIONS[package.__name__])
-    libdir = os.path.join(os.path.dirname(package.__file__), os.pardir, f"{package.__name__}.libs")
-    for path in (module.__file__, *glob.glob(os.path.join(libdir, "*openblas*"))):
-        lib = ctypes.CDLL(path)
+    for lib in _blas_libraries():
         for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("64_", "")):
             get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
             set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
@@ -264,25 +432,23 @@ def _openblas_threads(package):
 
 
 @contextlib.contextmanager
-def _blas_single_thread(*packages):
-    """Run the OpenBLAS of each of ``packages`` (numpy, scipy) on one thread
-    inside the block, then restore each count, also on an exception. A
-    package on another BLAS is left alone.
+def _blas_single_thread():
+    """Run numpy's OpenBLAS, which does all of the package's BLAS and LAPACK
+    work, on one thread inside the block, then restore its count, also on
+    an exception. Another BLAS is left alone.
 
-    numpy and scipy each bundle their own OpenBLAS. After a threaded call a
-    pool's workers keep spinning, so numpy products and scipy LAPACK calls
-    in turn (LU, solves, dgecon, Cholesky) compete for the same cores. The
-    command line pins numpy's: its products run in the calling thread and
-    scipy's pool, still sized by OPENBLAS_NUM_THREADS, does all threaded
-    work. Experiment rows pin both, so their rounding does not depend on
-    the thread count.
+    The command line pins it for each command: its products, factorizations
+    and solves run in the calling thread. Experiment rows pin it too, so
+    their rounding does not depend on the thread count.
     """
-    pools = [pool for pool in map(_openblas_threads, packages) if pool is not None]
-    before = [get() for get, _ in pools]
-    for _, set_ in pools:
-        set_(1)
+    pool = _openblas_threads()
+    if pool is None:
+        yield
+        return
+    get, set_ = pool
+    before = get()
+    set_(1)
     try:
         yield
     finally:
-        for (_, set_), count in zip(pools, before):
-            set_(count)
+        set_(before)

@@ -20,7 +20,9 @@ G itself is never formed: every 2-norm number goes through the l x l weighted
 Gram J = G diag(w^2) G^T, applied blockwise in closed form (a diagonal, the
 xy and yz blocks and one term per structure kind) and never assembled, and
 every max-norm number through one exact numerator that visits only the
-nonzero weights, within a fixed chunk budget. Both need only L S^{-1}:
+nonzero weights, in chunks of at most 2^16 entries that stay in cache,
+adding each rank-one term with BLAS dger (numpy's OpenBLAS, through
+:class:`~dsppcond.linalg.RankOneUpdate`). Both need only L S^{-1}:
 the rows lo:hi of S^{-1} for a range selector, made by the part solves of
 one :class:`Factors` buffer, or k transposed solves against a custom L;
 never an explicit inverse. Both take the structure kinds of dA, dD, dE
@@ -37,18 +39,18 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy
-from scipy.linalg.blas import dger
 
 from .dspp import DsppBlocks, Selector, Solution, _block_product, factorize, solve_dspp
 from .errors import DimensionMismatch, ZeroMatrix, ZeroXi
-from .linalg import LuSolver, _blas_single_thread, _norm_upper, as_matrix, as_vector, ddagger, top_eig
+from .linalg import LuSolver, RankOneUpdate, _norm_upper, as_matrix, as_vector, ddagger, top_eig
 
 # Entries per chunk of the max-norm pair kernel (k times some nonzero columns of
-# one weight row). Its one float64 chunk buffer takes at most 32 MB, so beside
+# one weight row). Its one float64 chunk buffer takes at most 512 KiB, so beside
 # its inputs and a copy of k_col^T the kernel holds that buffer and O(k + l)
-# vectors, a budget that does not grow with s.
-_CHUNK_ENTRY_LIMIT = 1 << 22
+# vectors, a budget that does not grow with s. The kernel makes five passes
+# over each chunk (gather, scale, dger, abs, product), which stay in a 2 MiB
+# L2 cache at this size.
+_CHUNK_ENTRY_LIMIT = 1 << 16
 
 _XI_KINDS = ("ncn", "mcn", "ccn", "custom")
 
@@ -292,26 +294,27 @@ def _pair_sum(k_col, v_row, k_row, v_col, w) -> np.ndarray:
     of at most ``_CHUNK_ENTRY_LIMIT // k``, into one C-ordered buffer t
     allocated once, scales t by v_row[r], adds the rank-one term
     v_col[cols] (x) k_row[:, r] in place (BLAS ``dger`` on the
-    Fortran-ordered t^T), and accumulates w[r, cols] |t|.
+    Fortran-ordered t^T, through one :class:`RankOneUpdate`), and
+    accumulates w[r, cols] |t|.
     """
     k = k_col.shape[0]
     k_col_t = np.ascontiguousarray(k_col.T)
     u = np.zeros(k)
     cb = max(1, _CHUNK_ENTRY_LIMIT // max(1, k))
     buf = np.empty((min(cb, w.shape[1]), k))
-    # One dger per chunk, between numpy calls: scipy's pool would start its
-    # threads for each and leave them spinning against the calling thread.
-    with _blas_single_thread(scipy):
-        for r in range(w.shape[0]):
-            nz = np.flatnonzero(w[r])
-            for start in range(0, nz.size, cb):
-                cols = nz[start : start + cb]
-                # mode="clip" writes straight into ``out``; "raise" would buffer.
-                t = np.take(k_col_t, cols, axis=0, out=buf[: cols.size], mode="clip")
-                t *= v_row[r]
-                t = dger(1.0, k_row[:, r], v_col[cols], a=t.T, overwrite_a=True).T
-                np.abs(t, out=t)
-                u += w[r, cols] @ t
+    v_cols = np.empty(buf.shape[0])
+    rank_one = RankOneUpdate(buf.T, k_row, v_cols)
+    for r in range(w.shape[0]):
+        nz = np.flatnonzero(w[r])
+        for start in range(0, nz.size, cb):
+            cols = nz[start : start + cb]
+            # mode="clip" writes straight into ``out``; "raise" would buffer.
+            t = np.take(k_col_t, cols, axis=0, out=buf[: cols.size], mode="clip")
+            t *= v_row[r]
+            np.take(v_col, cols, out=v_cols[: cols.size], mode="clip")
+            rank_one.update(r, cols.size)
+            np.abs(t, out=t)
+            u += w[r, cols] @ t
     return u
 
 

@@ -7,7 +7,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy
 
 from conftest import random_dspp
 from dsppcond import cli, experiments, linalg, partial_cn
@@ -398,7 +397,7 @@ def test_structured_csv_rows(capsys, tmp_path):
 def numpy_pool():
     """numpy's OpenBLAS ``(get, set)``, set to 2 threads for the test so the
     pin is visible, and restored after it."""
-    pool = linalg._openblas_threads(np)
+    pool = linalg._openblas_threads()
     if pool is None:
         pytest.skip("numpy has no bundled OpenBLAS whose thread count can be read")
     get, set_ = pool
@@ -440,7 +439,7 @@ def test_commands_pin_numpy_blas_to_one_thread(capsys, tmp_path, monkeypatch, nu
 
 
 def test_commands_run_without_numpy_openblas(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(linalg, "_openblas_threads", lambda package: None)
+    monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
     seen = recording_command(monkeypatch, "analyze", lambda: "ran")
     path = write_problem(tmp_path / "prob.json", random_dspp(np.random.default_rng(65), 2, 2, 2))
     code, out, _ = run(capsys, ["analyze", "--input", path])
@@ -454,8 +453,8 @@ def test_experiment_csv_independent_of_threads_and_cores():
     """Fresh processes: the CSV is the same bytes under one and two OpenBLAS
     threads, and with the process on one CPU (rows in-process) or on all
     (rows in a pool where there are two or more)."""
-    if None in (linalg._openblas_threads(np), linalg._openblas_threads(scipy)):
-        pytest.skip("numpy or scipy calls no OpenBLAS whose thread count can be set")
+    if linalg._openblas_threads() is None:
+        pytest.skip("numpy calls no OpenBLAS whose thread count can be set")
     argv = [sys.executable, "-m", "dsppcond.cli",
             "experiment", "example1", "--q", "6:12:6", "--seed", "3"]
 
@@ -482,3 +481,26 @@ def test_experiment_row_error_exits_5(capsys, monkeypatch):
     code, out, _ = run(capsys, ["experiment", "example1", "--q", "2", "--selector", "full,x"])
     assert code == NUMERICAL_EXIT
     assert json.loads(out)["error"]["type"] == "ZeroXi"
+
+
+def test_runtime_loads_no_scipy():
+    """The package runs on numpy alone: neither the CLI's start nor an import
+    of the package loads a scipy module (scipy is a test dependency)."""
+    version = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "dsppcond.cli", "--version"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert version.returncode == 0 and version.stdout.startswith("dsppcond ")
+    imported = [line.rsplit("|", 1)[-1].strip() for line in version.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "dsppcond.linalg" in imported
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]
+    modules = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dsppcond, dsppcond.cli; print(' '.join(sorted(sys.modules)))"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert modules.returncode == 0, modules.stderr
+    loaded = modules.stdout.split()
+    assert "dsppcond.linalg" in loaded
+    assert not [name for name in loaded if name.split(".")[0] == "scipy"]

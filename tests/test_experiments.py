@@ -11,7 +11,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy
 
 import oracles
 from dsppcond import dspp, experiments, linalg, partial_cn
@@ -213,7 +212,7 @@ def test_uncertified_perturbation_falls_back_to_the_lu_resolve(monkeypatch, fami
     pert = perturb(blocks, 1, pert_seed)
     sel = selector("y", blocks.n, blocks.m, blocks.p)
     # Rows run BLAS on one thread, so the check does too.
-    with linalg._blas_single_thread(np, scipy):
+    with linalg._blas_single_thread():
         lu = dspp.factorize(blocks)
         sol = dspp.solve_dspp(blocks, lu)
         errors = forward_errors(sol, perturbed_change(blocks, sol, lu, pert), sel)
@@ -531,27 +530,26 @@ def test_run_experiment_raises_worker_errors_with_their_type(monkeypatch, rows_p
 
 
 def _worker_blas_threads(family, q, rows, *rest):
-    """Stands in for a task: the thread counts of the OpenBLAS pools, once
+    """Stands in for a task: the thread count of numpy's OpenBLAS pool, once
     per row."""
-    return [[linalg._openblas_threads(package)[0]() for package in (np, scipy)]] * len(rows)
+    return [linalg._openblas_threads()[0]()] * len(rows)
 
 
 def test_run_experiment_rows_run_blas_on_one_thread(monkeypatch, rows_path):
-    pools = [linalg._openblas_threads(package) for package in (np, scipy)]
-    if None in pools:
-        pytest.skip("numpy or scipy calls no OpenBLAS whose thread count can be read")
-    before = [get() for get, _ in pools]
-    for _, set_ in pools:
-        set_(2)
+    pool = linalg._openblas_threads()
+    if pool is None:
+        pytest.skip("numpy calls no OpenBLAS whose thread count can be read")
+    get, set_ = pool
+    before = get()
+    set_(2)
     monkeypatch.setattr(experiments, "_experiment_task", _worker_blas_threads)
     try:
         counts = run_experiment("example1", [2, 3], selectors=("full", "x"))
-        after = [get() for get, _ in pools]
+        after = get()
     finally:
-        for (_, set_), count in zip(pools, before):
-            set_(count)
-    assert counts == [[1, 1]] * 4
-    assert after == [2, 2]
+        set_(before)
+    assert counts == [1] * 4
+    assert after == 2
 
 
 def _row_pid(family, q, rows, *rest):

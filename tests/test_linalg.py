@@ -1,16 +1,21 @@
 """Dense kernel tests, mostly against small hand-computed values, plus the
-unvec helper and the dense top eigenpair that tests take from ``oracles``."""
+unvec helper and the dense top eigenpair that tests take from ``oracles``.
+The LAPACK and BLAS binding is checked against scipy's wrappers of the
+same routines."""
 
+import hashlib
 import types
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import rel_err
 import oracles
 from dsppcond import linalg
 from dsppcond.dspp import selector
 from dsppcond.errors import DimensionMismatch, SingularMatrix, UncertifiedBound
+from dsppcond import experiments
 from dsppcond.experiments import gen_example1
 from dsppcond.linalg import LuSolver, as_matrix, as_vector, ddagger, top_eig
 from dsppcond.partial_cn import SolvedSystem
@@ -160,8 +165,8 @@ def test_norm_upper_continues_the_run_then_raises(monkeypatch):
 @pytest.mark.parametrize("prefix", ["scipy_openblas", "openblas"])
 @pytest.mark.parametrize("suffix", ["64_", ""])
 def test_openblas_locator_reads_every_symbol_naming(monkeypatch, prefix, suffix):
-    """numpy >= 2 and scipy >= 1.13 wheels prefix the symbols with scipy_,
-    earlier wheels and system builds do not; ILP64 builds suffix them 64_."""
+    """numpy >= 2 wheels prefix the symbols with scipy_, earlier wheels and
+    system builds do not; ILP64 builds suffix them 64_."""
     def get():
         return 3
 
@@ -171,9 +176,9 @@ def test_openblas_locator_reads_every_symbol_naming(monkeypatch, prefix, suffix)
     lib = types.SimpleNamespace(**{f"{prefix}_get_num_threads{suffix}": get,
                                    f"{prefix}_set_num_threads{suffix}": set_})
     monkeypatch.setattr(linalg.ctypes, "CDLL", lambda path: lib)
-    assert linalg._openblas_threads.__wrapped__(np) == (get, set_)
+    assert linalg._openblas_threads.__wrapped__() == (get, set_)
     monkeypatch.setattr(linalg.ctypes, "CDLL", lambda path: types.SimpleNamespace())
-    assert linalg._openblas_threads.__wrapped__(np) is None
+    assert linalg._openblas_threads.__wrapped__() is None
 
 
 def test_as_matrix_and_as_vector_validate():
@@ -185,3 +190,123 @@ def test_as_matrix_and_as_vector_validate():
         as_matrix([[np.nan]])
     with pytest.raises(ValueError):
         as_vector([np.inf])
+
+
+def _norm_rel(got, want):
+    """max |got - want| relative to max |want|."""
+    return float(np.abs(np.asarray(got) - want).max() / np.abs(want).max())
+
+
+def test_lu_binding_matches_scipy():
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((40, 40))
+    lu = LuSolver(m)
+    factors, piv = scipy.linalg.lu_factor(m)
+    assert np.array_equal(lu._piv - 1, piv)
+    assert _norm_rel(lu._lu, factors) <= 1e-13
+    rcond = scipy.linalg.lapack.dgecon(factors, scipy.linalg.lapack.dlange("1", m), norm="1")[0]
+    assert rel_err(lu.rcond, rcond) <= 1e-13
+    assert lu.norm_one == scipy.linalg.lapack.dlange("1", m)
+    assert lu.norm_inf == scipy.linalg.lapack.dlange("I", m)
+    for transpose in (False, True):
+        for rhs in (rng.standard_normal(40), rng.standard_normal((40, 3))):
+            want = scipy.linalg.lu_solve((factors, piv), rhs, trans=int(transpose))
+            assert _norm_rel(lu.solve(rhs, transpose=transpose), want) <= 1e-13
+            buf = np.asfortranarray(rhs)
+            assert lu.solve(buf, transpose=transpose, overwrite=True) is buf
+            assert _norm_rel(buf, want) <= 1e-13
+
+
+def test_exactly_singular_lu_is_rejected():
+    # dgetrf reports the zero pivot (info > 0); the solver reads rcond 0.
+    m = np.ones((3, 3))
+    assert scipy.linalg.lapack.dgetrf(m)[2] > 0
+    with pytest.raises(SingularMatrix, match="rcond estimate 0.000e"):
+        LuSolver(m)
+
+
+def test_cholesky_binding_reports_info_as_scipy():
+    rng = np.random.default_rng(6)
+    g = rng.standard_normal((6, 9))
+    for a in (g @ g.T + np.eye(6), g @ g.T - 5.0 * np.eye(6)):
+        r, want = scipy.linalg.lapack.dpotrf(a)
+        got = a.copy()
+        info = np.zeros(1, linalg._INT)
+        linalg._call("dpotrf", "U", 6, got, 6, info)
+        assert int(info[0]) == want
+        if want == 0:
+            assert _norm_rel(np.triu(got.T), r) <= 1e-13
+    assert want > 0
+
+
+def test_ritz_pair_matches_eigh_tridiagonal():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 5, 30):
+        d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+        lam, s = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(n - 1, n - 1))
+        theta, z = linalg._top_tridiagonal(d, e)
+        assert rel_err(theta, lam[0]) <= 1e-13
+        assert _norm_rel(z, s[:, 0]) <= 1e-13
+
+
+def test_pivoted_qr_diagonal_matches_scipy():
+    rng = np.random.default_rng(8)
+    low_rank = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 5))
+    for a in (rng.standard_normal((12, 5)), rng.standard_normal((4, 9)), low_rank):
+        r = scipy.linalg.qr(a, mode="economic", pivoting=True)[1]
+        want = np.abs(np.diag(r))
+        got = linalg.pivoted_qr_diagonal(a)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * want.max())
+
+
+def test_strided_rank_one_update_matches_scipy_dger():
+    rng = np.random.default_rng(9)
+    base = rng.standard_normal((7, 4))
+    xs = base.T[:, ::2]  # columns with element stride 4
+    y = rng.standard_normal(6)
+    a = np.asfortranarray(rng.standard_normal((4, 6)))
+    want = scipy.linalg.blas.dger(1.0, xs[:, 2], y[:5], a=a[:, :5].copy(order="F"))
+    update = linalg.RankOneUpdate(a, xs, y)
+    untouched = a[:, 5].copy()
+    update.update(2, 5)
+    assert _norm_rel(a[:, :5], want) <= 1e-13
+    assert np.array_equal(a[:, 5], untouched)
+    with pytest.raises(IndexError):
+        update.update(4, 5)
+    with pytest.raises(IndexError):
+        update.update(0, 7)
+
+
+def test_missing_lapack_symbols_raise_import_error(monkeypatch):
+    class NoSymbols:
+        def __getitem__(self, name):
+            raise AttributeError(name)
+
+    monkeypatch.setattr(linalg.ctypes, "CDLL", lambda path: NoSymbols())
+    with pytest.raises(ImportError) as err:
+        linalg._bind()
+    for name in ("scipy_dgetrf_64_", "scipy_dger_", "dstebz_64_", "dgeqp3_"):
+        assert name in str(err.value)
+
+
+def test_example_blocks_match_scipy_builders(monkeypatch):
+    """The numpy block_diag and toeplitz give scipy's bits, so the example
+    families and the bench inputs built from them do not move."""
+    rng = np.random.default_rng(10)
+    mats = (rng.standard_normal((3, 2)), -np.eye(2), np.zeros((1, 4)))
+    assert np.array_equal(experiments._block_diag(*mats), scipy.linalg.block_diag(*mats))
+    gen = np.array([1.5, -0.0, 2.0, -3.25])
+    assert experiments._toeplitz(gen).tobytes() == scipy.linalg.toeplitz(gen).tobytes()
+
+    def digest(blocks):
+        # One family member at a time: example2 at q = 24 holds 0.1 GB.
+        return [hashlib.sha256(np.ascontiguousarray(getattr(blocks, name))).hexdigest()
+                for name in "ABCDEb"]
+
+    for q in range(2, 25):
+        for gen in (experiments.gen_example1, lambda q, seed: experiments.gen_example2(q, seed)[0]):
+            got = digest(gen(q, 3))
+            with monkeypatch.context() as scipy_builders:
+                scipy_builders.setattr(experiments, "_block_diag", scipy.linalg.block_diag)
+                scipy_builders.setattr(experiments, "_toeplitz", scipy.linalg.toeplitz)
+                assert got == digest(gen(q, 3)), q

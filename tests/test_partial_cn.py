@@ -310,20 +310,19 @@ def test_pair_kernel_matches_oracle_over_layouts(monkeypatch, limit):
 
 
 def test_pair_kernel_adds_rank_one_term_in_place(monkeypatch):
-    # dger silently returns an updated copy when its ``a`` is not
-    # Fortran-ordered; the kernel hands it the transpose of its C-ordered
-    # chunk buffer, so every update must land in that buffer.
-    dger = pc.dger
-    c_ordered = np.zeros((3, 2))
-    assert dger(1.0, np.ones(3), np.ones(2), a=c_ordered, overwrite_a=True) is not c_ordered
+    # dger updates a Fortran-ordered ``a`` in place and the updater refuses
+    # any other; the kernel hands it the transpose of its C-ordered chunk
+    # buffer, so every update must land in that buffer.
+    updater = pc.RankOneUpdate
+    with pytest.raises(ValueError):
+        updater(np.zeros((3, 2)), np.ones((3, 1)), np.ones(2))
     in_place = []
 
-    def checked(alpha, x, y, a, overwrite_a):
-        out = dger(alpha, x, y, a=a, overwrite_a=overwrite_a)
-        in_place.append(out is a and a.base is not None and a.base.flags.c_contiguous)
-        return out
+    def checked(a, xs, y):
+        in_place.append(a.flags.f_contiguous and a.base is not None and a.base.flags.c_contiguous)
+        return updater(a, xs, y)
 
-    monkeypatch.setattr(pc, "dger", checked)
+    monkeypatch.setattr(pc, "RankOneUpdate", checked)
     for limit in (pc._CHUNK_ENTRY_LIMIT, 2):
         monkeypatch.setattr(pc, "_CHUNK_ENTRY_LIMIT", limit)
         for args in _pair_cases():
@@ -333,16 +332,15 @@ def test_pair_kernel_adds_rank_one_term_in_place(monkeypatch):
 
 def test_bc_numerator_memory_budget():
     # Beside its inputs, each pair kernel holds a copy of k_col^T and one
-    # chunk buffer (a whole weight row here, as k max(n, m) entries fit one
-    # chunk), plus O(k + l) vectors; the right-hand-side term's |L S^-1| is
-    # no larger. The largest kernel is C's, with k_col = the k x m block.
+    # chunk buffer (at most a whole weight row), plus O(k + l) vectors; the
+    # right-hand-side term's |L S^-1| is no larger. The largest kernel is
+    # C's, with k_col = the k x m block.
     n, m, p = 200, 300, 100
     blocks = random_dspp(np.random.default_rng(38), n, m, p)
     system = SolvedSystem.of(blocks, selector("full", n, m, p))
     b = system.blocks
     args = (system.rows, system.sol, np.abs(b.B), np.abs(b.C), np.abs(b.b))
     k = system.rows.shape[0]
-    assert k * max(n, m) <= pc._CHUNK_ENTRY_LIMIT
     k_col_t = chunk = k * m * 8
     vectors = 16 * (k + b.l) * 8
     assert traced_peak(pc._bc_numerator, *args) < k_col_t + chunk + vectors

@@ -197,7 +197,7 @@ def test_structured_flavor_labels_and_validation():
 
 
 def test_structured_memory_stays_within_budget():
-    # The 128 MB budget documented on partial_cn._CHUNK_ENTRY_LIMIT; the
+    # A 128 MB ceiling, far above the chunked kernels' need; the
     # materialized k x s maps peaked near 900 MB on this l = 406 instance.
     blocks, triple = gen_example2(7, 42)
     sel = selector("full", blocks.n, blocks.m, blocks.p)
