@@ -233,6 +233,9 @@ def _analyze_payload(args, triple: StructureTriple | None) -> str:
     doc = _load_json(args.input)
     blocks = problem_from_dict(doc)
     sel = _selector_from(args.selector, doc, blocks.n, blocks.m, blocks.p)
+    # The parsed lists hold a Python float per entry; free them before any
+    # number is computed.
+    del doc
     flavors = parse_cn_list(args.cn)
     # Every number but the weights is invariant under exact power-of-two scaling
     # of (S, b): take max |entry| into [1/2, 1), where psi^2 cannot over/underflow.
@@ -342,6 +345,7 @@ def _cmd_eils(args) -> str:
     prob = eils_from_dict(doc)
     blocks = eils_reduce(prob)
     sel = _selector_from(args.selector, doc, blocks.n, blocks.m, blocks.p)
+    del doc
     system = SolvedSystem.of(blocks, sel)
     esol = solve_eils(prob, system.sol)
 

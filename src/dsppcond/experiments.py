@@ -496,11 +496,12 @@ def _experiment_task(family, q, rows, s, seed, structured) -> list[ExperimentRow
 # in-process.
 _POOL_MIN_WORK = 1 << 20
 
-# A task's peak memory over its process's, in bytes per l^2: measured 6.7-8.3
-# doubles per l^2 of peak RSS (6.2-6.5 traced by tracemalloc) for example1
-# tasks of all four selectors and example2 `full` rows at l = 256..1600, with
-# and without structured values, at s = 8. A task peaks where its largest
-# row does, as its rows share one l x l buffer of S^{-1}.
+# A task's peak memory over its process's, in bytes per l^2: measured 3.7-6.8
+# doubles per l^2 of peak RSS (3.8-5.4 traced by tracemalloc; the top of each
+# range at l = 256 and 300) for example1 tasks of all four selectors and of x
+# or y alone, and example2 `full` rows at l = 256..1600, with and without
+# structured values, at s = 8. A task peaks where its largest row does, as
+# its rows share one l x l buffer of S^{-1}.
 _TASK_PEAK_BYTES_PER_L2 = 16 * 8
 
 

@@ -10,9 +10,9 @@ apart from the BLAS thread pins that the command line and each experiment
 row wrap around their work.
 
 The LAPACK and BLAS routines (dgetrf, dgetrs, dgecon, dlange, dpotrf,
-dstebz, dstein, dgeqp3, dger; contracts in Anderson et al., LAPACK Users'
-Guide, SIAM 1999) are called through ctypes in the one OpenBLAS that numpy
-links, so the package loads one BLAS with one thread pool. Their symbols
+dstebz, dstein, dgeqp3, dger, dsyrk; contracts in Anderson et al., LAPACK
+Users' Guide, SIAM 1999) are called through ctypes in the one OpenBLAS that
+numpy links, so the package loads one BLAS with one thread pool. Their symbols
 are found by name: prefixed ``scipy_`` (the numpy >= 2 wheels) or not, and
 suffixed ``_64_`` (64-bit integer arguments) or ``_`` (32-bit). Where numpy's
 library exports none of these namings, importing the package raises
@@ -63,13 +63,20 @@ def ddagger(z) -> np.ndarray:
     return out
 
 
+# Entries per chunk buffer of the chunked kernels: the Gram of _norm_upper
+# here, and the max-norm pair kernel and |L S^{-1}| products of
+# :mod:`~dsppcond.partial_cn`. One float64 chunk takes at most 512 KiB, so
+# their transients beside their inputs do not grow with the data, and the
+# passes each kernel makes over a chunk stay in a 2 MiB L2 cache.
+_CHUNK_ENTRY_LIMIT = 1 << 16
+
 # The routines called in numpy's LAPACK and BLAS, with the number of their
 # arguments; the CHARACTER ones among them (the second number) each take a
 # hidden length, which gfortran appends after the listed arguments.
 _ROUTINES = {
     "dgetrf": (6, 0), "dgetrs": (9, 1), "dgecon": (9, 1), "dlange": (6, 1),
     "dpotrf": (5, 1), "dstebz": (18, 2), "dstein": (13, 0), "dgeqp3": (9, 0),
-    "dger": (9, 0),
+    "dger": (9, 0), "dsyrk": (10, 2),
 }
 _NAMINGS = tuple(itertools.product(("scipy_", ""), ("_64_", "_")))
 
@@ -147,26 +154,61 @@ def _lange(norm: str, m) -> float:
     return _call("dlange", norm, cols, rows, a, max(1, cols), work)
 
 
-def _top_tridiagonal(d, e) -> tuple[float, np.ndarray]:
-    """The top eigenpair of the symmetric tridiagonal matrix with diagonal d
-    and off-diagonal e: LAPACK dstebz by bisection for the largest
-    eigenvalue, then dstein by inverse iteration for its unit eigenvector.
-    A failure to converge raises LinAlgError."""
-    n = d.size
-    if n == 1:
-        return float(d[0]), np.ones(1)
-    found, nsplit, info = (np.zeros(1, _INT) for _ in range(3))
-    w, iblock, isplit = np.empty(n), np.empty(n, _INT), np.empty(n, _INT)
-    _call("dstebz", "I", "B", n, 0.0, 0.0, n, n, 0.0, d, e, found, nsplit, w,
-          iblock, isplit, np.empty(4 * n), np.empty(3 * n, _INT), info)
-    if _info("dstebz", info) or found[0] != 1:
-        raise np.linalg.LinAlgError("dstebz found no top eigenvalue")
-    z = np.empty(n)
-    _call("dstein", n, d, e, 1, w, iblock, isplit, z, n, np.empty(5 * n),
-          np.empty(n, _INT), np.empty(1, _INT), info)
-    if _info("dstein", info):
-        raise np.linalg.LinAlgError("dstein: the top eigenvector did not converge")
-    return float(w[0]), z
+class _TopTridiagonal:
+    """The top eigenpair of the leading n x n block of the symmetric
+    tridiagonal matrix with diagonal ``d`` and off-diagonal ``e``, for any n
+    up to d.size: LAPACK dstebz by bisection for the largest eigenvalue, then
+    dstein by inverse iteration for its unit eigenvector. A failure to
+    converge raises LinAlgError.
+
+    One workspace of size d.size serves every n, and its addresses, and
+    those of d and e, are taken once, here, as :class:`RankOneUpdate` takes
+    dger's: a call is two foreign calls with no array conversion. d and e
+    are read at each call, so a Lanczos run fills them in between. The
+    eigenvector returned is a view of the workspace, valid until the next
+    call.
+    """
+
+    def __init__(self, d, e):
+        for arr in (d, e):
+            if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.ndim == 1
+                    and arr.flags.c_contiguous):
+                raise ValueError("contiguous float64 vectors required")
+        size = d.size
+        if e.size < size - 1:
+            raise DimensionMismatch(f"e needs at least {size - 1} entries")
+        # Cells: n (also IL = IU = n and LDZ), found, nsplit, info, and
+        # dstein's M = 1; then the doubles VL = VU = ABSTOL = 0.
+        self._cells, self._zero = np.array([0, 0, 0, 0, 1], dtype=_INT), np.zeros(1)
+        self._w, self._z, self._work = np.empty(size), np.empty(size), np.empty(5 * size)
+        self._iblock, self._isplit = np.empty(size, _INT), np.empty(size, _INT)
+        self._iwork, self._ifail = np.empty(3 * size, _INT), np.empty(1, _INT)
+        self._chars = ctypes.create_string_buffer(b"IB")
+        self._d, self._e, self._size = d, e, size
+        cell = self._cells.ctypes.data
+        n, found, nsplit, info, one = (cell + i * _INT.itemsize for i in range(5))
+        zero, char = self._zero.ctypes.data, ctypes.addressof(self._chars)
+        d_at, e_at, w, iblock, isplit, work, iwork = (
+            a.ctypes.data for a in (d, e, self._w, self._iblock, self._isplit, self._work, self._iwork))
+        self._stebz = (char, char + 1, n, zero, zero, n, n, zero, d_at, e_at, found, nsplit, w,
+                       iblock, isplit, work, iwork, info, 1, 1)
+        self._stein = (n, d_at, e_at, one, w, iblock, isplit, self._z.ctypes.data, n, work, iwork,
+                       self._ifail.ctypes.data, info)
+
+    def __call__(self, n: int) -> tuple[float, np.ndarray]:
+        if not 1 <= n <= self._size:
+            raise IndexError(f"block size {n} out of range")
+        if n == 1:
+            return float(self._d[0]), np.ones(1)
+        cells = self._cells
+        cells[0] = n
+        _LAPACK["dstebz"](*self._stebz)
+        if _info("dstebz", cells[3:]) or cells[1] != 1:
+            raise np.linalg.LinAlgError("dstebz found no top eigenvalue")
+        _LAPACK["dstein"](*self._stein)
+        if _info("dstein", cells[3:]):
+            raise np.linalg.LinAlgError("dstein: the top eigenvector did not converge")
+        return float(self._w[0]), self._z[:n]
 
 
 def pivoted_qr_diagonal(a) -> np.ndarray:
@@ -236,18 +278,20 @@ def _lanczos(apply, k: int):
     semidefinite operator on R^k; ``apply(v)`` returns G v as a new array.
 
     Starts from a fixed seeded Gaussian vector. After step j the top
-    eigenpair (theta, s) of the j x j tridiagonal T_j comes from
-    :func:`_top_tridiagonal`, and the Ritz pair (theta, Q_j s) has residual
-    norm beta_j |s_j|. Yields that pair at every step where beta_j |s_j| <= k eps
-    theta, where the Krylov space is invariant (beta_j = 0), and at step k,
-    where Q_k spans R^k and T_k is G in that basis: the run is exact for
-    small k. A caller that needs more than the first pair continues the run.
+    eigenpair (theta, s) of the j x j tridiagonal T_j comes from the run's
+    one :class:`_TopTridiagonal` workspace, and the Ritz pair (theta, Q_j s)
+    has residual norm beta_j |s_j|. Yields that pair at every step where
+    beta_j |s_j| <= k eps theta, where the Krylov space is invariant
+    (beta_j = 0), and at step k, where Q_k spans R^k and T_k is G in that
+    basis: the run is exact for small k. A caller that needs more than the
+    first pair continues the run.
     """
     eps = np.finfo(float).eps
     start = np.random.default_rng(_LANCZOS_SEED).standard_normal(k)
     basis = np.empty((min(k, 32), k))
     basis[0] = start / np.linalg.norm(start)
     alpha, beta = np.empty(k), np.empty(k)
+    ritz = _TopTridiagonal(alpha, beta)
     for j in range(k):
         span = basis[: j + 1]
         w = apply(span[j])
@@ -257,7 +301,7 @@ def _lanczos(apply, k: int):
         w -= h @ span
         w -= (span @ w) @ span
         b = float(np.linalg.norm(w))
-        theta, s = _top_tridiagonal(alpha[: j + 1], beta[:j])
+        theta, s = ritz(j + 1)
         last = j + 1 == k or b == 0.0
         if last or b * abs(s[-1]) <= k * eps * theta:
             yield theta, s @ span
@@ -279,24 +323,46 @@ def top_eig(apply, k: int) -> tuple[float, np.ndarray]:
     return max(theta, 0.0), u
 
 
+# Rows of the diagonal blocks that _norm_upper's triangle copies walk: a
+# block's transposed copy stays in the L1 cache, and a pass over a k x k
+# matrix takes k / 128 Python steps.
+_TILE = 128
+
+
+def _triangles(g):
+    """The strict triangles of the square C-ordered ``g`` by diagonal blocks:
+    for rows lo:hi, ``(lower, upper, block, below)`` with lower =
+    g[lo:hi, :lo], upper = g[:lo, lo:hi] (lower's mirror image), the
+    diagonal block g[lo:hi, lo:hi] and the mask of its strict lower
+    triangle."""
+    below = np.tri(_TILE, _TILE, -1, dtype=bool)
+    k = g.shape[0]
+    for lo in range(0, k, _TILE):
+        hi = min(lo + _TILE, k)
+        yield g[lo:hi, :lo], g[:lo, lo:hi], g[lo:hi, lo:hi], below[: hi - lo, : hi - lo]
+
+
 def _norm_upper(m) -> float:
     """A certified upper end for ||M||_2, for the bounds.
 
     M (or M^T, whichever has the smaller Gram) is scaled by a power of two,
     exactly, to T with max |t_ij| in [1/2, 1); T is k x n with k <= n. The
-    explicit Gram Gh = fl(T T^T) runs :func:`_lanczos`, and for each Ritz
-    value theta it yields, tau = theta + 2 (k + 2) eps ||Gh||_inf is
-    accepted once the Cholesky factorization of Ah = fl(tau I - Gh)
-    succeeds. The shift only lets that test pass: converged to the top, the
-    Ritz value is at most k eps theta below lam_max(Gh), and the rest leaves
-    Ah room above the factorization's rounding. With R the computed
-    Cholesky factor and rho = || |R|^T |R| 1 ||_inf, the end returned is
+    Gram Gh = fl(T T^T) runs :func:`_lanczos`, and for each Ritz value theta
+    it yields, tau = theta + 2 (k + 2) eps ||Gh||_inf is accepted once the
+    Cholesky factorization of Ah = fl(tau I - Gh) succeeds. The shift only
+    lets that test pass: converged to the top, the Ritz value is at most
+    k eps theta below lam_max(Gh), and the rest leaves Ah room above the
+    factorization's rounding. With R the computed Cholesky factor and
+    rho = || |R|^T |R| 1 ||_inf, the end returned is
     2^e sqrt(tau + (k + 2) eps rho + (n + 1) eps tr(Gh)), rounded up, and
     dominates ||M||_2 = 2^e lam_max(T T^T)^{1/2}. With u = eps / 2 and
     gamma_j = j u / (1 - j u) (Higham, Accuracy and Stability of Numerical
     Algorithms, ch. 3 and 10):
 
-    * forming Gh: |Gh - G| <= gamma_n |T| |T|^T entrywise, and
+    * forming Gh: each entry is a sum of n products, which BLAS dsyrk adds
+      chunk by chunk (below) in an order of its own. The bound
+      |Gh - G| <= gamma_n |T| |T|^T entrywise holds whatever the order of
+      the summation (Higham, sec. 3.1), and
       || |T| |T|^T ||_2 <= ||T||_F^2 = tr(G) <= tr(Gh) / (1 - gamma_n), so
       lam_max(G) <= lam_max(Gh) + gamma_n tr(Gh) / (1 - gamma_n);
     * the factorization: if it succeeds, R^T R = Ah + dA with
@@ -313,36 +379,68 @@ def _norm_upper(m) -> float:
     covers the rounding of rho and the trace. Underflow in Gh is
     negligible, since tr(Gh) >= 1/4. If no Ritz value of the run passes,
     raises :class:`UncertifiedBound`. Returns 0 for a zero matrix.
+
+    Memory: one k x k array g and one chunk buffer. T is never copied
+    whole: column chunks of at most max(64, ``_CHUNK_ENTRY_LIMIT`` / k)
+    columns are scaled into the buffer and added by dsyrk (beta = 1) into
+    g's lower triangle, which is mirrored into the upper one for the
+    Lanczos products; Gh's diagonal is kept in a k-vector. Ah is formed in
+    the lower triangle, its strict part negated and its diagonal
+    tau - gh_ii from the saved vector, and LAPACK dpotrf factors it there in
+    place. Neither step touches the upper triangle, so after a failed
+    factorization copying it back, and the diagonal from the vector,
+    restores bitwise the Gh that the Lanczos run continues on: both are
+    exact copies of what the mirror copied from.
     """
     m = as_matrix(m)
     t = m if m.shape[0] <= m.shape[1] else m.T
-    big = float(np.abs(t).max(initial=0.0))
+    big = max(float(t.max(initial=0.0)), -float(t.min(initial=0.0)))
     if big == 0.0:
         return 0.0
     e = int(np.frexp(big)[1])
-    t = np.ldexp(t, -e)
     k, n = t.shape
     eps = np.finfo(float).eps
-    g = t @ t.T
-    shift = 2 * (k + 2) * eps * float(np.abs(g).sum(axis=1).max())
-    rounding = (n + 1) * eps * float(np.trace(g))
+    g = np.zeros((k, k))
+    width = min(n, max(64, _CHUNK_ENTRY_LIMIT // k))
+    chunk = np.empty((k, width))
+    for lo in range(0, n, width):
+        cols = min(width, n - lo)
+        # BLAS reads the C-ordered chunk as the Fortran matrix chunk^T (with
+        # leading dimension width), and g's lower triangle as the upper one
+        # of the Fortran matrix g^T.
+        np.ldexp(t[:, lo : lo + cols], -e, out=chunk[:, :cols])
+        _call("dsyrk", "U", "T", k, cols, 1.0, chunk, width, 1.0, g, k)
+    del chunk
+    for lower, upper, block, below in _triangles(g):
+        upper[...] = lower.T
+        np.copyto(block, block.T, where=below.T)
+    diagonal = g.reshape(-1)[:: k + 1]
+    gh_diagonal = diagonal.copy()
+    shift = 2 * (k + 2) * eps * _norm_inf(g)
+    rounding = (n + 1) * eps * float(gh_diagonal.sum())
     for theta, _ in _lanczos(g.__matmul__, k):
         tau = theta + shift
-        a = -g
-        a[np.diag_indices(k)] += tau
-        # a.T is a in Fortran order, so LAPACK factors it in place into the
-        # upper triangle R of r = a.T; the rest of r, a's strict upper
-        # triangle, still holds -g and is cleared.
+        for lower, _, block, below in _triangles(g):
+            np.negative(lower, out=lower)
+            np.negative(block, out=block, where=below)
+        np.subtract(tau, gh_diagonal, out=diagonal)
+        # dpotrf factors the upper triangle of the Fortran matrix g^T in
+        # place into R; its strict lower one, g's strict upper, holds Gh.
         info = np.zeros(1, _INT)
-        _call("dpotrf", "U", k, a, k, info)
+        _call("dpotrf", "U", k, g, k, info)
         if _info("dpotrf", info) == 0:
-            for i in range(k - 1):
-                a[i, i + 1 :] = 0.0
-            r = a.T
+            for _, upper, block, below in _triangles(g):
+                upper[...] = 0.0
+                block[below.T] = 0.0
+            r = g.T
             np.abs(r, out=r)
             rho = float((r.sum(axis=1) @ r).max())
             end = np.nextafter(tau + (k + 2) * eps * rho + rounding, np.inf)
             return float(np.ldexp(np.nextafter(np.sqrt(end), np.inf), e))
+        for lower, upper, block, below in _triangles(g):
+            lower[...] = upper.T
+            np.copyto(block, block.T, where=below)
+        diagonal[...] = gh_diagonal
     raise UncertifiedBound(f"no Ritz value of the {k} x {k} Gram passed the Cholesky test")
 
 

@@ -42,15 +42,8 @@ import numpy as np
 
 from .dspp import DsppBlocks, Selector, Solution, _block_product, factorize, solve_dspp
 from .errors import DimensionMismatch, ZeroMatrix, ZeroXi
-from .linalg import LuSolver, RankOneUpdate, _norm_upper, as_matrix, as_vector, ddagger, top_eig
-
-# Entries per chunk of the max-norm pair kernel (k times some nonzero columns of
-# one weight row). Its one float64 chunk buffer takes at most 512 KiB, so beside
-# its inputs and a copy of k_col^T the kernel holds that buffer and O(k + l)
-# vectors, a budget that does not grow with s. The kernel makes five passes
-# over each chunk (gather, scale, dger, abs, product), which stay in a 2 MiB
-# L2 cache at this size.
-_CHUNK_ENTRY_LIMIT = 1 << 16
+from .linalg import (_CHUNK_ENTRY_LIMIT, LuSolver, RankOneUpdate, _norm_upper, as_matrix,
+                     as_vector, ddagger, top_eig)
 
 _XI_KINDS = ("ncn", "mcn", "ccn", "custom")
 
@@ -295,7 +288,9 @@ def _pair_sum(k_col, v_row, k_row, v_col, w) -> np.ndarray:
     allocated once, scales t by v_row[r], adds the rank-one term
     v_col[cols] (x) k_row[:, r] in place (BLAS ``dger`` on the
     Fortran-ordered t^T, through one :class:`RankOneUpdate`), and
-    accumulates w[r, cols] |t|.
+    accumulates w[r, cols] |t|. Beside its inputs the kernel holds the copy,
+    the buffer and O(k + l) vectors, a budget that does not grow with s, and
+    makes five passes over each chunk (gather, scale, dger, abs, product).
     """
     k = k_col.shape[0]
     k_col_t = np.ascontiguousarray(k_col.T)
@@ -318,15 +313,33 @@ def _pair_sum(k_col, v_row, k_row, v_col, w) -> np.ndarray:
     return u
 
 
+def _abs_product(rows, v) -> np.ndarray:
+    """|rows| v, with |rows| taken in row chunks of at most
+    ``_CHUNK_ENTRY_LIMIT`` entries (one row, if longer) in one buffer, each
+    chunk's product a BLAS gemv; no |rows|-sized array is formed. A chunk is
+    a multiple of 8 rows where 8 fit: OpenBLAS's gemv kernels sum rows in
+    groups of 4, so each row's sum is then bitwise the one a single product
+    of all of |rows| gives."""
+    k, l = rows.shape
+    step = _CHUNK_ENTRY_LIMIT // max(1, l)
+    step = step - step % 8 if step >= 8 else max(1, step)
+    buf = np.empty((min(step, k), l))
+    out = np.empty(k)
+    for lo in range(0, k, step):
+        hi = min(lo + step, k)
+        np.matmul(np.abs(rows[lo:hi], out=buf[: hi - lo]), v, out=out[lo:hi])
+    return out
+
+
 def _kind_numerator(kind: str, k, w, v) -> np.ndarray:
     """sum_g |K Phi_g v| w_g over the generators of one structure kind, for a
     nonnegative weight matrix ``w`` constant on each generator's support;
     ``k`` holds the matching columns of L S^{-1}.
     """
     if kind == "full":
-        return np.abs(k) @ (w @ np.abs(v))
+        return _abs_product(k, w @ np.abs(v))
     if kind == "diagonal":
-        return np.abs(k) @ (np.diag(w) * np.abs(v))
+        return _abs_product(k, np.diag(w) * np.abs(v))
     if kind == "symmetric":
         # The pair (r, c) and (c, r) share one generator; the diagonal
         # pair counts its single entry twice, hence the half weight.
@@ -358,7 +371,7 @@ def _bc_numerator(rows, sol, wb, wc, chi_abs) -> np.ndarray:
     """
     x, y, z = sol.x, sol.y, sol.z
     k1, k2, k3 = np.split(rows, [x.size, x.size + y.size], axis=1)
-    u = np.abs(rows) @ chi_abs
+    u = _abs_product(rows, chi_abs)
     u += _pair_sum(k1, y, k2, x, wb)
     u += _pair_sum(k2, z, k3, y, wc)
     return u
@@ -550,7 +563,7 @@ def inf_cn_upper(system: SolvedSystem) -> tuple[CnValue, CnValue]:
     blocks, sol = system.blocks, system.sol
     mags = (np.abs(blocks.A), np.abs(blocks.B), np.abs(blocks.C), -np.abs(blocks.D), np.abs(blocks.E))
     h = _block_product(mags, np.abs(sol.x), np.abs(sol.y), np.abs(sol.z))
-    v = np.abs(system.rows) @ (h + np.abs(blocks.b))
+    v = _abs_product(system.rows, h + np.abs(blocks.b))
     mcn_u = CnValue(_inf_value(XiChoice(kind="mcn").resolve(system.lw), v), "mcn_upper")
     ccn_u = CnValue(_inf_value(XiChoice(kind="ccn").resolve(system.lw), v), "ccn_upper")
     return mcn_u, ccn_u

@@ -6,9 +6,12 @@ versions exist only so tests can compare the closed forms against the
 definitions. Desk-scale sizes only. The unvec helper, the dense selector
 matrix L with L S^{-1} from one solve against it, and the dense top
 eigenpair that the Lanczos kernel is checked against live here too, since
-only tests use them. So do the two solves with a factorization of a
-perturbed system that the experiments' refined solution change is checked
-against; the difference w~ - w of two solutions is computed only here.
+only tests use them, and so does the certified 2-norm end with an explicit
+Gram (a scaled copy of the matrix, the Gram and a separate Cholesky array)
+that the one-buffer bound is checked against. So do the two solves with a
+factorization of a perturbed system that the experiments' refined solution
+change is checked against; the difference w~ - w of two solutions is
+computed only here.
 """
 
 import numpy as np
@@ -19,7 +22,8 @@ from dsppcond.dspp import DsppBlocks, assemble, factorize, solve_dspp
 from dsppcond.eils import eils_reduce
 from dsppcond.experiments import apply_perturbation
 from dsppcond.errors import DimensionMismatch
-from dsppcond.linalg import as_vector, ddagger
+from dsppcond import linalg
+from dsppcond.linalg import as_matrix, as_vector, ddagger
 from dsppcond.partial_cn import XiChoice
 from dsppcond.structured import structure_basis
 
@@ -65,6 +69,44 @@ def top_eig(s) -> tuple[float, np.ndarray]:
     sym = (s + s.T) / 2.0
     lam, v = scipy.linalg.eigh(sym, subset_by_index=[k - 1, k - 1])
     return float(max(lam[0], 0.0)), v[:, 0]
+
+
+def norm_upper(m) -> float:
+    """The certified upper end for ||M||_2 of
+    :func:`dsppcond.linalg._norm_upper` (same scaling, shift and end, and the
+    same rounding argument) from an explicit Gram: T scaled as one copy,
+    Gh = T T^T in one product, ||Gh||_inf from |Gh|, and each Cholesky of
+    tau I - Gh run in a fresh k x k array."""
+    m = as_matrix(m)
+    t = m if m.shape[0] <= m.shape[1] else m.T
+    big = float(np.abs(t).max(initial=0.0))
+    if big == 0.0:
+        return 0.0
+    e = int(np.frexp(big)[1])
+    t = np.ldexp(t, -e)
+    k, n = t.shape
+    eps = np.finfo(float).eps
+    g = t @ t.T
+    shift = 2 * (k + 2) * eps * float(np.abs(g).sum(axis=1).max())
+    rounding = (n + 1) * eps * float(np.trace(g))
+    for theta, _ in linalg._lanczos(g.__matmul__, k):
+        tau = theta + shift
+        a = -g
+        a[np.diag_indices(k)] += tau
+        # a.T is a in Fortran order, so LAPACK factors it in place into the
+        # upper triangle R of r = a.T; the rest of r, a's strict upper
+        # triangle, still holds -g and is cleared.
+        info = np.zeros(1, linalg._INT)
+        linalg._call("dpotrf", "U", k, a, k, info)
+        if linalg._info("dpotrf", info) == 0:
+            for i in range(k - 1):
+                a[i, i + 1 :] = 0.0
+            r = a.T
+            np.abs(r, out=r)
+            rho = float((r.sum(axis=1) @ r).max())
+            end = np.nextafter(tau + (k + 2) * eps * rho + rounding, np.inf)
+            return float(np.ldexp(np.nextafter(np.sqrt(end), np.inf), e))
+    raise linalg.UncertifiedBound(f"no Ritz value of the {k} x {k} Gram passed the Cholesky test")
 
 
 def phi(basis) -> scipy.sparse.csc_array:

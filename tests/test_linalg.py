@@ -162,6 +162,51 @@ def test_norm_upper_continues_the_run_then_raises(monkeypatch):
         linalg._norm_upper(m)
 
 
+def test_failed_cholesky_restores_the_gram_bitwise(monkeypatch):
+    """Half the first Ritz value fails the first Cholesky, which overwrites
+    the lower triangle and diagonal of the one k x k buffer. The bound must
+    then come out bitwise unpatched, from a second Lanczos run on the
+    restored buffer: only a bitwise-restored Gram gives that run's steps.
+    k = 300 spans three triangle blocks, the last one partial."""
+    m = np.random.default_rng(11).standard_normal((300, 420))
+    want = linalg._norm_upper(m)
+    real, potrf, calls = linalg._lanczos, linalg._LAPACK["dpotrf"], []
+
+    def half_first(apply, k):
+        theta, u = next(real(apply, k))
+        yield theta / 2.0, u
+        yield from real(apply, k)
+
+    def counting(*args):
+        calls.append(args)
+        return potrf(*args)
+
+    monkeypatch.setattr(linalg, "_lanczos", half_first)
+    monkeypatch.setitem(linalg._LAPACK, "dpotrf", counting)
+    assert linalg._norm_upper(m) == want
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_dsyrk_binding_accumulates_the_gram(order):
+    """dsyrk with beta = 1 adds T T^T to the upper triangle of the Fortran
+    view of a C-ordered g, that is g's lower one, and leaves the rest of g
+    alone: a C-ordered T is read as the Fortran matrix T^T ("T"), a Fortran
+    one as T ("N")."""
+    rng = np.random.default_rng(12)
+    k, w = 7, 11
+    t = np.array(rng.standard_normal((k, w)), order=order)
+    start = rng.standard_normal((k, k))
+    g = start.copy()
+    trans, lda = ("T", w) if order == "C" else ("N", k)
+    for _ in range(2):
+        linalg._call("dsyrk", "U", trans, k, w, 1.0, t, lda, 1.0, g, k)
+    want = start + 2.0 * (t @ t.T)
+    lower, upper = np.tril_indices(k), np.triu_indices(k, 1)
+    assert _norm_rel(g[lower], want[lower]) <= 1e-13
+    assert np.array_equal(g[upper], start[upper])
+
+
 @pytest.mark.parametrize("prefix", ["scipy_openblas", "openblas"])
 @pytest.mark.parametrize("suffix", ["64_", ""])
 def test_openblas_locator_reads_every_symbol_naming(monkeypatch, prefix, suffix):
@@ -240,13 +285,24 @@ def test_cholesky_binding_reports_info_as_scipy():
 
 
 def test_ritz_pair_matches_eigh_tridiagonal():
+    """A workspace's pair matches scipy's; one workspace serving every
+    leading block, as a Lanczos run uses it, gives each block bitwise the
+    pair of a fresh workspace of that block's size."""
     rng = np.random.default_rng(7)
     for n in (1, 2, 5, 30):
         d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
         lam, s = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(n - 1, n - 1))
-        theta, z = linalg._top_tridiagonal(d, e)
+        theta, z = linalg._TopTridiagonal(d, e)(n)
         assert rel_err(theta, lam[0]) <= 1e-13
         assert _norm_rel(z, s[:, 0]) <= 1e-13
+    d, e = rng.standard_normal(30), rng.standard_normal(30)
+    shared = linalg._TopTridiagonal(d, e)
+    for n in range(1, 31):
+        theta, z = shared(n)
+        want = linalg._TopTridiagonal(d[:n].copy(), e[: n - 1].copy())(n)
+        assert theta == want[0] and np.array_equal(z, want[1])
+    with pytest.raises(IndexError):
+        shared(31)
 
 
 def test_pivoted_qr_diagonal_matches_scipy():

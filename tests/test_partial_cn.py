@@ -333,8 +333,8 @@ def test_pair_kernel_adds_rank_one_term_in_place(monkeypatch):
 def test_bc_numerator_memory_budget():
     # Beside its inputs, each pair kernel holds a copy of k_col^T and one
     # chunk buffer (at most a whole weight row), plus O(k + l) vectors; the
-    # right-hand-side term's |L S^-1| is no larger. The largest kernel is
-    # C's, with k_col = the k x m block.
+    # right-hand-side term takes |L S^-1| in row chunks of one more buffer.
+    # The largest kernel is C's, with k_col = the k x m block.
     n, m, p = 200, 300, 100
     blocks = random_dspp(np.random.default_rng(38), n, m, p)
     system = SolvedSystem.of(blocks, selector("full", n, m, p))
@@ -344,6 +344,49 @@ def test_bc_numerator_memory_budget():
     k_col_t = chunk = k * m * 8
     vectors = 16 * (k + b.l) * 8
     assert traced_peak(pc._bc_numerator, *args) < k_col_t + chunk + vectors
+
+
+def test_ncn_upper_memory_budget():
+    # With L S^-1 formed, the certified bound holds one k x k buffer, one
+    # Gram chunk of at most max(64 k, 2^16) entries and the Lanczos run's
+    # O(steps k) basis; the explicit-Gram route held 3.04 k^2 here.
+    blocks = gen_example1(16, 3)
+    system = SolvedSystem.of(blocks, selector("full", blocks.n, blocks.m, blocks.p))
+    k = system.rows.shape[0]
+    system.lw
+    assert traced_peak(ncn_upper, system, 1.0, 1.0) <= 1.3 * k * k * 8
+
+
+@pytest.mark.parametrize("q", [8, 12])
+def test_abs_product_matches_one_product(monkeypatch, q):
+    # Chunks of whole 8-row blocks give each row bitwise the sum of one
+    # product over all rows (q = 12: l = 576, 112 rows a chunk); one-row
+    # chunks agree to rounding. A custom selector's rows are Fortran-ordered.
+    blocks = gen_example1(q, 3)
+    rng = np.random.default_rng(39)
+    v = rng.random(blocks.l)
+    custom = selector("custom", blocks.n, blocks.m, blocks.p,
+                      custom_l=rng.standard_normal((5, blocks.l)))
+    for sel in (selector("full", blocks.n, blocks.m, blocks.p), custom):
+        rows = SolvedSystem.of(blocks, sel).rows
+        want = np.abs(rows) @ v
+        if sel.custom is None:
+            assert np.array_equal(pc._abs_product(rows, v), want)
+        monkeypatch.setattr(pc, "_CHUNK_ENTRY_LIMIT", 2)
+        np.testing.assert_allclose(pc._abs_product(rows, v), want, rtol=1e-13, atol=0)
+        monkeypatch.undo()
+
+
+def test_inf_cn_upper_memory_budget():
+    # |L S^-1| (h + |b|) is taken in row chunks: beside L S^-1 and the
+    # blocks, inf_cn_upper holds the block magnitudes, one chunk and O(l)
+    # vectors, not a k x l |L S^-1|.
+    blocks = gen_example1(16, 3)
+    system = SolvedSystem.of(blocks, selector("full", blocks.n, blocks.m, blocks.p))
+    k, l = system.rows.shape
+    system.lw
+    mags = sum(getattr(blocks, name).nbytes for name in "ABCDE")
+    assert traced_peak(inf_cn_upper, system) <= mags + pc._CHUNK_ENTRY_LIMIT * 8 + 32 * l * 8
 
 
 def test_shared_numerator_runs_pair_kernel_once_per_block(monkeypatch):

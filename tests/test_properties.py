@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import dsppcond.partial_cn as pc
 import oracles
 from conftest import rel_err
+from dsppcond import linalg
 from dsppcond.dspp import DsppBlocks, Solution, factorize, norm_fro_system, selector, solve_dspp
 from dsppcond.eils import EilsProblem, eils_cn, eils_reduce
 from dsppcond.errors import IndefiniteProblem, RankDeficientC, SingularMatrix
@@ -278,6 +279,30 @@ def test_certified_norm_end_dominates_dense_oracle(k, extra, rank_frac, repeats,
     end = _norm_upper(m)
     assert end >= want
     assert rel_err(end, want) <= RTOL
+
+
+@SETTINGS
+@given(k=st.integers(1, 40), extra=st.integers(0, 150), wide=st.booleans(),
+       order=st.sampled_from("CF"), exponent=st.sampled_from((-30, 0, 30)),
+       small_blocks=st.booleans(), seed=seeds)
+def test_one_buffer_norm_end_matches_explicit_gram(k, extra, wide, order, exponent,
+                                                   small_blocks, seed):
+    """The certified end from one k x k buffer dominates the SVD norm and
+    agrees with the explicit-Gram oracle to 1e-15 relative, for k < n and
+    k > n, C and Fortran order and scales 10^+-30. ``small_blocks`` forces
+    64-column Gram chunks (several once n > 64, the last one partial) and
+    5-row triangle blocks."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((k, k + extra)) * 10.0**exponent
+    m = np.array(m if wide else m.T, order=order)
+    want = np.linalg.svd(m, compute_uv=False)[0]
+    with pytest.MonkeyPatch.context() as patch:
+        if small_blocks:
+            patch.setattr(linalg, "_CHUNK_ENTRY_LIMIT", 1)
+            patch.setattr(linalg, "_TILE", 5)
+        end = _norm_upper(m)
+    assert end >= want
+    assert rel_err(end, oracles.norm_upper(m)) <= 1e-15
 
 
 @SETTINGS
