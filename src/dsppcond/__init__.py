@@ -48,9 +48,6 @@ from .partial_cn import (
     PerturbationWeights,
     SolvedSystem,
     XiChoice,
-    definition_ratio,
-    extremal_direction,
-    first_order_delta,
     inf_cn,
     inf_cn_upper,
     ncn,
@@ -59,9 +56,7 @@ from .partial_cn import (
 )
 from .structured import (
     STRUCTURE_KINDS,
-    StructureBasis,
     StructureTriple,
-    structure_basis,
     structured_inf_cn,
     structured_ncn,
 )
@@ -82,11 +77,9 @@ from .experiments import (
     FAMILIES,
     RNG_ALGORITHM,
     ExperimentRow,
-    FirstOrderCheck,
     PerturbationSet,
     apply_perturbation,
     epsilons,
-    first_order_residual,
     forward_errors,
     gen_example1,
     gen_example2,
@@ -134,19 +127,14 @@ __all__ = [
     "XiChoice",
     "Factors",
     "SolvedSystem",
-    "first_order_delta",
     "unified_cn",
     "ncn",
     "ncn_upper",
     "inf_cn",
     "inf_cn_upper",
-    "definition_ratio",
-    "extremal_direction",
     # structured variants
     "STRUCTURE_KINDS",
-    "StructureBasis",
     "StructureTriple",
-    "structure_basis",
     "structured_ncn",
     "structured_inf_cn",
     # constrained least squares
@@ -165,7 +153,6 @@ __all__ = [
     "FAMILIES",
     "DEFAULT_SELECTORS",
     "PerturbationSet",
-    "FirstOrderCheck",
     "ExperimentRow",
     "gen_example1",
     "gen_example2",
@@ -174,7 +161,6 @@ __all__ = [
     "perturbed_change",
     "forward_errors",
     "epsilons",
-    "first_order_residual",
     "run_experiment",
     "report_meta",
     "write_csv_report",

@@ -81,18 +81,6 @@ class DsppBlocks:
     def l(self) -> int:
         return self.n + self.m + self.p
 
-    @property
-    def b1(self) -> np.ndarray:
-        return self.b[: self.n]
-
-    @property
-    def b2(self) -> np.ndarray:
-        return self.b[self.n : self.n + self.m]
-
-    @property
-    def b3(self) -> np.ndarray:
-        return self.b[self.n + self.m :]
-
 
 @dataclass(frozen=True)
 class Solution:
@@ -150,7 +138,8 @@ def _block_product(mats, x, y, z) -> np.ndarray:
 
 
 def factorize(blocks: DsppBlocks) -> LuSolver:
-    """Pivoted factorization of the assembled system (certifies nonsingularity)."""
+    """Pivoted factorization of the assembled system (rejects a numerically
+    singular one by its rcond estimate)."""
     return LuSolver(assemble(blocks))
 
 

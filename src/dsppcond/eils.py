@@ -32,7 +32,7 @@ from .errors import (
     RankDeficientC,
     SingularMatrix,
 )
-from .linalg import _norm_inf, as_matrix, as_vector, pivoted_qr_diagonal
+from .linalg import _norm_inf, as_matrix, as_vector
 from .partial_cn import CnValue, PerturbationWeights, SolvedSystem, _as_xi, _inf_value, _positive, unified_cn
 
 # Rank tolerance for the constraint matrix, relative to its inf-norm.
@@ -81,13 +81,13 @@ class EilsProblem:
         if self.b.size != n or self.d.size != p:
             raise DimensionMismatch("b must have length n and d length p")
 
-        tol = RANK_RTOL * _norm_inf(self.C)
-        rank = int(np.sum(pivoted_qr_diagonal(self.C.T) > tol))
+        _, sigma, vt = np.linalg.svd(self.C)
+        rank = int(np.sum(sigma > RANK_RTOL * _norm_inf(self.C)))
         if rank < p:
             raise RankDeficientC(f"constraint matrix has rank {rank} < {p}")
 
         if m > p:
-            null = np.linalg.svd(self.C)[2][p:, :].T
+            null = vt[p:, :].T
             j = signature_matrix(self.n1, self.n2)
             gram = null.T @ (self.M.T @ j @ self.M) @ null
             gram = (gram + gram.T) / 2.0

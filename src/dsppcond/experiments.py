@@ -14,8 +14,9 @@ are independent.
 
 Perturbed solves: a row's solution change dw = w~ - w is refined in
 increment form (:func:`perturbed_change`) on its system's factors wherever
-||dS||_1 / (rcond ||S||_1) < 1/2 certifies S + dS nonsingular and w~ passes
-the solve's residual test, and otherwise on a factorization of S + dS. At
+the estimate ||dS||_1 / (rcond ||S||_1) of ||S^-1 dS||_1 is below 1/2 and w~
+passes the solve's residual test, and otherwise on a factorization of
+S + dS. At
 s = 8 every row of the benchmark sweep refines on S's factors, so a system
 is factorized once for all its rows.
 
@@ -52,7 +53,7 @@ import numpy as np
 from ._version import __version__
 from .dspp import (
     DsppBlocks, Selector, Solution, _block_product, _residual_bound, _system_norms, _system_sumsq,
-    factorize, norm_fro_system, selector, solve_dspp,
+    factorize, norm_fro_system, selector,
 )
 from .errors import IncompatibleZeroPattern, SingularMatrix, ZeroXi
 from .linalg import LuSolver, _blas_single_thread, ddagger
@@ -60,7 +61,6 @@ from .partial_cn import (
     Factors,
     PerturbationWeights,
     SolvedSystem,
-    first_order_delta,
     inf_cn,
     inf_cn_upper,
     ncn,
@@ -253,17 +253,18 @@ def perturbed_change(blocks: DsppBlocks, sol: Solution, lu: LuSolver, pert: Pert
     of w~ = w + dw, (b - S w) + (r0 - (S + dS) dw), passes the solve's test
     (:func:`~dsppcond.dspp._residual_bound`) with F's ||S + dS||_inf.
 
-    The certificate picks F. With rho = ||dS||_1 / (rcond ||S||_1), rcond
-    and ||S||_1 being what ``lu`` certified S with, ||S^-1 dS||_1 <= rho.
-    If rho < 1/2, S + dS = S (I + S^-1 dS) is nonsingular and its rcond is
-    at least rcond (1 - rho) / (1 + rho rcond), which must also clear the
-    floor l eps of :class:`~dsppcond.linalg.LuSolver`. Then F is ``lu``,
-    each correction is at most rho times the last in exact arithmetic, no
-    perturbed block or l x l matrix is formed, and the test takes the lower
-    end ||S||_inf - ||dS||_inf (||dS|| blockwise from the deltas), so it is
-    at least as strict. Otherwise, or where that w~ fails the test, F is a
-    factorization of S + dS, with its own ||.||_inf; a singular S + dS, or a
-    w~ that fails there too, raises :class:`~dsppcond.errors.SingularMatrix`.
+    An estimate picks F: rho = ||dS||_1 / (rcond ||S||_1), with the rcond
+    and ||S||_1 that ``lu`` kept, estimates ||S^-1 dS||_1. rcond is
+    ``dgecon``'s estimate, at least the true value, so rho can fall below
+    ||S^-1||_1 ||dS||_1; it is no proof that S + dS is nonsingular. If
+    rho < 1/2 and the estimated rcond (1 - rho) / (1 + rho rcond) of S + dS
+    clears the floor l eps of :class:`~dsppcond.linalg.LuSolver`, F is
+    ``lu``: no perturbed block or l x l matrix is formed, and the test takes
+    the lower end ||S||_inf - ||dS||_inf (||dS|| blockwise from the deltas),
+    so it is at least as strict. The residual test is the acceptance rule.
+    Otherwise, or where that w~ fails the test, F is a factorization of
+    S + dS, with its own ||.||_inf; a singular S + dS, or a w~ that fails
+    there too, raises :class:`~dsppcond.errors.SingularMatrix`.
     """
     mats = (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E)
     deltas = pert.deltas[:5]
@@ -335,38 +336,6 @@ def epsilons(pert: PerturbationSet, blocks: DsppBlocks) -> tuple[float, float]:
         if np.any(~zero):
             eps2 = max(eps2, float(np.max(np.abs(delta[~zero]) / np.abs(base[~zero]))))
     return eps1, eps2
-
-
-@dataclass(frozen=True)
-class FirstOrderCheck:
-    """Actual versus first-order-predicted solution change, with a scaling
-    curve of remainder norms at perturbation scales t = 1, 1/2, 1/4."""
-
-    actual: np.ndarray
-    predicted: np.ndarray
-    curve: tuple
-
-
-def first_order_residual(blocks: DsppBlocks, pert: PerturbationSet) -> FirstOrderCheck:
-    """Compare the true solution change against the first-order prediction.
-
-    The true change at scale t is :func:`perturbed_change` for the deltas
-    times t (exact, as t is a power of two), refined in increment form with
-    no cancellation in w~ - w. The remainder ||actual(t) - t predicted||
-    shrinks quadratically in t.
-    """
-    lu = factorize(blocks)
-    sol = solve_dspp(blocks, lu)
-    predicted = first_order_delta(blocks, sol, *pert.deltas, lu=lu)
-    curve = []
-    actual_full = None
-    for t in (1.0, 0.5, 0.25):
-        scaled = PerturbationSet(*(t * d for d in pert.deltas), s=pert.s)
-        act = perturbed_change(blocks, sol, lu, scaled)
-        if t == 1.0:
-            actual_full = act
-        curve.append((t, float(np.linalg.norm(act - t * predicted, 2))))
-    return FirstOrderCheck(actual=actual_full, predicted=predicted, curve=tuple(curve))
 
 
 @dataclass(frozen=True)
@@ -705,7 +674,6 @@ __all__ = [
     "CSV_COLUMNS",
     "CSV_STRUCTURED_COLUMNS",
     "PerturbationSet",
-    "FirstOrderCheck",
     "ExperimentRow",
     "gen_example1",
     "gen_example2",
@@ -714,7 +682,6 @@ __all__ = [
     "perturbed_change",
     "forward_errors",
     "epsilons",
-    "first_order_residual",
     "run_experiment",
     "report_meta",
     "format_float",

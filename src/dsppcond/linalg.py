@@ -1,17 +1,16 @@
 """Dense linear-algebra kernel.
 
 Input coercion, the pseudo-reciprocal, the infinity norm (LAPACK dlange),
-row-pivoted solves certified by a condition estimate, and the one 2-norm
+row-pivoted solves screened by a condition estimate, and the one 2-norm
 route: a deterministic Lanczos run on an operator v -> G v, whose Ritz
-pair (:func:`top_eig`) gives the values and worst-case directions, and
-whose top end, certified by a Cholesky factorization (:func:`_norm_upper`),
-gives the bounds. Everything operates on float64 numpy arrays and is pure,
+value (:func:`top_eig`) gives the values, and whose top end, certified by a
+Cholesky factorization (:func:`_norm_upper`), gives the bounds. Everything operates on float64 numpy arrays and is pure,
 apart from the BLAS thread pins that the command line and each experiment
 row wrap around their work.
 
 The LAPACK and BLAS routines (dgetrf, dgetrs, dgecon, dlange, dpotrf,
-dstebz, dstein, dgeqp3, dger, dsyrk; contracts in Anderson et al., LAPACK
-Users' Guide, SIAM 1999) are called through ctypes in the one OpenBLAS that
+dstebz, dstein, dger, dsyrk; contracts in Anderson et al., LAPACK Users'
+Guide, SIAM 1999) are called through ctypes in the one OpenBLAS that
 numpy links, so the package loads one BLAS with one thread pool. Their symbols
 are found by name: prefixed ``scipy_`` (the numpy >= 2 wheels) or not, and
 suffixed ``_64_`` (64-bit integer arguments) or ``_`` (32-bit). Where numpy's
@@ -75,8 +74,8 @@ _CHUNK_ENTRY_LIMIT = 1 << 16
 # hidden length, which gfortran appends after the listed arguments.
 _ROUTINES = {
     "dgetrf": (6, 0), "dgetrs": (9, 1), "dgecon": (9, 1), "dlange": (6, 1),
-    "dpotrf": (5, 1), "dstebz": (18, 2), "dstein": (13, 0), "dgeqp3": (9, 0),
-    "dger": (9, 0), "dsyrk": (10, 2),
+    "dpotrf": (5, 1), "dstebz": (18, 2), "dstein": (13, 0), "dger": (9, 0),
+    "dsyrk": (10, 2),
 }
 _NAMINGS = tuple(itertools.product(("scipy_", ""), ("_64_", "_")))
 
@@ -209,20 +208,6 @@ class _TopTridiagonal:
         if _info("dstein", cells[3:]):
             raise np.linalg.LinAlgError("dstein: the top eigenvector did not converge")
         return float(self._w[0]), self._z[:n]
-
-
-def pivoted_qr_diagonal(a) -> np.ndarray:
-    """|diag R| of the column-pivoted QR factorization A P = Q R (LAPACK
-    dgeqp3, with the workspace its query asks for)."""
-    q = np.array(a, dtype=float, order="F")
-    rows, cols = q.shape
-    jpvt, tau, info = np.zeros(cols, _INT), np.empty(min(rows, cols)), np.zeros(1, _INT)
-    work = np.empty(1)
-    _call("dgeqp3", rows, cols, q, max(1, rows), jpvt, tau, work, -1, info)
-    work = np.empty(max(1, int(work[0])))
-    _call("dgeqp3", rows, cols, q, max(1, rows), jpvt, tau, work, work.size, info)
-    _info("dgeqp3", info)
-    return np.abs(np.diagonal(q))
 
 
 class RankOneUpdate:
@@ -451,14 +436,15 @@ def _norm_inf(m) -> float:
 
 
 class LuSolver:
-    """Row-pivoted LU factorization with a singularity certificate.
+    """Row-pivoted LU factorization with a singularity test.
 
     After factoring, LAPACK ``dgecon`` estimates the reciprocal 1-norm
     condition number ``rcond`` from the LU factors in O(l^2). Factoring raises
     :class:`SingularMatrix` when ``rcond`` falls below the floor l * eps (a
-    zero matrix is rejected outright), so a constructed instance certifies
-    that M is numerically nonsingular: cond_1(M) <= 1 / (l * eps). The
-    norms ``norm_one`` and ``norm_inf`` of M are kept.
+    zero matrix is rejected outright), so a constructed instance has an
+    estimated cond_1(M) <= 1 / (l * eps). The estimate is at least the true
+    rcond, so this is no proof; the solves' residual tests are what accept
+    a solution. The norms ``norm_one`` and ``norm_inf`` of M are kept.
     """
 
     def __init__(self, m):

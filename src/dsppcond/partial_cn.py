@@ -41,9 +41,8 @@ from functools import cached_property
 import numpy as np
 
 from .dspp import DsppBlocks, Selector, Solution, _block_product, factorize, solve_dspp
-from .errors import DimensionMismatch, ZeroMatrix, ZeroXi
-from .linalg import (_CHUNK_ENTRY_LIMIT, LuSolver, RankOneUpdate, _norm_upper, as_matrix,
-                     as_vector, ddagger, top_eig)
+from .errors import DimensionMismatch, ZeroXi
+from .linalg import _CHUNK_ENTRY_LIMIT, RankOneUpdate, _norm_upper, as_matrix, as_vector, ddagger, top_eig
 
 _XI_KINDS = ("ncn", "mcn", "ccn", "custom")
 
@@ -260,23 +259,6 @@ def _j_operator(sol: Solution, psi, chi, kinds):
         ])
 
     return apply
-
-
-def first_order_delta(
-    blocks: DsppBlocks,
-    sol: Solution,
-    da, db_, dc, dd, de, drhs,
-    lu: LuSolver | None = None,
-) -> np.ndarray:
-    """First-order solution response to a block perturbation.
-
-    Returns -S^{-1} [G, -I] [vec(dH); drhs], evaluated without Kronecker
-    products as S^{-1} (drhs - [dA x + dB^T y; dB x - dD y + dC^T z; dC y + dE z]).
-    """
-    if lu is None:
-        lu = factorize(blocks)
-    response = _block_product((da, db_, dc, dd, de), sol.x, sol.y, sol.z)
-    return lu.solve(np.asarray(drhs, dtype=float) - response)
 
 
 def _pair_sum(k_col, v_row, k_row, v_col, w) -> np.ndarray:
@@ -569,79 +551,15 @@ def inf_cn_upper(system: SolvedSystem) -> tuple[CnValue, CnValue]:
     return mcn_u, ccn_u
 
 
-def definition_ratio(
-    system: SolvedSystem, weights: PerturbationWeights, xi, norm: str, deltas
-) -> float:
-    """The defining quotient for one admissible perturbation direction.
-
-    Evaluates || xi^ddag . (L dw) || / || [vec(Psi^ddag . dH); chi^ddag . db] ||
-    with dw the first-order response. Any admissible direction yields a value
-    at most the corresponding condition number; callers must supply deltas
-    that vanish wherever the weights do.
-    """
-    if norm not in ("two", "inf"):
-        raise ValueError(f"norm must be 'two' or 'inf', got {norm!r}")
-    blocks = system.blocks
-    da, db_, dc, dd, de, drhs = [np.asarray(d, dtype=float) for d in deltas]
-    dw = first_order_delta(blocks, system.sol, da, db_, dc, dd, de, drhs, lu=system.factors.lu)
-    num_vec = ddagger(_as_xi(xi).resolve(system.lw)) * system.sel.take(dw)
-
-    psi, chi = weights.for_blocks(blocks)
-    den_parts = [(ddagger(w) * d).flatten(order="F") for w, d in zip(psi, (da, db_, dc, dd, de))]
-    den_vec = np.concatenate([*den_parts, ddagger(chi) * drhs])
-
-    ords = {"two": 2, "inf": np.inf}[norm]
-    den = float(np.linalg.norm(den_vec, ords))
-    if den == 0.0:
-        raise ValueError("zero perturbation direction")
-    return float(np.linalg.norm(num_vec, ords)) / den
-
-
-def extremal_direction(system: SolvedSystem, weights: PerturbationWeights, xi):
-    """A 2-norm worst-case perturbation direction and the value it attains.
-
-    Takes the top eigenvector u of the k x k Gram of :func:`unified_cn`, maps
-    t = (L S^{-1})^T Xi u / sigma back through the adjoint of
-    :func:`first_order_delta`, and scales by the squared weights, so the
-    returned block deltas are admissible and their :func:`definition_ratio`
-    equals the returned sigma (the 2-norm condition number for this xi).
-    Raises :class:`ZeroMatrix` when the Gram has no positive eigenvalue.
-    """
-    blocks, sol = system.blocks, system.sol
-    xivec = _as_xi(xi).resolve(system.lw)
-    sigma, u = _gram_top(system, weights, xivec)
-    if sigma == 0.0:
-        raise ZeroMatrix("the weighted Gram matrix has top eigenvalue 0")
-    t = system.rows.T @ (ddagger(xivec) * u) / sigma
-    psi, chi = weights.for_blocks(blocks)
-
-    n, m = blocks.n, blocks.m
-    t1, t2, t3 = t[:n], t[n : n + m], t[n + m :]
-    x, y, z = sol.x, sol.y, sol.z
-    wa, wb, wc, wd, we = (np.square(w) for w in psi)
-    deltas = (
-        wa * np.outer(t1, x),
-        wb * (np.outer(y, t1) + np.outer(t2, x)),
-        wc * (np.outer(z, t2) + np.outer(t3, y)),
-        -wd * np.outer(t2, y),
-        we * np.outer(t3, z),
-        -np.square(chi) * t,
-    )
-    return deltas, sigma
-
-
 __all__ = [
     "CnValue",
     "PerturbationWeights",
     "XiChoice",
     "Factors",
     "SolvedSystem",
-    "first_order_delta",
     "unified_cn",
     "ncn",
     "ncn_upper",
     "inf_cn",
     "inf_cn_upper",
-    "definition_ratio",
-    "extremal_direction",
 ]

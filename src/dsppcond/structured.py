@@ -14,18 +14,16 @@ generator-coordinate map is never formed. Those terms live in
 :mod:`dsppcond.partial_cn`, whose unstructured numbers are the case with every
 kind "full". This module holds the structure triple (the kind names of A, D,
 E), the membership check, read off each matrix without Phi, and the
-structured entry points; :func:`structure_basis` builds Phi's index map on
-request, for generator extraction and tests.
+structured entry points; Phi itself is never built.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotInSubspace
+from .errors import NotInSubspace
 from .linalg import _norm_inf
 from .partial_cn import CnValue, PerturbationWeights, SolvedSystem, _as_xi, _data_inf_value, _gram_top
 
@@ -88,64 +86,6 @@ def _checked_kinds(kinds, mats):
     return kinds
 
 
-@dataclass(eq=False)
-class StructureBasis:
-    """A 0/1 basis of a structure subspace of dim x dim matrices.
-
-    ``rows[t]`` is the vec position (column-major) touched by generator
-    ``cols[t]``; ``counts`` are the integer squared column norms.
-    """
-
-    kind: str
-    dim: int
-    rows: np.ndarray
-    cols: np.ndarray
-    counts: np.ndarray
-
-    @property
-    def generators(self) -> int:
-        return self.counts.size
-
-    def extract(self, mat) -> np.ndarray:
-        """Generator of ``mat``; raises :class:`NotInSubspace` if it has none."""
-        mat = np.asarray(mat, dtype=float)
-        if mat.shape != (self.dim, self.dim):
-            raise DimensionMismatch(f"expected {self.dim}x{self.dim}, got {mat.shape}")
-        _checked_kinds((self.kind,), (mat,))
-        v = mat.flatten(order="F")
-        g = np.bincount(self.cols, weights=v[self.rows], minlength=self.generators)
-        return g / self.counts
-
-
-def structure_basis(kind: str, dim: int) -> StructureBasis:
-    """Build the basis for one structure kind.
-
-    Generator orderings: symmetric walks the upper triangle row by row
-    ((1,1),(1,2),...,(1,n),(2,2),...); toeplitz_sym uses diagonal offsets
-    0..n-1; diagonal and full use entry order.
-    """
-    if dim < 1:
-        raise DimensionMismatch("dimension must be >= 1")
-    # gen[i, j]: the generator of entry (i, j), or -1 for an entry pinned to 0.
-    i, j = np.indices((dim, dim), dtype=np.int64)
-    if kind == "symmetric":
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        gen = lo * dim - lo * (lo - 1) // 2 + hi - lo
-    elif kind == "toeplitz_sym":
-        gen = np.abs(i - j)
-    elif kind == "diagonal":
-        gen = np.where(i == j, i, -1)
-    elif kind == "full":
-        gen = i + j * dim
-    else:
-        raise ValueError(f"unsupported structure kind {kind!r}")
-    gen = gen.flatten(order="F")
-    rows = np.flatnonzero(gen >= 0)
-    cols = gen[rows]
-    counts = np.bincount(cols, minlength=int(cols.max()) + 1)
-    return StructureBasis(kind=kind, dim=dim, rows=rows, cols=cols, counts=counts)
-
-
 def structured_ncn(
     system: SolvedSystem, weights: PerturbationWeights, xi, triple: StructureTriple
 ) -> CnValue:
@@ -187,9 +127,7 @@ def structured_inf_cn(system: SolvedSystem, xi, triple: StructureTriple) -> CnVa
 
 __all__ = [
     "STRUCTURE_KINDS",
-    "StructureBasis",
     "StructureTriple",
-    "structure_basis",
     "structured_ncn",
     "structured_inf_cn",
 ]

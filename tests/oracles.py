@@ -12,21 +12,32 @@ that the one-buffer bound is checked against. So do the two solves with a
 factorization of a perturbed system that the experiments' refined solution
 change is checked against; the difference w~ - w of two solutions is
 computed only here.
+
+The definition-level evaluators live here as well: the first-order response
+:func:`first_order_delta`, the defining quotient :func:`definition_ratio` of
+one perturbation direction, the worst-case direction
+:func:`extremal_direction` that attains the 2-norm number, and
+:func:`first_order_residual`, the first-order prediction against the
+experiments' measured solution change. So does :func:`structure_basis`, the
+0/1 basis Phi of a structure kind as an index map, with generator
+extraction; the library reads membership and generator terms off each matrix
+without it.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from dsppcond.dspp import DsppBlocks, assemble, factorize, solve_dspp
+from dsppcond.dspp import DsppBlocks, Solution, _block_product, assemble, factorize, solve_dspp
 from dsppcond.eils import eils_reduce
-from dsppcond.experiments import apply_perturbation
-from dsppcond.errors import DimensionMismatch
+from dsppcond.experiments import PerturbationSet, apply_perturbation, perturbed_change
+from dsppcond.errors import DimensionMismatch, ZeroMatrix
 from dsppcond import linalg
-from dsppcond.linalg import as_matrix, as_vector, ddagger
-from dsppcond.partial_cn import XiChoice
-from dsppcond.structured import structure_basis
-
+from dsppcond.linalg import LuSolver, as_matrix, as_vector, ddagger
+from dsppcond.partial_cn import PerturbationWeights, SolvedSystem, XiChoice, _as_xi, _gram_top
+from dsppcond.structured import _checked_kinds
 
 def unvec(v, rows: int, cols: int) -> np.ndarray:
     """Rebuild a ``rows x cols`` matrix from its column-major flattening."""
@@ -58,6 +69,116 @@ def perturbed_increment(blocks, sol, pert) -> np.ndarray:
     that refinement on S's factors converges to, with no cancellation."""
     rhs = pert.db - assemble(DsppBlocks(*pert.deltas[:5], b=pert.db)) @ sol.w
     return factorize(apply_perturbation(blocks, pert)).solve(rhs)
+
+
+def first_order_delta(
+    blocks: DsppBlocks,
+    sol: Solution,
+    da, db_, dc, dd, de, drhs,
+    lu: LuSolver | None = None,
+) -> np.ndarray:
+    """First-order solution response to a block perturbation.
+
+    Returns -S^{-1} [G, -I] [vec(dH); drhs], evaluated without Kronecker
+    products as S^{-1} (drhs - [dA x + dB^T y; dB x - dD y + dC^T z; dC y + dE z]).
+    """
+    if lu is None:
+        lu = factorize(blocks)
+    response = _block_product((da, db_, dc, dd, de), sol.x, sol.y, sol.z)
+    return lu.solve(np.asarray(drhs, dtype=float) - response)
+
+
+def definition_ratio(
+    system: SolvedSystem, weights: PerturbationWeights, xi, norm: str, deltas
+) -> float:
+    """The defining quotient for one admissible perturbation direction.
+
+    Evaluates || xi^ddag . (L dw) || / || [vec(Psi^ddag . dH); chi^ddag . db] ||
+    with dw the first-order response. Any admissible direction yields a value
+    at most the corresponding condition number; callers must supply deltas
+    that vanish wherever the weights do.
+    """
+    if norm not in ("two", "inf"):
+        raise ValueError(f"norm must be 'two' or 'inf', got {norm!r}")
+    blocks = system.blocks
+    da, db_, dc, dd, de, drhs = [np.asarray(d, dtype=float) for d in deltas]
+    dw = first_order_delta(blocks, system.sol, da, db_, dc, dd, de, drhs, lu=system.factors.lu)
+    num_vec = ddagger(_as_xi(xi).resolve(system.lw)) * system.sel.take(dw)
+
+    psi, chi = weights.for_blocks(blocks)
+    den_parts = [(ddagger(w) * d).flatten(order="F") for w, d in zip(psi, (da, db_, dc, dd, de))]
+    den_vec = np.concatenate([*den_parts, ddagger(chi) * drhs])
+
+    ords = {"two": 2, "inf": np.inf}[norm]
+    den = float(np.linalg.norm(den_vec, ords))
+    if den == 0.0:
+        raise ValueError("zero perturbation direction")
+    return float(np.linalg.norm(num_vec, ords)) / den
+
+
+def extremal_direction(system: SolvedSystem, weights: PerturbationWeights, xi):
+    """A 2-norm worst-case perturbation direction and the value it attains.
+
+    Takes the top eigenvector u of the k x k Gram of :func:`unified_cn`, maps
+    t = (L S^{-1})^T Xi u / sigma back through the adjoint of
+    :func:`first_order_delta`, and scales by the squared weights, so the
+    returned block deltas are admissible and their :func:`definition_ratio`
+    equals the returned sigma (the 2-norm condition number for this xi).
+    Raises :class:`ZeroMatrix` when the Gram has no positive eigenvalue.
+    """
+    blocks, sol = system.blocks, system.sol
+    xivec = _as_xi(xi).resolve(system.lw)
+    sigma, u = _gram_top(system, weights, xivec)
+    if sigma == 0.0:
+        raise ZeroMatrix("the weighted Gram matrix has top eigenvalue 0")
+    t = system.rows.T @ (ddagger(xivec) * u) / sigma
+    psi, chi = weights.for_blocks(blocks)
+
+    n, m = blocks.n, blocks.m
+    t1, t2, t3 = t[:n], t[n : n + m], t[n + m :]
+    x, y, z = sol.x, sol.y, sol.z
+    wa, wb, wc, wd, we = (np.square(w) for w in psi)
+    deltas = (
+        wa * np.outer(t1, x),
+        wb * (np.outer(y, t1) + np.outer(t2, x)),
+        wc * (np.outer(z, t2) + np.outer(t3, y)),
+        -wd * np.outer(t2, y),
+        we * np.outer(t3, z),
+        -np.square(chi) * t,
+    )
+    return deltas, sigma
+
+
+@dataclass(frozen=True)
+class FirstOrderCheck:
+    """Actual versus first-order-predicted solution change, with a scaling
+    curve of remainder norms at perturbation scales t = 1, 1/2, 1/4."""
+
+    actual: np.ndarray
+    predicted: np.ndarray
+    curve: tuple
+
+
+def first_order_residual(blocks: DsppBlocks, pert: PerturbationSet) -> FirstOrderCheck:
+    """Compare the true solution change against the first-order prediction.
+
+    The true change at scale t is :func:`perturbed_change` for the deltas
+    times t (exact, as t is a power of two), refined in increment form with
+    no cancellation in w~ - w. The remainder ||actual(t) - t predicted||
+    shrinks quadratically in t.
+    """
+    lu = factorize(blocks)
+    sol = solve_dspp(blocks, lu)
+    predicted = first_order_delta(blocks, sol, *pert.deltas, lu=lu)
+    curve = []
+    actual_full = None
+    for t in (1.0, 0.5, 0.25):
+        scaled = PerturbationSet(*(t * d for d in pert.deltas), s=pert.s)
+        act = perturbed_change(blocks, sol, lu, scaled)
+        if t == 1.0:
+            actual_full = act
+        curve.append((t, float(np.linalg.norm(act - t * predicted, 2))))
+    return FirstOrderCheck(actual=actual_full, predicted=predicted, curve=tuple(curve))
 
 
 def top_eig(s) -> tuple[float, np.ndarray]:
@@ -107,6 +228,64 @@ def norm_upper(m) -> float:
             end = np.nextafter(tau + (k + 2) * eps * rho + rounding, np.inf)
             return float(np.ldexp(np.nextafter(np.sqrt(end), np.inf), e))
     raise linalg.UncertifiedBound(f"no Ritz value of the {k} x {k} Gram passed the Cholesky test")
+
+
+@dataclass(eq=False)
+class StructureBasis:
+    """A 0/1 basis of a structure subspace of dim x dim matrices.
+
+    ``rows[t]`` is the vec position (column-major) touched by generator
+    ``cols[t]``; ``counts`` are the integer squared column norms.
+    """
+
+    kind: str
+    dim: int
+    rows: np.ndarray
+    cols: np.ndarray
+    counts: np.ndarray
+
+    @property
+    def generators(self) -> int:
+        return self.counts.size
+
+    def extract(self, mat) -> np.ndarray:
+        """Generator of ``mat``; raises :class:`NotInSubspace` if it has none."""
+        mat = np.asarray(mat, dtype=float)
+        if mat.shape != (self.dim, self.dim):
+            raise DimensionMismatch(f"expected {self.dim}x{self.dim}, got {mat.shape}")
+        _checked_kinds((self.kind,), (mat,))
+        v = mat.flatten(order="F")
+        g = np.bincount(self.cols, weights=v[self.rows], minlength=self.generators)
+        return g / self.counts
+
+
+def structure_basis(kind: str, dim: int) -> StructureBasis:
+    """Build the basis for one structure kind.
+
+    Generator orderings: symmetric walks the upper triangle row by row
+    ((1,1),(1,2),...,(1,n),(2,2),...); toeplitz_sym uses diagonal offsets
+    0..n-1; diagonal and full use entry order.
+    """
+    if dim < 1:
+        raise DimensionMismatch("dimension must be >= 1")
+    # gen[i, j]: the generator of entry (i, j), or -1 for an entry pinned to 0.
+    i, j = np.indices((dim, dim), dtype=np.int64)
+    if kind == "symmetric":
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        gen = lo * dim - lo * (lo - 1) // 2 + hi - lo
+    elif kind == "toeplitz_sym":
+        gen = np.abs(i - j)
+    elif kind == "diagonal":
+        gen = np.where(i == j, i, -1)
+    elif kind == "full":
+        gen = i + j * dim
+    else:
+        raise ValueError(f"unsupported structure kind {kind!r}")
+    gen = gen.flatten(order="F")
+    rows = np.flatnonzero(gen >= 0)
+    cols = gen[rows]
+    counts = np.bincount(cols, minlength=int(cols.max()) + 1)
+    return StructureBasis(kind=kind, dim=dim, rows=rows, cols=cols, counts=counts)
 
 
 def phi(basis) -> scipy.sparse.csc_array:

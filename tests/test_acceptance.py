@@ -13,10 +13,10 @@ import scipy.sparse
 
 import oracles
 from conftest import ACCEPTANCE_LINES, random_dspp, rel_err
+from oracles import definition_ratio, extremal_direction, first_order_residual, structure_basis
 from dsppcond.dspp import DsppBlocks, norm_fro_system, selector, solve_dspp
 from dsppcond.eils import EilsProblem, default_scalar_weights, eils_cn, eils_reduce
 from dsppcond.experiments import (
-    first_order_residual,
     gen_example1,
     gen_example2,
     perturb,
@@ -26,8 +26,6 @@ from dsppcond.partial_cn import (
     DOMINANCE_RTOL,
     PerturbationWeights,
     SolvedSystem,
-    definition_ratio,
-    extremal_direction,
     inf_cn,
     inf_cn_upper,
     ncn,
@@ -37,7 +35,6 @@ from dsppcond.partial_cn import (
 from dsppcond.structured import (
     STRUCTURE_KINDS,
     StructureTriple,
-    structure_basis,
     structured_inf_cn,
     structured_ncn,
 )

@@ -6,6 +6,7 @@ import pytest
 from conftest import rel_err, traced_peak
 from dsppcond.dspp import DsppBlocks, selector, solve_dspp
 from dsppcond.eils import (
+    RANK_RTOL,
     EilsProblem,
     default_scalar_weights,
     eils_cn,
@@ -108,6 +109,21 @@ def test_rejects_rank_deficient_constraints():
             b=np.zeros(3),
             d=np.zeros(2),
         )
+
+
+@pytest.mark.parametrize("scale", [2.0**-660, 1.0, 2.0**660])
+def test_rank_tolerance_boundary_on_singular_values(scale):
+    """C = diag(1, s) V^T with orthonormal rows V^T has singular values 1 and
+    s; s 0.1% below RANK_RTOL ||C||_inf raises, 0.1% above is accepted, at
+    any power-of-two scale of C."""
+    rng = np.random.default_rng(21)
+    vt = np.linalg.qr(rng.standard_normal((3, 2)))[0].T
+    m_mat = rng.standard_normal((4, 3))
+    tol = RANK_RTOL * float(np.abs(vt[0]).sum())
+    args = dict(M=m_mat, n1=4, n2=0, b=np.zeros(4), d=np.zeros(2))
+    with pytest.raises(RankDeficientC):
+        EilsProblem(C=scale * np.diag([1.0, (1.0 - 1e-3) * tol]) @ vt, **args)
+    assert EilsProblem(C=scale * np.diag([1.0, (1.0 + 1e-3) * tol]) @ vt, **args).p == 2
 
 
 def test_rejects_indefinite_quadratic_form():

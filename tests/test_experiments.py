@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import first_order_residual
 from dsppcond import dspp, experiments, linalg, partial_cn
 from dsppcond.dspp import DsppBlocks, Solution, selector
 from dsppcond.errors import IncompatibleZeroPattern, SingularMatrix, ZeroXi
@@ -28,7 +29,6 @@ from dsppcond.experiments import (
     _row_seeds,
     apply_perturbation,
     epsilons,
-    first_order_residual,
     format_float,
     forward_errors,
     gen_example1,

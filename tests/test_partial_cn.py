@@ -11,6 +11,7 @@ import pytest
 import dsppcond.partial_cn as pc
 import oracles
 from conftest import random_dspp, rel_err, traced_peak
+from oracles import definition_ratio, extremal_direction, first_order_delta
 from dsppcond.dspp import DsppBlocks, Solution, assemble, norm_fro_system, selector, solve_dspp
 from dsppcond.errors import DimensionMismatch, ZeroMatrix, ZeroXi
 from dsppcond.experiments import gen_example1
@@ -22,9 +23,6 @@ from dsppcond.partial_cn import (
     PerturbationWeights,
     SolvedSystem,
     XiChoice,
-    definition_ratio,
-    extremal_direction,
-    first_order_delta,
     inf_cn,
     inf_cn_upper,
     ncn,

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import dsppcond.partial_cn as pc
 import oracles
 from conftest import rel_err
+from oracles import structure_basis
 from dsppcond import linalg
 from dsppcond.dspp import DsppBlocks, Solution, factorize, norm_fro_system, selector, solve_dspp
 from dsppcond.eils import EilsProblem, eils_cn, eils_reduce
@@ -39,7 +40,6 @@ from dsppcond.structured import (
     STRUCTURE_KINDS,
     StructureTriple,
     _membership_residual,
-    structure_basis,
     structured_inf_cn,
     structured_ncn,
 )

@@ -8,6 +8,7 @@ import scipy.linalg
 
 import oracles
 from conftest import random_dspp, rel_err
+from oracles import structure_basis
 from dsppcond.dspp import DsppBlocks, assemble, selector
 from dsppcond.errors import DimensionMismatch, NotInSubspace
 from dsppcond.experiments import gen_example2
@@ -16,7 +17,6 @@ from dsppcond.structured import (
     STRUCTURE_KINDS,
     StructureTriple,
     _checked_kinds,
-    structure_basis,
     structured_inf_cn,
     structured_ncn,
 )
