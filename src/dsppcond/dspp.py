@@ -117,9 +117,10 @@ class Selector:
 
 
 def assemble(blocks: DsppBlocks) -> np.ndarray:
-    """Assemble the full l x l system matrix (D enters negated)."""
+    """Assemble the full l x l system matrix (D enters negated), in Fortran
+    order, as LAPACK factors it."""
     n, m, p, l = blocks.n, blocks.m, blocks.p, blocks.l
-    s = np.zeros((l, l))
+    s = np.zeros((l, l), order="F")
     s[:n, :n] = blocks.A
     s[:n, n : n + m] = blocks.B.T
     s[n : n + m, :n] = blocks.B
@@ -139,8 +140,9 @@ def _block_product(mats, x, y, z) -> np.ndarray:
 
 def factorize(blocks: DsppBlocks) -> LuSolver:
     """Pivoted factorization of the assembled system (rejects a numerically
-    singular one by its rcond estimate)."""
-    return LuSolver(assemble(blocks))
+    singular one by its rcond estimate), made in place in the assembled
+    array, so it holds l^2 doubles."""
+    return LuSolver(assemble(blocks), overwrite=True)
 
 
 def _residual_bound(norm_inf: float, w: np.ndarray, b: np.ndarray) -> float:

@@ -27,7 +27,10 @@ read-only view of those rows. example1's A..E depend on q alone, so the
 selectors of one q share a task; example2 draws D and E per row, so each of
 its rows is a task. A system whose l^3 exceeds about one worker's share of
 the experiment's sum of l^3 is split into several tasks, and tasks run
-largest system first.
+largest system first. A task holds S's LU only while something solves with
+it: it measures every row of a system (solve, perturb, refine, errors),
+forms their L S^{-1}, releases the factors, and only then computes the
+numbers, which read L S^{-1}, the solution and the blocks alone.
 
 Parallelism: every row runs with numpy's OpenBLAS, which does all the
 package's BLAS and LAPACK work, on one thread, and each part of S^{-1} is
@@ -53,7 +56,7 @@ import numpy as np
 from ._version import __version__
 from .dspp import (
     DsppBlocks, Selector, Solution, _block_product, _residual_bound, _system_norms, _system_sumsq,
-    factorize, norm_fro_system, selector,
+    factorize, norm_fro_system, selector, solve_dspp,
 )
 from .errors import IncompatibleZeroPattern, SingularMatrix, ZeroXi
 from .linalg import LuSolver, _blas_single_thread, ddagger
@@ -402,15 +405,20 @@ def _family_system(
     return gen_example2(q, gen_seed)
 
 
-def _experiment_row(system: SolvedSystem, triple, q, s, pert_seed, structured) -> ExperimentRow:
-    """Perturb, measure the solution change on the system's factors, and
-    predict for one solved system."""
-    blocks, sel = system.blocks, system.sel
+def _measure(blocks: DsppBlocks, sol: Solution, lu: LuSolver, sel: Selector, s, pert_seed) -> tuple:
+    """r_k, r_m, r_c, eps1 and eps2 of one row: perturb, refine the
+    solution change on ``lu``, S's factors (or on those of S + dS), and
+    measure. The perturbation is released on return."""
     pert = perturb(blocks, s, pert_seed)
-    dw = perturbed_change(blocks, system.sol, system.factors.lu, pert)
-    r_k, r_m, r_c = forward_errors(system.sol, dw, sel)
-    eps1, eps2 = epsilons(pert, blocks)
+    dw = perturbed_change(blocks, sol, lu, pert)
+    return (*forward_errors(sol, dw, sel), *epsilons(pert, blocks))
 
+
+def _predict(system: SolvedSystem, triple, q, measured, structured) -> ExperimentRow:
+    """The row of one solved system: its measured ``(r_k, r_m, r_c, eps1,
+    eps2)`` against the predictions."""
+    blocks, sel = system.blocks, system.sel
+    r_k, r_m, r_c, eps1, eps2 = measured
     psi = norm_fro_system(blocks)
     chi = float(np.linalg.norm(blocks.b, 2))
     cn2 = ncn(system, psi, chi).value
@@ -439,24 +447,43 @@ def _experiment_row(system: SolvedSystem, triple, q, s, pert_seed, structured) -
     )
 
 
+def _system_rows(family, q, rows, s, seed, structured) -> list[ExperimentRow]:
+    """The experiment rows ``rows``, (selector index, selector kind) pairs
+    whose systems share one matrix S, in three phases that hold S's LU only
+    while something solves with it:
+
+    1. measure each row: solve, perturb, refine the solution change and
+       take its errors and eps1, eps2 (:func:`_measure`);
+    2. form each row's L S^{-1} from one :class:`Factors`, which solves each
+       part of S^{-T} the rows read once;
+    3. release the factors, then compute every row's numbers, which read
+       only L S^{-1}, the solution and the blocks.
+    """
+    measured, blocks, factors = [], None, None
+    for idx, kind in rows:
+        gen_seed, pert_seed = _row_seeds(seed, q, idx)
+        blocks, triple = _family_system(family, q, gen_seed, blocks)
+        if factors is None:
+            factors = Factors(blocks)
+        sel = selector(kind, blocks.n, blocks.m, blocks.p)
+        sol = solve_dspp(blocks, factors.lu)
+        measured.append((blocks, sel, sol, _measure(blocks, sol, factors.lu, sel, s, pert_seed)))
+    systems = [(SolvedSystem(b, sel, sol, factors.rows(sel)), m) for b, sel, sol, m in measured]
+    del factors
+    return [_predict(system, triple, q, m, structured) for system, m in systems]
+
+
 def _experiment_task(family, q, rows, s, seed, structured) -> list[ExperimentRow]:
     """The experiment rows ``rows``, (selector index, selector kind) pairs,
     of the family at size q.
 
     example1 builds its A..E once per task (see :func:`_family_system`), so
-    its rows share one :class:`Factors`: one factorization and one buffer of
-    S^{-1} rows. example2 draws D and E per row, so each row factorizes its
-    own system.
+    its rows share one system matrix: one factorization and one buffer of
+    S^{-1} rows. example2 draws D and E per row, so each row is a system of
+    its own. Each system's rows run through :func:`_system_rows`.
     """
-    out, blocks, factors = [], None, None
-    for idx, kind in rows:
-        gen_seed, pert_seed = _row_seeds(seed, q, idx)
-        blocks, triple = _family_system(family, q, gen_seed, blocks)
-        if factors is None or family != "example1":
-            factors = Factors(blocks)
-        system = SolvedSystem.of(blocks, selector(kind, blocks.n, blocks.m, blocks.p), factors)
-        out.append(_experiment_row(system, triple, q, s, pert_seed, structured))
-    return out
+    systems = [rows] if family == "example1" else [(row,) for row in rows]
+    return [row for members in systems for row in _system_rows(family, q, members, s, seed, structured)]
 
 
 # A pool costs about 0.1 s to fork and to warm its workers (2 vCPUs); rows
@@ -465,13 +492,15 @@ def _experiment_task(family, q, rows, s, seed, structured) -> list[ExperimentRow
 # in-process.
 _POOL_MIN_WORK = 1 << 20
 
-# A task's peak memory over its process's, in bytes per l^2: measured 3.7-6.8
-# doubles per l^2 of peak RSS (3.8-5.4 traced by tracemalloc; the top of each
-# range at l = 256 and 300) for example1 tasks of all four selectors and of x
-# or y alone, and example2 `full` rows at l = 256..1600, with and without
-# structured values, at s = 8. A task peaks where its largest row does, as
-# its rows share one l x l buffer of S^{-1}.
-_TASK_PEAK_BYTES_PER_L2 = 16 * 8
+# A task's peak memory over its process's, in bytes per l^2: measured 2.8-5.3
+# doubles per l^2 of peak RSS over a warmed-up process's (2.6-3.6 traced by
+# tracemalloc; the top of each range at l = 256 and 300) for example1 tasks
+# of all four selectors and of x or y alone at l = 256..1600, and example2
+# `full` rows at l = 300..1596, with and without structured values, at
+# s = 8. A task holds at most two l x l arrays beside its blocks: S's LU and
+# the buffer of S^{-1} rows while the rows are formed, then the buffer and
+# the `full` row's k x k bound buffer once the LU is released.
+_TASK_PEAK_BYTES_PER_L2 = 12 * 8
 
 
 def _system_size(family: str, q: int) -> int:

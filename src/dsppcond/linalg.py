@@ -146,7 +146,12 @@ def _info(name: str, info) -> int:
 
 
 def _lange(norm: str, m) -> float:
-    """LAPACK dlange's ``norm`` ("1" or "I") of the Fortran view M^T."""
+    """LAPACK dlange's ``norm`` ("1" or "I") of the Fortran view M^T. A
+    Fortran-ordered M is read in place, as the Fortran matrix M under the
+    other norm: both sum each row or column of M in the same order, so the
+    value is bitwise the same."""
+    if m.flags.f_contiguous and not m.flags.c_contiguous:
+        return _lange("1" if norm == "I" else "I", m.T)
     a = np.ascontiguousarray(m, dtype=float)
     rows, cols = a.shape
     work = np.empty(max(1, cols))
@@ -445,9 +450,12 @@ class LuSolver:
     estimated cond_1(M) <= 1 / (l * eps). The estimate is at least the true
     rcond, so this is no proof; the solves' residual tests are what accept
     a solution. The norms ``norm_one`` and ``norm_inf`` of M are kept.
+
+    The factors take one l x l array: a copy of M or, with ``overwrite``,
+    M itself where it is a writeable Fortran-ordered float64 array.
     """
 
-    def __init__(self, m):
+    def __init__(self, m, overwrite: bool = False):
         m = as_matrix(m)
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"square matrix required, got {m.shape}")
@@ -457,7 +465,8 @@ class LuSolver:
         if self.norm_inf == 0.0:
             raise SingularMatrix("zero matrix")
         n = m.shape[0]
-        lu, piv, info = np.array(m, order="F"), np.empty(n, _INT), np.zeros(1, _INT)
+        in_place = overwrite and m.flags.f_contiguous and m.flags.writeable
+        lu, piv, info = m if in_place else np.array(m, order="F"), np.empty(n, _INT), np.zeros(1, _INT)
         _call("dgetrf", n, n, lu, n, piv, info)
         if _info("dgetrf", info):
             self.rcond = 0.0  # an exactly zero pivot

@@ -28,9 +28,11 @@ one :class:`Factors` buffer, or k transposed solves against a custom L;
 never an explicit inverse. Both take the structure kinds of dA, dD, dE
 (see :mod:`dsppcond.structured`) as a parameter: each kind adds one term
 to each, and the unstructured numbers are the structured ones with every
-kind "full". A :class:`SolvedSystem` holds the factors, the solution and
-L S^{-1} of one (problem, selector) pair; every entry point takes one, so
-the work is done once however many numbers are asked for.
+kind "full". A :class:`SolvedSystem` holds the solution and L S^{-1} of one
+(problem, selector) pair; every entry point takes one, so the work is done
+once however many numbers are asked for. It holds no factorization: S's LU
+lives in a :class:`Factors` only while something solves with it, and no
+number reads it.
 """
 
 from __future__ import annotations
@@ -261,8 +263,12 @@ def _j_operator(sol: Solution, psi, chi, kinds):
     return apply
 
 
-def _pair_sum(k_col, v_row, k_row, v_col, w) -> np.ndarray:
+def _pair_sum(k_col, v_row, k_row, v_col, w, upper: bool = False) -> np.ndarray:
     """sum_{r,c} |k_col[:, c] v_row[r] + k_row[:, r] v_col[c]| w[r, c], exactly.
+
+    With ``upper`` the sum runs over c >= r only, and the pair (r, r) takes
+    half its weight: row r reads w[r, r:] and halves its first entry, which
+    is exact, so no weight matrix is formed.
 
     Only pairs with a nonzero weight are evaluated: row r gathers the rows
     ``cols`` of a contiguous copy of k_col^T where w[r] is nonzero, in chunks
@@ -282,16 +288,22 @@ def _pair_sum(k_col, v_row, k_row, v_col, w) -> np.ndarray:
     v_cols = np.empty(buf.shape[0])
     rank_one = RankOneUpdate(buf.T, k_row, v_cols)
     for r in range(w.shape[0]):
-        nz = np.flatnonzero(w[r])
+        lo = r if upper else 0
+        w_r = w[r, lo:]
+        if upper:
+            w_r = w_r.copy()
+            w_r[0] /= 2.0
+        nz = np.flatnonzero(w_r)
         for start in range(0, nz.size, cb):
-            cols = nz[start : start + cb]
+            at = nz[start : start + cb]
+            cols = at + lo
             # mode="clip" writes straight into ``out``; "raise" would buffer.
             t = np.take(k_col_t, cols, axis=0, out=buf[: cols.size], mode="clip")
             t *= v_row[r]
             np.take(v_col, cols, out=v_cols[: cols.size], mode="clip")
             rank_one.update(r, cols.size)
             np.abs(t, out=t)
-            u += w[r, cols] @ t
+            u += w_r[at] @ t
     return u
 
 
@@ -325,8 +337,7 @@ def _kind_numerator(kind: str, k, w, v) -> np.ndarray:
     if kind == "symmetric":
         # The pair (r, c) and (c, r) share one generator; the diagonal
         # pair counts its single entry twice, hence the half weight.
-        pair_w = np.triu(w, 1) + np.diag(np.diag(w)) / 2.0
-        return _pair_sum(k, v, k, v, pair_w)
+        return _pair_sum(k, v, k, v, w, upper=True)
     return np.abs(k @ _shifted(v)) @ w[:, 0]
 
 
@@ -368,7 +379,9 @@ class Factors:
     l x l buffer that holds S^{-T}, allocated on the first range request; a
     range reads the parts it covers. A part is always solved by the same
     call, so its rows are bitwise the same whatever selectors share the
-    factors. A custom L is solved against directly.
+    factors. A custom L is solved against directly. The rows handed out are
+    views of the buffer, so they outlive the factors: dropping a
+    ``Factors`` releases the LU and keeps the rows.
     """
 
     def __init__(self, blocks: DsppBlocks):
@@ -397,34 +410,34 @@ class Factors:
 
 @dataclass(frozen=True, eq=False)
 class SolvedSystem:
-    """One factorized and solved system with a selector: the work that every
-    condition number of the pair (blocks, sel) shares.
+    """One solved system with a selector: what every condition number of the
+    pair (blocks, sel) reads, and no factorization.
 
-    Build with :meth:`of`. Three values are computed on first use and kept:
-    ``rows``, the k x l matrix L S^{-1} from the system's :class:`Factors`;
-    ``lw`` = L w; and ``bc_numerator``, the data-weighted B, C and
-    right-hand-side part of the max-norm numerator, which the mixed,
-    componentwise and structured max-norm numbers all add their A, D, E
-    terms to.
+    ``sol`` is the solution of S w = b and ``rows`` the read-only k x l
+    matrix L S^{-1}, both made by :meth:`of`. Two values are computed on
+    first use and kept: ``lw`` = L w, and ``bc_numerator``, the
+    data-weighted B, C and right-hand-side part of the max-norm numerator,
+    which the mixed, componentwise and structured max-norm numbers all add
+    their A, D, E terms to.
     """
 
     blocks: DsppBlocks
     sel: Selector
-    factors: Factors
     sol: Solution
+    rows: np.ndarray
 
     @classmethod
     def of(cls, blocks: DsppBlocks, sel: Selector, factors: Factors | None = None) -> "SolvedSystem":
-        """Solve with ``factors``, the factorization of this system matrix
-        (made here when None), whose buffer of S^{-1} rows it then shares."""
+        """Solve with ``factors``, the factorization of this system matrix,
+        and form L S^{-1} from its buffer of S^{-1} rows. Made here when
+        None, the factors are released on return, before any number is
+        computed; one ``Factors`` passed to several calls shares one
+        factorization and one buffer among their selectors, and lives as
+        long as the caller keeps it."""
         if sel.l != blocks.l:
             raise DimensionMismatch(f"selector has {sel.l} columns, system is {blocks.l}")
         factors = Factors(blocks) if factors is None else factors
-        return cls(blocks, sel, factors, solve_dspp(blocks, factors.lu))
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        return self.factors.rows(self.sel)
+        return cls(blocks, sel, solve_dspp(blocks, factors.lu), factors.rows(sel))
 
     @cached_property
     def lw(self) -> np.ndarray:

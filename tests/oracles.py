@@ -102,7 +102,7 @@ def definition_ratio(
         raise ValueError(f"norm must be 'two' or 'inf', got {norm!r}")
     blocks = system.blocks
     da, db_, dc, dd, de, drhs = [np.asarray(d, dtype=float) for d in deltas]
-    dw = first_order_delta(blocks, system.sol, da, db_, dc, dd, de, drhs, lu=system.factors.lu)
+    dw = first_order_delta(blocks, system.sol, da, db_, dc, dd, de, drhs)
     num_vec = ddagger(_as_xi(xi).resolve(system.lw)) * system.sel.take(dw)
 
     psi, chi = weights.for_blocks(blocks)

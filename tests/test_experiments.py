@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -244,7 +245,7 @@ def test_refined_change_passes_the_solve_residual_test(monkeypatch):
 
 def test_singular_perturbed_system_raises(monkeypatch):
     """A perturbation that makes S + dS singular fails the certificate, and
-    factorizing S + dS raises SingularMatrix, from the helper and the row."""
+    factorizing S + dS raises SingularMatrix, from the helper and the task."""
     blocks = DsppBlocks(A=[[2.0]], B=[[1.0]], C=[[1.0]], D=[[3.0]], E=[[1.0]], b=[1.0, 1.0, 1.0])
     zero = np.zeros((1, 1))
     pert = PerturbationSet(
@@ -254,9 +255,34 @@ def test_singular_perturbed_system_raises(monkeypatch):
     with pytest.raises(SingularMatrix):
         perturbed_change(blocks, dspp.solve_dspp(blocks, lu), lu, pert)
     monkeypatch.setattr(experiments, "perturb", lambda *args: pert)
-    system = partial_cn.SolvedSystem.of(blocks, selector("full", 1, 1, 1))
+    monkeypatch.setattr(experiments, "_family_system", lambda *args: (blocks, None))
     with pytest.raises(SingularMatrix):
-        experiments._experiment_row(system, None, 1, 1, 0, False)
+        experiments._experiment_task("example1", 1, ((0, "full"),), 1, 0, False)
+
+
+@pytest.mark.parametrize("family, s, lus", [("example1", 8, 1), ("example1", 1, 5), ("example2", 1, 8)])
+def test_no_factorization_lives_while_numbers_run(monkeypatch, family, s, lus):
+    """A task measures every row of a system, forms their L S^-1, and
+    releases S's LU before the first number: no LuSolver made in the task,
+    S's or (at s = 1, where every row falls back to it) that of S + dS, is
+    alive while the bound runs. example1's rows share one system's LU;
+    example2's rows each make and release their own."""
+    made, seen = [], []
+    init = linalg.LuSolver.__init__
+
+    def recorded(self, *args, **kw):
+        init(self, *args, **kw)
+        made.append(weakref.ref(self))
+
+    def checked(*args):
+        seen.append([ref() for ref in made if ref() is not None])
+        return partial_cn.ncn_upper(*args)
+
+    monkeypatch.setattr(linalg.LuSolver, "__init__", recorded)
+    monkeypatch.setattr(experiments, "ncn_upper", checked)
+    rows = experiments._experiment_task(family, 3, tuple(enumerate(DEFAULT_SELECTORS)), s, 5, False)
+    assert len(rows) == len(seen) == 4 and len(made) == lus
+    assert seen == [[]] * 4
 
 
 def test_apply_perturbation_adds_each_delta():

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import rel_err
+from conftest import rel_err, traced_peak
 import oracles
 from dsppcond import linalg
-from dsppcond.dspp import selector
+from dsppcond.dspp import factorize, selector
 from dsppcond.errors import DimensionMismatch, SingularMatrix, UncertifiedBound
 from dsppcond import experiments
 from dsppcond.experiments import gen_example1
@@ -260,6 +260,36 @@ def test_lu_binding_matches_scipy():
             buf = np.asfortranarray(rhs)
             assert lu.solve(buf, transpose=transpose, overwrite=True) is buf
             assert _norm_rel(buf, want) <= 1e-13
+
+
+def test_lu_factors_fortran_input_in_place_only_when_asked():
+    # A caller's array is copied; with ``overwrite`` a writeable
+    # Fortran-ordered one holds the factors itself. Either way the factors,
+    # the pivots, rcond and both norms are bitwise those of the C-ordered
+    # copy, the norms read off the Fortran array with no copy.
+    rng = np.random.default_rng(7)
+    m = rng.standard_normal((30, 30))
+    ref = LuSolver(m)
+    f = np.asfortranarray(m)
+    kept = LuSolver(f)
+    assert np.array_equal(f, m) and kept._lu is not f
+    in_place = LuSolver(f, overwrite=True)
+    assert in_place._lu is f
+    for lu in (kept, in_place):
+        assert np.array_equal(lu._lu, ref._lu) and np.array_equal(lu._piv, ref._piv)
+        assert (lu.rcond, lu.norm_one, lu.norm_inf) == (ref.rcond, ref.norm_one, ref.norm_inf)
+    read_only = np.asfortranarray(m)
+    read_only.flags.writeable = False
+    assert LuSolver(read_only, overwrite=True)._lu is not read_only
+
+
+def test_factorize_holds_one_system_sized_array():
+    # S is assembled in Fortran order and factored in place: beside the
+    # blocks, the factorization peaks at one l x l array, the finiteness
+    # mask of the input check (l^2 bytes) and O(l) vectors.
+    blocks = gen_example1(8, 0)
+    l = blocks.l
+    assert traced_peak(factorize, blocks) <= l * l * 9 + 16 * l * 8
 
 
 def test_exactly_singular_lu_is_rejected():

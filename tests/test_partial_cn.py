@@ -5,6 +5,8 @@ reproduce the assembled perturbation response) plus hand-computed values on
 one-dimensional and identity systems.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -580,6 +582,50 @@ def test_full_rows_memory_budget():
     assert traced_peak(selector, "full", *dims) < l * 8
     peak = traced_peak(lambda: SolvedSystem.of(blocks, selector("full", *dims)).rows)
     assert peak <= (2 * l * l + 16 * l) * 8
+
+
+@pytest.mark.parametrize("kind", ["full", "y", "custom"])
+def test_solved_system_holds_no_factorization(kind):
+    # SolvedSystem.of factorizes S, solves, forms L S^-1 and releases the
+    # LU before it returns: what stays traced after the call, less the
+    # array holding L S^-1 (the l x l S^-T buffer for a range selector, the
+    # k x l rows for a custom one), is the solution and O(l) vectors.
+    blocks = gen_example1(8, 0)
+    dims, l = (blocks.n, blocks.m, blocks.p), blocks.l
+    custom = np.random.default_rng(41).standard_normal((5, l)) if kind == "custom" else None
+    sel = selector(kind, *dims, custom_l=custom)
+    tracemalloc.start()
+    try:
+        system = SolvedSystem.of(blocks, sel)
+        rows = system.rows
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    owner = rows if rows.base is None else rows.base
+    assert owner.nbytes >= rows.nbytes
+    assert held - owner.nbytes <= 8 * l * 8
+
+
+def test_symmetric_numerator_memory_budget():
+    # The symmetric kind's max-norm term reads row r's upper part of w and
+    # halves the diagonal weight inside the pair kernel: beside its inputs
+    # it holds the kernel's copy of the k x n block, one chunk buffer and
+    # O(k + n) vectors, and no n x n half-weight matrix (whose n x n
+    # temporaries took 3 n^2 doubles). The value is bitwise the kernel's on
+    # the explicit half weights.
+    rng = np.random.default_rng(40)
+    k, n = 32, 600
+    block = rng.standard_normal((k, n + 40))[:, :n]
+    a = rng.standard_normal((n, n))
+    mask = rng.random((n, n)) < 0.3
+    w = np.abs(a + a.T) * (mask | mask.T)
+    w[np.arange(0, n, 7), np.arange(0, n, 7)] = 0.0
+    v = rng.standard_normal(n)
+    half = np.triu(w, 1) + np.diag(np.diag(w)) / 2.0
+    want = pc._pair_sum(block, v, block, v, half)
+    assert np.array_equal(pc._kind_numerator("symmetric", block, w, v), want)
+    budget = 2 * k * n * 8 + 32 * (k + n) * 8
+    assert traced_peak(pc._kind_numerator, "symmetric", block, w, v) <= budget
 
 
 def test_cn_value_validation():
