@@ -10,7 +10,9 @@ is to perturbations of the data: normwise (2-norm), mixed and componentwise
 (max-norm) condition numbers, cheap upper bounds, structure-respecting
 variants (symmetric, symmetric Toeplitz, diagonal blocks), a specialization
 to equality constrained indefinite least squares, and a seeded experiment
-harness that validates the closed forms against random perturbations.
+harness that validates the closed forms against random perturbations. The
+harness, with numpy.random and multiprocessing, is imported on first use of
+one of its names, so a program that only computes numbers never loads it.
 """
 
 from ._version import __version__
@@ -72,24 +74,23 @@ from .eils import (
     signature_matrix,
     solve_eils,
 )
-from .experiments import (
-    DEFAULT_SELECTORS,
-    FAMILIES,
-    RNG_ALGORITHM,
-    ExperimentRow,
-    PerturbationSet,
-    apply_perturbation,
-    epsilons,
-    forward_errors,
-    gen_example1,
-    gen_example2,
-    perturb,
-    perturbed_change,
-    report_meta,
-    run_experiment,
-    write_csv_report,
-    write_json_report,
+from ._report import DEFAULT_SELECTORS, FAMILIES, RNG_ALGORITHM, report_meta
+
+# The harness's own names, resolved by __getattr__ on first use.
+_EXPERIMENT_NAMES = (
+    "ExperimentRow", "PerturbationSet", "apply_perturbation", "epsilons", "forward_errors",
+    "gen_example1", "gen_example2", "perturb", "perturbed_change", "run_experiment",
+    "write_csv_report", "write_json_report",
 )
+
+
+def __getattr__(name):
+    if name in _EXPERIMENT_NAMES:
+        from . import experiments
+
+        return getattr(experiments, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

@@ -23,6 +23,7 @@ import sys
 
 import numpy as np
 
+from ._report import DEFAULT_SELECTORS, FAMILIES, format_float, report_meta
 from ._version import __version__
 from .dspp import SELECTOR_KINDS, Selector, norm_fro_system, problem_from_dict, selector
 from .eils import default_scalar_weights, eils_cn, eils_from_dict, eils_inf_cn, eils_reduce, solve_eils
@@ -38,15 +39,6 @@ from .errors import (
     UncertifiedBound,
     ZeroMatrix,
     ZeroXi,
-)
-from .experiments import (
-    DEFAULT_SELECTORS,
-    FAMILIES,
-    format_float,
-    report_meta,
-    run_experiment,
-    write_csv_report,
-    write_json_report,
 )
 from .linalg import _blas_single_thread
 from .partial_cn import DOMINANCE_RTOL, PerturbationWeights, SolvedSystem, inf_cn, inf_cn_upper, ncn, ncn_upper
@@ -318,6 +310,9 @@ def _cmd_structured(args) -> str:
 
 
 def _cmd_experiment(args) -> str:
+    # The harness, and the multiprocessing it brings, load for this command only.
+    from .experiments import run_experiment, write_csv_report, write_json_report
+
     q_list = parse_q_spec(args.q)
     selectors = parse_selector_list(args.selector)
     if args.s < 1:

@@ -53,13 +53,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._version import __version__
+from ._report import DEFAULT_SELECTORS, FAMILIES, RNG_ALGORITHM, format_float, report_meta
 from .dspp import (
     DsppBlocks, Selector, Solution, _block_product, _residual_bound, _system_norms, _system_sumsq,
     factorize, norm_fro_system, selector, solve_dspp,
 )
 from .errors import IncompatibleZeroPattern, SingularMatrix, ZeroXi
-from .linalg import LuSolver, _blas_single_thread, ddagger
+from .linalg import _CHUNK_ENTRY_LIMIT, LuSolver, _blas_single_thread, ddagger
 from .partial_cn import (
     Factors,
     PerturbationWeights,
@@ -70,12 +70,6 @@ from .partial_cn import (
     ncn_upper,
 )
 from .structured import StructureTriple, structured_inf_cn, structured_ncn
-
-RNG_ALGORITHM = "numpy-pcg64+standard_normal"
-
-FAMILIES = ("example1", "example2")
-
-DEFAULT_SELECTORS = ("full", "x", "y", "z")
 
 # CSV layout; the structured columns appear only when rows carry them.
 CSV_COLUMNS = ["selector", "q", "r_k", "K2", "K2U", "r_m", "Km", "KmU", "r_c", "Kc", "KcU", "eps1", "eps2"]
@@ -322,22 +316,24 @@ def epsilons(pert: PerturbationSet, blocks: DsppBlocks) -> tuple[float, float]:
     eps1 compares Frobenius norms of the assembled [dS, db] against [S, b]
     (B and C enter twice, computed blockwise). eps2 is the smallest eps with
     |dS| <= eps |S| and |db| <= eps |b|; a perturbation on a zero data entry
-    raises :class:`IncompatibleZeroPattern`.
+    raises :class:`IncompatibleZeroPattern`. The check and eps2 read each
+    block by row chunks of at most ``_CHUNK_ENTRY_LIMIT`` entries; a maximum
+    is exact in any order.
     """
     num = _system_sumsq(pert.deltas[:5]) + float(np.vdot(pert.db, pert.db))
     den = _system_sumsq((blocks.A, blocks.B, blocks.C, blocks.D, blocks.E)) + float(np.vdot(blocks.b, blocks.b))
     eps1 = float(np.sqrt(num / den))
 
     eps2 = 0.0
-    pairs = list(zip(pert.deltas, (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E, blocks.b)))
-    for delta, base in pairs:
-        delta = np.asarray(delta, dtype=float)
-        base = np.asarray(base, dtype=float)
-        zero = base == 0
-        if np.any(delta[zero] != 0):
-            raise IncompatibleZeroPattern("perturbation hits an exactly zero data entry")
-        if np.any(~zero):
-            eps2 = max(eps2, float(np.max(np.abs(delta[~zero]) / np.abs(base[~zero]))))
+    for delta, base in zip(pert.deltas, (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E, blocks.b)):
+        delta, base = np.asarray(delta, dtype=float), np.asarray(base, dtype=float)
+        step = max(1, _CHUNK_ENTRY_LIMIT // base[0].size)
+        for lo in range(0, len(base), step):
+            d, b = np.abs(delta[lo : lo + step]), np.abs(base[lo : lo + step])
+            if np.any(d, where=b == 0):
+                raise IncompatibleZeroPattern("perturbation hits an exactly zero data entry")
+            eps2 = max(eps2, float(np.divide(d, b, out=d, where=b != 0).max()))
+            del d, b  # before the next chunk's are made
     return eps1, eps2
 
 
@@ -629,23 +625,6 @@ def run_experiment(
     return out
 
 
-def report_meta(family: str | None = None, s: int | None = None, seed=None) -> dict:
-    """Reproducibility header recorded in every report."""
-    meta = {
-        "generator": "dsppcond",
-        "version": __version__,
-        "rng": RNG_ALGORITHM,
-        "numpy": np.__version__,
-    }
-    if family is not None:
-        meta["family"] = family
-    if s is not None:
-        meta["s"] = int(s)
-    if seed is not None:
-        meta["seed"] = int(seed)
-    return meta
-
-
 def _row_values(row: ExperimentRow) -> list:
     vals = [row.selector, row.q, row.r_k, row.k2, row.k2_upper, row.r_m, row.km,
             row.km_upper, row.r_c, row.kc, row.kc_upper, row.eps1, row.eps2]
@@ -653,11 +632,6 @@ def _row_values(row: ExperimentRow) -> list:
         vals += [row.ncn_value, row.ncn_structured, row.mcn_value,
                  row.mcn_structured, row.ccn_value, row.ccn_structured]
     return vals
-
-
-def format_float(v: float) -> str:
-    """Scientific notation with 10 significant digits."""
-    return f"{v:.9E}"
 
 
 def write_csv_report(rows, fh, meta: dict) -> None:

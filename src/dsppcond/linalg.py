@@ -38,7 +38,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got ndim={m.ndim}")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not _all_finite(m):
         raise ValueError(f"{name} has non-finite entries")
     return m
 
@@ -48,9 +48,16 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     v = np.asarray(a, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be 1-D, got ndim={v.ndim}")
-    if v.size and not np.all(np.isfinite(v)):
+    if v.size and not _all_finite(v):
         raise ValueError(f"{name} has non-finite entries")
     return v
+
+
+def _all_finite(a) -> bool:
+    """Whether the nonempty float64 ``a`` has no inf or NaN: its largest and
+    smallest entries are finite (both propagate a NaN). Two passes, and no
+    mask of a's size."""
+    return bool(np.isfinite(a.max()) and np.isfinite(a.min()))
 
 
 def ddagger(z) -> np.ndarray:
@@ -263,11 +270,25 @@ class RankOneUpdate:
 _LANCZOS_SEED = 0
 
 
+def _start_vector(k: int) -> np.ndarray:
+    """The fixed unit Lanczos start on R^k: entry i is the (i + 1)-th output
+    of splitmix64 (Steele, Lea and Flood, OOPSLA 2014) from the state
+    ``_LANCZOS_SEED``, an odd multiple of 2^-52 in (-1, 1) from its top 52
+    bits, then normalized. Wrapping uint64 arithmetic in numpy core: the same
+    on every platform, with no random number package loaded."""
+    z = np.arange(1, k + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15 + _LANCZOS_SEED
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> shift
+        z *= mult
+    v = ((z ^ (z >> 31)) >> 12).astype(float) * 2.0**-51 + (2.0**-52 - 1.0)
+    return v / np.linalg.norm(v)
+
+
 def _lanczos(apply, k: int):
     """Lanczos with full reorthogonalization on a symmetric positive
     semidefinite operator on R^k; ``apply(v)`` returns G v as a new array.
 
-    Starts from a fixed seeded Gaussian vector. After step j the top
+    Starts from the fixed vector :func:`_start_vector`. After step j the top
     eigenpair (theta, s) of the j x j tridiagonal T_j comes from the run's
     one :class:`_TopTridiagonal` workspace, and the Ritz pair (theta, Q_j s)
     has residual norm beta_j |s_j|. Yields that pair at every step where
@@ -277,9 +298,8 @@ def _lanczos(apply, k: int):
     first pair continues the run.
     """
     eps = np.finfo(float).eps
-    start = np.random.default_rng(_LANCZOS_SEED).standard_normal(k)
     basis = np.empty((min(k, 32), k))
-    basis[0] = start / np.linalg.norm(start)
+    basis[0] = _start_vector(k)
     alpha, beta = np.empty(k), np.empty(k)
     ritz = _TopTridiagonal(alpha, beta)
     for j in range(k):

@@ -504,3 +504,37 @@ def test_runtime_loads_no_scipy():
     loaded = modules.stdout.split()
     assert "dsppcond.linalg" in loaded
     assert not [name for name in loaded if name.split(".")[0] == "scipy"]
+
+
+def test_commands_other_than_experiment_load_no_harness(tmp_path):
+    """analyze, structured and eils, and --version, load neither the
+    experiment harness nor numpy.random nor multiprocessing: the Lanczos start
+    vector is built without a random package, and the harness is imported by
+    `experiment` alone. `experiment` still runs in the same process, and the
+    package still exports the harness's names."""
+    problem = symmetric_toeplitz_problem(tmp_path)
+    eils = write_json(tmp_path / "eils.json", {
+        "M": [[1.0], [1.0]], "C": [[1.0]], "n1": 1, "n2": 1, "b": [1.0, 3.0], "d": [2.0],
+    })
+    out = str(tmp_path / "out.txt")
+    spec = "A=symmetric,D=toeplitz,E=toeplitz"
+    commands = [
+        ["--version"],
+        ["analyze", "--input", problem, "--upper-bounds", "--structure", spec, "--out", out],
+        ["structured", "--input", problem, "--structure", spec, "--upper-bounds", "--out", out],
+        ["eils", "--input", eils, "--out", out],
+    ]
+    script = f"""
+import sys
+from dsppcond.cli import main
+assert [main(argv) for argv in {commands!r}] == [0, 0, 0, 0]
+forbidden = ("numpy.random", "multiprocessing", "dsppcond.experiments")
+print(" ".join(name for name in forbidden if name in sys.modules))
+assert main(["experiment", "example1", "--q", "2", "--selector", "x", "--out", {out!r}]) == 0
+from dsppcond import experiments, run_experiment
+assert run_experiment is experiments.run_experiment
+print("multiprocessing" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["", "True"]

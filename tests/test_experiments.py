@@ -13,6 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 import oracles
 from oracles import first_order_residual
 from dsppcond import dspp, experiments, linalg, partial_cn
@@ -331,6 +332,42 @@ def test_epsilons_reject_zero_pattern_violation():
     )
     with pytest.raises(IncompatibleZeroPattern):
         epsilons(pert, blocks)
+
+
+def _whole_block_epsilon2(pert, blocks):
+    """eps2 by whole-block masks and gathers, the route it replaced."""
+    eps2 = 0.0
+    for delta, base in zip(pert.deltas, (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E, blocks.b)):
+        zero = base == 0
+        if np.any(delta[zero] != 0):
+            raise IncompatibleZeroPattern("perturbation hits an exactly zero data entry")
+        if np.any(~zero):
+            eps2 = max(eps2, float(np.max(np.abs(delta[~zero]) / np.abs(base[~zero]))))
+    return eps2
+
+
+@pytest.mark.parametrize("family, q", [("example1", 12), ("example2", 5)])
+def test_epsilons_by_row_chunks_equal_whole_blocks(family, q):
+    # example1 q = 12 has a 288 x 288 A, more than one chunk of entries.
+    blocks = gen_example1(q, 3) if family == "example1" else gen_example2(q, 3)[0]
+    pert = perturb(blocks, 8, 4)
+    assert epsilons(pert, blocks)[1] == _whole_block_epsilon2(pert, blocks)
+    # A perturbation on a zero entry of A's last row, in the last chunk.
+    row = blocks.A[-1]
+    bad = PerturbationSet(pert.dA.copy(), *pert.deltas[1:], s=pert.s)
+    bad.dA[-1, np.flatnonzero(row == 0)[-1]] = 1e-9
+    for fn in (epsilons, _whole_block_epsilon2):
+        with pytest.raises(IncompatibleZeroPattern):
+            fn(bad, blocks)
+
+
+def test_epsilons_memory_budget():
+    # example1 q = 24 (l = 2304): the whole-block masks and gathers traced
+    # 0.31 l^2 (13 MB); by row chunks eps2 holds a few chunk-sized buffers.
+    blocks = gen_example1(24, 3)
+    pert = perturb(blocks, 8, 4)
+    peak = traced_peak(epsilons, pert, blocks)
+    assert peak <= 4 * linalg._CHUNK_ENTRY_LIMIT * 8
 
 
 def test_first_order_residual_shrinks_quadratically():

@@ -4,6 +4,8 @@ The LAPACK and BLAS binding is checked against scipy's wrappers of the
 same routines."""
 
 import hashlib
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -237,6 +239,22 @@ def test_as_matrix_and_as_vector_validate():
         as_vector([np.inf])
 
 
+def test_finiteness_checks_make_no_full_size_mask():
+    m = np.arange(1.0, 1.0 + 600 * 600).reshape(600, 600)
+    assert traced_peak(as_matrix, m) <= 4096  # a mask would take 360 000 bytes
+    for order in ("C", "F"):
+        for bad in (np.nan, np.inf, -np.inf):
+            for at in ((0, 0), (299, 411), (599, 599)):
+                a = np.array(m, order=order)
+                a[at] = bad
+                with pytest.raises(ValueError, match="non-finite"):
+                    as_matrix(a, "S")
+                with pytest.raises(ValueError, match="non-finite"):
+                    as_vector(a[at[0]], "b")
+    assert as_matrix(np.full((2, 3), np.finfo(float).max)).shape == (2, 3)
+    assert as_vector(np.array([-np.finfo(float).max, 0.0])).size == 2
+
+
 def _norm_rel(got, want):
     """max |got - want| relative to max |want|."""
     return float(np.abs(np.asarray(got) - want).max() / np.abs(want).max())
@@ -386,3 +404,62 @@ def test_example_blocks_match_scipy_builders(monkeypatch):
                 scipy_builders.setattr(experiments, "_block_diag", scipy.linalg.block_diag)
                 scipy_builders.setattr(experiments, "_toeplitz", scipy.linalg.toeplitz)
                 assert got == digest(gen(q, 3)), q
+
+
+def _splitmix64(seed, count):
+    """The first ``count`` outputs of splitmix64 from ``seed``, in Python ints."""
+    mask, out = (1 << 64) - 1, []
+    for i in range(1, count + 1):
+        z = (seed + i * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def test_lanczos_start_vector_is_fixed_splitmix64():
+    k = 257
+    v = linalg._start_vector(k)
+    assert np.array_equal(v, linalg._start_vector(k))
+    assert abs(np.linalg.norm(v) - 1.0) <= 4 * np.finfo(float).eps
+    # Odd multiples of 2^-52 in (-1, 1) from the top 52 bits, then normalized.
+    raw = np.array([(2 * (z >> 12) + 1) * 2.0**-52 - 1.0
+                    for z in _splitmix64(linalg._LANCZOS_SEED, k)])
+    assert _splitmix64(0, 1) == [0xE220A8397B1DCDAF]  # the published first output
+    assert np.array_equal(v, raw / np.linalg.norm(raw))
+    assert np.all(v != 0)
+    # Built, and a top eigenvalue found, without loading numpy.random.
+    script = ("import sys, numpy as np; from dsppcond.linalg import top_eig; "
+              "top_eig(np.diag(np.arange(1.0, 40.0)).__matmul__, 39); "
+              "print('numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.split() == ["False"], proc.stderr
+
+
+def _gram_with_top(vector, lams):
+    """The symmetric matrix with eigenvalues ``lams`` (the first the largest)
+    whose first eigenvector is ``vector``."""
+    k = vector.size
+    basis = np.random.default_rng(9).standard_normal((k, k))
+    basis[:, 0] = vector
+    q, _ = np.linalg.qr(basis)
+    return (q * lams) @ q.T
+
+
+@pytest.mark.parametrize("case", ["last_unit_vector", "alternating", "repeated"])
+def test_top_eig_from_the_fixed_start_on_adversarial_spectra(case):
+    # Each case defeats some fixed start: a start with a zero last entry
+    # misses e_k, the all-ones start is orthogonal to the alternating top
+    # eigenvector, and a repeated top eigenvalue has no unique eigenvector.
+    k = 60
+    if case == "last_unit_vector":
+        g = np.diag(np.arange(1.0, k + 1.0))
+    elif case == "alternating":
+        g = _gram_with_top((-1.0) ** np.arange(k), np.linspace(3.0, 0.0, k))
+    else:
+        g = _gram_with_top(np.ones(k), np.r_[3.0, 3.0, 3.0, np.linspace(2.0, 0.0, k - 3)])
+    g = (g + g.T) / 2
+    lam, u = top_eig(g.__matmul__, k)
+    want = np.linalg.eigvalsh(g)[-1]
+    assert rel_err(lam, want) <= 1e-13
+    assert np.linalg.norm(g @ u - lam * u) <= 1e-12 * want
