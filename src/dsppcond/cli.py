@@ -5,10 +5,11 @@ Four commands: ``analyze`` (condition numbers of a problem file),
 ``eils`` (solve and condition an equality constrained indefinite least
 squares file), and ``structured`` (structure-respecting condition numbers).
 
-Exit codes: 0 success, 2 usage error, 3 input file not found, 4 malformed
-input, 5 numerical failure (singular system, zero normalizer, violated
-dominance, a failing LAPACK routine). Failures with code 3, 4 or 5 write a
-machine-readable JSON error record to --out when given, else to stdout.
+Exit codes: 0 success, 2 usage error (an unwritable --out among them), 3
+input file missing or unreadable, 4 malformed input, 5 numerical failure
+(singular system, zero normalizer, violated dominance, a failing LAPACK
+routine). Failures with code 3, 4 or 5 write a machine-readable JSON error
+record to --out when given and writable, else to stdout.
 Output is deterministic: the same command produces byte-identical bytes on
 every run.
 """
@@ -19,6 +20,7 @@ import argparse
 import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -197,12 +199,99 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _UnreadableInput(Exception):
+    """An OSError from opening or reading --input, its ``__cause__`` (exit 3)."""
+
+
+class _NotRows(Exception):
+    """The list at hand is not a rectangular list of numeric rows."""
+
+
+_DECODER = json.JSONDecoder()
+_WHITESPACE = re.compile(r"[ \t\n\r]*")  # JSON's, as json.decoder skips it
+# No JSON number (nor NaN or Infinity) holds one of these; every string,
+# list, object, true, false and null does.
+_NOT_IN_NUMBERS = '"[{ul'
+
+
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
+    """The JSON document at ``path`` as ``json.load`` reads it, except that
+    each value of the top-level object that is a rectangular list of numeric
+    rows is a float64 array, decoded one row at a time: no data block is
+    ever held as Python floats. json's scanner decodes every token, so each
+    number is exactly json's. Any other value is decoded whole, and a text
+    the walk does not take (not an object, a syntax error) is handed to
+    ``json.loads``, so it reads or fails exactly as it always did."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedProblem(f"invalid UTF-8 in {path}: {exc}") from exc
+    except OSError as exc:
+        raise _UnreadableInput from exc
+    try:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedProblem(f"invalid JSON in {path}: {exc}") from exc
+            return _decode_object(text)
+        except json.JSONDecodeError:
+            return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedProblem(f"invalid JSON in {path}: {exc}") from exc
+
+
+def _expect(text: str, pos: int, chars: str) -> tuple[str, int]:
+    """The one of ``chars`` after the whitespace at ``pos``, and the index
+    past it and the whitespace that follows."""
+    pos = _WHITESPACE.match(text, pos).end()
+    if pos == len(text) or text[pos] not in chars:
+        raise json.JSONDecodeError(f"Expecting one of {chars!r}", text, pos)
+    return text[pos], _WHITESPACE.match(text, pos + 1).end()
+
+
+def _decode_object(text: str) -> dict:
+    """The nonempty object ``text`` holds, key by key (see ``_load_json``)."""
+    _, pos = _expect(text, 0, "{")
+    doc = {}
+    sep = ","
+    while sep == ",":
+        if not text.startswith('"', pos):
+            raise json.JSONDecodeError("Expecting property name", text, pos)
+        key, pos = _DECODER.raw_decode(text, pos)
+        _, pos = _expect(text, pos, ":")
+        try:
+            doc[key], pos = _rows(text, pos)
+        except _NotRows:
+            doc[key], pos = _DECODER.raw_decode(text, pos)
+        sep, pos = _expect(text, pos, ",}")
+    if pos != len(text):
+        raise json.JSONDecodeError("Extra data", text, pos)
+    return doc
+
+
+def _rows(text: str, pos: int) -> tuple[np.ndarray, int]:
+    """The list of lists at ``pos`` as a float64 array, each row converted
+    before the next is decoded, and the index past it. Raises ``_NotRows``
+    unless it is nonempty, rectangular and its entries are JSON numbers."""
+    if not text.startswith("[", pos):
+        raise _NotRows
+    pos = _WHITESPACE.match(text, pos + 1).end()
+    rows = []
+    sep = ","
+    while sep == ",":
+        if not text.startswith("[", pos):
+            raise _NotRows
+        start = pos
+        row, pos = _DECODER.raw_decode(text, pos)
+        if rows and len(row) != len(rows[0]):
+            raise _NotRows
+        for char in _NOT_IN_NUMBERS:
+            if text.find(char, start + 1, pos) >= 0:
+                raise _NotRows
+        try:
+            rows.append(np.asarray(row, dtype=float))
+        except OverflowError:  # an integer past the float range
+            raise _NotRows from None
+        sep, pos = _expect(text, pos, ",]")
+    return np.stack(rows), pos
 
 
 def _selector_from(kind: str, doc, n: int, m: int, p: int) -> Selector:
@@ -225,8 +314,6 @@ def _analyze_payload(args, triple: StructureTriple | None) -> str:
     doc = _load_json(args.input)
     blocks = problem_from_dict(doc)
     sel = _selector_from(args.selector, doc, blocks.n, blocks.m, blocks.p)
-    # The parsed lists hold a Python float per entry; free them before any
-    # number is computed.
     del doc
     flavors = parse_cn_list(args.cn)
     # Every number but the weights is invariant under exact power-of-two scaling
@@ -366,17 +453,25 @@ def _cmd_eils(args) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _write_output(text: str, out_path: str | None) -> None:
+def _write_output(text: str, out_path: str | None) -> OSError | None:
+    """Write ``text`` to ``out_path``, or to stdout when it is None; return
+    the OSError that kept ``out_path`` from being written, if any."""
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return None
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        return exc
+    return None
 
 
 def _fail(exc: BaseException, code: int, out_path: str | None) -> int:
     record = {"error": {"type": type(exc).__name__, "message": str(exc), "exit_code": code}}
-    _write_output(json.dumps(record, indent=2) + "\n", out_path)
+    text = json.dumps(record, indent=2) + "\n"
+    if _write_output(text, out_path) is not None:
+        _write_output(text, None)
     print(f"dsppcond: error: {exc}", file=sys.stderr)
     return code
 
@@ -399,8 +494,8 @@ def main(argv=None) -> int:
     try:
         with _blas_single_thread():
             text = _COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
-        return _fail(exc, MISSING_FILE_EXIT, out_path)
+    except _UnreadableInput as exc:
+        return _fail(exc.__cause__, MISSING_FILE_EXIT, out_path)
     except _MALFORMED_ERRORS as exc:
         return _fail(exc, MALFORMED_EXIT, out_path)
     except _NUMERICAL_ERRORS as exc:  # before ValueError, which LinAlgError subclasses
@@ -408,7 +503,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"dsppcond: usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    _write_output(text, out_path)
+    error = _write_output(text, out_path)
+    if error is not None:
+        print(f"dsppcond: usage error: cannot write --out: {error}", file=sys.stderr)
+        return USAGE_EXIT
     return 0
 
 

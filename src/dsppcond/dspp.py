@@ -124,7 +124,11 @@ def assemble(blocks: DsppBlocks) -> np.ndarray:
     s[:n, :n] = blocks.A
     s[:n, n : n + m] = blocks.B.T
     s[n : n + m, :n] = blocks.B
-    s[n : n + m, n : n + m] = -blocks.D
+    d = s[n : n + m, n : n + m]
+    # -D a column at a time: a whole-block ufunc would take an m x m
+    # temporary or numpy's buffers.
+    for j in range(m):
+        np.negative(blocks.D[:, j], out=d[:, j])
     s[n : n + m, n + m :] = blocks.C.T
     s[n + m :, n : n + m] = blocks.C
     s[n + m :, n + m :] = blocks.E

@@ -302,12 +302,13 @@ def test_lu_factors_fortran_input_in_place_only_when_asked():
 
 
 def test_factorize_holds_one_system_sized_array():
-    # S is assembled in Fortran order and factored in place: beside the
-    # blocks, the factorization peaks at one l x l array, the finiteness
-    # mask of the input check (l^2 bytes) and O(l) vectors.
-    blocks = gen_example1(8, 0)
+    # S is assembled in Fortran order, -D written into it with no m x m
+    # temporary, and factored in place: beside the blocks, the factorization
+    # peaks at one l x l array and O(l) vectors. At q = 12 a -D temporary
+    # would add l^2 / 2 bytes (m = l / 4).
+    blocks = gen_example1(12, 0)
     l = blocks.l
-    assert traced_peak(factorize, blocks) <= l * l * 9 + 16 * l * 8
+    assert traced_peak(factorize, blocks) <= l * l * 8 + 16 * l * 8
 
 
 def test_exactly_singular_lu_is_rejected():
