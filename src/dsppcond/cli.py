@@ -5,7 +5,8 @@ Four commands: ``analyze`` (condition numbers of a problem file),
 ``eils`` (solve and condition an equality constrained indefinite least
 squares file), and ``structured`` (structure-respecting condition numbers).
 
-Exit codes: 0 success, 2 usage error (an unwritable --out among them), 3
+Exit codes: 0 success, 2 usage error (an unwritable --out among them,
+found once the input is read and before any computing), 3
 input file missing or unreadable, 4 malformed input, 5 numerical failure
 (singular system, zero normalizer, violated dominance, a failing LAPACK
 routine). Failures with code 3, 4 or 5 write a machine-readable JSON error
@@ -17,9 +18,11 @@ every run.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
 import math
+import os
 import re
 import sys
 
@@ -43,7 +46,7 @@ from .errors import (
     ZeroXi,
 )
 from .linalg import _blas_single_thread
-from .partial_cn import DOMINANCE_RTOL, PerturbationWeights, SolvedSystem, inf_cn, inf_cn_upper, ncn, ncn_upper
+from .partial_cn import DOMINANCE_RTOL, PerturbationWeights, SolvedSystem, _ncn_upper, inf_cn, inf_cn_upper, ncn
 from .structured import StructureTriple, structured_inf_cn, structured_ncn
 
 USAGE_EXIT = 2
@@ -301,8 +304,28 @@ def _selector_from(kind: str, doc, n: int, m: int, p: int) -> Selector:
         raise MalformedProblem("selector 'custom' requires an 'L' matrix in the input document")
     try:
         return selector("custom", n, m, p, custom_l=doc["L"])
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise MalformedProblem(f"bad custom selector: {exc}") from exc
+
+
+def _check_out(path: str | None) -> None:
+    """Raise a usage error (ValueError) when ``--out`` cannot be written:
+    its directory is missing or not writable, or the path is a directory or
+    an unwritable file. Checked after the input is read and before the work,
+    and nothing is opened, so an existing file keeps its contents until the
+    report replaces it."""
+    if path is None:
+        return
+    directory = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ValueError(f"cannot write --out: {OSError(code, os.strerror(code), path)}")
 
 
 def _check_dominance(value: float, upper: float, label: str) -> None:
@@ -316,6 +339,7 @@ def _analyze_payload(args, triple: StructureTriple | None) -> str:
     sel = _selector_from(args.selector, doc, blocks.n, blocks.m, blocks.p)
     del doc
     flavors = parse_cn_list(args.cn)
+    _check_out(args.out)
     # Every number but the weights is invariant under exact power-of-two scaling
     # of (S, b): take max |entry| into [1/2, 1), where psi^2 cannot over/underflow.
     data = (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E, blocks.b)
@@ -336,7 +360,7 @@ def _analyze_payload(args, triple: StructureTriple | None) -> str:
         if flavor == "ncn":
             values["ncn"] = ncn(system, psi, chi).value
             if args.upper_bounds:
-                uppers["ncn"] = ncn_upper(system, psi, chi).value
+                uppers["ncn"] = None  # computed last, below; the key keeps its place
             if triple is not None:
                 weights = PerturbationWeights.scalar(psi, chi)
                 structured_values["ncn"] = structured_ncn(system, weights, "ncn", triple).value
@@ -346,6 +370,13 @@ def _analyze_payload(args, triple: StructureTriple | None) -> str:
                 uppers[flavor] = inf_uppers[0 if flavor == "mcn" else 1].value
             if triple is not None:
                 structured_values[flavor] = structured_inf_cn(system, flavor, triple).value
+    # The normwise bound's k x k Gram comes last, once nothing holds the
+    # blocks: it reads only L S^-1, the solution and the selector.
+    dims = {"n": blocks.n, "m": blocks.m, "p": blocks.p, "l": blocks.l, "k": sel.k}
+    if "ncn" in uppers:
+        rows, sol = system.rows, system.sol
+        del system, blocks, data
+        uppers["ncn"] = _ncn_upper(rows, sol, sel, psi, chi).value
 
     for flavor in flavors:
         if flavor in uppers:
@@ -364,7 +395,7 @@ def _analyze_payload(args, triple: StructureTriple | None) -> str:
         payload = {
             "meta": meta,
             "selector": args.selector,
-            "dims": {"n": blocks.n, "m": blocks.m, "p": blocks.p, "l": blocks.l, "k": sel.k},
+            "dims": dims,
             "weights": {"psi": math.ldexp(psi, scale), "chi": math.ldexp(chi, scale)},
             "cn": values,
         }
@@ -406,6 +437,7 @@ def _cmd_experiment(args) -> str:
         raise ValueError("--s must be >= 1")
     if args.seed < 0:
         raise ValueError("--seed must be >= 0")
+    _check_out(args.out)
     rows = run_experiment(args.family, q_list, s=args.s, seed=args.seed, selectors=selectors)
     for row in rows:
         label = f"q={row.q} selector={row.selector}"
@@ -428,6 +460,7 @@ def _cmd_eils(args) -> str:
     blocks = eils_reduce(prob)
     sel = _selector_from(args.selector, doc, blocks.n, blocks.m, blocks.p)
     del doc
+    _check_out(args.out)
     system = SolvedSystem.of(blocks, sel)
     esol = solve_eils(prob, system.sol)
 

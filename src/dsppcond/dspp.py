@@ -9,8 +9,10 @@ l = n + m + p:
     [ 0   C    E   ] [z]   [b3]
 
 Note the minus sign: D is stored as given and negated during assembly. This
-module holds the block container, assembly, the pivoted solve, the selectors
-that project out parts of the solution, and the JSON problem format.
+module holds the block container, assembly, the pivoted factorization (dense,
+or banded after a reverse Cuthill-McKee ordering, by one cost rule) and
+solve, the selectors that project out parts of the solution, and the JSON
+problem format.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedProblem, SingularMatrix
-from .linalg import LuSolver, as_matrix, as_vector
+from .linalg import BandLuSolver, LuSolver, as_matrix, as_vector
 
 SELECTOR_KINDS = ("full", "x", "y", "z", "custom")
 
@@ -142,11 +144,120 @@ def _block_product(mats, x, y, z) -> np.ndarray:
     return np.concatenate([a @ x + b.T @ y, b @ x - d @ y + c.T @ z, c @ y + e @ z])
 
 
-def factorize(blocks: DsppBlocks) -> LuSolver:
-    """Pivoted factorization of the assembled system (rejects a numerically
-    singular one by its rcond estimate), made in place in the assembled
-    array, so it holds l^2 doubles."""
+# The cost rule of :func:`factorize`: the blocks' nonzero pattern is read
+# only when S has at most this many nonzeros per row on average, so its
+# index arrays stay O(l); the band is taken when BAND_COST l bw^2, about
+# the flops of dgbtrf with kl = ku = bw and its fill, is at most l^3.
+PATTERN_NNZ_PER_ROW = 32
+BAND_COST = 8
+
+
+def factorize(blocks: DsppBlocks) -> LuSolver | BandLuSolver:
+    """Pivoted factorization of the assembled system S, rejecting a
+    numerically singular one by its rcond estimate. One cost rule, read off
+    the blocks, picks the backend:
+
+    * with nnz(S) <= ``PATTERN_NNZ_PER_ROW`` l (counted blockwise, with no
+      allocation), the pattern of S is read and ordered by reverse
+      Cuthill-McKee (:func:`_rcm`); if the ordered bandwidth bw has
+      ``BAND_COST`` l bw^2 <= l^3, S is written from the blocks' nonzeros
+      straight into band storage and factored there
+      (:class:`~dsppcond.linalg.BandLuSolver`): O(l bw) memory and
+      O(l bw^2) time, and no l x l array;
+    * otherwise S is assembled in Fortran order and factored in place
+      (:class:`~dsppcond.linalg.LuSolver`): l^2 doubles.
+    """
+    mats = (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E)
+    l = blocks.l
+    nnz = sum(c * np.count_nonzero(mat) for c, mat in zip((1, 2, 2, 1, 1), mats))
+    if nnz <= PATTERN_NNZ_PER_ROW * l:
+        rows, cols, vals = _entries(blocks)
+        perm = _rcm(rows, cols, l)
+        at = np.empty_like(perm)
+        at[perm] = np.arange(l)
+        rows, cols = at[rows], at[cols]
+        bw = int(np.abs(rows - cols).max(initial=0))
+        if BAND_COST * bw * bw <= l * l:
+            band = np.zeros((3 * bw + 1, l), order="F")
+            band[2 * bw + rows - cols, cols] = vals
+            np.abs(vals, out=vals)
+            norm_one = float(np.bincount(cols, vals, minlength=l).max())
+            norm_inf = float(np.bincount(rows, vals, minlength=l).max())
+            return BandLuSolver(band, bw, perm, norm_one, norm_inf)
     return LuSolver(assemble(blocks), overwrite=True)
+
+
+def _entries(blocks: DsppBlocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzeros of the assembled system as (rows, cols, values) arrays,
+    read blockwise (B and C twice, D negated), in no particular order."""
+    n, m = blocks.n, blocks.m
+    parts = []
+    for mat, r0, c0, sign, mirrored in (
+        (blocks.A, 0, 0, 1.0, False), (blocks.B, n, 0, 1.0, True), (blocks.C, n + m, n, 1.0, True),
+        (blocks.D, n, n, -1.0, False), (blocks.E, n + m, n + m, 1.0, False),
+    ):
+        r, c = np.nonzero(mat)
+        v = mat[r, c] * sign
+        r += r0
+        c += c0
+        parts.append((r, c, v))
+        if mirrored:
+            parts.append((c, r, v))
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _rcm(rows, cols, l: int) -> np.ndarray:
+    """A reverse Cuthill-McKee ordering (E. Cuthill and J. McKee, Proc. ACM
+    1969; A. George and J. W. H. Liu, Computer Solution of Large Sparse
+    Positive Definite Systems, 1981) of the graph of |M| + |M|^T, for the
+    nonzeros (rows, cols) of an l x l matrix M: ``perm`` with row i of the
+    reordered matrix row perm[i] of M.
+
+    Each connected component starts at an unvisited node of least degree
+    (the smallest index among equals) and is searched breadth first, level
+    by level: the next level takes the unvisited neighbours of the current
+    one in the order of the first node that reaches them, then by
+    increasing degree, then by index. The whole order is reversed at the
+    end. The levels are vectorized, so the Python loop runs once per level
+    and per component."""
+    off = rows != cols
+    keys, _ = _firsts(np.concatenate([rows[off] * l + cols[off], cols[off] * l + rows[off]]))
+    nbrs = keys % l
+    indptr = np.searchsorted(keys, np.arange(l + 1) * l)
+    degree = np.diff(indptr)
+    seeds = np.argsort(degree, kind="stable")
+    visited = np.zeros(l, dtype=bool)
+    order = np.empty(l, dtype=np.intp)
+    done = next_seed = 0
+    while done < l:
+        while visited[seeds[next_seed]]:
+            next_seed += 1
+        level = seeds[next_seed : next_seed + 1]
+        while level.size:
+            visited[level] = True
+            order[done : done + level.size] = level
+            done += level.size
+            counts = degree[level]
+            first = indptr[level] - np.cumsum(counts) + counts
+            reached = nbrs[np.repeat(first, counts) + np.arange(counts.sum())]
+            parent = np.repeat(np.arange(level.size), counts)
+            fresh = ~visited[reached]
+            # A node's first occurrence is its earliest parent's.
+            level, at = _firsts(reached[fresh])
+            level = level[np.lexsort((level, degree[level], parent[fresh][at]))]
+    return order[::-1].copy()
+
+
+def _firsts(a) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the integer array ``a``, ascending, and the
+    index of each one's first occurrence: ``np.unique(a,
+    return_index=True)`` by a stable sort, without the import of numpy.ma
+    that np.unique makes on first use."""
+    at = np.argsort(a, kind="stable")
+    ordered = a[at]
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first], at[first]
 
 
 def _residual_bound(norm_inf: float, w: np.ndarray, b: np.ndarray) -> float:
@@ -211,7 +322,7 @@ def problem_from_dict(doc) -> DsppBlocks:
         blocks = DsppBlocks(
             A=doc["A"], B=doc["B"], C=doc["C"], D=doc["D"], E=doc["E"], b=doc["b"]
         )
-    except (DimensionMismatch, ValueError, TypeError) as exc:
+    except (DimensionMismatch, ValueError, TypeError, OverflowError) as exc:
         raise MalformedProblem(str(exc)) from exc
     if (blocks.n, blocks.m, blocks.p) != (n, m, p):
         raise MalformedProblem(

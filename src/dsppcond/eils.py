@@ -215,7 +215,7 @@ def eils_from_dict(doc) -> EilsProblem:
             M=doc["M"], C=doc["C"], n1=int(doc["n1"]), n2=int(doc["n2"]),
             b=doc["b"], d=doc["d"],
         )
-    except (DimensionMismatch, ValueError, TypeError) as exc:
+    except (DimensionMismatch, ValueError, TypeError, OverflowError) as exc:
         raise MalformedProblem(str(exc)) from exc
 
 

@@ -30,7 +30,8 @@ the experiment's sum of l^3 is split into several tasks, and tasks run
 largest system first. A task holds S's LU only while something solves with
 it: it measures every row of a system (solve, perturb, refine, errors),
 forms their L S^{-1}, releases the factors, and only then computes the
-numbers, which read L S^{-1}, the solution and the blocks alone.
+numbers, which read L S^{-1}, the solution and the blocks alone; the
+2-norm bounds come last, once the blocks are released too.
 
 Parallelism: every row runs with numpy's OpenBLAS, which does all the
 package's BLAS and LAPACK work, on one thread, and each part of S^{-1} is
@@ -59,16 +60,8 @@ from .dspp import (
     factorize, norm_fro_system, selector, solve_dspp,
 )
 from .errors import IncompatibleZeroPattern, SingularMatrix, ZeroXi
-from .linalg import _CHUNK_ENTRY_LIMIT, LuSolver, _blas_single_thread, ddagger
-from .partial_cn import (
-    Factors,
-    PerturbationWeights,
-    SolvedSystem,
-    inf_cn,
-    inf_cn_upper,
-    ncn,
-    ncn_upper,
-)
+from .linalg import _CHUNK_ENTRY_LIMIT, BandLuSolver, LuSolver, _blas_single_thread, ddagger
+from .partial_cn import Factors, PerturbationWeights, SolvedSystem, _ncn_upper, inf_cn, inf_cn_upper, ncn
 from .structured import StructureTriple, structured_inf_cn, structured_ncn
 
 # CSV layout; the structured columns appear only when rows carry them.
@@ -237,7 +230,9 @@ def apply_perturbation(blocks: DsppBlocks, pert: PerturbationSet) -> DsppBlocks:
     return DsppBlocks(*(x + d for x, d in zip(data, pert.deltas)))
 
 
-def perturbed_change(blocks: DsppBlocks, sol: Solution, lu: LuSolver, pert: PerturbationSet) -> np.ndarray:
+def perturbed_change(
+    blocks: DsppBlocks, sol: Solution, lu: LuSolver | BandLuSolver, pert: PerturbationSet
+) -> np.ndarray:
     """The solution change dw = w~ - w of the perturbed system
     (S + dS) w~ = b + db, from ``sol``, S w = b, and ``lu``, S's factors.
 
@@ -252,8 +247,9 @@ def perturbed_change(blocks: DsppBlocks, sol: Solution, lu: LuSolver, pert: Pert
 
     An estimate picks F: rho = ||dS||_1 / (rcond ||S||_1), with the rcond
     and ||S||_1 that ``lu`` kept, estimates ||S^-1 dS||_1. rcond is
-    ``dgecon``'s estimate, at least the true value, so rho can fall below
-    ||S^-1||_1 ||dS||_1; it is no proof that S + dS is nonsingular. If
+    ``dgecon``'s (or ``dgbcon``'s) estimate, at least the true value, so rho
+    can fall below ||S^-1||_1 ||dS||_1; it is no proof that S + dS is
+    nonsingular. If
     rho < 1/2 and the estimated rcond (1 - rho) / (1 + rho rcond) of S + dS
     clears the floor l eps of :class:`~dsppcond.linalg.LuSolver`, F is
     ``lu``: no perturbed block or l x l matrix is formed, and the test takes
@@ -401,7 +397,9 @@ def _family_system(
     return gen_example2(q, gen_seed)
 
 
-def _measure(blocks: DsppBlocks, sol: Solution, lu: LuSolver, sel: Selector, s, pert_seed) -> tuple:
+def _measure(
+    blocks: DsppBlocks, sol: Solution, lu: LuSolver | BandLuSolver, sel: Selector, s, pert_seed
+) -> tuple:
     """r_k, r_m, r_c, eps1 and eps2 of one row: perturb, refine the
     solution change on ``lu``, S's factors (or on those of S + dS), and
     measure. The perturbation is released on return."""
@@ -410,15 +408,16 @@ def _measure(blocks: DsppBlocks, sol: Solution, lu: LuSolver, sel: Selector, s, 
     return (*forward_errors(sol, dw, sel), *epsilons(pert, blocks))
 
 
-def _predict(system: SolvedSystem, triple, q, measured, structured) -> ExperimentRow:
-    """The row of one solved system: its measured ``(r_k, r_m, r_c, eps1,
-    eps2)`` against the predictions."""
+def _predict(system: SolvedSystem, triple, q, measured, structured) -> tuple[dict, float, float]:
+    """The fields of one solved system's row that read its data blocks: its
+    measured ``(r_k, r_m, r_c, eps1, eps2)`` against every prediction but
+    the 2-norm bound, and the weights psi, chi that the bound takes
+    (:func:`_bounded_row`)."""
     blocks, sel = system.blocks, system.sel
     r_k, r_m, r_c, eps1, eps2 = measured
     psi = norm_fro_system(blocks)
     chi = float(np.linalg.norm(blocks.b, 2))
     cn2 = ncn(system, psi, chi).value
-    cn2_u = ncn_upper(system, psi, chi).value
     mcn_v = inf_cn(system, "mcn").value
     ccn_v = inf_cn(system, "ccn").value
     mcn_u, ccn_u = (v.value for v in inf_cn_upper(system))
@@ -434,26 +433,41 @@ def _predict(system: SolvedSystem, triple, q, measured, structured) -> Experimen
             ccn_value=ccn_v,
             ccn_structured=structured_inf_cn(system, "ccn", triple).value,
         )
-    return ExperimentRow(
+    fields = dict(
         selector=sel.kind, q=int(q),
-        r_k=r_k, k2=eps1 * cn2, k2_upper=eps1 * cn2_u,
+        r_k=r_k, k2=eps1 * cn2,
         r_m=r_m, km=eps2 * mcn_v, km_upper=eps2 * mcn_u,
         r_c=r_c, kc=eps2 * ccn_v, kc_upper=eps2 * ccn_u,
         eps1=eps1, eps2=eps2, **extra,
     )
+    return fields, psi, chi
+
+
+def _bounded_row(fields: dict, psi: float, chi: float, rows, sol: Solution, sel: Selector) -> ExperimentRow:
+    """The row of :func:`_predict`'s ``fields`` with its 2-norm bound, which
+    reads only L S^{-1} (``rows``), the solution and the selector."""
+    cn2_u = _ncn_upper(rows, sol, sel, psi, chi).value
+    return ExperimentRow(k2_upper=fields["eps1"] * cn2_u, **fields)
 
 
 def _system_rows(family, q, rows, s, seed, structured) -> list[ExperimentRow]:
     """The experiment rows ``rows``, (selector index, selector kind) pairs
-    whose systems share one matrix S, in three phases that hold S's LU only
-    while something solves with it:
+    whose systems share one matrix S, in phases that hold S's LU only while
+    something solves with it, and the data blocks only while something
+    reads them:
 
     1. measure each row: solve, perturb, refine the solution change and
        take its errors and eps1, eps2 (:func:`_measure`);
     2. form each row's L S^{-1} from one :class:`Factors`, which solves each
        part of S^{-T} the rows read once;
-    3. release the factors, then compute every row's numbers, which read
-       only L S^{-1}, the solution and the blocks.
+    3. release the factors, then compute every row's numbers but the
+       2-norm bound (:func:`_predict`), which read L S^{-1}, the solution
+       and the blocks;
+    4. release the blocks, then compute every row's 2-norm bound, whose
+       k x k Gram (l x l for "full") then lies beside L S^{-1} alone
+       (:func:`_bounded_row`).
+
+    The values do not depend on the phases; only the peak memory does.
     """
     measured, blocks, factors = [], None, None
     for idx, kind in rows:
@@ -465,8 +479,13 @@ def _system_rows(family, q, rows, s, seed, structured) -> list[ExperimentRow]:
         sol = solve_dspp(blocks, factors.lu)
         measured.append((blocks, sel, sol, _measure(blocks, sol, factors.lu, sel, s, pert_seed)))
     systems = [(SolvedSystem(b, sel, sol, factors.rows(sel)), m) for b, sel, sol, m in measured]
-    del factors
-    return [_predict(system, triple, q, m, structured) for system, m in systems]
+    del factors, measured, blocks
+    predicted = [
+        (*_predict(system, triple, q, m, structured), system.rows, system.sol, system.sel)
+        for system, m in systems
+    ]
+    del systems
+    return [_bounded_row(*args) for args in predicted]
 
 
 def _experiment_task(family, q, rows, s, seed, structured) -> list[ExperimentRow]:
@@ -493,9 +512,10 @@ _POOL_MIN_WORK = 1 << 20
 # tracemalloc; the top of each range at l = 256 and 300) for example1 tasks
 # of all four selectors and of x or y alone at l = 256..1600, and example2
 # `full` rows at l = 300..1596, with and without structured values, at
-# s = 8. A task holds at most two l x l arrays beside its blocks: S's LU and
-# the buffer of S^{-1} rows while the rows are formed, then the buffer and
-# the `full` row's k x k bound buffer once the LU is released.
+# s = 8, with S's LU dense. A task holds at most two l x l arrays: beside
+# its blocks, S's dense LU (none for a band one) and the buffer of S^{-1}
+# rows while the rows are formed; then, with the LU and blocks released,
+# the buffer and the `full` row's k x k bound buffer.
 _TASK_PEAK_BYTES_PER_L2 = 12 * 8
 
 

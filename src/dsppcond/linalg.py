@@ -1,15 +1,16 @@
 """Dense linear-algebra kernel.
 
 Input coercion, the pseudo-reciprocal, the infinity norm (LAPACK dlange),
-row-pivoted solves screened by a condition estimate, and the one 2-norm
-route: a deterministic Lanczos run on an operator v -> G v, whose Ritz
-value (:func:`top_eig`) gives the values, and whose top end, certified by a
-Cholesky factorization (:func:`_norm_upper`), gives the bounds. Everything operates on float64 numpy arrays and is pure,
+row-pivoted solves screened by a condition estimate, dense or banded, and
+the one 2-norm route: a deterministic Lanczos run on an operator
+v -> G v, whose Ritz value (:func:`top_eig`) gives the values, and whose
+top end, certified by a Cholesky factorization (:func:`_norm_upper`),
+gives the bounds. Everything operates on float64 numpy arrays and is pure,
 apart from the BLAS thread pins that the command line and each experiment
 row wrap around their work.
 
-The LAPACK and BLAS routines (dgetrf, dgetrs, dgecon, dlange, dpotrf,
-dstebz, dstein, dger, dsyrk; contracts in Anderson et al., LAPACK Users'
+The LAPACK and BLAS routines (dgetrf, dgetrs, dgecon, dgbtrf, dgbtrs,
+dgbcon, dlange, dpotrf, dstebz, dstein, dger, dsyrk; contracts in Anderson et al., LAPACK Users'
 Guide, SIAM 1999) are called through ctypes in the one OpenBLAS that
 numpy links, so the package loads one BLAS with one thread pool. Their symbols
 are found by name: prefixed ``scipy_`` (the numpy >= 2 wheels) or not, and
@@ -82,7 +83,7 @@ _CHUNK_ENTRY_LIMIT = 1 << 16
 _ROUTINES = {
     "dgetrf": (6, 0), "dgetrs": (9, 1), "dgecon": (9, 1), "dlange": (6, 1),
     "dpotrf": (5, 1), "dstebz": (18, 2), "dstein": (13, 0), "dger": (9, 0),
-    "dsyrk": (10, 2),
+    "dsyrk": (10, 2), "dgbtrf": (8, 0), "dgbtrs": (11, 1), "dgbcon": (12, 1),
 }
 _NAMINGS = tuple(itertools.product(("scipy_", ""), ("_64_", "_")))
 
@@ -460,6 +461,14 @@ def _norm_inf(m) -> float:
     return _lange("1", m)
 
 
+def _check_rcond(rcond: float, n: int) -> None:
+    """Raise :class:`SingularMatrix` unless ``rcond`` clears the floor
+    n * eps; a NaN estimate fails too."""
+    floor = n * np.finfo(float).eps
+    if not rcond >= floor:
+        raise SingularMatrix(f"rcond estimate {rcond:.3e} below {floor:.3e}")
+
+
 class LuSolver:
     """Row-pivoted LU factorization with a singularity test.
 
@@ -494,9 +503,7 @@ class LuSolver:
             rcond = np.zeros(1)
             _call("dgecon", "1", n, lu, n, self.norm_one, rcond, np.empty(4 * n), np.empty(n, _INT), info)
             self.rcond = float(rcond[0])
-        floor = n * np.finfo(float).eps
-        if not self.rcond >= floor:  # a NaN estimate fails too
-            raise SingularMatrix(f"rcond estimate {self.rcond:.3e} below {floor:.3e}")
+        _check_rcond(self.rcond, n)
         self._lu, self._piv = lu, piv
         self.shape = m.shape
 
@@ -507,11 +514,7 @@ class LuSolver:
         and is returned; LAPACK solves in place, with no copy, when ``rhs`` is
         Fortran-contiguous.
         """
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape[0] != self.shape[0]:
-            raise DimensionMismatch(
-                f"rhs has {rhs.shape[0]} rows, matrix is {self.shape[0]}x{self.shape[1]}"
-            )
+        rhs = _checked_rhs(rhs, self.shape)
         in_place = overwrite and rhs.flags.f_contiguous and rhs.flags.writeable
         x = rhs if in_place else np.array(rhs, order="F")
         n, info = self.shape[0], np.zeros(1, _INT)
@@ -521,6 +524,79 @@ class LuSolver:
         if overwrite and x is not rhs:
             rhs[...] = x
             return rhs
+        return x
+
+
+def _checked_rhs(rhs, shape) -> np.ndarray:
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape[0] != shape[0]:
+        raise DimensionMismatch(f"rhs has {rhs.shape[0]} rows, matrix is {shape[0]}x{shape[1]}")
+    return rhs
+
+
+class BandLuSolver:
+    """Row-pivoted LU factorization of a matrix M whose symmetric permutation
+    P M P^T has bandwidth ``bw``, with :class:`LuSolver`'s interface and
+    singularity test.
+
+    ``band`` holds P M P^T in LAPACK band storage for dgbtrf, kl = ku = bw:
+    a Fortran-ordered (3 bw + 1) x l array whose entry (2 bw + i - j, j) is
+    (P M P^T)_ij, the top bw rows left for the pivoting's fill. It is
+    factored in place (LAPACK ``dgbtrf``, O(l bw^2)), and ``dgbcon``
+    estimates rcond from the factors; ||M||_1 and ||M||_inf are given, since
+    a symmetric permutation keeps both. Row i of P M P^T is row ``perm[i]``
+    of M.
+
+    A solve permutes the right-hand sides, solves with ``dgbtrs`` and
+    permutes back, in column chunks of at most ``_CHUNK_ENTRY_LIMIT``
+    entries (one column, if longer), so no l x l temporary is made.
+    """
+
+    def __init__(self, band, bw: int, perm, norm_one: float, norm_inf: float):
+        n = band.shape[1]
+        if band.shape[0] != 3 * bw + 1 or perm.shape != (n,):
+            raise DimensionMismatch(f"band storage {band.shape} does not fit bandwidth {bw} and order {n}")
+        if not (band.dtype == np.float64 and band.flags.f_contiguous and band.flags.writeable):
+            raise ValueError("band must be a writeable Fortran-ordered float64 array")
+        self.norm_one, self.norm_inf = float(norm_one), float(norm_inf)
+        if self.norm_inf == 0.0:
+            raise SingularMatrix("zero matrix")
+        ldab, piv, info = band.shape[0], np.empty(n, _INT), np.zeros(1, _INT)
+        _call("dgbtrf", n, n, bw, bw, band, ldab, piv, info)
+        if _info("dgbtrf", info):
+            self.rcond = 0.0  # an exactly zero pivot
+        else:
+            rcond = np.zeros(1)
+            _call("dgbcon", "1", n, bw, bw, band, ldab, piv, self.norm_one, rcond, np.empty(3 * n),
+                  np.empty(n, _INT), info)
+            self.rcond = float(rcond[0])
+        _check_rcond(self.rcond, n)
+        self._band, self._piv, self._bw, self._perm = band, piv, bw, perm
+        self._inv = np.empty_like(perm)
+        self._inv[perm] = np.arange(n)
+        self.shape = (n, n)
+
+    def solve(self, rhs, transpose: bool = False, overwrite: bool = False) -> np.ndarray:
+        """Solve ``M x = rhs`` (or ``M^T x = rhs``); rhs may be 1-D or 2-D.
+
+        With ``overwrite``, the float64 array ``rhs`` receives the solution
+        and is returned; otherwise the solution is a new Fortran-ordered
+        array."""
+        rhs = _checked_rhs(rhs, self.shape)
+        x = rhs if overwrite else np.empty(rhs.shape, order="F")
+        # Row-major views whose rows are the columns of rhs and x.
+        cols_in, cols_out = (a.reshape(a.shape[0], -1).T for a in (rhs, x))
+        n, bw, info = self.shape[0], self._bw, np.zeros(1, _INT)
+        step = max(1, _CHUNK_ENTRY_LIMIT // n)
+        # Each chunk's columns of P rhs; its transpose is Fortran-ordered.
+        buf = np.empty((min(step, cols_in.shape[0]), n))
+        for lo in range(0, cols_in.shape[0], step):
+            hi = min(lo + step, cols_in.shape[0])
+            chunk = np.take(cols_in[lo:hi], self._perm, axis=1, out=buf[: hi - lo], mode="clip")
+            _call("dgbtrs", "T" if transpose else "N", n, bw, bw, hi - lo, self._band, self._band.shape[0],
+                  self._piv, chunk, n, info)
+            _info("dgbtrs", info)
+            np.take(chunk, self._inv, axis=1, out=cols_out[lo:hi], mode="clip")
         return x
 
 

@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dspp import DsppBlocks, Selector, Solution, _block_product, factorize, solve_dspp
+from .dspp import DsppBlocks, Selector, Solution, factorize, solve_dspp
 from .errors import DimensionMismatch, ZeroXi
 from .linalg import _CHUNK_ENTRY_LIMIT, RankOneUpdate, _norm_upper, as_matrix, as_vector, ddagger, top_eig
 
@@ -264,11 +264,18 @@ def _j_operator(sol: Solution, psi, chi, kinds):
 
 
 def _pair_sum(k_col, v_row, k_row, v_col, w, upper: bool = False) -> np.ndarray:
-    """sum_{r,c} |k_col[:, c] v_row[r] + k_row[:, r] v_col[c]| w[r, c], exactly.
+    """sum_{r,c} |k_col[:, c] v_row[r] + k_row[:, r] v_col[c]| |w[r, c]|, exactly.
 
-    With ``upper`` the sum runs over c >= r only, and the pair (r, r) takes
-    half its weight: row r reads w[r, r:] and halves its first entry, which
-    is exact, so no weight matrix is formed.
+    Row r of |w| is taken as the row is read, so ``w`` may be a signed
+    block and no |w| matrix is formed. With ``upper`` the sum runs over
+    c >= r only, and the pair (r, r) takes half its weight: row r reads
+    w[r, r:] and halves its first entry, which is exact.
+
+    The sum is symmetric in its two roles: swapping k_col with k_row,
+    v_row with v_col and w with w^T leaves it as it is. Without ``upper``
+    the roles are swapped where k_col is the wider block, so that the copy
+    below is of the narrower one; the computed sum then rounds in another
+    order.
 
     Only pairs with a nonzero weight are evaluated: row r gathers the rows
     ``cols`` of a contiguous copy of k_col^T where w[r] is nonzero, in chunks
@@ -276,10 +283,12 @@ def _pair_sum(k_col, v_row, k_row, v_col, w, upper: bool = False) -> np.ndarray:
     allocated once, scales t by v_row[r], adds the rank-one term
     v_col[cols] (x) k_row[:, r] in place (BLAS ``dger`` on the
     Fortran-ordered t^T, through one :class:`RankOneUpdate`), and
-    accumulates w[r, cols] |t|. Beside its inputs the kernel holds the copy,
+    accumulates |w[r, cols]| |t|. Beside its inputs the kernel holds the copy,
     the buffer and O(k + l) vectors, a budget that does not grow with s, and
     makes five passes over each chunk (gather, scale, dger, abs, product).
     """
+    if not upper and k_col.shape[1] > k_row.shape[1]:
+        k_col, v_row, k_row, v_col, w = k_row, v_col, k_col, v_row, w.T
     k = k_col.shape[0]
     k_col_t = np.ascontiguousarray(k_col.T)
     u = np.zeros(k)
@@ -289,9 +298,8 @@ def _pair_sum(k_col, v_row, k_row, v_col, w, upper: bool = False) -> np.ndarray:
     rank_one = RankOneUpdate(buf.T, k_row, v_cols)
     for r in range(w.shape[0]):
         lo = r if upper else 0
-        w_r = w[r, lo:]
+        w_r = np.abs(w[r, lo:])
         if upper:
-            w_r = w_r.copy()
             w_r[0] /= 2.0
         nz = np.flatnonzero(w_r)
         for start in range(0, nz.size, cb):
@@ -326,25 +334,26 @@ def _abs_product(rows, v) -> np.ndarray:
 
 
 def _kind_numerator(kind: str, k, w, v) -> np.ndarray:
-    """sum_g |K Phi_g v| w_g over the generators of one structure kind, for a
-    nonnegative weight matrix ``w`` constant on each generator's support;
-    ``k`` holds the matching columns of L S^{-1}.
+    """sum_g |K Phi_g v| |w_g| over the generators of one structure kind, for
+    a weight matrix ``w`` whose magnitude is constant on each generator's
+    support; ``k`` holds the matching columns of L S^{-1}. |w| is taken in
+    row chunks or rows, so no array of w's size is formed.
     """
     if kind == "full":
-        return _abs_product(k, w @ np.abs(v))
+        return _abs_product(k, _abs_product(w, np.abs(v)))
     if kind == "diagonal":
-        return _abs_product(k, np.diag(w) * np.abs(v))
+        return _abs_product(k, np.abs(np.diag(w)) * np.abs(v))
     if kind == "symmetric":
         # The pair (r, c) and (c, r) share one generator; the diagonal
         # pair counts its single entry twice, hence the half weight.
         return _pair_sum(k, v, k, v, w, upper=True)
-    return np.abs(k @ _shifted(v)) @ w[:, 0]
+    return np.abs(k @ _shifted(v)) @ np.abs(w[:, 0])
 
 
 def _ade_numerator(rows, sol, wa, wd, we, kinds) -> np.ndarray:
-    """The A, D, E columns of |L S^{-1} G Phi| [generators of W] for
-    nonnegative weights, with dA, dD, dE in the structure ``kinds`` (all
-    "full": the unstructured |L S^{-1} G| [vec(W)] columns). These column
+    """The A, D, E columns of |L S^{-1} G Phi| [generators of |W|], with dA,
+    dD, dE in the structure ``kinds`` (all "full": the unstructured
+    |L S^{-1} G| [vec|W|] columns), for weights W of any sign. These column
     blocks factor through Kronecker identities, so each kind's term reduces
     to small matrix products.
     """
@@ -357,7 +366,8 @@ def _ade_numerator(rows, sol, wa, wd, we, kinds) -> np.ndarray:
 
 
 def _bc_numerator(rows, sol, wb, wc, chi_abs) -> np.ndarray:
-    """The B, C and right-hand-side columns of |L S^{-1} [G, -I]| [vec(W); chi].
+    """The B, C and right-hand-side columns of |L S^{-1} [G, -I]| [vec|W|; chi]
+    for the nonnegative ``chi_abs``.
 
     The B and C blocks mix two terms before the absolute value; the pair
     kernel sums them over the nonzero weights only, within the chunk budget.
@@ -447,7 +457,7 @@ class SolvedSystem:
     def bc_numerator(self) -> np.ndarray:
         """|L S^{-1} [G_B, G_C, -I]| [vec|B|; vec|C|; |b|] (read-only)."""
         b = self.blocks
-        u = _bc_numerator(self.rows, self.sol, np.abs(b.B), np.abs(b.C), np.abs(b.b))
+        u = _bc_numerator(self.rows, self.sol, b.B, b.C, np.abs(b.b))
         u.flags.writeable = False
         return u
 
@@ -480,8 +490,8 @@ def unified_cn(system: SolvedSystem, weights: PerturbationWeights, xi, norm: str
     The 2-norm value is the square root of the top eigenvalue of the k x k
     Gram Xi L S^{-1} J (L S^{-1})^T Xi, with J from :func:`_j_operator`; the
     max-norm value goes through the exact numerator over the nonzero
-    weights, with a number weight expanded to a zero-stride view of its
-    absolute value. Both are the all-"full" structured numbers.
+    weights, which takes their magnitudes, with a number weight expanded to
+    a zero-stride view. Both are the all-"full" structured numbers.
     """
     if norm not in ("two", "inf"):
         raise ValueError(f"norm must be 'two' or 'inf', got {norm!r}")
@@ -490,7 +500,7 @@ def unified_cn(system: SolvedSystem, weights: PerturbationWeights, xi, norm: str
         return CnValue(_gram_top(system, weights, xivec)[0], "unified2")
     sol, rows = system.sol, system.rows
     psi, chi = weights.for_blocks(system.blocks)
-    wa, wb, wc, wd, we = _expand([np.abs(w) for w in psi], sol)
+    wa, wb, wc, wd, we = _expand(psi, sol)
     u = _ade_numerator(rows, sol, wa, wd, we, _UNSTRUCTURED)
     u += _bc_numerator(rows, sol, wb, wc, np.broadcast_to(np.abs(chi), rows.shape[1]))
     return CnValue(_inf_value(xivec, u), "unifiedInf")
@@ -515,9 +525,15 @@ def ncn_upper(system: SolvedSystem, psi: float, chi: float) -> CnValue:
     ||L S^{-1}||_2 (||J_psi||_2^{1/2} + chi) / ||L w||_2 (see :func:`_scalar_j_norm`),
     both norms from the Cholesky-certified top end of their explicit Grams
     (:func:`~dsppcond.linalg._norm_upper`), never below the exact norms."""
-    xi_l = XiChoice(kind="ncn").resolve(system.lw)[0]
-    j_top = np.sqrt(_scalar_j_norm(system.sol, _positive(psi)))
-    return CnValue(_norm_upper(system.rows) * (j_top + _positive(chi)) / xi_l, "ncn_upper")
+    return _ncn_upper(system.rows, system.sol, system.sel, psi, chi)
+
+
+def _ncn_upper(rows, sol: Solution, sel: Selector, psi: float, chi: float) -> CnValue:
+    """:func:`ncn_upper` from L S^{-1}, the solution and the selector alone,
+    so a caller can run it once the data blocks are released."""
+    xi_l = XiChoice(kind="ncn").resolve(sel.take(sol.w))[0]
+    j_top = np.sqrt(_scalar_j_norm(sol, _positive(psi)))
+    return CnValue(_norm_upper(rows) * (j_top + _positive(chi)) / xi_l, "ncn_upper")
 
 
 def _data_inf_value(system: SolvedSystem, xi: XiChoice, kinds) -> float:
@@ -527,9 +543,7 @@ def _data_inf_value(system: SolvedSystem, xi: XiChoice, kinds) -> float:
     :class:`ZeroXi` before any numerator is evaluated."""
     blocks = system.blocks
     xivec = xi.resolve(system.lw)
-    u = system.bc_numerator + _ade_numerator(
-        system.rows, system.sol, np.abs(blocks.A), np.abs(blocks.D), np.abs(blocks.E), kinds
-    )
+    u = system.bc_numerator + _ade_numerator(system.rows, system.sol, blocks.A, blocks.D, blocks.E, kinds)
     return _inf_value(xivec, u)
 
 
@@ -553,11 +567,23 @@ def inf_cn_upper(system: SolvedSystem) -> tuple[CnValue, CnValue]:
 
     Uses |L S^{-1}| (h + |b|) with the blockwise magnitude vector
     h = [|A||x| + |B^T||y|; |B||x| + |D||y| + |C^T||z|; |C||y| + |E||z|],
-    the block product of the magnitudes with D negated so every term adds.
+    each block's magnitude formed in turn and released after its products,
+    which are summed in the order written.
     """
     blocks, sol = system.blocks, system.sol
-    mags = (np.abs(blocks.A), np.abs(blocks.B), np.abs(blocks.C), -np.abs(blocks.D), np.abs(blocks.E))
-    h = _block_product(mags, np.abs(sol.x), np.abs(sol.y), np.abs(sol.z))
+    x, y, z = np.abs(sol.x), np.abs(sol.y), np.abs(sol.z)
+    hx = np.abs(blocks.A) @ x
+    mag = np.abs(blocks.B)
+    hx += mag.T @ y
+    hy = mag @ x
+    del mag
+    hy += np.abs(blocks.D) @ y
+    mag = np.abs(blocks.C)
+    hy += mag.T @ z
+    hz = mag @ y
+    del mag
+    hz += np.abs(blocks.E) @ z
+    h = np.concatenate([hx, hy, hz])
     v = _abs_product(system.rows, h + np.abs(blocks.b))
     mcn_u = CnValue(_inf_value(XiChoice(kind="mcn").resolve(system.lw), v), "mcn_upper")
     ccn_u = CnValue(_inf_value(XiChoice(kind="ccn").resolve(system.lw), v), "ccn_upper")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -130,6 +131,79 @@ def test_malformed_inputs_exit_4(capsys, tmp_path):
     assert json.loads(out)["error"]["type"] == "NotInSubspace"
 
 
+# A JSON integer past the float range: json reads it as a Python int, which
+# no float64 holds.
+_HUGE = 10**400
+
+
+def _overflow_record(capsys, argv):
+    code, out, err = run(capsys, argv)
+    record = json.loads(out)["error"]
+    assert code == MALFORMED_EXIT and record["exit_code"] == MALFORMED_EXIT
+    assert record["type"] == "MalformedProblem" and "too large" in record["message"]
+    assert err.startswith("dsppcond: error:")
+
+
+def test_analyze_integer_past_float_range_exits_4(capsys, tmp_path):
+    doc = problem_to_dict(random_dspp(np.random.default_rng(61), 2, 2, 2))
+    doc["A"][0][1] = _HUGE
+    _overflow_record(capsys, ["analyze", "--input", write_json(tmp_path / "p.json", doc)])
+
+
+def test_structured_integer_past_float_range_exits_4(capsys, tmp_path):
+    doc = problem_to_dict(random_dspp(np.random.default_rng(62), 2, 2, 2))
+    doc["b"][3] = -_HUGE
+    path = write_json(tmp_path / "p.json", doc)
+    _overflow_record(capsys, ["structured", "--input", path, "--structure", "A=symmetric"])
+
+
+def test_eils_integer_past_float_range_exits_4(capsys, tmp_path):
+    doc = {"M": [[1.0], [_HUGE]], "C": [[1.0]], "n1": 1, "n2": 1, "b": [1.0, 3.0], "d": [2.0]}
+    _overflow_record(capsys, ["eils", "--input", write_json(tmp_path / "e.json", doc)])
+
+
+def test_custom_selector_integer_past_float_range_exits_4(capsys, tmp_path):
+    blocks = random_dspp(np.random.default_rng(63), 2, 2, 2)
+    path = write_problem(tmp_path / "p.json", blocks, {"L": [[_HUGE] + [0.0] * (blocks.l - 1)]})
+    _overflow_record(capsys, ["analyze", "--input", path, "--selector", "custom"])
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "dir", "file/x.csv"])
+def test_unwritable_out_exits_2_before_any_work(capsys, tmp_path, monkeypatch, target):
+    # --out is checked once the arguments (and an input file) are read, so
+    # an experiment that could not write its report never starts.
+    def never(*args, **kwargs):
+        pytest.fail("the experiment ran although --out cannot be written")
+
+    monkeypatch.setattr(experiments, "run_experiment", never)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    out_path = tmp_path / target
+    code, out, err = run(capsys, ["experiment", "example1", "--q", "4:12:2", "--seed", "3",
+                                  "--out", str(out_path)])
+    assert code == USAGE_EXIT and out == ""
+    assert err.count("\n") == 1 and err.startswith("dsppcond: usage error: cannot write --out")
+    assert str(out_path) in err
+
+
+def test_out_is_checked_without_truncating_it(capsys, tmp_path, monkeypatch):
+    # The check opens nothing: an existing report keeps its contents while
+    # the work runs, and is replaced only by the new report.
+    out_path = tmp_path / "report.csv"
+    out_path.write_text("old report\n", encoding="utf-8")
+    run_experiment = experiments.run_experiment
+    seen = []
+
+    def checked(*args, **kwargs):
+        seen.append(out_path.read_text(encoding="utf-8"))
+        return run_experiment(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_experiment", checked)
+    code, _, _ = run(capsys, ["experiment", "example1", "--q", "3", "--out", str(out_path)])
+    assert code == 0 and seen == ["old report\n"]
+    assert out_path.read_text(encoding="utf-8").startswith("# generator=dsppcond")
+
+
 def test_numerical_failures_exit_5(capsys, tmp_path):
     singular = DsppBlocks(
         A=[[1.0]], B=[[0.0]], C=[[0.0]], D=[[0.0]], E=[[1.0]], b=[1.0, 1.0, 1.0]
@@ -192,6 +266,31 @@ def test_linalg_error_exits_5(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, ["analyze", "--input", path])
     assert code == NUMERICAL_EXIT
     assert json.loads(out)["error"]["type"] == "LinAlgError"
+
+
+@pytest.mark.parametrize("command", ["analyze", "structured"])
+def test_normwise_bound_runs_after_the_blocks_are_released(capsys, tmp_path, monkeypatch, command):
+    # The bound's k x k Gram is formed last, when nothing holds the data
+    # blocks; the report is the one with the bound first.
+    path = symmetric_toeplitz_problem(tmp_path)
+    argv = [command, "--input", path, "--cn", "all", "--upper-bounds", "--structure", "A=symmetric"]
+    want = run(capsys, argv)
+    made, seen = [], []
+    parse = cli.problem_from_dict
+
+    def recorded(doc):
+        parsed = parse(doc)
+        made.extend(weakref.ref(a) for a in (parsed, parsed.A, parsed.B, parsed.C, parsed.D, parsed.E))
+        return parsed
+
+    def checked(*args):
+        seen.append([ref() for ref in made if ref() is not None])
+        return partial_cn._ncn_upper(*args)
+
+    monkeypatch.setattr(cli, "problem_from_dict", recorded)
+    monkeypatch.setattr(cli, "_ncn_upper", checked)
+    assert run(capsys, argv) == want and want[0] == 0
+    assert len(made) == 6 and seen == [[]]
 
 
 def test_analyze_json_payload(capsys, tmp_path):

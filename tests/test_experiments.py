@@ -264,26 +264,53 @@ def test_singular_perturbed_system_raises(monkeypatch):
 @pytest.mark.parametrize("family, s, lus", [("example1", 8, 1), ("example1", 1, 5), ("example2", 1, 8)])
 def test_no_factorization_lives_while_numbers_run(monkeypatch, family, s, lus):
     """A task measures every row of a system, forms their L S^-1, and
-    releases S's LU before the first number: no LuSolver made in the task,
-    S's or (at s = 1, where every row falls back to it) that of S + dS, is
-    alive while the bound runs. example1's rows share one system's LU;
-    example2's rows each make and release their own."""
-    made, seen = [], []
-    init = linalg.LuSolver.__init__
+    releases S's LU before the first number, then computes every number
+    that reads the data blocks, and releases them before the first 2-norm
+    bound: no factorization made in the task, S's or (at s = 1, where every
+    row falls back to it) that of S + dS, and no data block is alive while
+    the bounds run. example1's rows share one system's LU, a band one;
+    example2's rows each make and release their own, dense."""
+    made, blocks_made, seen = [], [], []
+    for cls in (linalg.LuSolver, linalg.BandLuSolver):
+        def recorded(self, *args, init=cls.__init__, **kw):
+            init(self, *args, **kw)
+            made.append(weakref.ref(self))
 
-    def recorded(self, *args, **kw):
-        init(self, *args, **kw)
-        made.append(weakref.ref(self))
+        monkeypatch.setattr(cls, "__init__", recorded)
+    family_system = experiments._family_system
+
+    def recorded_blocks(*args):
+        blocks, triple = family_system(*args)
+        blocks_made.extend(weakref.ref(a) for a in (blocks, blocks.A, blocks.B, blocks.C, blocks.D,
+                                                      blocks.E, blocks.b))
+        return blocks, triple
 
     def checked(*args):
-        seen.append([ref() for ref in made if ref() is not None])
-        return partial_cn.ncn_upper(*args)
+        seen.append(([ref() for ref in made if ref() is not None],
+                     [ref() for ref in blocks_made if ref() is not None]))
+        return partial_cn._ncn_upper(*args)
 
-    monkeypatch.setattr(linalg.LuSolver, "__init__", recorded)
-    monkeypatch.setattr(experiments, "ncn_upper", checked)
+    monkeypatch.setattr(experiments, "_family_system", recorded_blocks)
+    monkeypatch.setattr(experiments, "_ncn_upper", checked)
     rows = experiments._experiment_task(family, 3, tuple(enumerate(DEFAULT_SELECTORS)), s, 5, False)
     assert len(rows) == len(seen) == 4 and len(made) == lus
-    assert seen == [[]] * 4
+    assert len(blocks_made) == 7 * 4
+    assert seen == [([], [])] * 4
+    backend = linalg.BandLuSolver if family == "example1" else linalg.LuSolver
+    assert type(dspp.factorize(experiments._family_system(family, 3, 0, None)[0])) is backend
+
+
+def test_example1_task_memory_budget():
+    # The q = 16 four-selector task (l = 1024): its S is factored in band
+    # storage, and the full row's l x l Gram lies beside L S^-1's l x l
+    # buffer only, the blocks released. Measured 2.08 l^2 traced, against
+    # 2.64 l^2 with a dense LU and the bounds beside the blocks. A warm-up
+    # task keeps first-use imports out of the trace.
+    rows = tuple(enumerate(DEFAULT_SELECTORS))
+    experiments._experiment_task("example1", 2, rows, 8, 3, False)
+    l = 1024
+    peak = traced_peak(experiments._experiment_task, "example1", 16, rows, 8, 3, False)
+    assert peak <= 2.25 * l * l * 8
 
 
 def test_apply_perturbation_adds_each_delta():

@@ -303,10 +303,11 @@ def test_lu_factors_fortran_input_in_place_only_when_asked():
 
 def test_factorize_holds_one_system_sized_array():
     # S is assembled in Fortran order, -D written into it with no m x m
-    # temporary, and factored in place: beside the blocks, the factorization
-    # peaks at one l x l array and O(l) vectors. At q = 12 a -D temporary
-    # would add l^2 / 2 bytes (m = l / 4).
-    blocks = gen_example1(12, 0)
+    # temporary, and factored in place: beside the blocks, the dense
+    # factorization peaks at one l x l array and O(l) vectors. example2
+    # takes the dense LU (example1 the band one); at q = 8 (l = 528,
+    # m = 128) a -D temporary would add 131 072 bytes.
+    blocks = experiments.gen_example2(8, 0)[0]
     l = blocks.l
     assert traced_peak(factorize, blocks) <= l * l * 8 + 16 * l * 8
 

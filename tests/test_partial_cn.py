@@ -14,9 +14,9 @@ import dsppcond.partial_cn as pc
 import oracles
 from conftest import random_dspp, rel_err, traced_peak
 from oracles import definition_ratio, extremal_direction, first_order_delta
-from dsppcond.dspp import DsppBlocks, Solution, assemble, norm_fro_system, selector, solve_dspp
+from dsppcond.dspp import DsppBlocks, Solution, _block_product, assemble, norm_fro_system, selector, solve_dspp
 from dsppcond.errors import DimensionMismatch, ZeroMatrix, ZeroXi
-from dsppcond.experiments import gen_example1
+from dsppcond.experiments import gen_example1, gen_example2
 from dsppcond.linalg import ddagger
 from dsppcond.partial_cn import (
     DOMINANCE_RTOL,
@@ -309,6 +309,57 @@ def test_pair_kernel_matches_oracle_over_layouts(monkeypatch, limit):
         np.testing.assert_allclose(pc._pair_sum(*args), _pair_oracle(*args), rtol=1e-13, atol=0)
 
 
+def test_pair_kernel_reads_weight_magnitudes():
+    # A signed weight matrix weights by its magnitudes, row by row: the sum
+    # is bitwise the one on |w|, for both roles and the upper kind.
+    for k_col, v_row, k_row, v_col, w in _pair_cases():
+        signs = np.where(np.random.default_rng(45).random(w.shape) < 0.5, -1.0, 1.0)
+        args = (k_col, v_row, k_row, v_col)
+        assert np.array_equal(pc._pair_sum(*args, w * signs), pc._pair_sum(*args, w))
+    rng = np.random.default_rng(46)
+    block, v = rng.standard_normal((6, 9)), rng.standard_normal(9)
+    w = rng.standard_normal((9, 9))
+    w = w + w.T
+    assert np.array_equal(pc._pair_sum(block, v, block, v, w, upper=True),
+                          pc._pair_sum(block, v, block, v, np.abs(w), upper=True))
+
+
+@pytest.mark.parametrize("kind", ["full", "diagonal", "symmetric", "toeplitz_sym"])
+def test_kind_numerator_reads_block_magnitudes(kind):
+    # The data-weighted A, D, E terms take the signed blocks and form no
+    # block-sized magnitude: the values are bitwise those on |W| (for
+    # "full", |W| v in row chunks of 8-row multiples is bitwise one product).
+    rng = np.random.default_rng(47)
+    blocks = symmetric_toeplitz_from(random_dspp(rng, 40, 30, 20))
+    system = SolvedSystem.of(blocks, selector("full", 40, 30, 20))
+    if kind == "toeplitz_sym":
+        k, w, v = system.rows[:, 70:], blocks.E, system.sol.z
+    else:
+        k, w, v = system.rows[:, :40], blocks.A, system.sol.x
+        if kind == "diagonal":
+            w = np.diag(np.diag(w))
+    want = pc._kind_numerator(kind, k, np.abs(w), v)
+    if kind == "full":
+        want_full = pc._abs_product(k, np.abs(w) @ np.abs(v))
+        assert np.array_equal(want, want_full)
+    assert np.array_equal(pc._kind_numerator(kind, k, w, v), want)
+
+
+def test_pair_kernel_copies_the_narrower_block():
+    # For B's pair on the full row, k_col is the k x n block and k_row the
+    # k x m one, n = 2 m at example1: the kernel swaps the roles and copies
+    # the k x m block (2 MiB at q = 16), not the k x n one (4 MiB).
+    blocks = gen_example1(16, 3)
+    system = SolvedSystem.of(blocks, selector("full", blocks.n, blocks.m, blocks.p))
+    k1, k2, _ = np.split(system.rows, [blocks.n, blocks.n + blocks.m], axis=1)
+    sol, k = system.sol, system.rows.shape[0]
+    args = (k1, sol.y, k2, sol.x, blocks.B)
+    budget = k * blocks.m * 8 + pc._CHUNK_ENTRY_LIMIT * 8 + 32 * (k + blocks.l) * 8
+    assert traced_peak(pc._pair_sum, *args) <= budget < k * blocks.n * 8
+    want = pc._pair_sum(k2, sol.x, k1, sol.y, np.abs(blocks.B).T)
+    assert np.array_equal(pc._pair_sum(*args), want)
+
+
 def test_pair_kernel_adds_rank_one_term_in_place(monkeypatch):
     # dger updates a Fortran-ordered ``a`` in place and the updater refuses
     # any other; the kernel hands it the transpose of its C-ordered chunk
@@ -378,15 +429,32 @@ def test_abs_product_matches_one_product(monkeypatch, q):
 
 
 def test_inf_cn_upper_memory_budget():
-    # |L S^-1| (h + |b|) is taken in row chunks: beside L S^-1 and the
-    # blocks, inf_cn_upper holds the block magnitudes, one chunk and O(l)
-    # vectors, not a k x l |L S^-1|.
+    # |L S^-1| (h + |b|) is taken in row chunks, and h's block magnitudes
+    # one block at a time: beside L S^-1 and the blocks, inf_cn_upper holds
+    # the largest block's magnitude (|A|, 2 MB here, where all five took
+    # 4.5 MB), one chunk and O(l) vectors, not a k x l |L S^-1|.
     blocks = gen_example1(16, 3)
     system = SolvedSystem.of(blocks, selector("full", blocks.n, blocks.m, blocks.p))
     k, l = system.rows.shape
     system.lw
-    mags = sum(getattr(blocks, name).nbytes for name in "ABCDE")
-    assert traced_peak(inf_cn_upper, system) <= mags + pc._CHUNK_ENTRY_LIMIT * 8 + 32 * l * 8
+    largest = max(getattr(blocks, name).nbytes for name in "ABCDE")
+    assert traced_peak(inf_cn_upper, system) <= largest + pc._CHUNK_ENTRY_LIMIT * 8 + 32 * l * 8
+
+
+def test_inf_cn_upper_magnitudes_are_bitwise_the_block_product():
+    # h is the block product of the magnitudes with D's sign folded into a
+    # +: the same products, summed in the same order, as
+    # _block_product((|A|, |B|, |C|, -|D|, |E|), |x|, |y|, |z|).
+    rng = np.random.default_rng(44)
+    for blocks in (gen_example1(8, 3), random_dspp(rng, 30, 20, 10)):
+        system = SolvedSystem.of(blocks, selector("full", blocks.n, blocks.m, blocks.p))
+        mags = (np.abs(blocks.A), np.abs(blocks.B), np.abs(blocks.C), -np.abs(blocks.D), np.abs(blocks.E))
+        sol = system.sol
+        h = _block_product(mags, np.abs(sol.x), np.abs(sol.y), np.abs(sol.z))
+        v = pc._abs_product(system.rows, h + np.abs(blocks.b))
+        want = (pc._inf_value(XiChoice("mcn").resolve(system.lw), v),
+                pc._inf_value(XiChoice("ccn").resolve(system.lw), v))
+        assert tuple(c.value for c in inf_cn_upper(system)) == want
 
 
 def test_shared_numerator_runs_pair_kernel_once_per_block(monkeypatch):
@@ -575,9 +643,10 @@ def test_ncn_memory_budget():
 def test_full_rows_memory_budget():
     # A range selector holds no l-sized array. Beside the blocks, the rows
     # of "full" hold the l x l LU factors and one l x l buffer of S^-T: the
-    # assembled matrix is freed once its LU copy is made, so the peak is
-    # 2 l^2 doubles plus O(l) vectors (measured 2 l^2 + 6 l at l = 400).
-    blocks = gen_example1(10, 0)
+    # assembled matrix is factored in place, so the peak is 2 l^2 doubles
+    # plus O(l) vectors (measured 2 l^2 + 6 l at l = 400). example2 takes
+    # the dense LU; example1's band one holds less.
+    blocks = gen_example2(7, 0)[0]
     dims, l = (blocks.n, blocks.m, blocks.p), blocks.l
     assert traced_peak(selector, "full", *dims) < l * 8
     peak = traced_peak(lambda: SolvedSystem.of(blocks, selector("full", *dims)).rows)
