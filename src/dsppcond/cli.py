@@ -30,7 +30,7 @@ import numpy as np
 
 from ._report import DEFAULT_SELECTORS, FAMILIES, format_float, report_meta
 from ._version import __version__
-from .dspp import SELECTOR_KINDS, Selector, norm_fro_system, problem_from_dict, selector
+from .dspp import SELECTOR_KINDS, Selector, _check_numbers, norm_fro_system, problem_from_dict, selector
 from .eils import default_scalar_weights, eils_cn, eils_from_dict, eils_inf_cn, eils_reduce, solve_eils
 from .errors import (
     DimensionMismatch,
@@ -302,6 +302,7 @@ def _selector_from(kind: str, doc, n: int, m: int, p: int) -> Selector:
         return selector(kind, n, m, p)
     if not isinstance(doc, dict) or "L" not in doc:
         raise MalformedProblem("selector 'custom' requires an 'L' matrix in the input document")
+    _check_numbers(doc, "L")
     try:
         return selector("custom", n, m, p, custom_l=doc["L"])
     except (ValueError, TypeError, OverflowError) as exc:

@@ -17,6 +17,7 @@ problem format.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,18 +306,38 @@ def selector(kind: str, n: int, m: int, p: int, custom_l=None) -> Selector:
     return Selector(kind, 0, l, l, mat)
 
 
+def _check_numbers(doc, keys) -> None:
+    """Raise :class:`MalformedProblem` where the data value ``doc[key]`` of a
+    key in ``keys`` holds an entry that is not a number: a string, a boolean,
+    null or an object, which numpy would read as a number ("2.0" and true as
+    2.0 and 1.0) or as NaN (null). Nested lists and tuples are walked; an
+    array passes when its dtype is numeric."""
+    for key in keys:
+        stack = [doc[key]]
+        while stack:
+            value = stack.pop()
+            if isinstance(value, (list, tuple)):
+                stack.extend(value)
+            elif isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+                continue
+            elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise MalformedProblem(f"{key} has an entry that is not a number: {value!r:.40}")
+
+
 def problem_from_dict(doc) -> DsppBlocks:
     """Parse the JSON problem document into blocks.
 
     The document stores n, m, p and row-major dense arrays A, B, C, D, E plus
     the length-l vector b. D is stored un-negated; assembly applies the sign.
-    Raises :class:`MalformedProblem` on any structural defect.
+    Raises :class:`MalformedProblem` on any structural defect, and on a data
+    entry that is not a number.
     """
     if not isinstance(doc, dict):
         raise MalformedProblem("problem document must be a JSON object")
     missing = [k for k in ("n", "m", "p", "A", "B", "C", "D", "E", "b") if k not in doc]
     if missing:
         raise MalformedProblem(f"problem document missing keys: {', '.join(missing)}")
+    _check_numbers(doc, "ABCDEb")
     try:
         n, m, p = int(doc["n"]), int(doc["m"]), int(doc["p"])
         blocks = DsppBlocks(

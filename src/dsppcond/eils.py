@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dspp import DsppBlocks, Solution
+from .dspp import DsppBlocks, Solution, _check_numbers
 from .errors import (
     DimensionMismatch,
     IndefiniteProblem,
@@ -204,12 +204,14 @@ def eils_inf_cn(system: SolvedSystem, xi) -> CnValue:
 
 
 def eils_from_dict(doc) -> EilsProblem:
-    """Parse the JSON document {M, C, n1, n2, b, d}."""
+    """Parse the JSON document {M, C, n1, n2, b, d}; a data entry that is not
+    a number is malformed."""
     if not isinstance(doc, dict):
         raise MalformedProblem("problem document must be a JSON object")
     missing = [k for k in ("M", "C", "n1", "n2", "b", "d") if k not in doc]
     if missing:
         raise MalformedProblem(f"problem document missing keys: {', '.join(missing)}")
+    _check_numbers(doc, "MCbd")
     try:
         return EilsProblem(
             M=doc["M"], C=doc["C"], n1=int(doc["n1"]), n2=int(doc["n2"]),

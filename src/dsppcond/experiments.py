@@ -488,19 +488,6 @@ def _system_rows(family, q, rows, s, seed, structured) -> list[ExperimentRow]:
     return [_bounded_row(*args) for args in predicted]
 
 
-def _experiment_task(family, q, rows, s, seed, structured) -> list[ExperimentRow]:
-    """The experiment rows ``rows``, (selector index, selector kind) pairs,
-    of the family at size q.
-
-    example1 builds its A..E once per task (see :func:`_family_system`), so
-    its rows share one system matrix: one factorization and one buffer of
-    S^{-1} rows. example2 draws D and E per row, so each row is a system of
-    its own. Each system's rows run through :func:`_system_rows`.
-    """
-    systems = [rows] if family == "example1" else [(row,) for row in rows]
-    return [row for members in systems for row in _system_rows(family, q, members, s, seed, structured)]
-
-
 # A pool costs about 0.1 s to fork and to warm its workers (2 vCPUs); rows
 # whose system sizes l have squares summing to less than this take about as
 # long on one thread (0.3 s for the example1 rows at q = 4..10), so they run
@@ -571,7 +558,7 @@ def _task_counts(sizes: list[int], rows: list[int], workers: int) -> list[int]:
 
 def _single_thread_task(*task) -> list[ExperimentRow]:
     with _blas_single_thread():
-        return _experiment_task(*task)
+        return _system_rows(*task)
 
 
 def run_experiment(

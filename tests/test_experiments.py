@@ -258,7 +258,7 @@ def test_singular_perturbed_system_raises(monkeypatch):
     monkeypatch.setattr(experiments, "perturb", lambda *args: pert)
     monkeypatch.setattr(experiments, "_family_system", lambda *args: (blocks, None))
     with pytest.raises(SingularMatrix):
-        experiments._experiment_task("example1", 1, ((0, "full"),), 1, 0, False)
+        experiments._system_rows("example1", 1, ((0, "full"),), 1, 0, False)
 
 
 @pytest.mark.parametrize("family, s, lus", [("example1", 8, 1), ("example1", 1, 5), ("example2", 1, 8)])
@@ -292,7 +292,10 @@ def test_no_factorization_lives_while_numbers_run(monkeypatch, family, s, lus):
 
     monkeypatch.setattr(experiments, "_family_system", recorded_blocks)
     monkeypatch.setattr(experiments, "_ncn_upper", checked)
-    rows = experiments._experiment_task(family, 3, tuple(enumerate(DEFAULT_SELECTORS)), s, 5, False)
+    # example1's four rows share one system; example2's are a system each.
+    members = tuple(enumerate(DEFAULT_SELECTORS))
+    systems = [members] if family == "example1" else [(row,) for row in members]
+    rows = [row for system in systems for row in experiments._system_rows(family, 3, system, s, 5, False)]
     assert len(rows) == len(seen) == 4 and len(made) == lus
     assert len(blocks_made) == 7 * 4
     assert seen == [([], [])] * 4
@@ -307,9 +310,9 @@ def test_example1_task_memory_budget():
     # 2.64 l^2 with a dense LU and the bounds beside the blocks. A warm-up
     # task keeps first-use imports out of the trace.
     rows = tuple(enumerate(DEFAULT_SELECTORS))
-    experiments._experiment_task("example1", 2, rows, 8, 3, False)
+    experiments._system_rows("example1", 2, rows, 8, 3, False)
     l = 1024
-    peak = traced_peak(experiments._experiment_task, "example1", 16, rows, 8, 3, False)
+    peak = traced_peak(experiments._system_rows, "example1", 16, rows, 8, 3, False)
     assert peak <= 2.25 * l * l * 8
 
 
@@ -525,15 +528,15 @@ def test_sweep_factorizes_each_system_once(monkeypatch):
 
 
 def test_rows_with_their_own_matrix_factorize_it(monkeypatch):
-    """example2 draws D and E per row: in one task, every row still
-    factorizes its own system, so the rows equal those run one per task.
-    The x row's perturbation is not certified (||dS||_1 / (rcond ||S||_1)
-    is 0.976 there), so that row also factorizes its perturbed system."""
+    """example2 draws D and E per row, so each row is a task of its own
+    system: every row factorizes its own S, and the rows equal
+    run_experiment's. The x row's perturbation is not certified
+    (||dS||_1 / (rcond ||S||_1) is 0.976 there), so that row also
+    factorizes its perturbed system."""
     reference = run_experiment("example2", [3], s=6, seed=5)
     calls = _count_factorizations(monkeypatch)
-    rows = experiments._single_thread_task(
-        "example2", 3, tuple(enumerate(DEFAULT_SELECTORS)), 6, 5, False
-    )
+    rows = [row for member in enumerate(DEFAULT_SELECTORS)
+            for row in experiments._single_thread_task("example2", 3, (member,), 6, 5, False)]
     assert rows == reference
     assert len(calls) == 5
     systems = calls[:2] + calls[3:]
@@ -632,7 +635,7 @@ def test_run_experiment_rows_run_blas_on_one_thread(monkeypatch, rows_path):
     get, set_ = pool
     before = get()
     set_(2)
-    monkeypatch.setattr(experiments, "_experiment_task", _worker_blas_threads)
+    monkeypatch.setattr(experiments, "_system_rows", _worker_blas_threads)
     try:
         counts = run_experiment("example1", [2, 3], selectors=("full", "x"))
         after = get()
@@ -681,7 +684,7 @@ def test_run_experiment_pools_only_where_it_can_pay(monkeypatch, min_work, free_
         monkeypatch.setattr(experiments, "_POOL_MIN_WORK", min_work)
     if free_memory is not None:
         monkeypatch.setattr(experiments, "_free_memory", lambda: free_memory)
-    monkeypatch.setattr(experiments, "_experiment_task", _row_pid)
+    monkeypatch.setattr(experiments, "_system_rows", _row_pid)
     with context():
         pids = run_experiment("example1", [2, 3], selectors=("full", "x"))
     assert (os.getpid() not in pids) == pooled

@@ -153,9 +153,11 @@ def test_reader_is_json_load_with_numeric_rows_as_arrays(tmp_path_factory, text)
 MALFORMED = {
     "ragged rows": (document(n=2, A=[[2.0, 1.0], [1.0]]), MALFORMED_EXIT),
     "string in a row": (document(A=[[2.0], ["x"]]), MALFORMED_EXIT),
-    "numeric string in a row": (document(A=[["2.0"]]), 0),
+    "numeric string in a row": (document(A=[["2.0"]]), MALFORMED_EXIT),
     "null in a row": (document(A=[[None]]), MALFORMED_EXIT),
-    "bool in a row": (document(A=[[True]]), 0),
+    "bool in a row": (document(A=[[True]]), MALFORMED_EXIT),
+    "numeric string in b": (document(b=[1.0, "0", 1.0]), MALFORMED_EXIT),
+    "bool in b": (document(b=[1.0, False, 1.0]), MALFORMED_EXIT),
     "3-deep nesting": (document(A=[[[2.0]]]), MALFORMED_EXIT),
     "empty rows": (document(A=[[], []]), MALFORMED_EXIT),
     "trailing data": (document() + " {}", MALFORMED_EXIT),
@@ -191,6 +193,46 @@ def test_malformed_files_fail_as_with_json_load(capsys, tmp_path, monkeypatch, c
     except json.JSONDecodeError:
         return
     assert_is_json_load_by_rows(read(str(path)), text)
+
+
+EILS_VALID = {
+    "M": [[2.0, 0.0], [0.0, 2.0], [0.0, 1.0]], "C": [[1.0, 0.0]], "n1": 2, "n2": 1,
+    "b": [1.0, 1.0, 1.0], "d": [1.0],
+}
+
+
+@pytest.mark.parametrize("argv, valid, keys", [
+    (["analyze"], VALID, "ABCDEb"),
+    (["analyze", "--selector", "custom"], {**VALID, "L": [[1.0, 0.0, 0.0]]}, "L"),
+    (["eils"], EILS_VALID, "MCbd"),
+], ids=["problem", "custom_L", "eils"])
+def test_non_number_entries_exit_4(capsys, tmp_path, monkeypatch, argv, valid, keys):
+    """A string (even a numeric one), a boolean or null among the entries of
+    any data value exits 4 with the key named, by the row reader and by
+    json.load alike; the document without it exits 0."""
+    path = tmp_path / "doc.json"
+
+    def outcomes(doc):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        got = []
+        for reader in (cli._load_json, json_load_reader):
+            monkeypatch.setattr(cli, "_load_json", reader)
+            code = main([*argv, "--input", str(path)])
+            out = capsys.readouterr().out
+            got.append((code, json.loads(out)["error"] if code else None))
+        return got
+
+    assert [code for code, _ in outcomes(valid)] == [0, 0]
+    for key in keys:
+        for entry in ("2.0", True, None):
+            value = json.loads(json.dumps(valid[key]))
+            if isinstance(value[0], list):
+                value[0][0] = entry
+            else:
+                value[0] = entry
+            for code, record in outcomes({**valid, key: value}):
+                assert code == MALFORMED_EXIT and record["type"] == "MalformedProblem"
+                assert record["message"].startswith(key), record["message"]
 
 
 def test_non_utf8_input_exits_4(capsys, tmp_path):
