@@ -324,13 +324,21 @@ def _check_numbers(doc, keys) -> None:
                 raise MalformedProblem(f"{key} has an entry that is not a number: {value!r:.40}")
 
 
+def _sizes(doc, keys) -> list[int]:
+    """The sizes ``doc[key]``: a string, a boolean or a float (even 1.0) is malformed."""
+    bad = [key for key in keys if isinstance(doc[key], bool) or not isinstance(doc[key], numbers.Integral)]
+    if bad:
+        raise MalformedProblem(f"{bad[0]} must be an integer, got {doc[bad[0]]!r:.40}")
+    return [int(doc[key]) for key in keys]
+
+
 def problem_from_dict(doc) -> DsppBlocks:
     """Parse the JSON problem document into blocks.
 
     The document stores n, m, p and row-major dense arrays A, B, C, D, E plus
     the length-l vector b. D is stored un-negated; assembly applies the sign.
-    Raises :class:`MalformedProblem` on any structural defect, and on a data
-    entry that is not a number.
+    Raises :class:`MalformedProblem` on any structural defect, on a size
+    that is not an integer and on a data entry that is not a number.
     """
     if not isinstance(doc, dict):
         raise MalformedProblem("problem document must be a JSON object")
@@ -338,8 +346,8 @@ def problem_from_dict(doc) -> DsppBlocks:
     if missing:
         raise MalformedProblem(f"problem document missing keys: {', '.join(missing)}")
     _check_numbers(doc, "ABCDEb")
+    n, m, p = _sizes(doc, "nmp")
     try:
-        n, m, p = int(doc["n"]), int(doc["m"]), int(doc["p"])
         blocks = DsppBlocks(
             A=doc["A"], B=doc["B"], C=doc["C"], D=doc["D"], E=doc["E"], b=doc["b"]
         )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dspp import DsppBlocks, Solution, _check_numbers
+from .dspp import DsppBlocks, Solution, _check_numbers, _sizes
 from .errors import (
     DimensionMismatch,
     IndefiniteProblem,
@@ -204,19 +204,17 @@ def eils_inf_cn(system: SolvedSystem, xi) -> CnValue:
 
 
 def eils_from_dict(doc) -> EilsProblem:
-    """Parse the JSON document {M, C, n1, n2, b, d}; a data entry that is not
-    a number is malformed."""
+    """Parse the JSON document {M, C, n1, n2, b, d}; a size that is not an
+    integer or a data entry that is not a number is malformed."""
     if not isinstance(doc, dict):
         raise MalformedProblem("problem document must be a JSON object")
     missing = [k for k in ("M", "C", "n1", "n2", "b", "d") if k not in doc]
     if missing:
         raise MalformedProblem(f"problem document missing keys: {', '.join(missing)}")
     _check_numbers(doc, "MCbd")
+    n1, n2 = _sizes(doc, ("n1", "n2"))
     try:
-        return EilsProblem(
-            M=doc["M"], C=doc["C"], n1=int(doc["n1"]), n2=int(doc["n2"]),
-            b=doc["b"], d=doc["d"],
-        )
+        return EilsProblem(M=doc["M"], C=doc["C"], n1=n1, n2=n2, b=doc["b"], d=doc["d"])
     except (DimensionMismatch, ValueError, TypeError, OverflowError) as exc:
         raise MalformedProblem(str(exc)) from exc
 

@@ -76,11 +76,6 @@ def _generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _normal_like(rng: np.random.Generator, mat: np.ndarray) -> np.ndarray:
-    # One flat draw reshaped column-major fixes the within-block stream order.
-    return rng.standard_normal(mat.size).reshape(mat.shape, order="F")
-
-
 def _tridiag(lo: float, di: float, up: float, dim: int) -> np.ndarray:
     return (
         di * np.eye(dim)
@@ -207,7 +202,11 @@ def perturb(blocks: DsppBlocks, s: int, seed) -> PerturbationSet:
     """Draw dX = 10^-s * g . X for every block and the right-hand side.
 
     Draw order is A, B, C, D, E, b; within a block the normal stream fills
-    column-major. Zero data entries stay exactly zero.
+    column-major, in chunks of whole columns of at most ``_CHUNK_ENTRY_LIMIT``
+    entries (one column, if longer), which equal one draw. Each chunk times
+    10^-s times the block's matching columns fills the C-ordered delta, so
+    entries are (g 10^-s) x, zero data entries stay exactly zero, and no
+    block-sized temporary is formed.
     """
     s = int(s)
     if s < 1:
@@ -215,12 +214,15 @@ def perturb(blocks: DsppBlocks, s: int, seed) -> PerturbationSet:
     rng = _generator(seed)
     factor = 10.0 ** (-s)
     parts = []
-    # factor * g * mat, scaled in place: one array per block.
     for mat in (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E, blocks.b):
-        g = _normal_like(rng, mat)
-        g *= factor
-        g *= mat
-        parts.append(g)
+        cols = mat.reshape(len(mat), -1)  # b as one column
+        delta = np.empty(cols.shape)
+        width = max(1, _CHUNK_ENTRY_LIMIT // max(1, len(cols)))
+        for c0 in range(0, cols.shape[1], width):
+            g = rng.standard_normal(cols[:, c0 : c0 + width].T.shape)  # row j: column c0 + j
+            g *= factor
+            np.multiply(g.T, cols[:, c0 : c0 + width], out=delta[:, c0 : c0 + width])
+        parts.append(delta.reshape(mat.shape))
     return PerturbationSet(*parts, s=s)
 
 
@@ -313,8 +315,8 @@ def epsilons(pert: PerturbationSet, blocks: DsppBlocks) -> tuple[float, float]:
     (B and C enter twice, computed blockwise). eps2 is the smallest eps with
     |dS| <= eps |S| and |db| <= eps |b|; a perturbation on a zero data entry
     raises :class:`IncompatibleZeroPattern`. The check and eps2 read each
-    block by row chunks of at most ``_CHUNK_ENTRY_LIMIT`` entries; a maximum
-    is exact in any order.
+    block and its delta, both row-major, by row chunks of at most
+    ``_CHUNK_ENTRY_LIMIT`` entries; a maximum is exact in any order.
     """
     num = _system_sumsq(pert.deltas[:5]) + float(np.vdot(pert.db, pert.db))
     den = _system_sumsq((blocks.A, blocks.B, blocks.C, blocks.D, blocks.E)) + float(np.vdot(blocks.b, blocks.b))

@@ -167,11 +167,11 @@ def _lange(norm: str, m) -> float:
 
 
 class RankOneUpdate:
-    """In-place rank-one updates ``a[:, :n] += xs[:, r] y[:n]^T`` (BLAS dger)
-    of one Fortran-ordered float64 buffer ``a``.
+    """In-place rank-one updates ``a[:, lo:hi] += xs[:, r] y[lo:hi]^T`` (BLAS
+    dger) of one Fortran-ordered float64 buffer ``a``.
 
     The arrays are checked and their addresses taken once, here, so that an
-    update (``update(r, n)``) is one foreign call with no array conversion;
+    update (``update(r, lo, hi)``) is one foreign call with no array conversion;
     the updater keeps them alive. ``xs`` may be any float64 view whose
     columns have a positive element stride, such as the read-only rows of a
     :class:`~dsppcond.partial_cn.Factors` buffer. Each updater owns the cells
@@ -199,14 +199,14 @@ class RankOneUpdate:
         self._m, self._n, self._incx, self._incy, self._lda = (cell + i * _INT.itemsize for i in range(5))
         self._alpha_at = self._alpha.ctypes.data
         self._x, self._x_step, self._cols = xs.ctypes.data, xs.strides[1], xs.shape[1]
-        self._y, self._a, self._capacity = y.ctypes.data, a.ctypes.data, a.shape[1]
+        self._y, self._a, self._a_step, self._capacity = y.ctypes.data, a.ctypes.data, 8 * max(1, m), a.shape[1]
 
-    def update(self, r: int, n: int) -> None:
-        if not (0 <= r < self._cols and 0 <= n <= self._capacity):
-            raise IndexError(f"column {r} or width {n} out of range")
-        self._cells[1] = n
-        _LAPACK["dger"](self._m, self._n, self._alpha_at, self._x + r * self._x_step,
-                        self._incx, self._y, self._incy, self._a, self._lda)
+    def update(self, r: int, lo: int, hi: int) -> None:
+        if not (0 <= r < self._cols and 0 <= lo <= hi <= self._capacity):
+            raise IndexError(f"column {r} or range {lo}:{hi} out of range")
+        self._cells[1] = hi - lo
+        _LAPACK["dger"](self._m, self._n, self._alpha_at, self._x + r * self._x_step, self._incx,
+                        self._y + 8 * lo, self._incy, self._a + lo * self._a_step, self._lda)
 
 
 # Seed of the Lanczos start vector. Fixed, so every run takes the same steps

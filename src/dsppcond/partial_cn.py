@@ -16,27 +16,25 @@ normalizer) and componentwise (entrywise normalizer) numbers.
 
 The first-order response is dw = -S^{-1} [G, -I] [vec(dH); db] with G the
 l x s sensitivity matrix assembled from x, y, z (s = n^2 + nm + mp + m^2 + p^2).
-G itself is never formed: every 2-norm number goes through the l x l weighted
+G itself is never formed. Every 2-norm number goes through the l x l weighted
 Gram J = G diag(w^2) G^T, applied blockwise in closed form (a diagonal, the
-xy and yz blocks and one term per structure kind) and never assembled, and
-every max-norm number through one exact numerator that visits only the
-nonzero weights, in chunks of at most 2^16 entries that stay in cache,
-adding each rank-one term with BLAS dger (numpy's OpenBLAS, through
-:class:`~dsppcond.linalg.RankOneUpdate`). Both need only L S^{-1}:
-the rows lo:hi of S^{-1} for a range selector, made by the part solves of
-one :class:`Factors` buffer, or k transposed solves against a custom L;
-never an explicit inverse. Both take the structure kinds of dA, dD, dE
-(see :mod:`dsppcond.structured`) as a parameter: each kind adds one term
-to each, and the unstructured numbers are the structured ones with every
-kind "full". A :class:`SolvedSystem` holds the solution and L S^{-1} of one
-(problem, selector) pair; every entry point takes one, so the work is done
-once however many numbers are asked for. It holds no factorization: S's LU
-lives in a :class:`Factors` only while something solves with it, and no
-number reads it.
+xy and yz blocks and one term per structure kind, a number weight c as
+c 11^T) and never assembled. Every max-norm number goes through one exact
+numerator that visits only the nonzero weights, several weight rows per
+chunk of at most 2^16 entries, with one BLAS dger call (through
+:class:`~dsppcond.linalg.RankOneUpdate`) per run of one row. Both need only
+L S^{-1}: rows lo:hi of S^{-1} for a range selector, from the part solves
+of one :class:`Factors` buffer, or k transposed solves against a custom L.
+Both take the structure kinds of dA, dD, dE (:mod:`dsppcond.structured`)
+as a parameter; the unstructured numbers have every kind "full". A
+:class:`SolvedSystem` holds the solution and L S^{-1} of one (problem,
+selector) pair, so the work is done once however many numbers are asked
+for; it holds no factorization: S's LU lives in a :class:`Factors` only
+while something solves with it.
 """
-
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -197,27 +195,32 @@ def _shifted(v) -> np.ndarray:
     return out
 
 
+def _wprod(w, v, how: str = "@"):
+    """A product in J of block weight W: W v ("@"), W^T v ("T@"), v times W's diagonal ("diag")
+    or first column ("col"). A number c is c 11^T in closed form: c (1^T v), a scalar, or c v."""
+    if how[-1] == "@":
+        return ((w.T if how == "T@" else w) @ v) if w.ndim else w * v.sum()
+    return ((np.diag(w) if how == "diag" else w[:, 0]) * v) if w.ndim else w * v
+
+
 def _kind_op(kind: str, w2, v):
     """u -> K u for the Gram term K = sum_g (w_g^2 / c_g) (Phi_g v)(Phi_g v)^T
     of dM v over one structure kind, for squared weights ``w2`` constant on
     each generator's support (c_g: the generator's entry count).
     """
     v2 = np.square(v)
-    if kind == "full":
-        d = w2 @ v2
-        return lambda u: d * u
-    if kind == "diagonal":
-        d = np.diag(w2) * v2
+    if kind in ("full", "diagonal"):
+        d = _wprod(w2, v2, "@" if kind == "full" else "diag")
         return lambda u: d * u
     if kind == "symmetric":
-        d = w2 @ v2
-        return lambda u: (d * u + v * (w2 @ (v * u))) / 2.0
+        d = _wprod(w2, v2)
+        return lambda u: (d * u + v * _wprod(w2, v * u)) / 2.0
     # toeplitz_sym: generator 0 covers the dim diagonal entries, g > 0 the
     # 2 (dim - g) entries of two off-diagonals.
     counts = 2.0 * np.arange(v.size, 0, -1)
     counts[0] = v.size
     vmat = _shifted(v)
-    c = w2[:, 0] / counts
+    c = _wprod(w2, 1.0, "col") / counts
     return lambda u: vmat @ (c * (u @ vmat))
 
 
@@ -237,27 +240,27 @@ def _j_operator(sol: Solution, psi, chi, kinds):
         xy: (W2_B o y x^T)^T,   yz: (W2_C o z y^T)^T,   xz: 0
 
     with K_M the :func:`_kind_op` term of M's kind (diag(W2_M v^2) for
-    "full"). A number weight enters as a zero-stride view of its square
-    (:func:`_expand`). One product costs 2 (nm + mp) for the off-diagonal
-    blocks plus the kind terms.
+    "full"), each product with a weight one :func:`_wprod`. One product
+    costs 2 (nm + mp) for the off-diagonal blocks (O(l) for numbers) plus
+    the kind terms.
     """
     x, y, z = sol.x, sol.y, sol.z
     n, m = x.size, y.size
-    wa, wb, wc, wd, we = _expand([np.square(w) for w in psi], sol)
+    wa, wb, wc, wd, we = (np.square(w) for w in psi)
     ka, kd, ke = (_kind_op(*args) for args in zip(kinds, (wa, wd, we), (x, y, z)))
     y2 = np.square(y)
-    d = np.square(np.broadcast_to(chi, n + m + z.size))
-    d[:n] += wb.T @ y2
-    d[n : n + m] += wb @ np.square(x) + wc.T @ np.square(z)
-    d[n + m :] += wc @ y2
+    d = np.zeros(n + m + z.size) + np.square(chi)
+    d[:n] += _wprod(wb, y2, "T@")
+    d[n : n + m] += _wprod(wb, np.square(x)) + _wprod(wc, np.square(z), "T@")
+    d[n + m :] += _wprod(wc, y2)
     dx, dy, dz = np.split(d, [n, n + m])
 
     def apply(u):
-        ux, uy, uz = np.split(u, [n, n + m])
+        ux, uy, uz = u[:n], u[n : n + m], u[n + m :]
         return np.concatenate([
-            dx * ux + ka(ux) + x * (wb.T @ (y * uy)),
-            dy * uy + kd(uy) + y * (wb @ (x * ux) + wc.T @ (z * uz)),
-            dz * uz + ke(uz) + z * (wc @ (y * uy)),
+            dx * ux + ka(ux) + x * _wprod(wb, y * uy, "T@"),
+            dy * uy + kd(uy) + y * (_wprod(wb, x * ux) + _wprod(wc, z * uz, "T@")),
+            dz * uz + ke(uz) + z * _wprod(wc, y * uy),
         ])
 
     return apply
@@ -266,52 +269,61 @@ def _j_operator(sol: Solution, psi, chi, kinds):
 def _pair_sum(k_col, v_row, k_row, v_col, w, upper: bool = False) -> np.ndarray:
     """sum_{r,c} |k_col[:, c] v_row[r] + k_row[:, r] v_col[c]| |w[r, c]|, exactly.
 
-    Row r of |w| is taken as the row is read, so ``w`` may be a signed
-    block and no |w| matrix is formed. With ``upper`` the sum runs over
-    c >= r only, and the pair (r, r) takes half its weight: row r reads
-    w[r, r:] and halves its first entry, which is exact.
+    |w| is taken as w's rows are read, so ``w`` may be a signed block. With
+    ``upper`` the sum runs over c >= r only, the pair (r, r) at half weight
+    (exact). Otherwise the roles (k_col, v_row, w) and (k_row, v_col, w^T)
+    are swapped where k_col is the wider block, so that the copy below is
+    of the narrower one; the sum then rounds in another order.
 
-    The sum is symmetric in its two roles: swapping k_col with k_row,
-    v_row with v_col and w with w^T leaves it as it is. Without ``upper``
-    the roles are swapped where k_col is the wider block, so that the copy
-    below is of the narrower one; the computed sum then rounds in another
-    order.
-
-    Only pairs with a nonzero weight are evaluated: row r gathers the rows
-    ``cols`` of a contiguous copy of k_col^T where w[r] is nonzero, in chunks
-    of at most ``_CHUNK_ENTRY_LIMIT // k``, into one C-ordered buffer t
-    allocated once, scales t by v_row[r], adds the rank-one term
-    v_col[cols] (x) k_row[:, r] in place (BLAS ``dger`` on the
-    Fortran-ordered t^T, through one :class:`RankOneUpdate`), and
-    accumulates |w[r, cols]| |t|. Beside its inputs the kernel holds the copy,
-    the buffer and O(k + l) vectors, a budget that does not grow with s, and
-    makes five passes over each chunk (gather, scale, dger, abs, product).
+    Only nonzero weights are visited, listed by blocks of weight rows and
+    taken in chunks of at most cb = ``_CHUNK_ENTRY_LIMIT // k`` pairs: as
+    many whole rows as fit, or cb pairs of a longer row, as dense rows
+    always were. A chunk gathers its rows c of a contiguous copy of k_col^T
+    into one C-ordered buffer t; each run of one row r is scaled by v_row[r]
+    and gets v_col[c] (x) k_row[:, r] from one BLAS ``dger`` call (a
+    :class:`RankOneUpdate` on t^T, reading k_row's columns from a slab
+    copied per block); then |w[r, c]| |t| is summed. The Python loop runs
+    once per block, chunk and run. Beside its inputs the kernel holds the
+    copy, the buffer, a slab and a listing (at most 1/2 and 5/8 of the
+    buffer) and O(k + l) vectors, a budget that does not grow with s.
     """
     if not upper and k_col.shape[1] > k_row.shape[1]:
         k_col, v_row, k_row, v_col, w = k_row, v_col, k_col, v_row, w.T
-    k = k_col.shape[0]
+    k, (rows, cols) = k_col.shape[0], w.shape
     k_col_t = np.ascontiguousarray(k_col.T)
-    u = np.zeros(k)
-    cb = max(1, _CHUNK_ENTRY_LIMIT // max(1, k))
-    buf = np.empty((min(cb, w.shape[1]), k))
-    v_cols = np.empty(buf.shape[0])
-    rank_one = RankOneUpdate(buf.T, k_row, v_cols)
-    for r in range(w.shape[0]):
-        lo = r if upper else 0
-        w_r = np.abs(w[r, lo:])
+    cap = min(max(1, _CHUNK_ENTRY_LIMIT // max(1, k)), cols)
+    u, buf, v_cols = np.zeros(k), np.empty((cap, k)), np.empty(cap)
+    step = max(1, min(cap // 2, buf.size // 8 // max(1, cols)))
+    slab = np.empty((k, min(step, rows)))
+    rank_one = RankOneUpdate(buf.T, slab, v_cols)
+    for r0 in range(0, rows, step):
+        c0 = r0 if upper else 0
+        blk = np.abs(w[r0 : r0 + step, c0:], order="C")
         if upper:
-            w_r[0] /= 2.0
-        nz = np.flatnonzero(w_r)
-        for start in range(0, nz.size, cb):
-            at = nz[start : start + cb]
-            cols = at + lo
+            blk[np.tri(*blk.shape, -1, dtype=bool)] = 0.0
+            blk.reshape(-1)[:: blk.shape[1] + 1] /= 2.0
+        np.copyto(slab[:, : len(blk)], k_row[:, r0 : r0 + len(blk)])
+        flat, counts = np.flatnonzero(blk != 0.0), np.count_nonzero(blk, axis=1)
+        w_nz, c_at = np.take(blk, flat), np.remainder(flat, blk.shape[1], out=flat)
+        runs = np.flatnonzero(counts)
+        ends, scales, runs = np.cumsum(counts[runs]).tolist(), v_row[r0 + runs].tolist(), runs.tolist()
+        i = a = 0
+        while a < len(w_nz):
+            j = bisect.bisect_right(ends, a + cap)
+            b = ends[j - 1] if j and ends[j - 1] > a else a + cap
             # mode="clip" writes straight into ``out``; "raise" would buffer.
-            t = np.take(k_col_t, cols, axis=0, out=buf[: cols.size], mode="clip")
-            t *= v_row[r]
-            np.take(v_col, cols, out=v_cols[: cols.size], mode="clip")
-            rank_one.update(r, cols.size)
+            t = np.take(k_col_t[c0:], c_at[a:b], axis=0, out=buf[: b - a], mode="clip")
+            np.take(v_col[c0:], c_at[a:b], out=v_cols[: b - a], mode="clip")
+            lo = a
+            while lo < b:
+                hi = min(ends[i], b)
+                t[lo - a : hi - a] *= scales[i]
+                rank_one.update(runs[i], lo - a, hi - a)
+                i += hi == ends[i]
+                lo = hi
             np.abs(t, out=t)
-            u += w_r[at] @ t
+            u += w_nz[a:b] @ t
+            a = b
     return u
 
 

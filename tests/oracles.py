@@ -11,7 +11,8 @@ Gram (a scaled copy of the matrix, the Gram and a separate Cholesky array)
 that the one-buffer bound is checked against. So do the two solves with a
 factorization of a perturbed system that the experiments' refined solution
 change is checked against; the difference w~ - w of two solutions is
-computed only here.
+computed only here, and so do the perturbation deltas drawn one whole
+stream per block, which the chunked draws are checked against.
 
 The definition-level evaluators live here as well: the first-order response
 :func:`first_order_delta`, the defining quotient :func:`definition_ratio` of
@@ -62,6 +63,21 @@ def perturbed_resolve(blocks, pert) -> np.ndarray:
     """w~ - w from a factorization and solve of the perturbed system S + dS,
     with the cancellation of a difference of two nearby solutions."""
     return solve_dspp(apply_perturbation(blocks, pert)).w - solve_dspp(blocks).w
+
+
+def perturb_one_draw(blocks, s, seed) -> tuple:
+    """The deltas 10^-s g . X of ``experiments.perturb`` with each block's
+    normal stream drawn whole: one flat draw per block in the order A, B,
+    C, D, E, b, reshaped column-major, scaled by 10^-s, then multiplied by
+    the block."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    deltas = []
+    for mat in (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E, blocks.b):
+        g = rng.standard_normal(mat.size).reshape(mat.shape, order="F")
+        g *= 10.0 ** (-s)
+        g *= mat
+        deltas.append(g)
+    return tuple(deltas)
 
 
 def perturbed_increment(blocks, sol, pert) -> np.ndarray:

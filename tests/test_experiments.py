@@ -151,6 +151,20 @@ def test_perturb_reproduces_stream_and_keeps_zeros():
         perturb(blocks, 0, 11)
 
 
+@pytest.mark.parametrize("limit", [7, 200, linalg._CHUNK_ENTRY_LIMIT])
+@pytest.mark.parametrize("blocks", [gen_example1(6, 3), gen_example2(3, 3)[0]], ids=["example1", "example2"])
+def test_perturb_chunked_draws_equal_one_draw(monkeypatch, limit, blocks):
+    """Each block's stream drawn in column chunks (of one column when the
+    limit is 7, of a few with a shorter last one at 200) is bitwise the
+    one-draw-per-block stream, and every delta is C-ordered like its
+    block."""
+    monkeypatch.setattr(experiments, "_CHUNK_ENTRY_LIMIT", limit)
+    pert = perturb(blocks, 8, 11)
+    for delta, want in zip(pert.deltas, oracles.perturb_one_draw(blocks, 8, 11)):
+        assert delta.flags.c_contiguous
+        assert delta.shape == want.shape and delta.tobytes() == want.tobytes()
+
+
 def _solved(family, q):
     blocks = gen_example1(q, 3) if family == "example1" else gen_example2(q, 3)[0]
     lu = dspp.factorize(blocks)

@@ -355,13 +355,28 @@ def test_strided_rank_one_update_matches_scipy_dger():
     want = scipy.linalg.blas.dger(1.0, xs[:, 2], y[:5], a=a[:, :5].copy(order="F"))
     update = linalg.RankOneUpdate(a, xs, y)
     untouched = a[:, 5].copy()
-    update.update(2, 5)
+    update.update(2, 0, 5)
     assert _norm_rel(a[:, :5], want) <= 1e-13
     assert np.array_equal(a[:, 5], untouched)
     with pytest.raises(IndexError):
-        update.update(4, 5)
+        update.update(4, 0, 5)
     with pytest.raises(IndexError):
-        update.update(0, 7)
+        update.update(0, 0, 7)
+
+
+def test_rank_one_update_of_a_column_range():
+    # update(r, lo, hi) updates the buffer columns lo:hi with y[lo:hi] and
+    # leaves the others as they are.
+    rng = np.random.default_rng(10)
+    xs, y = rng.standard_normal((4, 3)), rng.standard_normal(6)
+    a = np.asfortranarray(rng.standard_normal((4, 6)))
+    before = a.copy()
+    linalg.RankOneUpdate(a, xs, y).update(1, 2, 5)
+    want = scipy.linalg.blas.dger(1.0, xs[:, 1], y[2:5], a=before[:, 2:5].copy(order="F"))
+    assert _norm_rel(a[:, 2:5], want) <= 1e-13
+    assert np.array_equal(a[:, :2], before[:, :2]) and np.array_equal(a[:, 5:], before[:, 5:])
+    with pytest.raises(IndexError):
+        linalg.RankOneUpdate(a, xs, y).update(0, 4, 3)
 
 
 def test_missing_lapack_symbols_raise_import_error(monkeypatch):

@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dsppcond.partial_cn as pc
 import oracles
@@ -307,6 +309,120 @@ def test_pair_kernel_matches_oracle_over_layouts(monkeypatch, limit):
     monkeypatch.setattr(pc, "_CHUNK_ENTRY_LIMIT", limit)
     for args in _pair_cases():
         np.testing.assert_allclose(pc._pair_sum(*args), _pair_oracle(*args), rtol=1e-13, atol=0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(k=st.sampled_from((1, 2, 5, 24, 40)), nr=st.integers(1, 12), nc=st.integers(1, 12),
+       density=st.sampled_from((0.0, 0.15, 0.5, 1.0)), empty_rows=st.booleans(),
+       transposed=st.booleans(), swap=st.booleans(), upper=st.booleans(),
+       limit=st.sampled_from(("2", "7", "3k", "5k", "default")), seed=st.integers(0, 2**32 - 1))
+def test_batched_pair_kernel_matches_oracle(k, nr, nc, density, empty_rows, transposed, swap,
+                                            upper, limit, seed):
+    # Random shapes and densities, all-zero weights (density 0), empty rows,
+    # k = 1, transposed weight views, both roles (the kernel swaps them where
+    # k_col is wider, and ``swap`` hands them over swapped) and the upper
+    # kind with zero diagonal entries. Chunks of 2 or 7 entries, or of 3 or
+    # 5 pairs, cut rows into several chunks, and at k = 24 or 40 a listing
+    # block holds several rows, whole and cut ones.
+    rng = np.random.default_rng(seed)
+    limit = {"2": 2, "7": 7, "3k": 3 * k, "5k": 5 * k, "default": pc._CHUNK_ENTRY_LIMIT}[limit]
+    if upper:
+        nc = nr
+    w = rng.standard_normal((nr, nc)) * (rng.random((nr, nc)) < density)
+    if empty_rows:
+        w[rng.random(nr) < 0.4] = 0.0
+    if transposed:
+        w = np.ascontiguousarray(w.T).T
+    k_col, k_row = rng.standard_normal((k, nc)), rng.standard_normal((k, nr))
+    v_row, v_col = rng.standard_normal(nr), rng.standard_normal(nc)
+    if upper:
+        w = w + w.T
+        w[np.diag_indices(nr)] *= rng.random(nr) < 0.5
+        args = (k_col, v_row, k_col, v_row)
+        want = _pair_oracle(*args, np.triu(np.abs(w), 1) + np.diag(np.abs(np.diag(w))) / 2.0)
+    else:
+        args = (k_col, v_row, k_row, v_col)
+        want = _pair_oracle(*args, np.abs(w))
+        if swap:
+            args, w = (k_row, v_col, k_col, v_row), w.T
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pc, "_CHUNK_ENTRY_LIMIT", limit)
+        got = pc._pair_sum(*args, w, upper=upper)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def _counted_updates(monkeypatch):
+    """The (r, lo, hi) of every rank-one update the pair kernel makes."""
+    calls, updater = [], pc.RankOneUpdate
+
+    class Counting(updater):
+        def update(self, r, lo, hi):
+            calls.append((r, lo, hi))
+            return super().update(r, lo, hi)
+
+    monkeypatch.setattr(pc, "RankOneUpdate", Counting)
+    return calls
+
+
+@pytest.mark.parametrize("cb", [5, 6])
+def test_pair_kernel_chunks_whole_rows_and_cuts_long_ones(monkeypatch, cb):
+    # At k = 40 with chunks of cb pairs, a listing block holds several rows
+    # of 1, 2, 9 or 12 nonzeros: a row of at most cb pairs is one run, never
+    # cut, and a longer one, even after a short one in its block, is cut
+    # into runs of cb pairs from its first pair, as a dense row always was.
+    rng = np.random.default_rng(49)
+    k, n = 40, 12
+    sizes = [(1, 2, 9, 12)[r % 4] for r in range(n)]
+    w = np.zeros((n, n))
+    for r, size in enumerate(sizes):
+        w[r, rng.choice(n, size, replace=False)] = rng.standard_normal(size)
+    args = (rng.standard_normal((k, n)), rng.standard_normal(n), rng.standard_normal((k, n)), rng.standard_normal(n))
+    calls = _counted_updates(monkeypatch)
+    monkeypatch.setattr(pc, "_CHUNK_ENTRY_LIMIT", cb * k)
+    np.testing.assert_allclose(pc._pair_sum(*args, w), _pair_oracle(*args, np.abs(w)), rtol=1e-13, atol=0)
+    want = [part for size in sizes for part in [cb] * (size // cb) + [size % cb] if part]
+    assert [hi - lo for _, lo, hi in calls] == want
+    assert sum(lo == 0 for _, lo, _ in calls) < len(want)  # short rows share chunks
+
+
+@pytest.mark.parametrize("limit", [pc._CHUNK_ENTRY_LIMIT, 7])
+def test_pair_kernel_updates_once_per_run(monkeypatch, limit):
+    # One dger call per run of equal weight rows within a chunk: at most one
+    # per chunk (each starts at buffer row 0) and nonempty weight row, and
+    # together they cover every nonzero weight once. At example1 q = 8, B's
+    # 240 nonzeros in 128 weight rows (of B^T, after the role swap) fill
+    # fewer chunks than that.
+    calls = _counted_updates(monkeypatch)
+    monkeypatch.setattr(pc, "_CHUNK_ENTRY_LIMIT", limit)
+    blocks = gen_example1(8, 3)
+    system = SolvedSystem.of(blocks, selector("full", blocks.n, blocks.m, blocks.p))
+    k1, k2, _ = np.split(system.rows, [blocks.n, blocks.n + blocks.m], axis=1)
+    pc._pair_sum(k1, system.sol.y, k2, system.sol.x, blocks.B)
+    chunks = sum(lo == 0 for _, lo, _ in calls)
+    nonempty = int(np.count_nonzero(blocks.B.any(axis=0)))
+    assert len(calls) <= chunks + nonempty
+    assert sum(hi - lo for _, lo, hi in calls) == np.count_nonzero(blocks.B)
+    if limit != 7:
+        assert chunks < blocks.B.shape[1]
+
+
+@pytest.mark.parametrize("kind", ["full", "diagonal", "symmetric", "toeplitz_sym"])
+def test_number_weights_apply_in_closed_form(kind):
+    # A number weight c is the constant matrix c 11^T: J with numbers
+    # matches J with each number expanded to its block's shape.
+    rng = np.random.default_rng(48)
+    for _ in range(5):
+        n, m, p = (int(v) for v in rng.integers(1, 9, size=3))
+        sol = Solution(*(rng.standard_normal(d) for d in (n, m, p)))
+        psi = tuple(rng.uniform(0.5, 2.0, size=5))
+        shapes = ((n, n), (m, n), (p, m), (m, m), (p, p))
+        full = tuple(np.full(shape, c) for shape, c in zip(shapes, psi))
+        chi = rng.uniform(0.5, 2.0)
+        kinds = (kind,) * 3
+        closed = pc._j_operator(sol, psi, chi, kinds)
+        expanded = pc._j_operator(sol, full, chi, kinds)
+        for u in rng.standard_normal((3, n + m + p)):
+            np.testing.assert_allclose(closed(u), expanded(u), rtol=1e-13, atol=0)
 
 
 def test_pair_kernel_reads_weight_magnitudes():

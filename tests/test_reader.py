@@ -167,6 +167,11 @@ MALFORMED = {
     "truncated": (document()[:40], MALFORMED_EXIT),
     "truncated in a row": (document()[:document().index("[[2.0]]") + 4], MALFORMED_EXIT),
     "byte order mark": ("\ufeff" + document(), MALFORMED_EXIT),
+    "string size": (document(n="1"), MALFORMED_EXIT),
+    "bool size": (document(m=True), MALFORMED_EXIT),
+    "fractional size": (document(p=1.9), MALFORMED_EXIT),
+    "float size": (document(n=1.0), MALFORMED_EXIT),
+    "null size": (document(n=None), MALFORMED_EXIT),
 }
 
 
@@ -233,6 +238,20 @@ def test_non_number_entries_exit_4(capsys, tmp_path, monkeypatch, argv, valid, k
             for code, record in outcomes({**valid, key: value}):
                 assert code == MALFORMED_EXIT and record["type"] == "MalformedProblem"
                 assert record["message"].startswith(key), record["message"]
+
+
+@pytest.mark.parametrize("key, value", [("n1", "2"), ("n1", 2.0), ("n2", True)])
+def test_eils_sizes_must_be_integers(capsys, tmp_path, key, value):
+    """An EILS size that is not a JSON integer exits 4 naming the key; the
+    valid document exits 0."""
+    path = tmp_path / "doc.json"
+    for doc, want in ((EILS_VALID, 0), ({**EILS_VALID, key: value}, MALFORMED_EXIT)):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["eils", "--input", str(path)])
+        out = capsys.readouterr().out
+        assert code == want
+    record = json.loads(out)["error"]
+    assert record["type"] == "MalformedProblem" and record["message"].startswith(key)
 
 
 def test_non_utf8_input_exits_4(capsys, tmp_path):
