@@ -371,13 +371,14 @@ def _analyze_payload(args, triple: StructureTriple | None) -> str:
                 uppers[flavor] = inf_uppers[0 if flavor == "mcn" else 1].value
             if triple is not None:
                 structured_values[flavor] = structured_inf_cn(system, flavor, triple).value
-    # The normwise bound's k x k Gram comes last, once nothing holds the
-    # blocks: it reads only L S^-1, the solution and the selector.
+    # The normwise bound comes last, once nothing holds the blocks: it reads only
+    # L S^-1, the solution and the selector, and forms its Gram in L S^-1 itself.
     dims = {"n": blocks.n, "m": blocks.m, "p": blocks.p, "l": blocks.l, "k": sel.k}
     if "ncn" in uppers:
         rows, sol = system.rows, system.sol
         del system, blocks, data
-        uppers["ncn"] = _ncn_upper(rows, sol, sel, psi, chi).value
+        rows.flags.writeable = True
+        uppers["ncn"] = _ncn_upper(rows, sol, sel, psi, chi, overwrite=True).value
 
     for flavor in flavors:
         if flavor in uppers:

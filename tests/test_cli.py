@@ -283,9 +283,9 @@ def test_normwise_bound_runs_after_the_blocks_are_released(capsys, tmp_path, mon
         made.extend(weakref.ref(a) for a in (parsed, parsed.A, parsed.B, parsed.C, parsed.D, parsed.E))
         return parsed
 
-    def checked(*args):
+    def checked(*args, **kwargs):
         seen.append([ref() for ref in made if ref() is not None])
-        return partial_cn._ncn_upper(*args)
+        return partial_cn._ncn_upper(*args, **kwargs)
 
     monkeypatch.setattr(cli, "problem_from_dict", recorded)
     monkeypatch.setattr(cli, "_ncn_upper", checked)

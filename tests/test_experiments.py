@@ -319,15 +319,38 @@ def test_no_factorization_lives_while_numbers_run(monkeypatch, family, s, lus):
 
 def test_example1_task_memory_budget():
     # The q = 16 four-selector task (l = 1024): its S is factored in band
-    # storage, and the full row's l x l Gram lies beside L S^-1's l x l
-    # buffer only, the blocks released. Measured 2.08 l^2 traced, against
-    # 2.64 l^2 with a dense LU and the bounds beside the blocks. A warm-up
-    # task keeps first-use imports out of the trace.
+    # storage, and the bounds run once the blocks are released, the full
+    # row's last, with its Gram in L S^-1's l x l buffer itself; the x, y
+    # and z rows, which the full one reads after them, form theirs in a
+    # copy of their rows (at most l^2 / 2). The peak is now the max-norm
+    # numbers beside the blocks and the buffer: 1.94 l^2 traced, against
+    # 2.08 l^2 with the full row's l x l Gram beside the buffer and 2.64
+    # l^2 with a dense LU and the bounds beside the blocks. A warm-up task
+    # keeps first-use imports out of the trace.
     rows = tuple(enumerate(DEFAULT_SELECTORS))
     experiments._system_rows("example1", 2, rows, 8, 3, False)
     l = 1024
     peak = traced_peak(experiments._system_rows, "example1", 16, rows, 8, 3, False)
-    assert peak <= 2.25 * l * l * 8
+    assert peak <= 2.0 * l * l * 8
+
+
+def test_bounds_hand_over_rows_no_later_bound_reads(monkeypatch):
+    # The task's bounds run narrowest range first: x, y and z keep their
+    # rows, which the full row's bound reads after them, and the full row
+    # hands its rows over; the rows come back in the selectors' order.
+    calls = []
+
+    def recorded(rows, sol, sel, psi, chi, overwrite=False):
+        calls.append((sel.kind, overwrite, rows.flags.writeable))
+        return partial_cn._ncn_upper(rows, sol, sel, psi, chi, overwrite)
+
+    members = tuple(enumerate(DEFAULT_SELECTORS))
+    want = experiments._system_rows("example1", 3, members, 8, 5, False)
+    monkeypatch.setattr(experiments, "_ncn_upper", recorded)
+    assert experiments._system_rows("example1", 3, members, 8, 5, False) == want
+    assert [row.selector for row in want] == list(DEFAULT_SELECTORS)
+    assert sorted(calls[:3]) == [("x", False, False), ("y", False, False), ("z", False, False)]
+    assert calls[3] == ("full", True, True)
 
 
 def test_apply_perturbation_adds_each_delta():

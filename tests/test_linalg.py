@@ -20,7 +20,7 @@ from dsppcond.errors import DimensionMismatch, SingularMatrix, UncertifiedBound
 from dsppcond import experiments
 from dsppcond.experiments import gen_example1
 from dsppcond.linalg import LuSolver, as_matrix, as_vector, ddagger, top_eig
-from dsppcond.partial_cn import SolvedSystem
+from dsppcond.partial_cn import SolvedSystem, ncn_upper
 
 
 def test_unvec_inverts_vec():
@@ -166,10 +166,12 @@ def test_norm_upper_continues_the_run_then_raises(monkeypatch):
 
 def test_failed_cholesky_restores_the_gram_bitwise(monkeypatch):
     """Half the first Ritz value fails the first Cholesky, which overwrites
-    the lower triangle and diagonal of the one k x k buffer. The bound must
-    then come out bitwise unpatched, from a second Lanczos run on the
-    restored buffer: only a bitwise-restored Gram gives that run's steps.
-    k = 300 spans three triangle blocks, the last one partial."""
+    the lower triangle and diagonal of the k x k Gram. The bound must then
+    come out bitwise unpatched, from a second Lanczos run on the restored
+    Gram: only a bitwise-restored Gram gives that run's steps. k = 300 spans
+    three triangle blocks and three panels, the last of each partial; the
+    Gram lies in a private copy of M, then in M itself, handed over, with
+    leading dimension 420."""
     m = np.random.default_rng(11).standard_normal((300, 420))
     want = linalg._norm_upper(m)
     real, potrf, calls = linalg._lanczos, linalg._LAPACK["dpotrf"], []
@@ -187,6 +189,9 @@ def test_failed_cholesky_restores_the_gram_bitwise(monkeypatch):
     monkeypatch.setitem(linalg._LAPACK, "dpotrf", counting)
     assert linalg._norm_upper(m) == want
     assert len(calls) == 2
+    handed = m.copy()
+    assert linalg._norm_upper(handed, overwrite=True) == want
+    assert len(calls) == 4 and not np.array_equal(handed, m)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -207,6 +212,31 @@ def test_dsyrk_binding_accumulates_the_gram(order):
     lower, upper = np.tril_indices(k), np.triu_indices(k, 1)
     assert _norm_rel(g[lower], want[lower]) <= 1e-13
     assert np.array_equal(g[upper], start[upper])
+
+
+def test_dgemm_binding_writes_a_block_at_its_leading_dimension():
+    """dgemm("T", "N") with beta = 0 on C-ordered arrays of leading
+    dimension w writes T[:lo] P^T, transposed, over t[lo:lo + h, :lo], as
+    _norm_upper's panels do, and leaves the rest of t alone."""
+    rng = np.random.default_rng(13)
+    k, w, lo = 9, 11, 5
+    t, panel = rng.standard_normal((k, w)), rng.standard_normal((k - lo, w))
+    start = t.copy()
+    linalg._call("dgemm", "T", "N", lo, k - lo, w, 1.0, t, w, panel, w, 0.0, t[lo:], w)
+    assert _norm_rel(t[lo:, :lo], panel @ start[:lo].T) <= 1e-13
+    t[lo:, :lo] = start[lo:, :lo]
+    assert np.array_equal(t, start)
+
+
+def test_ncn_upper_leaves_the_rows_unchanged():
+    """The public bound keeps its input: its Gram lies in a private copy,
+    and a SolvedSystem's L S^-1 stays bitwise the same and read-only."""
+    blocks = gen_example1(4, 3)
+    system = SolvedSystem.of(blocks, selector("full", blocks.n, blocks.m, blocks.p))
+    before = system.rows.tobytes()
+    first = ncn_upper(system, 1.0, 1.0).value
+    assert system.rows.tobytes() == before and not system.rows.flags.writeable
+    assert ncn_upper(system, 1.0, 1.0).value == first
 
 
 @pytest.mark.parametrize("prefix", ["scipy_openblas", "openblas"])

@@ -514,14 +514,28 @@ def test_bc_numerator_memory_budget():
 
 
 def test_ncn_upper_memory_budget():
-    # With L S^-1 formed, the certified bound holds one k x k buffer, one
-    # Gram chunk of at most max(64 k, 2^16) entries and the Lanczos run's
-    # O(steps k) basis; the explicit-Gram route held 3.04 k^2 here.
+    # The public bound keeps L S^-1, so its Gram is formed in a private
+    # k x l copy (k^2 for full), beside one 128-row panel and the Lanczos
+    # run's O(steps k) basis: 1.13 k^2 traced. The explicit-Gram route held
+    # 3.04 k^2 here.
     blocks = gen_example1(16, 3)
     system = SolvedSystem.of(blocks, selector("full", blocks.n, blocks.m, blocks.p))
     k = system.rows.shape[0]
     system.lw
     assert traced_peak(ncn_upper, system, 1.0, 1.0) <= 1.3 * k * k * 8
+
+
+def test_handed_over_ncn_upper_memory_budget():
+    # Handed over, L S^-1 holds the bound's Gram in its own first k
+    # columns: beside it, one 128 x l panel (l^2 / 8 at l = 1024), released
+    # before the Lanczos run's O(steps k) basis grows; 0.126 l^2 traced.
+    blocks = gen_example1(16, 3)
+    system = SolvedSystem.of(blocks, selector("full", blocks.n, blocks.m, blocks.p))
+    rows, sol, sel = system.rows, system.sol, system.sel
+    del system, blocks
+    l = rows.shape[1]
+    rows.flags.writeable = True
+    assert traced_peak(pc._ncn_upper, rows, sol, sel, 1.0, 1.0, True) <= 0.15 * l * l * 8
 
 
 @pytest.mark.parametrize("q", [8, 12])

@@ -287,20 +287,26 @@ def test_certified_norm_end_dominates_dense_oracle(k, extra, rank_frac, repeats,
        small_blocks=st.booleans(), seed=seeds)
 def test_one_buffer_norm_end_matches_explicit_gram(k, extra, wide, order, exponent,
                                                    small_blocks, seed):
-    """The certified end from one k x k buffer dominates the SVD norm and
-    agrees with the explicit-Gram oracle to 1e-15 relative, for k < n and
-    k > n, C and Fortran order and scales 10^+-30. ``small_blocks`` forces
-    64-column Gram chunks (several once n > 64, the last one partial) and
-    5-row triangle blocks."""
+    """The certified end, its Gram formed in T's own storage, dominates the
+    SVD norm, agrees with the explicit-Gram oracle to 1e-15 relative, and
+    is bitwise the same whether M is handed over (worked in place where it
+    is a C-ordered T) or kept (a private copy), for k < n, k = n and k > n,
+    C and Fortran order and scales 10^+-30. ``small_blocks`` forces 7-row
+    panels (several once k > 7, the last one partial unless 7 divides k)
+    and 5-row triangle blocks."""
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((k, k + extra)) * 10.0**exponent
     m = np.array(m if wide else m.T, order=order)
     want = np.linalg.svd(m, compute_uv=False)[0]
+    t = m if m.shape[0] <= m.shape[1] else m.T
+    handed = m.copy(order="K")
     with pytest.MonkeyPatch.context() as patch:
         if small_blocks:
-            patch.setattr(linalg, "_CHUNK_ENTRY_LIMIT", 1)
+            patch.setattr(linalg, "_PANEL_ROWS", 7)
             patch.setattr(linalg, "_TILE", 5)
         end = _norm_upper(m)
+        assert _norm_upper(handed, overwrite=True) == end
+    assert np.array_equal(handed, m) != t.flags.c_contiguous
     assert end >= want
     assert rel_err(end, oracles.norm_upper(m)) <= 1e-15
 
