@@ -45,7 +45,7 @@ from .errors import (
     ZeroMatrix,
     ZeroXi,
 )
-from .linalg import _blas_single_thread
+from .linalg import _blas_single_thread, _norm_upper
 from .partial_cn import DOMINANCE_RTOL, PerturbationWeights, SolvedSystem, _ncn_upper, inf_cn, inf_cn_upper, ncn
 from .structured import StructureTriple, structured_inf_cn, structured_ncn
 
@@ -378,7 +378,7 @@ def _analyze_payload(args, triple: StructureTriple | None) -> str:
         rows, sol = system.rows, system.sol
         del system, blocks, data
         rows.flags.writeable = True
-        uppers["ncn"] = _ncn_upper(rows, sol, sel, psi, chi, overwrite=True).value
+        uppers["ncn"] = _ncn_upper(_norm_upper(rows, overwrite=True)[0], sol, sel, psi, chi).value
 
     for flavor in flavors:
         if flavor in uppers:

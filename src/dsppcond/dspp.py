@@ -47,26 +47,15 @@ class DsppBlocks:
     b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A", as_matrix(self.A, "A"))
-        object.__setattr__(self, "B", as_matrix(self.B, "B"))
-        object.__setattr__(self, "C", as_matrix(self.C, "C"))
-        object.__setattr__(self, "D", as_matrix(self.D, "D"))
-        object.__setattr__(self, "E", as_matrix(self.E, "E"))
-        object.__setattr__(self, "b", as_vector(self.b, "b"))
+        for name in "ABCDEb":
+            coerce = as_vector if name == "b" else as_matrix
+            object.__setattr__(self, name, coerce(getattr(self, name), name))
         n, m, p = self.A.shape[0], self.B.shape[0], self.C.shape[0]
         if min(n, m, p) < 1:
             raise DimensionMismatch("all three parts must be nonempty")
-        checks = {
-            "A": (self.A.shape, (n, n)),
-            "B": (self.B.shape, (m, n)),
-            "C": (self.C.shape, (p, m)),
-            "D": (self.D.shape, (m, m)),
-            "E": (self.E.shape, (p, p)),
-            "b": (self.b.shape, (n + m + p,)),
-        }
-        for name, (got, want) in checks.items():
-            if got != want:
-                raise DimensionMismatch(f"block {name} has shape {got}, expected {want}")
+        for name, want in zip("ABCDEb", ((n, n), (m, n), (p, m), (m, m), (p, p), (n + m + p,))):
+            if getattr(self, name).shape != want:
+                raise DimensionMismatch(f"block {name} has shape {getattr(self, name).shape}, expected {want}")
 
     @property
     def n(self) -> int:
@@ -363,17 +352,7 @@ def problem_from_dict(doc) -> DsppBlocks:
 
 def problem_to_dict(blocks: DsppBlocks) -> dict:
     """Serialize blocks to the JSON problem document (full fidelity floats)."""
-    return {
-        "n": blocks.n,
-        "m": blocks.m,
-        "p": blocks.p,
-        "A": blocks.A.tolist(),
-        "B": blocks.B.tolist(),
-        "C": blocks.C.tolist(),
-        "D": blocks.D.tolist(),
-        "E": blocks.E.tolist(),
-        "b": blocks.b.tolist(),
-    }
+    return {"n": blocks.n, "m": blocks.m, "p": blocks.p, **{k: getattr(blocks, k).tolist() for k in "ABCDEb"}}
 
 
 def _system_sumsq(mats) -> float:

@@ -64,10 +64,8 @@ class EilsProblem:
     d: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "M", as_matrix(self.M, "M"))
-        object.__setattr__(self, "C", as_matrix(self.C, "C"))
-        object.__setattr__(self, "b", as_vector(self.b, "b"))
-        object.__setattr__(self, "d", as_vector(self.d, "d"))
+        for name, coerce in (("M", as_matrix), ("C", as_matrix), ("b", as_vector), ("d", as_vector)):
+            object.__setattr__(self, name, coerce(getattr(self, name), name))
         n, m = self.M.shape
         p = self.C.shape[0]
         if self.n1 < 0 or self.n2 < 0 or self.n1 + self.n2 != n:

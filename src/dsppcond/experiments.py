@@ -26,22 +26,23 @@ each part x, y, z of S^{-1} solved at most once; a row's L S^{-1} is a
 read-only view of those rows. example1's A..E depend on q alone, so the
 selectors of one q share a task; example2 draws D and E per row, so each of
 its rows is a task. A system whose l^3 exceeds about one worker's share of
-the experiment's sum of l^3 is split into several tasks, and tasks run
-largest system first. A task holds S's LU only while something solves with
-it: it measures every row of a system (solve, perturb, refine, errors),
-forms their L S^{-1}, releases the factors, and only then computes the
-numbers, which read L S^{-1}, the solution and the blocks alone. The 2-norm
-bounds come last, with the blocks released; each forms its Gram in its own
-rows of L S^{-1}, or in a copy of them where a later bound reads them.
+the experiment's sum of l^3 is split into several tasks, unless it has a
+full row, and tasks run largest system first. A task holds S's LU only
+while something solves with it: it measures every row of a system (solve,
+perturb, refine, errors), forms their L S^{-1}, releases the factors, and
+only then computes the numbers, which read L S^{-1}, the solution and the
+blocks alone. The 2-norm bounds come last, with the blocks released, on one
+Gram per maximal range of the task's rows, formed in those rows of
+L S^{-1}.
 
 Parallelism: every row runs with numpy's OpenBLAS, which does all the
 package's BLAS and LAPACK work, on one thread, and each part of S^{-1} is
 always solved by the same call, so a report is bitwise the same whatever
 the core count, OPENBLAS_NUM_THREADS or task split, and any subset of rows
-reproduces in isolation. run_experiment computes the tasks of a large
-enough experiment in a pool of forked worker processes, one per usable CPU
-up to one per row and no more than free memory holds; the others run in the
-calling process, with the same results.
+reproduces in isolation (see run_experiment for K2U). run_experiment
+computes the tasks of a large enough experiment in a pool of forked worker
+processes, one per usable CPU up to one per row and no more than free
+memory holds; the others run in the calling process, with the same results.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .dspp import (
     factorize, norm_fro_system, selector, solve_dspp,
 )
 from .errors import IncompatibleZeroPattern, SingularMatrix, ZeroXi
-from .linalg import _CHUNK_ENTRY_LIMIT, BandLuSolver, LuSolver, _blas_single_thread, ddagger
+from .linalg import _CHUNK_ENTRY_LIMIT, BandLuSolver, LuSolver, _blas_single_thread, _norm_upper, ddagger
 from .partial_cn import Factors, PerturbationWeights, SolvedSystem, _ncn_upper, inf_cn, inf_cn_upper, ncn
 from .structured import StructureTriple, structured_inf_cn, structured_ncn
 
@@ -160,15 +161,9 @@ def gen_example2(q: int, seed) -> tuple[DsppBlocks, StructureTriple]:
     nmat = np.vstack([np.kron(nhat, eye_q), np.kron(eye_q, nhat)])
     bmat = np.hstack([nmat, -np.eye(2 * qt), np.eye(2 * qt)])
 
-    mhat = np.zeros((q + 1, q))
-    for i in range(1, q + 1):
-        for jj in range(1, q + 1):
-            if i == jj:
-                mhat[i - 1, jj - 1] = i * q + 1.0
-            else:
-                off = abs(i - jj)
-                mhat[i - 1, jj - 1] = ((-1.0) ** off) * (q - off) / q
-    mhat[q, q - 1] = 1.0
+    off = np.abs(np.subtract.outer(np.arange(q), np.arange(q)))
+    mhat = np.vstack([(-1.0) ** off * (q - off) / q, np.eye(1, q, q - 1)])
+    np.fill_diagonal(mhat, q * np.arange(1, q + 1) + 1.0)
     cmat = np.hstack([np.kron(mhat, eye_q), np.kron(eye_q, mhat)])
 
     n, m, p = 5 * qt + q, 2 * qt, qt + q
@@ -459,10 +454,10 @@ def _system_rows(family, q, rows, s, seed, structured) -> list[ExperimentRow]:
     3. release the factors, then compute every row's numbers but the
        2-norm bound (:func:`_predict`), which read L S^{-1}, the solution
        and the blocks;
-    4. release the blocks, then compute every row's 2-norm bound, narrowest
-       range first (full after x, y and z, whose rows it covers): each forms
-       its k x k Gram in its own rows of L S^{-1} where no later bound reads
-       them, and otherwise in a private copy of them.
+    4. release the blocks, then certify every row's 2-norm bound on the
+       Gram of its maximal range, the widest of the task that holds it: one
+       Gram per such range, formed in its own rows of L S^{-1}, and each
+       row's end read off its diagonal block.
 
     The values do not depend on the phases; only the peak memory does.
     """
@@ -482,14 +477,19 @@ def _system_rows(family, q, rows, s, seed, structured) -> list[ExperimentRow]:
         for system, m in systems
     ]
     del systems
-    order = sorted(range(len(predicted)), key=lambda i: predicted[i][3].shape[0])
-    bounds = {}
-    for at, i in enumerate(order):
-        _, psi, chi, rows, sol, sel = predicted[i]
-        last = not any(np.may_share_memory(rows, predicted[j][3]) for j in order[at + 1 :])
-        if last:
-            rows.flags.writeable = True
-        bounds[i] = _ncn_upper(rows, sol, sel, psi, chi, last).value
+    # Ranges nest or are disjoint: each row's bound is certified on the Gram of its
+    # maximal range, formed in the rows of L S^-1 of its cover, the row spanning it.
+    sels, bounds = [sel for *_, sel in predicted], {}
+    covers = [max((j for j, c in enumerate(sels) if c.lo <= s.lo and s.hi <= c.hi), key=lambda j: sels[j].k)
+              for s in sels]
+    for j in dict.fromkeys(covers):
+        members = [i for i, cover in enumerate(covers) if cover == j]
+        rows, lo = predicted[j][3], sels[j].lo
+        rows.flags.writeable = True
+        ends = _norm_upper(rows, [(sels[i].lo - lo, sels[i].hi - lo) for i in members], overwrite=True)
+        for i, end in zip(members, ends):
+            _, psi, chi, _, sol, sel = predicted[i]
+            bounds[i] = _ncn_upper(end, sol, sel, psi, chi).value
     return [ExperimentRow(k2_upper=f["eps1"] * bounds[i], **f) for i, (f, *_) in enumerate(predicted)]
 
 
@@ -507,7 +507,7 @@ _POOL_MIN_WORK = 1 << 20
 # s = 8, with S's LU dense. A task holds at most two l x l arrays: beside
 # its blocks, S's dense LU (none for a band one) and the buffer of S^{-1}
 # rows while the rows are formed; then, with the LU and blocks released,
-# the buffer and a bound's copy of rows that a later bound reads.
+# the buffer, in which the bounds' Grams are formed.
 _TASK_PEAK_BYTES_PER_L2 = 12 * 8
 
 
@@ -588,11 +588,13 @@ def run_experiment(
     system; example2 draws D and E per row, so each of its rows has its own.
     With W the worker count of ``_pool_workers``, each system's rows are
     split into ``_task_counts`` tasks (one, unless the system carries more
-    than about a worker's share of sum l^3), and the tasks run largest
-    system first. Every row runs with numpy's OpenBLAS, the package's one
-    BLAS and LAPACK, on one thread, and each part of S^{-1} is solved by the
-    same call whatever else shares its task, so a row is bitwise the same
-    alone, in any experiment, under any split and on any worker count.
+    than about a worker's share of sum l^3 and has no full row, whose Gram
+    certifies all its 2-norm bounds), and the tasks run largest system
+    first. Every row runs with numpy's OpenBLAS, the package's one BLAS and
+    LAPACK, on one thread, and each part of S^{-1} is solved by the same
+    call whatever else shares its task, so a row is bitwise the same under
+    any split and worker count, and alone but for the last bit of K2U where
+    an x, y or z row's Gram is a block of a full row's, summed otherwise.
 
     With W > 1 the tasks run in a pool of min(W, tasks) workers, forked
     where the platform can fork; otherwise they run here, one after
@@ -613,6 +615,8 @@ def run_experiment(
     for l, members, t in zip(
         sizes, systems.values(), _task_counts(sizes, [len(m) for m in systems.values()], workers)
     ):
+        # A full row's Gram certifies its system's 2-norm bounds (_system_rows).
+        t = 1 if any(rows[pos][2] == "full" for pos in members) else t
         cuts = [len(members) * i // t for i in range(t + 1)]
         tasks += [(l, members[a:b]) for a, b in zip(cuts, cuts[1:])]
     tasks.sort(key=lambda task: -task[0])

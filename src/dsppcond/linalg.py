@@ -309,22 +309,23 @@ def _triangles(g):
         yield g[lo:hi, :lo], g[:lo, lo:hi], g[lo:hi, lo:hi], below[: hi - lo, : hi - lo]
 
 
-def _norm_upper(m, overwrite: bool = False) -> float:
-    """A certified upper end for ||M||_2, for the bounds.
+def _norm_upper(m, ranges=None, overwrite: bool = False) -> list[float]:
+    """Certified upper ends for the 2-norms of row ranges of M, for the bounds.
 
     M (or M^T, whichever has the smaller Gram) is scaled by a power of two,
-    exactly, to T with max |t_ij| in [1/2, 1); T is k x n with k <= n. The
-    Gram Gh = fl(T T^T) runs :func:`_lanczos`, and for each Ritz value theta
-    it yields, tau = theta + 2 (k + 2) eps ||Gh||_inf is accepted once the
-    Cholesky factorization of Ah = fl(tau I - Gh) succeeds. The shift only
-    lets that test pass: converged to the top, the Ritz value is at most
-    k eps theta below lam_max(Gh), and the rest leaves Ah room above the
-    factorization's rounding. With R the computed Cholesky factor and
-    rho = || |R|^T |R| 1 ||_inf, the end returned is
-    2^e sqrt(tau + (k + 2) eps rho + (n + 1) eps tr(Gh)), rounded up, and
-    dominates ||M||_2 = 2^e lam_max(T T^T)^{1/2}. With u = eps / 2 and
-    gamma_j = j u / (1 - j u) (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 3 and 10):
+    exactly, to T with max |t_ij| in [1/2, 1); T is k x n with k <= n. Each
+    range lo:hi of T's rows in ``ranges`` (default 0:k), now with k rows,
+    runs :func:`_lanczos` on its diagonal block Gh of fl(T T^T); for each
+    Ritz value theta it yields, tau = theta + 2 (k + 2) eps ||Gh||_inf +
+    delta is accepted once the Cholesky factorization of Ah = fl(tau I - Gh)
+    succeeds. The shift only lets that test pass: converged to the top, the
+    Ritz value is at most k eps theta below lam_max(Gh), and the rest leaves
+    Ah room above the factorization's rounding. With R the computed Cholesky
+    factor and rho = || |R|^T |R| 1 ||_inf, the end returned is
+    2^e sqrt(tau + (k + 2) eps rho + (n + 1) eps tr(Gh) + delta), rounded
+    up, and dominates the range's 2^e lam_max(G)^{1/2}, G its T T^T. With
+    u = eps / 2 and gamma_j = j u / (1 - j u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3 and 10):
 
     * forming Gh: each entry is one sum of n products, by BLAS dgemm below
       the diagonal blocks and dsyrk in them (below), each in an order of
@@ -343,35 +344,40 @@ def _norm_upper(m, overwrite: bool = False) -> float:
 
     Summed, lam_max(G) <= tau + 1.01 ((k + 2) u rho + n u tr(Gh)) for any
     k, n below 10^13; the two eps terms above are twice that, which also
-    covers the rounding of rho and the trace. Underflow in Gh is
-    negligible, since tr(Gh) >= 1/4. If no Ritz value of the run passes,
-    raises :class:`UncertifiedBound`. Returns 0 for a zero matrix.
+    covers the rounding of rho and the trace. Underflow costs a product, a
+    quotient or the scaling at most 2^-1075 and a sum nothing (Higham,
+    ch. 2): through the scaling and the products of Gh and of the
+    factorization (|r_ij| <= k + n), less than delta = 4 k (k + n)
+    2^-1074 in all. A range whose top entry lies 2^-d below T's has
+    tr(Gh) >= 4^-d / 4, so delta moves no end while d <= 400. If no Ritz
+    value of a range's run passes, raises :class:`UncertifiedBound`. A zero
+    M has ends 0.
 
-    Memory: Gh is formed in T's own storage, beside one panel of
+    Memory: the Gram is formed in T's own storage, beside one panel of
     ``_PANEL_ROWS`` x n, the Lanczos run's O(steps k) basis and O(k)
     vectors. T is scaled in place and taken by block rows from the last to
     the first: each is copied into the panel, and dgemm against the rows
-    above it (still T's) and dsyrk write its part of Gh's lower triangle
-    into the first k columns of its own rows. dlange, dpotrf and the
-    diagonal take that k x k view with leading dimension n. Its lower
+    above it (still T's) and dsyrk write its part of the Gram's lower
+    triangle into the first k columns of its own rows. dlange, dpotrf and
+    the diagonal take a range's block with leading dimension n. The lower
     triangle is mirrored into the upper one for the Lanczos products, and
-    Gh's diagonal is kept in a k-vector. Ah is formed in the lower
-    triangle, its strict part negated and its diagonal tau - gh_ii from the
-    saved vector, and dpotrf factors it there in place. Neither step
-    touches the upper triangle, so after a failed factorization copying it
-    back, and the diagonal from the vector, restores bitwise the Gh that
-    the Lanczos run continues on. With ``overwrite`` the caller hands M
-    over, and a writeable C-ordered M with k <= n is T's storage; otherwise
-    T is a private copy, with bitwise the same end.
+    the diagonal is kept in a k-vector. Ah is formed in the lower triangle,
+    its strict part negated and its diagonal tau - gh_ii from the saved
+    vector, dpotrf factors it there in place, and rho reads it, made
+    nonnegative. None of this touches the upper triangle, so after every
+    test copying it back, and the diagonal from the vector, restores
+    bitwise the Gram that the next test reads. With ``overwrite`` the caller
+    hands M over, and a writeable C-ordered M with k <= n is T's storage;
+    otherwise T is a private copy, with bitwise the same ends.
     """
     m = as_matrix(m)
     t = m if m.shape[0] <= m.shape[1] else m.T
+    k, n = t.shape
+    ranges = [(0, k)] if ranges is None else ranges
     big = max(float(t.max(initial=0.0)), -float(t.min(initial=0.0)))
     if big == 0.0:
-        return 0.0
+        return [0.0] * len(ranges)
     e = int(np.frexp(big)[1])
-    k, n = t.shape
-    eps = np.finfo(float).eps
     own = overwrite and t.flags.c_contiguous and t.flags.writeable
     t = np.ldexp(t, -e, out=t if own else np.empty((k, n)))
     panel = np.empty((min(k, _PANEL_ROWS), n))
@@ -386,13 +392,19 @@ def _norm_upper(m, overwrite: bool = False) -> float:
             _call("dgemm", "T", "N", lo, hi - lo, n, 1.0, t, n, rows, n, 0.0, t[lo:], n)
         _call("dsyrk", "U", "T", hi - lo, n, 1.0, rows, n, 0.0, t[lo:, lo:], n)
     del panel, rows
-    g = t[:, :k]
-    for lower, upper, block, below in _triangles(g):
+    for lower, upper, block, below in _triangles(t[:, :k]):
         upper[...] = lower.T
         np.copyto(block, block.T, where=below.T)
-    diagonal = t.reshape(-1)[:: n + 1]
-    gh_diagonal = diagonal.copy()
-    shift = 2 * (k + 2) * eps * _call("dlange", "1", k, k, t, n, np.empty(k))  # ||g^T||_1
+    gh_diagonal = t.reshape(-1)[:: n + 1].copy()
+    return [_range_end(t, lo, hi, gh_diagonal[lo:hi], e) for lo, hi in ranges]
+
+
+def _range_end(t, lo: int, hi: int, gh_diagonal, e: int) -> float:
+    """:func:`_norm_upper`'s end for rows lo:hi of T, on their diagonal block of the Gram in t."""
+    k, n = hi - lo, t.shape[1]
+    g, diagonal = t[lo:hi, lo:hi], t[lo:hi].reshape(-1)[lo :: n + 1]
+    eps, delta = np.finfo(float).eps, k * (k + n) * 2.0**-1072
+    shift = 2 * (k + 2) * eps * _call("dlange", "1", k, k, g, n, np.empty(k)) + delta  # ||g^T||_1
     rounding = (n + 1) * eps * float(gh_diagonal.sum())
     for theta, _ in _lanczos(g.__matmul__, k):
         tau = theta + shift
@@ -403,21 +415,27 @@ def _norm_upper(m, overwrite: bool = False) -> float:
         # dpotrf factors the upper triangle of the Fortran matrix g^T in
         # place into R; its strict lower one, g's strict upper, holds Gh.
         info = np.zeros(1, _INT)
-        _call("dpotrf", "U", k, t, n, info)
-        if _info("dpotrf", info) == 0:
-            for _, upper, block, below in _triangles(g):
-                upper[...] = 0.0
-                block[below.T] = 0.0
-            r = g.T
-            np.abs(r, out=r)
-            rho = float((r.sum(axis=1) @ r).max())
-            end = np.nextafter(tau + (k + 2) * eps * rho + rounding, np.inf)
-            return float(np.ldexp(np.nextafter(np.sqrt(end), np.inf), e))
+        _call("dpotrf", "U", k, g, n, info)
+        rho = None if _info("dpotrf", info) else _abs_rho(g)
         for lower, upper, block, below in _triangles(g):
             lower[...] = upper.T
             np.copyto(block, block.T, where=below)
         diagonal[...] = gh_diagonal
+        if rho is not None:
+            end = np.nextafter(tau + (k + 2) * eps * rho + rounding + delta, np.inf)
+            return float(np.ldexp(np.nextafter(np.sqrt(end), np.inf), e))
     raise UncertifiedBound(f"no Ritz value of the {k} x {k} Gram passed the Cholesky test")
+
+
+def _abs_rho(g) -> float:
+    """|| |R|^T |R| 1 ||_inf for R^T in g's lower triangle, which is made
+    nonnegative tile by tile: |R| 1 sums its columns, |R|^T |R| 1 its rows."""
+    col, tiles = np.zeros(len(g)), [(lower.shape[1], lower, block) for lower, _, block, _ in _triangles(g)]
+    for j, lower, block in tiles:
+        col[:j] += np.abs(lower, out=lower).sum(axis=0)
+        col[j : j + len(block)] += np.abs(np.tril(block)).sum(axis=0)
+    return max(float((lower @ col[:j] + np.abs(np.tril(block)) @ col[j : j + len(block)]).max())
+               for j, lower, block in tiles)
 
 
 def _norm_inf(m) -> float:

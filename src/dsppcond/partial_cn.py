@@ -484,7 +484,7 @@ def _scalar_j_norm(sol: Solution, psi: float) -> float:
     matrix below, so ||J||_2 = psi^2 ||F||_2^2."""
     a, b, d = (float(np.linalg.norm(v)) for v in (sol.x, sol.y, sol.z))
     f = np.array([[a, b, 0.0], [b, 0.0, 0.0], [0.0, a, 0.0], [0.0, d, b], [0.0, 0.0, d]])
-    return (psi * _norm_upper(f)) ** 2
+    return (psi * _norm_upper(f)[0]) ** 2
 
 
 def _gram_top(system: SolvedSystem, weights: PerturbationWeights, xivec, kinds=_UNSTRUCTURED):
@@ -539,16 +539,16 @@ def ncn_upper(system: SolvedSystem, psi: float, chi: float) -> CnValue:
     ||L S^{-1}||_2 (||J_psi||_2^{1/2} + chi) / ||L w||_2 (see :func:`_scalar_j_norm`),
     both norms from the Cholesky-certified top end of their explicit Grams
     (:func:`~dsppcond.linalg._norm_upper`), never below the exact norms."""
-    return _ncn_upper(system.rows, system.sol, system.sel, psi, chi)
+    return _ncn_upper(_norm_upper(system.rows)[0], system.sol, system.sel, psi, chi)
 
 
-def _ncn_upper(rows, sol: Solution, sel: Selector, psi: float, chi: float, overwrite=False) -> CnValue:
-    """:func:`ncn_upper` from L S^{-1}, the solution and the selector alone,
-    so a caller can run it once the data blocks are released; ``overwrite``
-    hands ``rows`` over to :func:`~dsppcond.linalg._norm_upper`."""
+def _ncn_upper(norm: float, sol: Solution, sel: Selector, psi: float, chi: float) -> CnValue:
+    """:func:`ncn_upper` from ``norm``, a certified end for ||L S^{-1}||_2,
+    the solution and the selector alone, so a caller can certify several
+    selectors' norms on one Gram, once the data blocks are released."""
     xi_l = XiChoice(kind="ncn").resolve(sel.take(sol.w))[0]
     j_top = np.sqrt(_scalar_j_norm(sol, _positive(psi)))
-    return CnValue(_norm_upper(rows, overwrite) * (j_top + _positive(chi)) / xi_l, "ncn_upper")
+    return CnValue(norm * (j_top + _positive(chi)) / xi_l, "ncn_upper")
 
 
 def _data_inf_value(system: SolvedSystem, xi: XiChoice, kinds) -> float:

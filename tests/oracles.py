@@ -17,8 +17,9 @@ stream per block, which the chunked draws are checked against.
 The definition-level evaluators live here as well: the first-order response
 :func:`first_order_delta`, the defining quotient :func:`definition_ratio` of
 one perturbation direction, the worst-case direction
-:func:`extremal_direction` that attains the 2-norm number, and
-:func:`first_order_residual`, the first-order prediction against the
+:func:`extremal_direction` that attains the 2-norm number, the vertex
+direction :func:`attaining_inf_direction` that attains the max-norm ones,
+and :func:`first_order_residual`, the first-order prediction against the
 experiments' measured solution change. So does :func:`structure_basis`, the
 0/1 basis Phi of a structure kind as an index map, with generator
 extraction; the library reads membership and generator terms off each matrix
@@ -163,6 +164,28 @@ def extremal_direction(system: SolvedSystem, weights: PerturbationWeights, xi):
         -np.square(chi) * t,
     )
     return deltas, sigma
+
+
+def attaining_inf_direction(system: SolvedSystem, weights: PerturbationWeights, xi):
+    """A max-norm perturbation direction that attains the mixed or
+    componentwise number: block deltas (dA, dB, dC, dD, dE, db).
+
+    L dw = c [vec(dH); db] with c = L S^{-1} [-G, I] (``build_g``), so each
+    entry of xi^ddag . (L dw) is at most |xi_i^ddag| |c_i| |vec W| on the box
+    |[vec(dH); db]| <= |vec W|, the weighted numerator. Row i* takes its
+    maximum, and d = sign(c_i*) . |vec W| reaches it with the
+    denominator at 1: a number over a box is attained at a vertex
+    (Gohberg and Koltracht, SIAM J. Matrix Anal. Appl. 14, 1993). Its
+    :func:`definition_ratio` is then the number itself.
+    """
+    blocks, sol, rows = system.blocks, system.sol, system.rows
+    c = np.hstack([-(rows @ build_g(sol)), rows])
+    w = np.abs(np.concatenate([vec_psi(weights, blocks), chi_vec(weights, blocks)]))
+    top = np.argmax(np.abs(ddagger(_as_xi(xi).resolve(system.lw))) * (np.abs(c) @ w))
+    d = np.sign(c[top]) * w
+    mats = (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E)
+    cuts = np.cumsum([0] + [mat.size for mat in mats])
+    return (*(unvec(d[a:b], *mat.shape) for a, b, mat in zip(cuts, cuts[1:], mats)), d[cuts[-1] :])
 
 
 @dataclass(frozen=True)

@@ -285,10 +285,10 @@ def test_normwise_bound_runs_after_the_blocks_are_released(capsys, tmp_path, mon
 
     def checked(*args, **kwargs):
         seen.append([ref() for ref in made if ref() is not None])
-        return partial_cn._ncn_upper(*args, **kwargs)
+        return linalg._norm_upper(*args, **kwargs)
 
     monkeypatch.setattr(cli, "problem_from_dict", recorded)
-    monkeypatch.setattr(cli, "_ncn_upper", checked)
+    monkeypatch.setattr(cli, "_norm_upper", checked)
     assert run(capsys, argv) == want and want[0] == 0
     assert len(made) == 6 and seen == [[]]
 

@@ -299,34 +299,34 @@ def test_no_factorization_lives_while_numbers_run(monkeypatch, family, s, lus):
                                                       blocks.E, blocks.b))
         return blocks, triple
 
-    def checked(*args):
+    def checked(*args, **kwargs):
         seen.append(([ref() for ref in made if ref() is not None],
                      [ref() for ref in blocks_made if ref() is not None]))
-        return partial_cn._ncn_upper(*args)
+        return linalg._norm_upper(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "_family_system", recorded_blocks)
-    monkeypatch.setattr(experiments, "_ncn_upper", checked)
-    # example1's four rows share one system; example2's are a system each.
+    monkeypatch.setattr(experiments, "_norm_upper", checked)
+    # example1's four rows share one system and its full row's Gram;
+    # example2's are a system and a Gram each.
     members = tuple(enumerate(DEFAULT_SELECTORS))
     systems = [members] if family == "example1" else [(row,) for row in members]
     rows = [row for system in systems for row in experiments._system_rows(family, 3, system, s, 5, False)]
-    assert len(rows) == len(seen) == 4 and len(made) == lus
+    assert len(rows) == 4 and len(seen) == len(systems) and len(made) == lus
     assert len(blocks_made) == 7 * 4
-    assert seen == [([], [])] * 4
+    assert seen == [([], [])] * len(systems)
     backend = linalg.BandLuSolver if family == "example1" else linalg.LuSolver
     assert type(dspp.factorize(experiments._family_system(family, 3, 0, None)[0])) is backend
 
 
 def test_example1_task_memory_budget():
     # The q = 16 four-selector task (l = 1024): its S is factored in band
-    # storage, and the bounds run once the blocks are released, the full
-    # row's last, with its Gram in L S^-1's l x l buffer itself; the x, y
-    # and z rows, which the full one reads after them, form theirs in a
-    # copy of their rows (at most l^2 / 2). The peak is now the max-norm
-    # numbers beside the blocks and the buffer: 1.94 l^2 traced, against
-    # 2.08 l^2 with the full row's l x l Gram beside the buffer and 2.64
-    # l^2 with a dense LU and the bounds beside the blocks. A warm-up task
-    # keeps first-use imports out of the trace.
+    # storage, and the bounds run once the blocks are released, on one Gram
+    # formed in L S^-1's l x l buffer itself, the full row's, whose diagonal
+    # blocks certify the x, y and z rows. The peak is the max-norm numbers
+    # beside the blocks and the buffer: 1.94 l^2 traced, against 2.08 l^2
+    # with the full row's l x l Gram beside the buffer and 2.64 l^2 with a
+    # dense LU and the bounds beside the blocks. A warm-up task keeps
+    # first-use imports out of the trace.
     rows = tuple(enumerate(DEFAULT_SELECTORS))
     experiments._system_rows("example1", 2, rows, 8, 3, False)
     l = 1024
@@ -334,23 +334,74 @@ def test_example1_task_memory_budget():
     assert peak <= 2.0 * l * l * 8
 
 
-def test_bounds_hand_over_rows_no_later_bound_reads(monkeypatch):
-    # The task's bounds run narrowest range first: x, y and z keep their
-    # rows, which the full row's bound reads after them, and the full row
-    # hands its rows over; the rows come back in the selectors' order.
-    calls = []
+def test_example1_bounds_memory_budget(monkeypatch):
+    # From the Gram on, the q = 16 four-selector task holds L S^-1's buffer,
+    # the Gram formed in it, beside one 128-row panel (l^2 / 8), then the
+    # Lanczos run of one range at a time: 1.13 l^2 traced, against 1.63 l^2
+    # when each row formed its own Gram and x, y and z copied their rows.
+    rows = tuple(enumerate(DEFAULT_SELECTORS))
+    experiments._system_rows("example1", 2, rows, 8, 3, False)
 
-    def recorded(rows, sol, sel, psi, chi, overwrite=False):
-        calls.append((sel.kind, overwrite, rows.flags.writeable))
-        return partial_cn._ncn_upper(rows, sol, sel, psi, chi, overwrite)
+    def reset(*args, **kwargs):
+        tracemalloc.reset_peak()
+        return linalg._norm_upper(*args, **kwargs)
 
-    members = tuple(enumerate(DEFAULT_SELECTORS))
+    monkeypatch.setattr(experiments, "_norm_upper", reset)
+    l = 1024
+    peak = traced_peak(experiments._system_rows, "example1", 16, rows, 8, 3, False)
+    assert peak <= 1.2 * l * l * 8
+
+
+@pytest.mark.parametrize("selectors, grams", [
+    (DEFAULT_SELECTORS, [36]), (("y", "z"), [9, 9]), (("x", "z"), [18, 9]), (("z", "full", "y"), [36]),
+])
+def test_one_gram_per_maximal_range(monkeypatch, selectors, grams):
+    # Each row's bound is certified on the Gram of the widest range of its
+    # task that holds it, formed in that range's rows, handed over: at
+    # q = 3 (n = 18, m = p = 9) one Gram of 36 rows when the full row is
+    # there, one per part otherwise. Rows come back in the selectors' order
+    # and equal an unpatched run's.
+    made = []
+
+    def recorded(rows, ranges=None, overwrite=False):
+        made.append((rows.shape[0], overwrite))
+        return linalg._norm_upper(rows, ranges, overwrite)
+
+    members = tuple(enumerate(selectors))
     want = experiments._system_rows("example1", 3, members, 8, 5, False)
-    monkeypatch.setattr(experiments, "_ncn_upper", recorded)
+    monkeypatch.setattr(experiments, "_norm_upper", recorded)
     assert experiments._system_rows("example1", 3, members, 8, 5, False) == want
-    assert [row.selector for row in want] == list(DEFAULT_SELECTORS)
-    assert sorted(calls[:3]) == [("x", False, False), ("y", False, False), ("z", False, False)]
-    assert calls[3] == ("full", True, True)
+    assert [row.selector for row in want] == list(selectors)
+    assert made == [(k, True) for k in grams]
+
+
+@pytest.mark.parametrize("selectors, grams", [
+    (DEFAULT_SELECTORS, [[36], [16]]), (("y", "z"), [[9], [9], [4], [4]]),
+    (("x", "y", "z"), [[18], [9, 9], [8], [4, 4]]),
+])
+def test_a_split_keeps_each_maximal_range_in_one_task(monkeypatch, selectors, grams):
+    # _task_counts asks for two tasks per system (l = 36, then 16). A system
+    # with a full row stays one task, whose one Gram certifies every row, so
+    # no row's bound depends on the worker count; without one, each task
+    # forms one Gram per maximal range it holds. The rows equal the unsplit
+    # run's.
+    want = run_experiment("example1", [2, 3], s=6, seed=5, selectors=selectors)
+    made, system_rows = [], experiments._system_rows
+
+    def task(*args):
+        made.append([])
+        return system_rows(*args)
+
+    def recorded(rows, ranges=None, overwrite=False):
+        made[-1].append(rows.shape[0])
+        return linalg._norm_upper(rows, ranges, overwrite)
+
+    monkeypatch.setattr(experiments, "_pool_workers", lambda sizes: 1)
+    monkeypatch.setattr(experiments, "_task_counts", lambda sizes, rows, workers: [2] * len(sizes))
+    monkeypatch.setattr(experiments, "_system_rows", task)
+    monkeypatch.setattr(experiments, "_norm_upper", recorded)
+    assert run_experiment("example1", [2, 3], s=6, seed=5, selectors=selectors) == want
+    assert made == grams
 
 
 def test_apply_perturbation_adds_each_delta():
@@ -496,7 +547,10 @@ def test_run_experiment_rows_reproduce_in_isolation(rows_path):
 def test_rows_alone_equal_rows_sharing_a_task(rows_path, family, q_list):
     """Selectors are what share a task's work, so each row computed in a
     task of its own (with the seeds of its selector index) equals its row
-    in the four-selector run."""
+    in the four-selector run. There the x, y and z rows' K2U is certified
+    on a block of the full row's Gram, which in general sums in another
+    order than their own Gram (the last bit moves at q = 10 and 14); at
+    these sizes the sums agree."""
     together = run_experiment(family, q_list, s=6, seed=5)
     alone = [
         row

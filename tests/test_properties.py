@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import dsppcond.partial_cn as pc
 import oracles
-from conftest import rel_err
+from conftest import random_dspp, rel_err
 from oracles import structure_basis
 from dsppcond import linalg
 from dsppcond.dspp import DsppBlocks, Solution, factorize, norm_fro_system, selector, solve_dspp
@@ -276,7 +276,7 @@ def test_certified_norm_end_dominates_dense_oracle(k, extra, rank_frac, repeats,
     m = spectrum_instance(np.random.default_rng(seed), k, rank_frac, repeats, k + extra)
     m = m if wide else m.T
     want = np.sqrt(oracles.top_eig(m @ m.T)[0])
-    end = _norm_upper(m)
+    (end,) = _norm_upper(m)
     assert end >= want
     assert rel_err(end, want) <= RTOL
 
@@ -304,11 +304,72 @@ def test_one_buffer_norm_end_matches_explicit_gram(k, extra, wide, order, expone
         if small_blocks:
             patch.setattr(linalg, "_PANEL_ROWS", 7)
             patch.setattr(linalg, "_TILE", 5)
-        end = _norm_upper(m)
-        assert _norm_upper(handed, overwrite=True) == end
+        (end,) = _norm_upper(m)
+        assert _norm_upper(handed, overwrite=True) == [end]
     assert np.array_equal(handed, m) != t.flags.c_contiguous
     assert end >= want
     assert rel_err(end, oracles.norm_upper(m)) <= 1e-15
+
+
+@SETTINGS
+@given(n=st.integers(1, 5), m=st.integers(1, 5), p=st.integers(1, 5), kind=ranges,
+       flavor=st.sampled_from(("mcn", "ccn")), seed=seeds)
+def test_max_norm_numbers_are_attained(n, m, p, kind, flavor, seed):
+    """mcn and ccn are attained, not only dominated: the vertex direction of
+    :func:`oracles.attaining_inf_direction`, built from the materialized G,
+    has a definition ratio equal to the number to 1e-12 relative. A term
+    that overestimates in the library would make the ratio fall short."""
+    blocks = random_dspp(np.random.default_rng(seed), n, m, p)
+    system = SolvedSystem.of(blocks, selector(kind, n, m, p))
+    weights = PerturbationWeights.from_problem(blocks)
+    deltas = oracles.attaining_inf_direction(system, weights, flavor)
+    want = inf_cn(system, flavor).value
+    assert rel_err(oracles.definition_ratio(system, weights, flavor, "inf", deltas), want) <= RTOL
+
+
+@SETTINGS
+@given(parts=st.lists(st.integers(1, 12), min_size=1, max_size=4), extra=st.integers(0, 20),
+       exponents=st.lists(st.sampled_from((-30, 0, 30)), min_size=4, max_size=4),
+       nested=st.tuples(st.integers(0, 3), st.integers(1, 4)), small_panels=st.booleans(), seed=seeds)
+def test_contained_ranges_certify_on_the_cover_gram(parts, extra, exponents, nested, small_panels, seed):
+    """Row ranges of T certified on the cover's Gram: T (k x n, k <= n) is
+    cut into parts scaled 2^+-30 against one another; every part, and a
+    run of them, is certified on its diagonal block of the Gram of all of
+    T, whose own end comes last. The first test, a contained range's, fails
+    (half its first Ritz value). Each range's end agrees with the oracle of
+    its rows alone to 1e-15 relative, and the cover's end is bitwise the
+    one without contained ranges: every test restores the Gram bitwise.
+    ``small_panels`` forces 7-row panels, so the ranges cut across them."""
+    rng = np.random.default_rng(seed)
+    cuts = np.cumsum([0, *parts])
+    k = int(cuts[-1])
+    m = rng.standard_normal((k, k + extra))
+    for lo, hi, exponent in zip(cuts, cuts[1:], exponents):
+        m[lo:hi] *= 2.0**exponent
+    first, last = min(nested[0], len(parts) - 1), min(max(nested), len(parts))
+    ranges = [*zip(cuts, cuts[1:]), (cuts[first], cuts[max(last, first + 1)])]
+    want = [oracles.norm_upper(m[lo:hi]) for lo, hi in ranges]
+    real, potrf, calls, tests = linalg._lanczos, linalg._LAPACK["dpotrf"], [], []
+
+    def half_first(apply, k):
+        calls.append(k)
+        runs = real(apply, k)
+        if len(calls) == 1:
+            theta, u = next(runs)
+            yield theta / 2.0, u
+            yield theta, u
+        yield from runs
+
+    with pytest.MonkeyPatch.context() as patch:
+        if small_panels:
+            patch.setattr(linalg, "_PANEL_ROWS", 7)
+        (cover,) = _norm_upper(m)
+        patch.setattr(linalg, "_lanczos", half_first)
+        patch.setitem(linalg._LAPACK, "dpotrf", lambda *args: tests.append(args) or potrf(*args))
+        *ends, last_end = _norm_upper(m, [*ranges, (0, k)])
+    assert last_end == cover and len(calls) == len(ranges) + 1 and len(tests) == len(calls) + 1
+    for end, ref in zip(ends, want):
+        assert rel_err(end, ref) <= 1e-15
 
 
 @SETTINGS
