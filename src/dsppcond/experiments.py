@@ -8,9 +8,13 @@ CSV/JSON reports.
 Randomness: every stream comes from numpy's PCG64 bit generator with
 standard_normal variates (ziggurat). A family generator consumes its draws in
 a documented order (example1: b; example2: d, e, b) and a perturbation draws
-A, B, C, D, E, b in that order, column-major within each block. Experiment
-rows derive child seeds from SeedSequence((seed, q, selector_index)), so rows
-are independent.
+A, B, C, D, E, b in that order, column-major within each block, every entry
+of a CSR block too. Experiment rows derive child seeds from
+SeedSequence((seed, q, selector_index)), so rows are independent.
+
+Storage: example1's blocks are :class:`~dsppcond.dspp.CsrMatrix` blocks from
+generation on, and so are their perturbations, so every stage of a task but
+L S^{-1} runs in O(nnz) memory; example2's are dense.
 
 Perturbed solves: a row's solution change dw = w~ - w is refined in
 increment form (:func:`perturbed_change`) on its system's factors wherever
@@ -58,10 +62,10 @@ import numpy as np
 
 from ._report import DEFAULT_SELECTORS, FAMILIES, RNG_ALGORITHM, format_float, report_meta
 from .dspp import (
-    DsppBlocks, Selector, Solution, _block_product, _residual_bound, _system_norms, _system_sumsq,
-    factorize, norm_fro_system, selector, solve_dspp,
+    CsrMatrix, DsppBlocks, Selector, Solution, _added, _block_product, _max_ratio, _residual_bound,
+    _system_norms, _system_sumsq, _times_draws, factorize, norm_fro_system, selector, solve_dspp,
 )
-from .errors import IncompatibleZeroPattern, SingularMatrix, ZeroXi
+from .errors import SingularMatrix, ZeroXi
 from .linalg import _CHUNK_ENTRY_LIMIT, BandLuSolver, LuSolver, _blas_single_thread, _norm_upper, ddagger
 from .partial_cn import Factors, PerturbationWeights, SolvedSystem, _ncn_upper, inf_cn, inf_cn_upper, ncn
 from .structured import StructureTriple, structured_inf_cn, structured_ncn
@@ -78,12 +82,16 @@ def _generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _tridiag(lo: float, di: float, up: float, dim: int) -> np.ndarray:
-    return (
-        di * np.eye(dim)
-        + lo * np.diag(np.ones(dim - 1), -1)
-        + up * np.diag(np.ones(dim - 1), 1)
-    )
+def _kron(a, b, q: int) -> tuple:
+    """kron(a, b) for a and a q x q b in coordinate form (rows, cols, values)."""
+    (ra, ca, va), (rb, cb, vb) = a, b
+    return (ra[:, None] * q + rb).ravel(), (ca[:, None] * q + cb).ravel(), (va[:, None] * vb).ravel()
+
+
+def _csr(shape, *parts) -> CsrMatrix:
+    """The sum of the coordinate-form ``parts``, each at a (row, column) offset."""
+    placed = [(r + r0, c + c0, v) for (r, c, v), r0, c0 in parts]
+    return CsrMatrix.from_entries(*(np.concatenate(t) for t in zip(*placed)), shape)
 
 
 def gen_example1(q: int, seed) -> DsppBlocks:
@@ -93,31 +101,22 @@ def gen_example1(q: int, seed) -> DsppBlocks:
     J = tridiag(-1, 2, -1)/(q+1)^2; B = [I kron Z, Z kron I] with the
     one-sided difference Z = tridiag(0, 1, -1)/(q+1); C = Y kron Z with
     Y = diag(1, q+1, ..., q^2-q+1); D and E are identities; b is standard
-    normal from the seed.
+    normal from the seed. The blocks are built from their nonzeros straight
+    into :class:`~dsppcond.dspp.CsrMatrix` form, with np.kron's values.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
     rhs = _example1_rhs(q, seed)
-    j = _tridiag(-1.0, 2.0, -1.0, q) / (q + 1) ** 2
-    z = _tridiag(0.0, 1.0, -1.0, q) / (q + 1)
-    y = np.diag(1.0 + q * np.arange(q))
-    eye_q = np.eye(q)
-    lap = np.kron(eye_q, j) + np.kron(j, eye_q)
-    a = _block_diag(lap, lap)
-    b = np.hstack([np.kron(eye_q, z), np.kron(z, eye_q)])
-    c = np.kron(y, z)
-    qq = q * q
-    return DsppBlocks(A=a, B=b, C=c, D=np.eye(qq), E=np.eye(qq), b=rhs)
-
-
-def _block_diag(*mats) -> np.ndarray:
-    """The block-diagonal matrix of ``mats``, zero elsewhere."""
-    out = np.zeros(tuple(map(sum, zip(*(mat.shape for mat in mats)))))
-    r = c = 0
-    for mat in mats:
-        out[r : r + mat.shape[0], c : c + mat.shape[1]] = mat
-        r, c = r + mat.shape[0], c + mat.shape[1]
-    return out
+    i, qq = np.arange(q), q * q
+    eye, y = (i, i, np.ones(q)), (i, i, 1.0 + q * i)
+    j = (np.r_[i, i[1:], i[:-1]], np.r_[i, i[:-1], i[1:]], np.r_[2.0 * np.ones(q), -np.ones(2 * q - 2)] / (q + 1) ** 2)
+    z = (np.r_[i, i[:-1]], np.r_[i, i[1:]], np.r_[np.ones(q), -np.ones(q - 1)] / (q + 1))
+    lap = (_kron(eye, j, q), _kron(j, eye, q))  # their diagonals add up
+    a = _csr((2 * qq, 2 * qq), *((part, off, off) for off in (0, qq) for part in lap))
+    b = _csr((qq, 2 * qq), (_kron(eye, z, q), 0, 0), (_kron(z, eye, q), 0, qq))
+    c = _csr((qq, qq), (_kron(y, z, q), 0, 0))
+    d, e = (_csr((qq, qq), (_kron(eye, eye, q), 0, 0)) for _ in range(2))
+    return DsppBlocks(A=a, B=b, C=c, D=d, E=e, b=rhs)
 
 
 def _toeplitz(gen) -> np.ndarray:
@@ -152,7 +151,8 @@ def gen_example2(q: int, seed) -> tuple[DsppBlocks, StructureTriple]:
     zmat = np.exp(-2.0 * (idx[:, None] ** 2 + idx[None, :] ** 2))
     s2 = np.concatenate([np.ones(qt), 1e-5 * np.arange(1, qt + 1) ** 2])
     s3 = 1e-5 * (np.arange(1, 2 * qt + 1) + qt) ** 2
-    a = _block_diag(2.0 * zmat @ zmat.T + np.eye(qh), np.diag(s2), np.diag(s3))
+    a = np.diag(np.concatenate([np.zeros(qh), s2, s3]))
+    a[:qh, :qh] = 2.0 * zmat @ zmat.T + np.eye(qh)
 
     nhat = np.zeros((q, q + 1))
     nhat[np.arange(q), np.arange(q)] = 2.0
@@ -200,32 +200,25 @@ def perturb(blocks: DsppBlocks, s: int, seed) -> PerturbationSet:
     Draw order is A, B, C, D, E, b; within a block the normal stream fills
     column-major, in chunks of whole columns of at most ``_CHUNK_ENTRY_LIMIT``
     entries (one column, if longer), which equal one draw. Each chunk times
-    10^-s times the block's matching columns fills the C-ordered delta, so
-    entries are (g 10^-s) x, zero data entries stay exactly zero, and no
-    block-sized temporary is formed.
+    10^-s times the block's matching columns fills the delta, so entries are
+    (g 10^-s) x, zero data entries stay exactly zero, and no block-sized
+    temporary is formed. A delta takes its block's form: C-ordered for an
+    ndarray; for a :class:`~dsppcond.dspp.CsrMatrix`, its values at the
+    block's stored entries, on the block's own index arrays. Every entry is
+    drawn in either form, so the stream and the deltas are the same.
     """
     s = int(s)
     if s < 1:
         raise ValueError("magnitude exponent s must be >= 1")
-    rng = _generator(seed)
-    factor = 10.0 ** (-s)
-    parts = []
-    for mat in (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E, blocks.b):
-        cols = mat.reshape(len(mat), -1)  # b as one column
-        delta = np.empty(cols.shape)
-        width = max(1, _CHUNK_ENTRY_LIMIT // max(1, len(cols)))
-        for c0 in range(0, cols.shape[1], width):
-            g = rng.standard_normal(cols[:, c0 : c0 + width].T.shape)  # row j: column c0 + j
-            g *= factor
-            np.multiply(g.T, cols[:, c0 : c0 + width], out=delta[:, c0 : c0 + width])
-        parts.append(delta.reshape(mat.shape))
-    return PerturbationSet(*parts, s=s)
+    rng, data = _generator(seed), (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E, blocks.b)
+    width = [max(1, _CHUNK_ENTRY_LIMIT // max(1, mat.shape[0])) for mat in data]
+    return PerturbationSet(*(_times_draws(mat, rng, 10.0 ** (-s), w) for mat, w in zip(data, width)), s=s)
 
 
 def apply_perturbation(blocks: DsppBlocks, pert: PerturbationSet) -> DsppBlocks:
-    """The perturbed blocks: each block plus its delta."""
+    """The perturbed blocks: each block plus its delta, CSR where either is."""
     data = (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E, blocks.b)
-    return DsppBlocks(*(x + d for x, d in zip(data, pert.deltas)))
+    return DsppBlocks(*(_added(x, d) for x, d in zip(data, pert.deltas)))
 
 
 def perturbed_change(
@@ -311,23 +304,15 @@ def epsilons(pert: PerturbationSet, blocks: DsppBlocks) -> tuple[float, float]:
     (B and C enter twice, computed blockwise). eps2 is the smallest eps with
     |dS| <= eps |S| and |db| <= eps |b|; a perturbation on a zero data entry
     raises :class:`IncompatibleZeroPattern`. The check and eps2 read each
-    block and its delta, both row-major, by row chunks of at most
-    ``_CHUNK_ENTRY_LIMIT`` entries; a maximum is exact in any order.
+    block and its delta by :func:`~dsppcond.dspp._max_ratio`: a dense pair
+    by row chunks, a CSR one by its nonzeros.
     """
     num = _system_sumsq(pert.deltas[:5]) + float(np.vdot(pert.db, pert.db))
     den = _system_sumsq((blocks.A, blocks.B, blocks.C, blocks.D, blocks.E)) + float(np.vdot(blocks.b, blocks.b))
     eps1 = float(np.sqrt(num / den))
 
-    eps2 = 0.0
-    for delta, base in zip(pert.deltas, (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E, blocks.b)):
-        delta, base = np.asarray(delta, dtype=float), np.asarray(base, dtype=float)
-        step = max(1, _CHUNK_ENTRY_LIMIT // base[0].size)
-        for lo in range(0, len(base), step):
-            d, b = np.abs(delta[lo : lo + step]), np.abs(base[lo : lo + step])
-            if np.any(d, where=b == 0):
-                raise IncompatibleZeroPattern("perturbation hits an exactly zero data entry")
-            eps2 = max(eps2, float(np.divide(d, b, out=d, where=b != 0).max()))
-            del d, b  # before the next chunk's are made
+    data = (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E, blocks.b)
+    eps2 = max(_max_ratio(delta, base) for delta, base in zip(pert.deltas, data))
     return eps1, eps2
 
 
@@ -504,10 +489,10 @@ _POOL_MIN_WORK = 1 << 20
 # tracemalloc; the top of each range at l = 256 and 300) for example1 tasks
 # of all four selectors and of x or y alone at l = 256..1600, and example2
 # `full` rows at l = 300..1596, with and without structured values, at
-# s = 8, with S's LU dense. A task holds at most two l x l arrays: beside
-# its blocks, S's dense LU (none for a band one) and the buffer of S^{-1}
-# rows while the rows are formed; then, with the LU and blocks released,
-# the buffer, in which the bounds' Grams are formed.
+# s = 8, with S's LU and the blocks dense; example1's tasks, with CSR blocks
+# and a band LU, now read 0.4-2.0. A task holds at most two l x l arrays:
+# beside its blocks, S's dense LU (none for a band one) and the buffer of
+# S^{-1} rows while they are formed; then the buffer, holding the Grams.
 _TASK_PEAK_BYTES_PER_L2 = 12 * 8
 
 

@@ -309,6 +309,14 @@ def _triangles(g):
         yield g[lo:hi, :lo], g[:lo, lo:hi], g[lo:hi, lo:hi], below[: hi - lo, : hi - lo]
 
 
+def _copy_transposed(dst, src) -> None:
+    """dst[...] = src.T by _TILE x _TILE blocks, whose rows stay in cache: a
+    restore took 2.0 ms in one copy per tile row, 0.8 ms so (k = n = 1024)."""
+    for i in range(0, dst.shape[0], _TILE):
+        for j in range(0, dst.shape[1], _TILE):
+            dst[i : i + _TILE, j : j + _TILE] = src[j : j + _TILE, i : i + _TILE].T
+
+
 def _norm_upper(m, ranges=None, overwrite: bool = False) -> list[float]:
     """Certified upper ends for the 2-norms of row ranges of M, for the bounds.
 
@@ -365,10 +373,11 @@ def _norm_upper(m, ranges=None, overwrite: bool = False) -> list[float]:
     its strict part negated and its diagonal tau - gh_ii from the saved
     vector, dpotrf factors it there in place, and rho reads it, made
     nonnegative. None of this touches the upper triangle, so after every
-    test copying it back, and the diagonal from the vector, restores
-    bitwise the Gram that the next test reads. With ``overwrite`` the caller
-    hands M over, and a writeable C-ordered M with k <= n is T's storage;
-    otherwise T is a private copy, with bitwise the same ends.
+    test copying it back (by :func:`_copy_transposed`), and the diagonal
+    from the vector, restores bitwise the Gram that the next test reads.
+    With ``overwrite`` the caller hands M over, and a writeable C-ordered M
+    with k <= n is T's storage; otherwise T is a private copy, with bitwise
+    the same ends.
     """
     m = as_matrix(m)
     t = m if m.shape[0] <= m.shape[1] else m.T
@@ -393,7 +402,7 @@ def _norm_upper(m, ranges=None, overwrite: bool = False) -> list[float]:
         _call("dsyrk", "U", "T", hi - lo, n, 1.0, rows, n, 0.0, t[lo:, lo:], n)
     del panel, rows
     for lower, upper, block, below in _triangles(t[:, :k]):
-        upper[...] = lower.T
+        upper[...] = lower.T  # reads lower's rows in turn; by blocks it took no less time
         np.copyto(block, block.T, where=below.T)
     gh_diagonal = t.reshape(-1)[:: n + 1].copy()
     return [_range_end(t, lo, hi, gh_diagonal[lo:hi], e) for lo, hi in ranges]
@@ -418,7 +427,7 @@ def _range_end(t, lo: int, hi: int, gh_diagonal, e: int) -> float:
         _call("dpotrf", "U", k, g, n, info)
         rho = None if _info("dpotrf", info) else _abs_rho(g)
         for lower, upper, block, below in _triangles(g):
-            lower[...] = upper.T
+            _copy_transposed(lower, upper)
             np.copyto(block, block.T, where=below)
         diagonal[...] = gh_diagonal
         if rho is not None:

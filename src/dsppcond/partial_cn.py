@@ -40,9 +40,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .dspp import DsppBlocks, Selector, Solution, factorize, solve_dspp
+from .dspp import (
+    DsppBlocks, Selector, Solution, _abs_product, _as_block, _diagonal, _mul, _row_nonzeros, _entrywise,
+    factorize, solve_dspp,
+)
 from .errors import DimensionMismatch, ZeroXi
-from .linalg import _CHUNK_ENTRY_LIMIT, RankOneUpdate, _norm_upper, as_matrix, as_vector, ddagger, top_eig
+from .linalg import _CHUNK_ENTRY_LIMIT, RankOneUpdate, _norm_upper, as_vector, ddagger, top_eig
 
 _XI_KINDS = ("ncn", "mcn", "ccn", "custom")
 
@@ -92,9 +95,10 @@ class PerturbationWeights:
     """Weights defining admissible perturbations and their size.
 
     ``psi`` holds the weights of A, B, C, D, E, each a finite number or a
-    matrix shaped like its block, and ``chi`` that of b, a number or a
-    length-l vector. A number stands for the constant matrix (vector) of
-    that value; a zero weight entry pins its perturbation entry to zero.
+    matrix shaped like its block (an ndarray, or a CsrMatrix kept as one),
+    and ``chi`` that of b, a number or a length-l vector. A number stands
+    for the constant matrix (vector) of that value; a zero weight entry pins
+    its perturbation entry to zero.
     """
 
     psi: tuple
@@ -102,7 +106,7 @@ class PerturbationWeights:
 
     def __post_init__(self):
         named = zip(self.psi, "ABCDE", strict=True)
-        object.__setattr__(self, "psi", tuple(_weight(w, f"weight for {n}", as_matrix) for w, n in named))
+        object.__setattr__(self, "psi", tuple(_weight(w, f"weight for {n}", _as_block) for w, n in named))
         object.__setattr__(self, "chi", _weight(self.chi, "chi", as_vector))
 
     @classmethod
@@ -131,10 +135,11 @@ class PerturbationWeights:
 
 
 def _expand(psi, sol: Solution) -> tuple:
-    """The five block weights as arrays shaped like A .. E; a number becomes a
+    """The five block weights as matrices shaped like A .. E; a number becomes a
     zero-stride view (``np.broadcast_to``), so no block-sized array holds it."""
     n, m, p = sol.x.size, sol.y.size, sol.z.size
-    return tuple(np.broadcast_to(w, s) for w, s in zip(psi, ((n, n), (m, n), (p, m), (m, m), (p, p))))
+    shapes = ((n, n), (m, n), (p, m), (m, m), (p, p))
+    return tuple(w if np.ndim(w) else np.broadcast_to(w, s) for w, s in zip(psi, shapes))
 
 
 @dataclass(frozen=True)
@@ -199,8 +204,8 @@ def _wprod(w, v, how: str = "@"):
     """A product in J of block weight W: W v ("@"), W^T v ("T@"), v times W's diagonal ("diag")
     or first column ("col"). A number c is c 11^T in closed form: c (1^T v), a scalar, or c v."""
     if how[-1] == "@":
-        return ((w.T if how == "T@" else w) @ v) if w.ndim else w * v.sum()
-    return ((np.diag(w) if how == "diag" else w[:, 0]) * v) if w.ndim else w * v
+        return _mul(w, v, how == "T@") if np.ndim(w) else w * v.sum()
+    return _diagonal(w, how == "col") * v if np.ndim(w) else w * v
 
 
 def _kind_op(kind: str, w2, v):
@@ -246,7 +251,7 @@ def _j_operator(sol: Solution, psi, chi, kinds):
     """
     x, y, z = sol.x, sol.y, sol.z
     n, m = x.size, y.size
-    wa, wb, wc, wd, we = (np.square(w) for w in psi)
+    wa, wb, wc, wd, we = (_entrywise(np.square, w) for w in psi)
     ka, kd, ke = (_kind_op(*args) for args in zip(kinds, (wa, wd, we), (x, y, z)))
     y2 = np.square(y)
     d = np.zeros(n + m + z.size) + np.square(chi)
@@ -300,13 +305,8 @@ def _pair_sum(k_col, v_row, k_row, v_col, w, upper: bool = False) -> np.ndarray:
     rank_one = RankOneUpdate(buf.T, slab, v_cols)
     for r0 in range(0, rows, step):
         c0 = r0 if upper else 0
-        blk = np.abs(w[r0 : r0 + step, c0:], order="C")
-        if upper:
-            blk[np.tri(*blk.shape, -1, dtype=bool)] = 0.0
-            blk.reshape(-1)[:: blk.shape[1] + 1] /= 2.0
-        np.copyto(slab[:, : len(blk)], k_row[:, r0 : r0 + len(blk)])
-        flat, counts = np.flatnonzero(blk != 0.0), np.count_nonzero(blk, axis=1)
-        w_nz, c_at = np.take(blk, flat), np.remainder(flat, blk.shape[1], out=flat)
+        w_nz, c_at, counts = _row_nonzeros(w, r0, r0 + step, upper)
+        np.copyto(slab[:, : len(counts)], k_row[:, r0 : r0 + len(counts)])
         runs = np.flatnonzero(counts)
         ends, scales, runs = np.cumsum(counts[runs]).tolist(), v_row[r0 + runs].tolist(), runs.tolist()
         i = a = 0
@@ -329,24 +329,6 @@ def _pair_sum(k_col, v_row, k_row, v_col, w, upper: bool = False) -> np.ndarray:
     return u
 
 
-def _abs_product(rows, v) -> np.ndarray:
-    """|rows| v, with |rows| taken in row chunks of at most
-    ``_CHUNK_ENTRY_LIMIT`` entries (one row, if longer) in one buffer, each
-    chunk's product a BLAS gemv; no |rows|-sized array is formed. A chunk is
-    a multiple of 8 rows where 8 fit: OpenBLAS's gemv kernels sum rows in
-    groups of 4, so each row's sum is then bitwise the one a single product
-    of all of |rows| gives."""
-    k, l = rows.shape
-    step = _CHUNK_ENTRY_LIMIT // max(1, l)
-    step = step - step % 8 if step >= 8 else max(1, step)
-    buf = np.empty((min(step, k), l))
-    out = np.empty(k)
-    for lo in range(0, k, step):
-        hi = min(lo + step, k)
-        np.matmul(np.abs(rows[lo:hi], out=buf[: hi - lo]), v, out=out[lo:hi])
-    return out
-
-
 def _kind_numerator(kind: str, k, w, v) -> np.ndarray:
     """sum_g |K Phi_g v| |w_g| over the generators of one structure kind, for
     a weight matrix ``w`` whose magnitude is constant on each generator's
@@ -356,12 +338,12 @@ def _kind_numerator(kind: str, k, w, v) -> np.ndarray:
     if kind == "full":
         return _abs_product(k, _abs_product(w, np.abs(v)))
     if kind == "diagonal":
-        return _abs_product(k, np.abs(np.diag(w)) * np.abs(v))
+        return _abs_product(k, np.abs(_diagonal(w)) * np.abs(v))
     if kind == "symmetric":
         # The pair (r, c) and (c, r) share one generator; the diagonal
         # pair counts its single entry twice, hence the half weight.
         return _pair_sum(k, v, k, v, w, upper=True)
-    return np.abs(k @ _shifted(v)) @ np.abs(w[:, 0])
+    return np.abs(k @ _shifted(v)) @ np.abs(_diagonal(w, first_column=True))
 
 
 def _ade_numerator(rows, sol, wa, wd, we, kinds) -> np.ndarray:
@@ -582,23 +564,16 @@ def inf_cn_upper(system: SolvedSystem) -> tuple[CnValue, CnValue]:
 
     Uses |L S^{-1}| (h + |b|) with the blockwise magnitude vector
     h = [|A||x| + |B^T||y|; |B||x| + |D||y| + |C^T||z|; |C||y| + |E||z|],
-    each block's magnitude formed in turn and released after its products,
-    which are summed in the order written.
+    each product one block operation, summed in the order written.
     """
     blocks, sol = system.blocks, system.sol
+    a, b, c, d, e = blocks.A, blocks.B, blocks.C, blocks.D, blocks.E
     x, y, z = np.abs(sol.x), np.abs(sol.y), np.abs(sol.z)
-    hx = np.abs(blocks.A) @ x
-    mag = np.abs(blocks.B)
-    hx += mag.T @ y
-    hy = mag @ x
-    del mag
-    hy += np.abs(blocks.D) @ y
-    mag = np.abs(blocks.C)
-    hy += mag.T @ z
-    hz = mag @ y
-    del mag
-    hz += np.abs(blocks.E) @ z
-    h = np.concatenate([hx, hy, hz])
+    h = np.concatenate([
+        _abs_product(a, x) + _abs_product(b, y, True),
+        _abs_product(b, x) + _abs_product(d, y) + _abs_product(c, z, True),
+        _abs_product(c, y) + _abs_product(e, z),
+    ])
     v = _abs_product(system.rows, h + np.abs(blocks.b))
     mcn_u = CnValue(_inf_value(XiChoice(kind="mcn").resolve(system.lw), v), "mcn_upper")
     ccn_u = CnValue(_inf_value(XiChoice(kind="ccn").resolve(system.lw), v), "ccn_upper")

@@ -23,8 +23,8 @@ from collections import namedtuple
 
 import numpy as np
 
+from .dspp import _membership_residual, _norm_inf_of
 from .errors import NotInSubspace
-from .linalg import _norm_inf
 from .partial_cn import CnValue, PerturbationWeights, SolvedSystem, _as_xi, _data_inf_value, _gram_top
 
 STRUCTURE_KINDS = ("symmetric", "toeplitz_sym", "diagonal", "full")
@@ -52,36 +52,13 @@ class StructureTriple(namedtuple("StructureTriple", ("a", "d", "e"))):
         return cls("full", "full", "full")
 
 
-def _membership_residual(kind: str, mat: np.ndarray) -> float:
-    """max |M - P(M)| for the projection P onto the subspace of ``kind``,
-    which averages the entries of each generator's support and pins the
-    entries outside every support to 0. At most one dim x dim temporary.
-    """
-    if kind == "full":
-        return 0.0
-    if kind == "diagonal":
-        off = np.abs(mat)
-        np.fill_diagonal(off, 0.0)
-        return float(off.max())
-    if kind == "symmetric":
-        diff = mat - mat.T
-        np.abs(diff, out=diff)
-        return float(diff.max()) / 2.0
-    # toeplitz_sym: generator g > 0 covers the diagonals +g and -g together.
-    resid = 0.0
-    for g in range(mat.shape[0]):
-        band = np.concatenate([np.diagonal(mat, g), np.diagonal(mat, -g)]) if g else np.diagonal(mat)
-        resid = max(resid, float(np.max(np.abs(band - band.mean()))))
-    return resid
-
-
 def _checked_kinds(kinds, mats):
     """``kinds``, once each of ``mats`` lies in the subspace of its kind. The
     one accept rule: :class:`NotInSubspace` unless the residual is at most
     ``MEMBERSHIP_RTOL`` times the matrix's infinity norm."""
     for kind, mat in zip(kinds, mats):
         resid = _membership_residual(kind, mat)
-        if resid > MEMBERSHIP_RTOL * _norm_inf(mat):
+        if resid > MEMBERSHIP_RTOL * _norm_inf_of(mat):
             raise NotInSubspace(f"matrix is not {kind} (residual {resid:.3e})")
     return kinds
 

@@ -32,8 +32,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from dsppcond.dspp import DsppBlocks, Solution, _block_product, assemble, factorize, solve_dspp
-from dsppcond.eils import eils_reduce
+from dsppcond.dspp import CsrMatrix, DsppBlocks, Solution, _block_product, assemble, factorize, solve_dspp
+from dsppcond.eils import _eils_weights, eils_reduce
 from dsppcond.experiments import PerturbationSet, apply_perturbation, perturbed_change
 from dsppcond.errors import DimensionMismatch, ZeroMatrix
 from dsppcond import linalg
@@ -166,26 +166,46 @@ def extremal_direction(system: SolvedSystem, weights: PerturbationWeights, xi):
     return deltas, sigma
 
 
-def attaining_inf_direction(system: SolvedSystem, weights: PerturbationWeights, xi):
+def attaining_inf_direction(system: SolvedSystem, weights: PerturbationWeights, xi,
+                            kinds=("full", "full", "full")):
     """A max-norm perturbation direction that attains the mixed or
     componentwise number: block deltas (dA, dB, dC, dD, dE, db).
 
-    L dw = c [vec(dH); db] with c = L S^{-1} [-G, I] (``build_g``), so each
-    entry of xi^ddag . (L dw) is at most |xi_i^ddag| |c_i| |vec W| on the box
-    |[vec(dH); db]| <= |vec W|, the weighted numerator. Row i* takes its
-    maximum, and d = sign(c_i*) . |vec W| reaches it with the
-    denominator at 1: a number over a box is attained at a vertex
-    (Gohberg and Koltracht, SIAM J. Matrix Anal. Appl. 14, 1993). Its
-    :func:`definition_ratio` is then the number itself.
+    L dw = c [vec(dH); db] with c = L S^{-1} [-G, I] (``build_g``). With dA,
+    dD, dE in the structure ``kinds`` (all "full": unstructured), vec(dH)
+    = P g for the 0/1 basis P of :func:`phi` on A, D, E (the identity on B,
+    C and b), so L dw = (c P) g: a generator's coefficient sums c over its
+    support, and its weight g_W is |vec W| there, where it is constant.
+    Each entry of xi^ddag . (L dw) is at most |xi_i^ddag| |c P|_i g_W on the
+    box |g| <= g_W, the weighted numerator. Row i* takes its maximum, and
+    g = sign((c P)_i*) . g_W reaches it with the denominator at 1: a number
+    over a box is attained at a vertex (Gohberg and Koltracht, SIAM J.
+    Matrix Anal. Appl. 14, 1993). Its :func:`definition_ratio` is then the
+    number itself.
     """
     blocks, sol, rows = system.blocks, system.sol, system.rows
     c = np.hstack([-(rows @ build_g(sol)), rows])
     w = np.abs(np.concatenate([vec_psi(weights, blocks), chi_vec(weights, blocks)]))
-    top = np.argmax(np.abs(ddagger(_as_xi(xi).resolve(system.lw))) * (np.abs(c) @ w))
-    d = np.sign(c[top]) * w
     mats = (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E)
+    block_kinds = dict(zip("ADE", kinds))
+    basis = scipy.sparse.block_diag([
+        *(phi(structure_basis(block_kinds[name], mat.shape[0])) if name in block_kinds
+          else scipy.sparse.identity(mat.size) for name, mat in zip("ABCDE", mats)),
+        scipy.sparse.identity(blocks.l),
+    ]).tocsc()
+    c_gen = (basis.T @ c.T).T
+    w_gen = (basis.T @ w) / np.asarray(basis.sum(axis=0)).ravel()
+    top = np.argmax(np.abs(ddagger(_as_xi(xi).resolve(system.lw))) * (np.abs(c_gen) @ w_gen))
+    d = basis @ (np.sign(c_gen[top]) * w_gen)
     cuts = np.cumsum([0] + [mat.size for mat in mats])
     return (*(unvec(d[a:b], *mat.shape) for a, b, mat in zip(cuts, cuts[1:], mats)), d[cuts[-1] :])
+
+
+def eils_data_weights(system: SolvedSystem, prob) -> PerturbationWeights:
+    """The weights of ``eils_inf_cn`` on the embedding ``system`` of ``prob``:
+    |M| and |C|, |[b; d]| on the outer parts of the right-hand side, and 0
+    on A, D, E and the middle part, which the embedding holds fixed."""
+    return _eils_weights(system.blocks, (np.abs(prob.M), np.abs(prob.C)), np.abs(np.concatenate([prob.b, prob.d])))
 
 
 @dataclass(frozen=True)
@@ -196,6 +216,13 @@ class FirstOrderCheck:
     actual: np.ndarray
     predicted: np.ndarray
     curve: tuple
+
+
+def scaled_block(mat, t):
+    """t times a block or vector, in its form (a CSR block on its index arrays)."""
+    if isinstance(mat, CsrMatrix):
+        return CsrMatrix(t * mat.data, mat.indices, mat.indptr, mat.shape)
+    return t * mat
 
 
 def first_order_residual(blocks: DsppBlocks, pert: PerturbationSet) -> FirstOrderCheck:
@@ -212,7 +239,7 @@ def first_order_residual(blocks: DsppBlocks, pert: PerturbationSet) -> FirstOrde
     curve = []
     actual_full = None
     for t in (1.0, 0.5, 0.25):
-        scaled = PerturbationSet(*(t * d for d in pert.deltas), s=pert.s)
+        scaled = PerturbationSet(*(scaled_block(d, t) for d in pert.deltas), s=pert.s)
         act = perturbed_change(blocks, sol, lu, scaled)
         if t == 1.0:
             actual_full = act

@@ -79,9 +79,9 @@ def test_band_solves_every_layout_in_chunks(monkeypatch):
 
 def test_band_rejects_a_singular_matrix():
     # A zero row is an exactly zero pivot (rcond 0), as in the dense LU.
-    blocks = gen_example1(3, 0)
-    blocks.E[0, 0] = 0.0
-    blocks.C[0] = 0.0
+    blocks = gen_example1(3, 0)  # CSR blocks: explicit zeros in E's and C's first rows
+    blocks.E.data[: blocks.E.indptr[1]] = 0.0
+    blocks.C.data[: blocks.C.indptr[1]] = 0.0
     with pytest.raises(SingularMatrix, match="rcond estimate 0.000e"):
         factorize(blocks)
 

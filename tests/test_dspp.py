@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_dspp
+from dsppcond import dspp
 from dsppcond.dspp import (
+    CsrMatrix,
     DsppBlocks,
     assemble,
     factorize,
@@ -14,7 +16,7 @@ from dsppcond.dspp import (
     selector,
     solve_dspp,
 )
-from dsppcond.errors import DimensionMismatch, MalformedProblem, SingularMatrix
+from dsppcond.errors import DimensionMismatch, IncompatibleZeroPattern, MalformedProblem, SingularMatrix
 
 
 def hand_blocks():
@@ -143,3 +145,72 @@ def test_norm_fro_counts_b_and_c_twice():
         + np.sum(blocks.D ** 2) + np.sum(blocks.E ** 2)
     )
     assert abs(norm_fro_system(blocks) - want) < 1e-12 * want
+
+
+def test_csr_matrix_keeps_ndarray_meanings_and_checks_its_arrays():
+    # Row 0: 2 at column 2 and an explicit zero at 0; row 1 empty; row 2: -1, 3.
+    mat = CsrMatrix([0.0, 2.0, -1.0, 3.0], [0, 2, 0, 1], [0, 2, 2, 4], (3, 4))
+    dense = np.array([[0.0, 0.0, 2.0, 0.0], [0.0] * 4, [-1.0, 3.0, 0.0, 0.0]])
+    assert (mat.shape, mat.ndim, mat.size) == ((3, 4), 2, 12)
+    assert np.array_equal(np.asarray(mat), dense) and np.array_equal(np.asarray(mat.T), dense.T)
+    rows, cols, vals = dspp._nonzeros(mat)
+    assert (rows.tolist(), cols.tolist(), vals.tolist()) == ([0, 2, 2], [2, 0, 1], [2.0, -1.0, 3.0])
+    # Repeated positions add up, in the order given.
+    summed = CsrMatrix.from_entries([2, 0, 2], [1, 3, 1], [1.0, 5.0, 0.5], (3, 4))
+    assert (summed.indptr.tolist(), summed.indices.tolist(), summed.data.tolist()) == ([0, 1, 1, 2], [3, 1], [5.0, 1.5])
+    bad = [
+        ([1.0], [0], [0, 1], (2, 2)),             # indptr too short
+        ([1.0, 2.0], [1, 0], [0, 2, 2], (2, 2)),  # columns fall within a row
+        ([1.0, 2.0], [1, 1], [0, 2, 2], (2, 2)),  # a repeated column
+        ([1.0], [2], [0, 1, 1], (2, 2)),          # a column out of range
+        ([1.0], [0, 1], [0, 1, 1], (2, 2)),       # data and indices disagree
+    ]
+    for args in bad:
+        with pytest.raises(DimensionMismatch):
+            CsrMatrix(*args)
+    with pytest.raises(ValueError):
+        CsrMatrix([np.inf], [0], [0, 1], (1, 1))
+
+
+def test_block_operations_agree_on_both_forms():
+    # Each operation's CSR branch against its ndarray branch on the same
+    # matrix, explicit zeros stored, an empty row and an empty column.
+    rng = np.random.default_rng(21)
+    dense = rng.standard_normal((6, 6)) * (rng.random((6, 6)) < 0.4)
+    dense[2], dense[:, 4] = 0.0, 0.0
+    rows, cols = np.indices(dense.shape).reshape(2, -1)  # every position, zeros too
+    mat = CsrMatrix.from_entries(rows, cols, dense[rows, cols], dense.shape)
+    v = rng.standard_normal(6)
+    for transpose in (False, True):
+        np.testing.assert_allclose(dspp._mul(mat, v, transpose), dspp._mul(dense, v, transpose), rtol=1e-14)
+        np.testing.assert_allclose(dspp._abs_product(mat, v, transpose), dspp._abs_product(dense, v, transpose),
+                                   rtol=1e-14)
+    for got, want in zip(dspp._abs_sums(mat), dspp._abs_sums(dense)):
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+    assert abs(dspp._sumsq(mat) - dspp._sumsq(dense)) <= 1e-14 * dspp._sumsq(dense)
+    for first_column in (False, True):
+        assert np.array_equal(dspp._diagonal(mat, first_column), dspp._diagonal(dense, first_column))
+    for lo, hi, upper in ((0, 6, False), (1, 4, True), (3, 9, True), (2, 3, False)):
+        for got, want in zip(dspp._row_nonzeros(mat, lo, hi, upper), dspp._row_nonzeros(dense, lo, hi, upper)):
+            assert np.array_equal(got, want)
+    sym = dense + dense.T
+    for kind, x in (("diagonal", np.diag(np.diag(dense)) + 0.5 * dense), ("symmetric", sym + 1e-3 * dense),
+                    ("toeplitz_sym", np.eye(6) + np.diag(np.ones(5), 1) + 2 * np.diag(np.ones(5), -1))):
+        held = CsrMatrix.from_entries(*np.nonzero(x), x[np.nonzero(x)], x.shape)
+        assert abs(dspp._membership_residual(kind, held) - dspp._membership_residual(kind, x)) <= 1e-15
+        assert dspp._norm_inf_of(held) == pytest.approx(dspp._norm_inf_of(x), rel=1e-14)
+    assert dspp._max_ratio(dspp._entrywise(lambda a: 0.5 * a, mat), mat) == 0.5
+    with pytest.raises(IncompatibleZeroPattern):
+        dspp._max_ratio(np.ones((6, 6)), mat)
+    assert np.array_equal(np.asarray(dspp._added(mat, mat)), 2 * dense)
+
+
+def test_csr_blocks_assemble_factor_and_solve_as_dense():
+    rng = np.random.default_rng(22)
+    blocks = random_dspp(rng, 5, 4, 3)
+    held = DsppBlocks(*(CsrMatrix.from_entries(*np.nonzero(x), x[np.nonzero(x)], x.shape)
+                        for x in (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E)), b=blocks.b)
+    assert isinstance(held.B, CsrMatrix)
+    assert np.array_equal(assemble(held), assemble(blocks))
+    assert np.array_equal(solve_dspp(held).w, solve_dspp(blocks).w)
+    assert problem_to_dict(held) == problem_to_dict(blocks)

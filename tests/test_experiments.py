@@ -56,23 +56,25 @@ def test_module_constants():
 def test_gen_example1_frozen_values():
     blocks = gen_example1(2, 7)
     assert (blocks.n, blocks.m, blocks.p) == (8, 4, 4)
+    assert all(isinstance(getattr(blocks, name), dspp.CsrMatrix) for name in "ABCDE")
+    a, b, c = (np.asarray(mat) for mat in (blocks.A, blocks.B, blocks.C))
     # 2-D Laplacian scaled by (q+1)^2 = 9, two copies on the diagonal.
-    assert blocks.A[0, 0] == 4.0 / 9.0
-    assert blocks.A[0, 1] == -1.0 / 9.0
-    assert blocks.A[0, 2] == -1.0 / 9.0
-    assert blocks.A[0, 3] == 0.0
-    assert np.array_equal(blocks.A[:4, :4], blocks.A[4:, 4:])
-    assert np.array_equal(blocks.A[:4, 4:], np.zeros((4, 4)))
+    assert a[0, 0] == 4.0 / 9.0
+    assert a[0, 1] == -1.0 / 9.0
+    assert a[0, 2] == -1.0 / 9.0
+    assert a[0, 3] == 0.0
+    assert np.array_equal(a[:4, :4], a[4:, 4:])
+    assert np.array_equal(a[:4, 4:], np.zeros((4, 4)))
     # One-sided differences scaled by q+1 = 3 in both kron orders.
-    assert blocks.B[0, 0] == 1.0 / 3.0
-    assert blocks.B[0, 1] == -1.0 / 3.0
-    assert blocks.B[0, 4] == 1.0 / 3.0
-    assert blocks.B[0, 6] == -1.0 / 3.0
+    assert b[0, 0] == 1.0 / 3.0
+    assert b[0, 1] == -1.0 / 3.0
+    assert b[0, 4] == 1.0 / 3.0
+    assert b[0, 6] == -1.0 / 3.0
     # C = diag(1, q+1) kron Z.
-    assert blocks.C[0, 0] == 1.0 / 3.0
-    assert blocks.C[0, 1] == -1.0 / 3.0
-    assert blocks.C[2, 2] == 1.0
-    assert blocks.C[2, 3] == -1.0
+    assert c[0, 0] == 1.0 / 3.0
+    assert c[0, 1] == -1.0 / 3.0
+    assert c[2, 2] == 1.0
+    assert c[2, 3] == -1.0
     assert np.array_equal(blocks.D, np.eye(4))
     assert np.array_equal(blocks.E, np.eye(4))
     want_b = np.random.Generator(np.random.PCG64(7)).standard_normal(16)
@@ -128,10 +130,24 @@ def test_generators_reject_bad_arguments():
         gen_example1(2, -1)
 
 
+def assert_delta_is(delta, want, base):
+    """A delta bitwise the dense ``want``: C-ordered for an ndarray block,
+    and for a CSR block its values at the block's stored entries, on the
+    block's own index arrays."""
+    if isinstance(base, dspp.CsrMatrix):
+        assert isinstance(delta, dspp.CsrMatrix) and delta.shape == want.shape
+        assert delta.indices is base.indices and delta.indptr is base.indptr
+        assert delta.data.tobytes() == want[base.row_ids, base.indices].tobytes()
+        assert np.array_equal(np.asarray(delta), want)  # zero elsewhere
+    else:
+        assert delta.flags.c_contiguous
+        assert delta.shape == want.shape and delta.tobytes() == want.tobytes()
+
+
 def test_perturb_reproduces_stream_and_keeps_zeros():
     """perturb scales each draw in place, and every delta is still
     10^-s * g * X bit for bit: zero data entries stay zero, with the sign
-    each takes from g."""
+    each takes from g (a CSR block's delta stores none of them)."""
     cases = [
         (gen_example1(2, 3), 6, 11), (gen_example1(3, 1), 8, 0), (gen_example1(4, 1), 1, 11),
         (gen_example2(2, 1)[0], 6, 3), (gen_example2(3, 1)[0], 3, 29),
@@ -143,10 +159,11 @@ def test_perturb_reproduces_stream_and_keeps_zeros():
         signed_zeros = 0
         for delta, base in zip(pert.deltas, (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E, blocks.b)):
             want = 10.0 ** (-s) * rng.standard_normal(base.size).reshape(base.shape, order="F") * base
-            assert delta.shape == want.shape and delta.tobytes() == want.tobytes()
-            assert np.all(delta[base == 0.0] == 0.0)
-            signed_zeros += int(np.signbit(delta[base == 0.0]).sum())
-        assert signed_zeros > 0
+            assert_delta_is(delta, want, base)
+            if isinstance(base, np.ndarray):
+                assert np.all(delta[base == 0.0] == 0.0)
+                signed_zeros += int(np.signbit(delta[base == 0.0]).sum())
+        assert signed_zeros > 0 or isinstance(blocks.A, dspp.CsrMatrix)
     with pytest.raises(ValueError):
         perturb(blocks, 0, 11)
 
@@ -157,12 +174,12 @@ def test_perturb_chunked_draws_equal_one_draw(monkeypatch, limit, blocks):
     """Each block's stream drawn in column chunks (of one column when the
     limit is 7, of a few with a shorter last one at 200) is bitwise the
     one-draw-per-block stream, and every delta is C-ordered like its
-    block."""
+    block, or held on a CSR block's index arrays."""
     monkeypatch.setattr(experiments, "_CHUNK_ENTRY_LIMIT", limit)
     pert = perturb(blocks, 8, 11)
-    for delta, want in zip(pert.deltas, oracles.perturb_one_draw(blocks, 8, 11)):
-        assert delta.flags.c_contiguous
-        assert delta.shape == want.shape and delta.tobytes() == want.tobytes()
+    data = (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E, blocks.b)
+    for delta, want, base in zip(pert.deltas, oracles.perturb_one_draw(blocks, 8, 11), data):
+        assert_delta_is(delta, want, base)
 
 
 def _solved(family, q):
@@ -319,19 +336,38 @@ def test_no_factorization_lives_while_numbers_run(monkeypatch, family, s, lus):
 
 
 def test_example1_task_memory_budget():
-    # The q = 16 four-selector task (l = 1024): its S is factored in band
-    # storage, and the bounds run once the blocks are released, on one Gram
-    # formed in L S^-1's l x l buffer itself, the full row's, whose diagonal
-    # blocks certify the x, y and z rows. The peak is the max-norm numbers
-    # beside the blocks and the buffer: 1.94 l^2 traced, against 2.08 l^2
-    # with the full row's l x l Gram beside the buffer and 2.64 l^2 with a
-    # dense LU and the bounds beside the blocks. A warm-up task keeps
-    # first-use imports out of the trace.
+    # The q = 16 four-selector task (l = 1024): its blocks and their
+    # perturbations are CSR, its S is factored in band storage, and the
+    # bounds run on one Gram formed in L S^-1's l x l buffer itself, the full
+    # row's, whose diagonal blocks certify the x, y and z rows. The peak is
+    # the max-norm numbers beside the buffer: 1.38 l^2 traced, against
+    # 1.94 l^2 with the dense blocks (0.56 l^2) beside them, 2.08 l^2 with the
+    # full row's l x l Gram beside the buffer and 2.64 l^2 with a dense LU
+    # and the bounds beside the blocks. A warm-up task keeps first-use
+    # imports out of the trace.
     rows = tuple(enumerate(DEFAULT_SELECTORS))
     experiments._system_rows("example1", 2, rows, 8, 3, False)
     l = 1024
     peak = traced_peak(experiments._system_rows, "example1", 16, rows, 8, 3, False)
-    assert peak <= 2.0 * l * l * 8
+    assert peak <= 1.45 * l * l * 8
+
+
+def test_experiment_tasks_never_densify_csr_blocks(monkeypatch):
+    # Every stage of a task reads example1's CSR blocks through dspp's block
+    # operations alone: with densifying refused, the q = 16 four-selector
+    # task and a structured experiment run through and give the same rows.
+    rows = tuple(enumerate(DEFAULT_SELECTORS))
+    want = experiments._system_rows("example1", 16, rows, 8, 3, False)
+    want_structured = run_experiment("example1", [4], structured=True)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a CSR block was densified")
+
+    monkeypatch.setattr(dspp.CsrMatrix, "__array__", refuse)
+    with pytest.raises(AssertionError, match="densified"):
+        np.asarray(gen_example1(2, 0).A)
+    assert experiments._system_rows("example1", 16, rows, 8, 3, False) == want
+    assert run_experiment("example1", [4], structured=True) == want_structured
 
 
 def test_example1_bounds_memory_budget(monkeypatch):
@@ -410,7 +446,8 @@ def test_apply_perturbation_adds_each_delta():
     tilde = apply_perturbation(blocks, pert)
     data = (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E, blocks.b)
     for got, base, delta in zip((tilde.A, tilde.B, tilde.C, tilde.D, tilde.E, tilde.b), data, pert.deltas):
-        assert got.tobytes() == (base + delta).tobytes()
+        assert type(got) is type(base)
+        assert np.asarray(got).tobytes() == (np.asarray(base) + np.asarray(delta)).tobytes()
 
 
 def test_forward_errors_hand_values():
@@ -456,6 +493,7 @@ def _whole_block_epsilon2(pert, blocks):
     """eps2 by whole-block masks and gathers, the route it replaced."""
     eps2 = 0.0
     for delta, base in zip(pert.deltas, (blocks.A, blocks.B, blocks.C, blocks.D, blocks.E, blocks.b)):
+        delta, base = np.asarray(delta), np.asarray(base)
         zero = base == 0
         if np.any(delta[zero] != 0):
             raise IncompatibleZeroPattern("perturbation hits an exactly zero data entry")
@@ -471,8 +509,8 @@ def test_epsilons_by_row_chunks_equal_whole_blocks(family, q):
     pert = perturb(blocks, 8, 4)
     assert epsilons(pert, blocks)[1] == _whole_block_epsilon2(pert, blocks)
     # A perturbation on a zero entry of A's last row, in the last chunk.
-    row = blocks.A[-1]
-    bad = PerturbationSet(pert.dA.copy(), *pert.deltas[1:], s=pert.s)
+    row = np.asarray(blocks.A)[-1]
+    bad = PerturbationSet(np.array(pert.dA), *pert.deltas[1:], s=pert.s)
     bad.dA[-1, np.flatnonzero(row == 0)[-1]] = 1e-9
     for fn in (epsilons, _whole_block_epsilon2):
         with pytest.raises(IncompatibleZeroPattern):

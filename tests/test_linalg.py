@@ -11,6 +11,7 @@ import types
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from conftest import rel_err, traced_peak
 import oracles
@@ -192,6 +193,37 @@ def test_failed_cholesky_restores_the_gram_bitwise(monkeypatch):
     handed = m.copy()
     assert linalg._norm_upper(handed, overwrite=True) == want
     assert len(calls) == 4 and not np.array_equal(handed, m)
+
+
+def test_blocked_restore_is_the_plain_copy(monkeypatch):
+    """The restores copy the Gram's upper triangle into its lower one by
+    128 x 128 blocks: bitwise the one transposing copy per tile row. With a
+    failing first Cholesky test each range restores at least once; the
+    ends, and the Gram left in M handed over, are bitwise those of the plain
+    copy. k = 300 and n = 1024 (a power-of-two row stride, where the plain
+    copy was slow) cut the tiles into partial blocks."""
+    rng = np.random.default_rng(14)
+    for k, n in ((300, 420), (300, 1024)):
+        src = rng.standard_normal((k, n))
+        dst = np.empty((n, k))
+        linalg._copy_transposed(dst, src)
+        assert dst.tobytes() == src.T.copy().tobytes()
+    m = rng.standard_normal((300, 1024))
+    ranges = [(0, 300), (0, 128), (130, 300)]
+    real = linalg._lanczos
+
+    def half_first(apply, k):
+        theta, u = next(real(apply, k))
+        yield theta / 2.0, u
+        yield from real(apply, k)
+
+    monkeypatch.setattr(linalg, "_lanczos", half_first)
+    runs = []
+    for copy in (linalg._copy_transposed, lambda dst, src: dst.__setitem__(Ellipsis, src.T)):
+        monkeypatch.setattr(linalg, "_copy_transposed", copy)
+        handed = m.copy()
+        runs.append((linalg._norm_upper(handed, ranges, overwrite=True), handed.tobytes()))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -422,11 +454,10 @@ def test_missing_lapack_symbols_raise_import_error(monkeypatch):
 
 
 def test_example_blocks_match_scipy_builders(monkeypatch):
-    """The numpy block_diag and toeplitz give scipy's bits, so the example
-    families and the bench inputs built from them do not move."""
-    rng = np.random.default_rng(10)
-    mats = (rng.standard_normal((3, 2)), -np.eye(2), np.zeros((1, 4)))
-    assert np.array_equal(experiments._block_diag(*mats), scipy.linalg.block_diag(*mats))
+    """The numpy toeplitz gives scipy's bits, and example1's CSR blocks hold
+    the values of scipy.sparse's Kronecker builders, so the example families
+    and the bench inputs built from them do not move. example2's A is the
+    block diagonal of its kernel block and a diagonal."""
     gen = np.array([1.5, -0.0, 2.0, -3.25])
     assert experiments._toeplitz(gen).tobytes() == scipy.linalg.toeplitz(gen).tobytes()
 
@@ -435,13 +466,24 @@ def test_example_blocks_match_scipy_builders(monkeypatch):
         return [hashlib.sha256(np.ascontiguousarray(getattr(blocks, name))).hexdigest()
                 for name in "ABCDEb"]
 
+    sp = scipy.sparse
     for q in range(2, 25):
-        for gen in (experiments.gen_example1, lambda q, seed: experiments.gen_example2(q, seed)[0]):
-            got = digest(gen(q, 3))
-            with monkeypatch.context() as scipy_builders:
-                scipy_builders.setattr(experiments, "_block_diag", scipy.linalg.block_diag)
-                scipy_builders.setattr(experiments, "_toeplitz", scipy.linalg.toeplitz)
-                assert got == digest(gen(q, 3)), q
+        blocks = experiments.gen_example2(q, 3)[0]
+        qh = q * (q + 1)
+        assert np.array_equal(blocks.A, scipy.linalg.block_diag(blocks.A[:qh, :qh], np.diag(np.diag(blocks.A)[qh:])))
+        got = digest(blocks)
+        with monkeypatch.context() as scipy_builders:
+            scipy_builders.setattr(experiments, "_toeplitz", scipy.linalg.toeplitz)
+            assert got == digest(experiments.gen_example2(q, 3)[0]), q
+        eye = sp.identity(q)
+        j = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(q, q)) / (q + 1) ** 2
+        z = sp.diags([1.0, -1.0], [0, 1], shape=(q, q)) / (q + 1)
+        lap = sp.kron(eye, j) + sp.kron(j, eye)
+        want = (sp.block_diag((lap, lap)), sp.hstack([sp.kron(eye, z), sp.kron(z, eye)]),
+                sp.kron(sp.diags(1.0 + q * np.arange(q)), z), sp.identity(q * q), sp.identity(q * q))
+        blocks = experiments.gen_example1(q, 3)
+        for name, mat in zip("ABCDE", want):
+            assert np.array_equal(np.asarray(getattr(blocks, name)), mat.toarray()), (q, name)
 
 
 def _splitmix64(seed, count):

@@ -399,7 +399,7 @@ def test_pair_kernel_updates_once_per_run(monkeypatch, limit):
     k1, k2, _ = np.split(system.rows, [blocks.n, blocks.n + blocks.m], axis=1)
     pc._pair_sum(k1, system.sol.y, k2, system.sol.x, blocks.B)
     chunks = sum(lo == 0 for _, lo, _ in calls)
-    nonempty = int(np.count_nonzero(blocks.B.any(axis=0)))
+    nonempty = int(np.count_nonzero(np.asarray(blocks.B).any(axis=0)))
     assert len(calls) <= chunks + nonempty
     assert sum(hi - lo for _, lo, hi in calls) == np.count_nonzero(blocks.B)
     if limit != 7:

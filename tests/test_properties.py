@@ -20,10 +20,10 @@ import oracles
 from conftest import random_dspp, rel_err
 from oracles import structure_basis
 from dsppcond import linalg
-from dsppcond.dspp import DsppBlocks, Solution, factorize, norm_fro_system, selector, solve_dspp
-from dsppcond.eils import EilsProblem, eils_cn, eils_reduce
-from dsppcond.errors import IndefiniteProblem, RankDeficientC, SingularMatrix
-from dsppcond.experiments import apply_perturbation, perturb, perturbed_change
+from dsppcond.dspp import CsrMatrix, DsppBlocks, Solution, factorize, norm_fro_system, selector, solve_dspp
+from dsppcond.eils import EilsProblem, eils_cn, eils_inf_cn, eils_reduce
+from dsppcond.errors import IndefiniteProblem, RankDeficientC, SingularMatrix, ZeroXi
+from dsppcond.experiments import apply_perturbation, epsilons, forward_errors, gen_example1, perturb, perturbed_change
 from dsppcond.linalg import _norm_inf, _norm_upper, top_eig
 from dsppcond.partial_cn import (
     DOMINANCE_RTOL,
@@ -325,6 +325,150 @@ def test_max_norm_numbers_are_attained(n, m, p, kind, flavor, seed):
     deltas = oracles.attaining_inf_direction(system, weights, flavor)
     want = inf_cn(system, flavor).value
     assert rel_err(oracles.definition_ratio(system, weights, flavor, "inf", deltas), want) <= RTOL
+
+
+@SETTINGS
+@given(n=st.integers(1, 5), m=st.integers(1, 5), p=st.integers(1, 5), ka=kinds, kd=kinds, ke=kinds,
+       kind=ranges, flavor=st.sampled_from(("mcn", "ccn")), seed=seeds)
+def test_structured_max_norm_numbers_are_attained(n, m, p, ka, kd, ke, kind, flavor, seed):
+    """The structured mcn and ccn are attained: the vertex direction of
+    :func:`oracles.attaining_inf_direction`, taken in generator coordinates
+    of the triple's kinds (signs summed per generator), has a definition
+    ratio equal to the number to 1e-12 relative."""
+    rng = np.random.default_rng(seed)
+    triple = StructureTriple(ka, kd, ke)
+    blocks, _ = structured_instance(rng, n, m, p, triple)
+    system = SolvedSystem.of(blocks, selector(kind, n, m, p))
+    weights = PerturbationWeights.from_problem(blocks)
+    deltas = oracles.attaining_inf_direction(system, weights, flavor, triple)
+    want = structured_inf_cn(system, flavor, triple).value
+    assert rel_err(oracles.definition_ratio(system, weights, flavor, "inf", deltas), want) <= RTOL
+
+
+@SETTINGS
+@given(m=st.integers(1, 5), extra=st.integers(1, 3), p_frac=st.floats(0.0, 1.0),
+       kind=ranges, flavor=st.sampled_from(("mcn", "ccn")), seed=seeds)
+def test_eils_max_norm_numbers_are_attained(m, extra, p_frac, kind, flavor, seed):
+    """The EILS mcn and ccn are attained: the vertex direction of the
+    embedding, with A, D, E and the middle of b weighted 0, has a definition
+    ratio equal to ``eils_inf_cn`` to 1e-12 relative."""
+    n, p = min(m + extra, 6), 1 + int(p_frac * (m - 1))
+    rng = np.random.default_rng(seed)
+    mmat = rng.standard_normal((n, m))
+    mmat[n - 1 :, :] *= 0.03
+    try:
+        prob = EilsProblem(M=mmat, C=rng.standard_normal((p, m)), n1=n - 1, n2=1,
+                           b=rng.standard_normal(n), d=rng.standard_normal(p))
+    except (IndefiniteProblem, RankDeficientC):
+        assume(False)
+    system = SolvedSystem.of(eils_reduce(prob), selector(kind, n, m, p))
+    weights = oracles.eils_data_weights(system, prob)
+    deltas = oracles.attaining_inf_direction(system, weights, flavor)
+    assert not any(np.any(d) for d in (deltas[0], deltas[3], deltas[4]))
+    want = eils_inf_cn(system, flavor).value
+    assert rel_err(oracles.definition_ratio(system, weights, flavor, "inf", deltas), want) <= RTOL
+
+
+@pytest.mark.parametrize("kind", ["full", "x", "y", "z"])
+def test_max_norm_numbers_are_attained_on_csr_example1(kind):
+    """The plain and structured (symmetric A, Toeplitz D and E) mcn and ccn
+    of example1 at q = 3, whose blocks are CSR, are attained."""
+    blocks = gen_example1(3, 5)
+    assert isinstance(blocks.A, CsrMatrix)
+    system = SolvedSystem.of(blocks, selector(kind, blocks.n, blocks.m, blocks.p))
+    weights = PerturbationWeights.from_problem(blocks)
+    triple = StructureTriple("symmetric", "toeplitz_sym", "toeplitz_sym")
+    for flavor in ("mcn", "ccn"):
+        for kinds, want in ((("full",) * 3, inf_cn(system, flavor)), (triple, structured_inf_cn(system, flavor, triple))):
+            deltas = oracles.attaining_inf_direction(system, weights, flavor, kinds)
+            assert rel_err(oracles.definition_ratio(system, weights, flavor, "inf", deltas), want.value) <= RTOL
+
+
+def as_csr(mat) -> CsrMatrix:
+    """The CSR form of a dense matrix, its nonzeros only."""
+    r, c = np.nonzero(mat)
+    return CsrMatrix.from_entries(r, c, mat[r, c], mat.shape)
+
+
+def sparse_in_subspace(rng, kind, dim, density):
+    """3 I plus a matrix of the structure ``kind`` whose generators each stay
+    nonzero with probability ``density``."""
+    basis = structure_basis(kind, dim)
+    g = rng.standard_normal(basis.generators) * (rng.random(basis.generators) < density)
+    return oracles.reconstruct(basis, g) + 3.0 * np.eye(dim)
+
+
+@SETTINGS
+@given(n=dims, m=dims, p=dims, ka=kinds, kd=kinds, ke=kinds, kind=ranges, density=densities,
+       s=st.integers(1, 8), seed=seeds)
+def test_csr_blocks_give_the_dense_values(n, m, p, ka, kd, ke, kind, density, s, seed):
+    """The same data held dense and as CSR blocks: every number, bound and
+    structured value, with number and data weights, agrees to 1e-13
+    relative, eps1 to 1e-13 and eps2 exactly; the perturbation's deltas are
+    bitwise the same at the stored entries and zero elsewhere; the refined
+    change and its errors r_k, r_m, r_c agree to 1e-10, on systems with
+    rcond >= 1e-4 (the blocks' products round in another order, which the
+    solves amplify by S's condition)."""
+    rng = np.random.default_rng(seed)
+    triple = StructureTriple(ka, kd, ke)
+    dense = DsppBlocks(
+        A=sparse_in_subspace(rng, ka, n, density), B=sparse_block(rng, (m, n), density, False),
+        C=sparse_block(rng, (p, m), density, False), D=sparse_in_subspace(rng, kd, m, density),
+        E=sparse_in_subspace(rng, ke, p, density), b=rng.standard_normal(n + m + p),
+    )
+    held = replace(dense, **{name: as_csr(getattr(dense, name)) for name in "ABCDE"})
+    sel = selector(kind, n, m, p)
+    try:
+        lus = [factorize(blocks) for blocks in (dense, held)]
+        systems = [SolvedSystem.of(blocks, sel) for blocks in (dense, held)]
+    except SingularMatrix:
+        assume(False)
+    assume(lus[0].rcond >= 1e-4 and np.any(systems[0].lw))
+    psi, chi = norm_fro_system(dense), float(np.linalg.norm(dense.b))
+    assert rel_err(norm_fro_system(held), psi) <= 1e-13
+
+    def values(system):
+        number, data = PerturbationWeights.scalar(psi, chi), PerturbationWeights.from_problem(system.blocks)
+        return [
+            ncn(system, psi, chi).value, ncn_upper(system, psi, chi).value,
+            inf_cn(system, "mcn").value, inf_cn(system, "ccn").value, *(v.value for v in inf_cn_upper(system)),
+            structured_ncn(system, number, "ncn", triple).value,
+            structured_inf_cn(system, "mcn", triple).value, structured_inf_cn(system, "ccn", triple).value,
+            unified_cn(system, data, "ccn", "two").value, unified_cn(system, data, "mcn", "inf").value,
+        ]
+
+    try:
+        want = values(systems[0])
+    except ZeroXi:
+        assume(False)
+    for got, value in zip(values(systems[1]), want):
+        assert rel_err(got, value) <= 1e-13
+
+    perts = [perturb(blocks, s, seed) for blocks in (dense, held)]
+    stored = (held.A, held.B, held.C, held.D, held.E, held.b)
+    for d_dense, d_held, base in zip(perts[0].deltas, perts[1].deltas, stored):
+        if isinstance(base, CsrMatrix):
+            assert d_held.indices is base.indices and d_held.indptr is base.indptr
+            assert d_held.data.tobytes() == d_dense[base.row_ids, base.indices].tobytes()
+            assert np.array_equal(np.asarray(d_held), d_dense)
+        else:
+            assert d_held.tobytes() == d_dense.tobytes()
+    (eps1, eps2), (eps1_held, eps2_held) = (epsilons(pert, blocks) for pert, blocks in zip(perts, (dense, held)))
+    assert rel_err(eps1_held, eps1) <= 1e-13 and eps2_held == eps2
+
+    changes = []
+    for blocks, system, lu, pert in zip((dense, held), systems, lus, perts):
+        try:
+            changes.append(perturbed_change(blocks, system.sol, lu, pert))
+        except SingularMatrix:
+            changes.append(None)
+    assert (changes[0] is None) == (changes[1] is None)
+    if changes[0] is not None:
+        dw, dw_held = changes
+        assert np.linalg.norm(dw_held - dw) <= 1e-10 * np.linalg.norm(dw)
+        errors = [forward_errors(systems[0].sol, change, sel) for change in changes]
+        for got, value in zip(*errors[::-1]):
+            assert rel_err(got, value) <= 1e-10
 
 
 @SETTINGS

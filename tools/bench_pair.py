@@ -12,17 +12,22 @@ left alone. Both sides run from paths of the same length: the sweep's peak
 RSS moves by up to 6 MB with the length of its output path, through glibc's
 dynamic mmap threshold. Each pair runs ``perfbench/run.py --trace 0`` once on
 each side for every workload in ``BENCHMARK.json``, for its ``run_seconds``;
-which side runs first alternates from pair to pair. The output file holds
-every run (its metrics, failure count and per-pass samples), and per
-workload and end-to-end metric: each side's values, median and quartiles,
-and how many pairs the working tree won, lost and tied in the metric's
-``better`` direction.
+which side runs first alternates from pair to pair. A run that exits
+non-zero, prints no result or outlasts ``RUN_TIMEOUT_S`` is recorded as
+failed, with its exit code (null on a timeout) and the tail of its stderr,
+and the pairs go on; the output file is written however the runs end. It
+holds every run (its metrics, failure count and per-pass samples), and per
+workload and end-to-end metric, over the pairs where both sides ran: each
+side's values, median and quartiles, and how many pairs the working tree
+won, lost and tied in the metric's ``better`` direction. The exit status is
+1 if any run failed, else 0.
 
 Two verdicts follow the benchmark's rules. ``gain`` holds when the working
 tree wins at least nine tenths of the pairs and its median is better than
 the base median by more than the base's interquartile range. ``within_bound``
 holds when the working tree's median is no worse than the base median by
-more than the metric's relative ``bound``.
+more than the metric's relative ``bound``. Both are false when fewer than
+two pairs ran on both sides, or when any pair has a failed run.
 
 Standard library only, like ``perfbench/run.py``, so the measuring process
 adds no numpy pages to the children's peak RSS.
@@ -66,24 +71,38 @@ def export_worktree(dest: str) -> None:
             shutil.copy2(src, os.path.join(dest, name))
 
 
+def failed_run(exit_code, stderr, note: str) -> dict:
+    """The record of a run that gave no result."""
+    if isinstance(stderr, bytes):
+        stderr = stderr.decode(errors="replace")
+    return {"failed": 1, "run_failed": note, "exit_code": exit_code,
+            "stderr_tail": (stderr or "")[-2000:], "metrics": {}, "samples": [], "env": None}
+
+
 def run_bench(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run; its result line plus the per-pass samples."""
+    """One ``perfbench/run.py`` run; its result line plus the per-pass samples,
+    or a failed record."""
     argv = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
-                          timeout=RUN_TIMEOUT_S)
+    try:
+        proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
+                              timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired as exc:
+        return failed_run(None, exc.stderr, f"timed out after {RUN_TIMEOUT_S} s")
     lines = proc.stdout.splitlines()
-    if proc.returncode != 0 or len(lines) < 2:
-        raise SystemExit(f"bench_pair: {workload} in {checkout} exited {proc.returncode}:\n"
-                         f"{proc.stderr[-2000:]}")
-    info, result = json.loads(lines[-2]), json.loads(lines[-1])
-    return {
-        "failed": result["failed"],
-        "attempted": result["attempted"],
-        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
-        "samples": info["samples"],
-        "env": info["env"],
-    }
+    try:
+        if proc.returncode != 0:
+            raise ValueError(f"exited {proc.returncode}")
+        info, result = json.loads(lines[-2]), json.loads(lines[-1])
+        return {
+            "failed": result["failed"],
+            "attempted": result["attempted"],
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            "samples": info["samples"],
+            "env": info["env"],
+        }
+    except (ValueError, IndexError, KeyError, TypeError) as exc:
+        return failed_run(proc.returncode, proc.stderr, f"no result: {exc!r}")
 
 
 def summary(values: list[float]) -> dict:
@@ -92,10 +111,16 @@ def summary(values: list[float]) -> dict:
 
 
 def compare(spec: dict, runs: list[dict]) -> dict:
-    """Per-metric sides, win count and verdicts over the pairs of one workload."""
+    """Per-metric sides, win count and verdicts over the pairs of one workload
+    where both sides ran."""
     name, sign = spec["name"], 1.0 if spec["better"] == "lower" else -1.0
-    base = [r["base"]["metrics"][name] for r in runs]
-    change = [r["change"]["metrics"][name] for r in runs]
+    both = [r for r in runs if name in r["base"]["metrics"] and name in r["change"]["metrics"]]
+    if len(both) < 2:
+        return {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
+                "pairs_compared": len(both), "gain": False, "within_bound": False}
+    base = [r["base"]["metrics"][name] for r in both]
+    change = [r["change"]["metrics"][name] for r in both]
+    complete = len(both) == len(runs)
     # gain > 0 means the working tree is better.
     gains = [sign * (b - c) for b, c in zip(base, change)]
     sb, sc = summary(base), summary(change)
@@ -104,15 +129,16 @@ def compare(spec: dict, runs: list[dict]) -> dict:
         "unit": spec["unit"],
         "better": spec["better"],
         "bound": spec["bound"],
+        "pairs_compared": len(both),
         "base": sb,
         "change": sc,
         "wins": sum(g > 0 for g in gains),
         "losses": sum(g < 0 for g in gains),
         "ties": sum(g == 0 for g in gains),
         "median_rel_change": (sc["median"] - sb["median"]) / sb["median"],
-        "gain": (10 * sum(g > 0 for g in gains) >= 9 * len(gains)
+        "gain": (complete and 10 * sum(g > 0 for g in gains) >= 9 * len(gains)
                  and median_gain > sb["q3"] - sb["q1"]),
-        "within_bound": -median_gain <= spec["bound"] * abs(sb["median"]),
+        "within_bound": complete and -median_gain <= spec["bound"] * abs(sb["median"]),
     }
 
 
@@ -136,44 +162,48 @@ def main(argv=None) -> int:
 
     runs = {w: [] for w in workloads}
     env = None
-    with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
-        sides = {"base": os.path.join(tmp, "old"), "change": os.path.join(tmp, "new")}
-        export_commit(base, sides["base"])
-        export_worktree(sides["change"])
-        for pair in range(args.pairs):
-            order = ("base", "change") if pair % 2 == 0 else ("change", "base")
-            for workload in workloads:
-                record = {"pair": pair, "first": order[0]}
-                for side in order:
-                    result = run_bench(sides[side], workload, args.seed, seconds)
-                    env = result.pop("env")
-                    record[side] = result
-                    print(f"bench_pair: pair {pair} {workload} {side}: "
-                          + ", ".join(f"{k}={v:.4g}" for k, v in result["metrics"].items())
-                          + f", failed={result['failed']}", file=sys.stderr)
-                runs[workload].append(record)
-
-    doc = {
-        "base": base,
-        "change": {"head": head, "uncommitted_changes": dirty},
-        "seed": args.seed,
-        "run_seconds": seconds,
-        "pairs": args.pairs,
-        "env": env,
-        "workloads": {
-            w: {
-                "failed": {side: sum(r[side]["failed"] for r in runs[w])
-                           for side in ("base", "change")},
-                "metrics": {m["name"]: compare(m, runs[w]) for m in bench["end_to_end"]},
-                "runs": runs[w],
-            }
-            for w in workloads
-        },
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    return 0
+    try:
+        with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
+            sides = {"base": os.path.join(tmp, "old"), "change": os.path.join(tmp, "new")}
+            export_commit(base, sides["base"])
+            export_worktree(sides["change"])
+            for pair in range(args.pairs):
+                order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+                for workload in workloads:
+                    record = {"pair": pair, "first": order[0]}
+                    for side in order:
+                        result = run_bench(sides[side], workload, args.seed, seconds)
+                        env = result.pop("env") or env
+                        record[side] = result
+                        print(f"bench_pair: pair {pair} {workload} {side}: "
+                              + ", ".join(f"{k}={v:.4g}" for k, v in result["metrics"].items())
+                              + f", failed={result['failed']}"
+                              + (f" ({result['run_failed']})" if "run_failed" in result else ""),
+                              file=sys.stderr)
+                    runs[workload].append(record)
+    finally:
+        doc = {
+            "base": base,
+            "change": {"head": head, "uncommitted_changes": dirty},
+            "seed": args.seed,
+            "run_seconds": seconds,
+            "pairs": args.pairs,
+            "env": env,
+            "workloads": {
+                w: {
+                    "failed": {side: sum(r[side]["failed"] for r in runs[w])
+                               for side in ("base", "change")},
+                    "metrics": {m["name"]: compare(m, runs[w]) for m in bench["end_to_end"]},
+                    "runs": runs[w],
+                }
+                for w in workloads
+            },
+        }
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+    failed = any("run_failed" in r[side] for w in workloads for r in runs[w] for side in ("base", "change"))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
