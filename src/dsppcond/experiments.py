@@ -434,8 +434,8 @@ def _system_rows(family, q, rows, s, seed, structured) -> list[ExperimentRow]:
 
     1. measure each row: solve, perturb, refine the solution change and
        take its errors and eps1, eps2 (:func:`_measure`);
-    2. form each row's L S^{-1} from one :class:`Factors`, which solves each
-       part of S^{-T} the rows read once;
+    2. form each row's L S^{-1} from one :class:`Factors`, read ``last``: each
+       part of S^{-T} the rows read once, or a dense LU inverted in place;
     3. release the factors, then compute every row's numbers but the
        2-norm bound (:func:`_predict`), which read L S^{-1}, the solution
        and the blocks;
@@ -455,7 +455,7 @@ def _system_rows(family, q, rows, s, seed, structured) -> list[ExperimentRow]:
         sel = selector(kind, blocks.n, blocks.m, blocks.p)
         sol = solve_dspp(blocks, factors.lu)
         measured.append((blocks, sel, sol, _measure(blocks, sol, factors.lu, sel, s, pert_seed)))
-    systems = [(SolvedSystem(b, sel, sol, factors.rows(sel)), m) for b, sel, sol, m in measured]
+    systems = [(SolvedSystem(b, sel, sol, factors.rows(sel, last=True)), m) for b, sel, sol, m in measured]
     del factors, measured, blocks
     predicted = [
         (*_predict(system, triple, q, m, structured), system.rows, system.sol, system.sel)
@@ -484,16 +484,11 @@ def _system_rows(family, q, rows, s, seed, structured) -> list[ExperimentRow]:
 # in-process.
 _POOL_MIN_WORK = 1 << 20
 
-# A task's peak memory over its process's, in bytes per l^2: measured 2.8-5.3
-# doubles per l^2 of peak RSS over a warmed-up process's (2.6-3.6 traced by
-# tracemalloc; the top of each range at l = 256 and 300) for example1 tasks
-# of all four selectors and of x or y alone at l = 256..1600, and example2
-# `full` rows at l = 300..1596, with and without structured values, at
-# s = 8, with S's LU and the blocks dense; example1's tasks, with CSR blocks
-# and a band LU, now read 0.4-2.0. A task holds at most two l x l arrays:
-# beside its blocks, S's dense LU (none for a band one) and the buffer of
-# S^{-1} rows while they are formed; then the buffer, holding the Grams.
-_TASK_PEAK_BYTES_PER_L2 = 12 * 8
+# A task's peak memory over its process's, in doubles per l^2, by its LU: peak
+# RSS over a warmed-up process's, at s = 8, read at most 2.9 for example1 (band
+# LU, CSR blocks, l = 256..4096) and example2 (dense LU and blocks, l = 300..2080),
+# the top at the smallest l; a dense task may hold the LUs of S and of S + dS.
+_TASK_PEAK_DOUBLES_PER_L2 = {"example1": 4, "example2": 8}
 
 
 def _system_size(family: str, q: int) -> int:
@@ -509,9 +504,9 @@ def _free_memory() -> int | None:
         return None
 
 
-def _pool_workers(sizes: list[int]) -> int:
-    """Worker processes for rows of system sizes ``sizes``, or 1 to run them
-    in the calling process.
+def _pool_workers(sizes: list[int], family: str) -> int:
+    """Worker processes for rows of ``family`` of system sizes ``sizes``, or
+    1 to run them in the calling process.
 
     Up to one worker per usable CPU and per row, and no more than free memory
     holds tasks of the largest size at once. One worker would only add the
@@ -531,7 +526,7 @@ def _pool_workers(sizes: list[int]) -> int:
     workers = min(cpus, len(sizes))
     free = _free_memory()
     if free is not None:
-        workers = min(workers, free // (_TASK_PEAK_BYTES_PER_L2 * max(sizes, default=1) ** 2))
+        workers = min(workers, free // (8 * _TASK_PEAK_DOUBLES_PER_L2[family] * max(sizes, default=1) ** 2))
     return max(1, workers)
 
 
@@ -594,7 +589,7 @@ def run_experiment(
     systems: dict = {}  # the positions of each system's rows
     for pos, (q, idx, _) in enumerate(rows):
         systems.setdefault((q, None if family == "example1" else idx), []).append(pos)
-    workers = _pool_workers([_system_size(family, q) for q, _, _ in rows])
+    workers = _pool_workers([_system_size(family, q) for q, _, _ in rows], family)
     sizes = [_system_size(family, q) for q, _ in systems]
     tasks = []
     for l, members, t in zip(

@@ -9,14 +9,14 @@ gives the bounds. Everything operates on float64 numpy arrays and is pure,
 apart from the BLAS thread pins that the command line and each experiment
 row wrap around their work.
 
-The LAPACK and BLAS routines (dgetrf, dgetrs, dgecon, dgbtrf, dgbtrs,
-dgbcon, dlange, dpotrf, dger, dsyrk, dgemm; contracts in Anderson et al.,
-LAPACK Users' Guide, SIAM 1999) are called through ctypes in the one OpenBLAS
-that numpy links, so the package loads one BLAS with one thread pool. Their
-symbols are found by name: prefixed ``scipy_`` (the numpy >= 2 wheels) or
-not, and suffixed ``_64_`` (64-bit integer arguments) or ``_`` (32-bit).
-Where numpy's library exports none of these namings, importing the package
-raises ImportError.
+The twelve LAPACK and BLAS routines (dgetrf, dgetrs, dgetri, dgecon,
+dgbtrf, dgbtrs, dgbcon, dlange, dpotrf, dger, dsyrk, dgemm; contracts in
+Anderson et al., LAPACK Users' Guide, SIAM 1999) are called through ctypes
+in the one OpenBLAS that numpy links, so the package loads one BLAS with one
+thread pool. Their symbols are found by name: prefixed ``scipy_`` (the
+numpy >= 2 wheels) or not, and suffixed ``_64_`` (64-bit integer arguments)
+or ``_`` (32-bit). Where numpy's library exports none of these namings,
+importing the package raises ImportError.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ _CHUNK_ENTRY_LIMIT = 1 << 16
 # arguments; the CHARACTER ones among them (the second number) each take a
 # hidden length, which gfortran appends after the listed arguments.
 _ROUTINES = {
-    "dgetrf": (6, 0), "dgetrs": (9, 1), "dgecon": (9, 1), "dlange": (6, 1),
+    "dgetrf": (6, 0), "dgetrs": (9, 1), "dgetri": (7, 0), "dgecon": (9, 1), "dlange": (6, 1),
     "dpotrf": (5, 1), "dger": (9, 0), "dsyrk": (10, 2), "dgemm": (13, 2),
     "dgbtrf": (8, 0), "dgbtrs": (11, 1), "dgbcon": (12, 1),
 }
@@ -472,8 +472,9 @@ class LuSolver:
     rcond, so this is no proof; the solves' residual tests are what accept
     a solution. The norms ``norm_one`` and ``norm_inf`` of M are kept.
 
-    The factors take one l x l array: a copy of M or, with ``overwrite``,
-    M itself where it is a writeable Fortran-ordered float64 array.
+    The factors take one l x l array, which :meth:`inverse_transpose` can
+    turn into M^{-T}: a copy of M or, with ``overwrite``, M itself where it
+    is a writeable Fortran-ordered float64 array.
     """
 
     def __init__(self, m, overwrite: bool = False):
@@ -517,6 +518,28 @@ class LuSolver:
             rhs[...] = x
             return rhs
         return x
+
+    def inverse_transpose(self) -> np.ndarray:
+        """M^{-T}, Fortran-ordered (its C-ordered transpose holds M^{-1}), in
+        the factors' own storage, which this consumes: LAPACK dgetri forms
+        M^{-1} there in 4/3 l^3 flops (J. J. Du Croz and N. J. Higham, IMA J.
+        Numer. Anal. 12, 1992), and :func:`_transpose_in_place` transposes it."""
+        n, lu, piv, info, size = self.shape[0], self._lu, self._piv, np.zeros(1, _INT), np.zeros(1)
+        self._lu = self._piv = None
+        _call("dgetri", n, lu, n, piv, size, -1, info)  # a query of the work array's size
+        _call("dgetri", n, lu, n, piv, np.empty(int(size[0])), int(size[0]), info)
+        if _info("dgetri", info):
+            raise SingularMatrix("exactly zero pivot")
+        _transpose_in_place(lu)
+        return lu
+
+
+def _transpose_in_place(a) -> None:
+    """a[...] = a.T for the square ``a``, by swapping each _TILE x _TILE
+    tile with its mirror image through a copy of one of them."""
+    for i, j in itertools.combinations_with_replacement(range(0, len(a), _TILE), 2):
+        upper, lower = a[i : i + _TILE, j : j + _TILE], a[j : j + _TILE, i : i + _TILE]
+        upper[...], lower[...] = lower.T, upper.copy().T
 
 
 def _checked_rhs(rhs, shape) -> np.ndarray:

@@ -45,7 +45,7 @@ from .dspp import (
     factorize, solve_dspp,
 )
 from .errors import DimensionMismatch, ZeroXi
-from .linalg import _CHUNK_ENTRY_LIMIT, RankOneUpdate, _norm_upper, as_vector, ddagger, top_eig
+from .linalg import _CHUNK_ENTRY_LIMIT, LuSolver, RankOneUpdate, _norm_upper, as_vector, ddagger, top_eig
 
 _XI_KINDS = ("ncn", "mcn", "ccn", "custom")
 
@@ -189,14 +189,15 @@ def _inf_value(xivec, u) -> float:
     return float(np.max(np.abs(ddagger(xivec)) * u))
 
 
-def _shifted(v) -> np.ndarray:
-    """Column g is T_g v for the symmetric Toeplitz generator T_g."""
-    dim = v.size
-    out = np.zeros((dim, dim))
-    out[:, 0] = v
-    for g in range(1, dim):
-        out[g:, g] += v[:-g]
-        out[:-g, g] += v[g:]
+def _shifted(v, lo: int, hi: int) -> np.ndarray:
+    """Columns lo:hi of the matrix whose column g is T_g v, for the
+    symmetric Toeplitz generator T_g."""
+    dim, hi = v.size, min(hi, v.size)
+    out = np.zeros((dim, hi - lo))
+    for j, g in enumerate(range(lo, hi)):
+        out[g:, j] += v[: dim - g]
+        if g:
+            out[: dim - g, j] += v[g:]
     return out
 
 
@@ -224,7 +225,7 @@ def _kind_op(kind: str, w2, v):
     # 2 (dim - g) entries of two off-diagonals.
     counts = 2.0 * np.arange(v.size, 0, -1)
     counts[0] = v.size
-    vmat = _shifted(v)
+    vmat = _shifted(v, 0, v.size)
     c = _wprod(w2, 1.0, "col") / counts
     return lambda u: vmat @ (c * (u @ vmat))
 
@@ -284,20 +285,23 @@ def _pair_sum(k_col, v_row, k_row, v_col, w, upper: bool = False) -> np.ndarray:
     taken in chunks of at most cb = ``_CHUNK_ENTRY_LIMIT // k`` pairs: as
     many whole rows as fit, or cb pairs of a longer row, as dense rows
     always were. A chunk gathers its rows c of a contiguous copy of k_col^T
-    into one C-ordered buffer t; each run of one row r is scaled by v_row[r]
-    and gets v_col[c] (x) k_row[:, r] from one BLAS ``dger`` call (a
+    (with ``upper``, its columns of k_col by 64-row tiles) into one
+    C-ordered buffer t; each run of one row r is scaled by v_row[r] and gets
+    v_col[c] (x) k_row[:, r] from one BLAS ``dger`` call (a
     :class:`RankOneUpdate` on t^T, reading k_row's columns from a slab
     copied per block); then |w[r, c]| |t| is summed. The Python loop runs
-    once per block, chunk and run. Beside its inputs the kernel holds the
-    copy, the buffer, a slab and a listing (at most 1/2 and 5/8 of the
-    buffer) and O(k + l) vectors, a budget that does not grow with s.
+    once per block, chunk and run (and tile). Beside its inputs the kernel
+    holds the copy or a tile, the buffer, a slab and a listing (at most 1/2
+    and 5/8 of the buffer) and O(k + l) vectors, not growing with s.
     """
     if not upper and k_col.shape[1] > k_row.shape[1]:
         k_col, v_row, k_row, v_col, w = k_row, v_col, k_col, v_row, w.T
     k, (rows, cols) = k_col.shape[0], w.shape
-    k_col_t = np.empty((k_col.shape[1], k))
-    for i in range(0, k, 64):  # 3x faster than one transposing copy at 1024 x 256
-        k_col_t[:, i : i + 64] = k_col[i : i + 64].T
+    k_col_t = None
+    if not upper:  # gathers run 2.5x faster from a copy; the symmetric block, the widest, has none
+        k_col_t = np.empty((k_col.shape[1], k))
+        for i in range(0, k, 64):  # 3x faster than one transposing copy at 1024 x 256
+            k_col_t[:, i : i + 64] = k_col[i : i + 64].T
     cap = min(max(1, _CHUNK_ENTRY_LIMIT // max(1, k)), cols)
     u, buf, v_cols = np.zeros(k), np.empty((cap, k)), np.empty(cap)
     step = max(1, min(cap // 2, buf.size // 8 // max(1, cols)))
@@ -313,9 +317,14 @@ def _pair_sum(k_col, v_row, k_row, v_col, w, upper: bool = False) -> np.ndarray:
         while a < len(w_nz):
             j = bisect.bisect_right(ends, a + cap)
             b = ends[j - 1] if j and ends[j - 1] > a else a + cap
+            t, at = buf[: b - a], c_at[a:b] + c0
             # mode="clip" writes straight into ``out``; "raise" would buffer.
-            t = np.take(k_col_t[c0:], c_at[a:b], axis=0, out=buf[: b - a], mode="clip")
-            np.take(v_col[c0:], c_at[a:b], out=v_cols[: b - a], mode="clip")
+            if k_col_t is not None:
+                np.take(k_col_t, at, axis=0, out=t, mode="clip")
+            else:
+                for top in range(0, k, 64):
+                    t[:, top : top + 64] = k_col[top : top + 64, at].T
+            np.take(v_col, at, out=v_cols[: b - a], mode="clip")
             lo = a
             while lo < b:
                 hi = min(ends[i], b)
@@ -333,7 +342,8 @@ def _kind_numerator(kind: str, k, w, v) -> np.ndarray:
     """sum_g |K Phi_g v| |w_g| over the generators of one structure kind, for
     a weight matrix ``w`` whose magnitude is constant on each generator's
     support; ``k`` holds the matching columns of L S^{-1}. |w| is taken in
-    row chunks or rows, so no array of w's size is formed.
+    row chunks or rows, and T_g v and k T_g v in chunks of at most
+    ``_CHUNK_ENTRY_LIMIT`` entries, so no array of w's size or k's is formed.
     """
     if kind == "full":
         return _abs_product(k, _abs_product(w, np.abs(v)))
@@ -343,7 +353,8 @@ def _kind_numerator(kind: str, k, w, v) -> np.ndarray:
         # The pair (r, c) and (c, r) share one generator; the diagonal
         # pair counts its single entry twice, hence the half weight.
         return _pair_sum(k, v, k, v, w, upper=True)
-    return np.abs(k @ _shifted(v)) @ np.abs(_diagonal(w, first_column=True))
+    w_abs, step = np.abs(_diagonal(w, first_column=True)), max(1, _CHUNK_ENTRY_LIMIT // max(k.shape[0], v.size))
+    return sum(np.abs(k @ _shifted(v, lo, lo + step)) @ w_abs[lo : lo + step] for lo in range(0, v.size, step))
 
 
 def _ade_numerator(rows, sol, wa, wd, we, kinds) -> np.ndarray:
@@ -380,14 +391,13 @@ class Factors:
     """The factorization of one system matrix and the rows of S^{-1} that
     selectors read: L S^{-1} of a range selector is rows lo:hi of S^{-1}.
 
-    Each part x, y, z of those rows comes from one transposed solve, made at
-    most once, on first use, and written in place into one Fortran-ordered
-    l x l buffer that holds S^{-T}, allocated on the first range request; a
-    range reads the parts it covers. A part is always solved by the same
-    call, so its rows are bitwise the same whatever selectors share the
-    factors. A custom L is solved against directly. The rows handed out are
-    views of the buffer, so they outlive the factors: dropping a
-    ``Factors`` releases the LU and keeps the rows.
+    The rows live in one Fortran-ordered l x l buffer that holds S^{-T}. A
+    dense LU whose first range request is ``last`` and asks for every row
+    becomes that buffer (:meth:`~dsppcond.linalg.LuSolver.inverse_transpose`;
+    ``lu`` is then None). Otherwise each part x, y, z is one transposed
+    solve into the buffer, made once, on first use, and bitwise the same
+    whatever selectors share the factors. A custom L is solved against
+    directly. Dropping a ``Factors`` releases the LU, not the rows.
     """
 
     def __init__(self, blocks: DsppBlocks):
@@ -396,12 +406,14 @@ class Factors:
         self._inv_t = None
         self._solved = set()
 
-    def rows(self, sel: Selector) -> np.ndarray:
-        """L S^{-1} (k x l) of the selector ``sel``, read-only."""
+    def rows(self, sel: Selector, last: bool = False) -> np.ndarray:
+        """L S^{-1} (k x l) of ``sel``, read-only; ``last``: no later call solves with ``lu``."""
         if sel.custom is not None:
             out = self.lu.solve(sel.custom.T, transpose=True).T
         else:
-            if self._inv_t is None:
+            if self._inv_t is None and last and sel.k == self._cuts[-1] and isinstance(self.lu, LuSolver):
+                self._inv_t, self.lu, self._solved = self.lu.inverse_transpose(), None, set(self._cuts)
+            elif self._inv_t is None:
                 self._inv_t = np.zeros((self._cuts[-1],) * 2, order="F")
             for lo, hi in zip(self._cuts, self._cuts[1:]):
                 if sel.lo <= lo and hi <= sel.hi and lo not in self._solved:
@@ -436,14 +448,14 @@ class SolvedSystem:
     def of(cls, blocks: DsppBlocks, sel: Selector, factors: Factors | None = None) -> "SolvedSystem":
         """Solve with ``factors``, the factorization of this system matrix,
         and form L S^{-1} from its buffer of S^{-1} rows. Made here when
-        None, the factors are released on return, before any number is
-        computed; one ``Factors`` passed to several calls shares one
-        factorization and one buffer among their selectors, and lives as
-        long as the caller keeps it."""
+        None, the factors are read ``last`` here and released on return,
+        before any number is computed; one ``Factors`` passed to several
+        calls shares one factorization and one buffer among their selectors,
+        and lives as long as the caller keeps it."""
         if sel.l != blocks.l:
             raise DimensionMismatch(f"selector has {sel.l} columns, system is {blocks.l}")
-        factors = Factors(blocks) if factors is None else factors
-        return cls(blocks, sel, solve_dspp(blocks, factors.lu), factors.rows(sel))
+        own, factors = factors is None, factors or Factors(blocks)
+        return cls(blocks, sel, solve_dspp(blocks, factors.lu), factors.rows(sel, last=own))
 
     @cached_property
     def lw(self) -> np.ndarray:

@@ -5,6 +5,8 @@ import io
 import pathlib
 import re
 
+import pytest
+
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -14,8 +16,12 @@ def library_example() -> str:
     return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
 
 
-def test_readme_library_example_runs():
-    code = library_example()
+@pytest.mark.parametrize("kind", ["x", "full"])
+def test_readme_library_example_runs(kind):
+    # With "full" first, the caller's Factors is not consumed: its LU still
+    # solves the custom selector that follows.
+    code = library_example().replace('selector("x", 2, 1, 1)', f'selector("{kind}", 2, 1, 1)')
+    assert f'selector("{kind}", 2, 1, 1)' in code
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})

@@ -432,7 +432,7 @@ def test_a_split_keeps_each_maximal_range_in_one_task(monkeypatch, selectors, gr
         made[-1].append(rows.shape[0])
         return linalg._norm_upper(rows, ranges, overwrite)
 
-    monkeypatch.setattr(experiments, "_pool_workers", lambda sizes: 1)
+    monkeypatch.setattr(experiments, "_pool_workers", lambda sizes, family: 1)
     monkeypatch.setattr(experiments, "_task_counts", lambda sizes, rows, workers: [2] * len(sizes))
     monkeypatch.setattr(experiments, "_system_rows", task)
     monkeypatch.setattr(experiments, "_norm_upper", recorded)
@@ -818,6 +818,18 @@ def test_run_experiment_pools_only_where_it_can_pay(monkeypatch, min_work, free_
         pids = run_experiment("example1", [2, 3], selectors=("full", "x"))
     assert (os.getpid() not in pids) == pooled
     assert pooled or set(pids) == {os.getpid()}
+
+
+def test_pool_workers_follow_the_lu_a_task_holds(monkeypatch):
+    # With 7.0 GB free and two usable CPUs, two example1 rows at q = 40
+    # (l = 6400) or q = 48 (l = 9216) run on two workers: a band task counts
+    # 4 doubles per l^2 (a q = 48 y row peaks at 249 MB). Two example2 rows
+    # at q = 40 (l = 12 880; a dense task counts 8) stay on one.
+    monkeypatch.setattr(experiments, "_free_memory", lambda: 7_000_000_000)
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for q in (40, 48):
+        assert experiments._pool_workers([experiments._system_size("example1", q)] * 2, "example1") == 2
+    assert experiments._pool_workers([experiments._system_size("example2", 40)] * 2, "example2") == 1
 
 
 def _rows_in_worker(q_list):

@@ -374,6 +374,45 @@ def test_factorize_holds_one_system_sized_array():
     assert traced_peak(factorize, blocks) <= l * l * 8 + 16 * l * 8
 
 
+@pytest.mark.parametrize("n", [1, 40, 128, 300])
+def test_inverse_binding_matches_scipy_in_place(n):
+    # dgetri forms M^-1 in the factors' own array, which the tile swaps
+    # (300 = 2 * 128 + 44: full, edge and corner tiles) turn into M^-T in
+    # Fortran order; scipy's dgetri on the same factors gives M^-1.
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, n))
+    lu = LuSolver(m)
+    factors, piv = lu._lu.copy(), lu._piv - 1
+    storage = lu._lu
+    inv_t = lu.inverse_transpose()
+    assert inv_t is storage and inv_t.flags.f_contiguous
+    want, info = scipy.linalg.lapack.dgetri(factors, piv)
+    assert info == 0
+    assert _norm_rel(inv_t.T, want) <= 1e-13
+    assert _norm_rel(inv_t.T @ m, np.eye(n)) <= 1e-12
+    with pytest.raises(TypeError):
+        lu.solve(np.ones(n))  # the factors are gone
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+def test_tile_transpose_is_the_transpose(n):
+    a = np.random.default_rng(n).standard_normal((n, n))
+    for b in (a.copy(), np.asfortranarray(a)):
+        linalg._transpose_in_place(b)
+        assert np.array_equal(b, a.T)
+
+
+def test_inverse_rejects_a_zero_pivot():
+    # dgetri reports an exactly zero diagonal entry of U (info > 0), as
+    # scipy's does, and the factors are not used again.
+    lu = LuSolver(np.eye(4) + np.triu(np.ones((4, 4)), 1))
+    lu._lu[2, 2] = 0.0
+    assert scipy.linalg.lapack.dgetri(lu._lu.copy(), lu._piv - 1)[1] == 3
+    with pytest.raises(SingularMatrix, match="zero pivot"):
+        lu.inverse_transpose()
+    assert lu._lu is None
+
+
 def test_exactly_singular_lu_is_rejected():
     # dgetrf reports the zero pivot (info > 0); the solver reads rcond 0.
     m = np.ones((3, 3))

@@ -809,6 +809,30 @@ def test_solved_system_holds_no_factorization(kind):
     assert held - owner.nbytes <= 8 * l * 8
 
 
+def test_dense_full_system_holds_one_system_sized_array():
+    # A dense LU read last for every row of S^-1 becomes L S^-1 in its own
+    # storage (dgetri, then tile swaps): beside the blocks, SolvedSystem.of
+    # peaks at one l x l array, dgetri's work array of about 64 l doubles,
+    # one 128 x 128 tile and O(l) vectors, where the factors and a separate
+    # S^-T buffer took 2 l^2. The rows are bitwise those of the inverse.
+    rng = np.random.default_rng(43)
+    blocks = random_dspp(rng, 400, 300, 200)
+    l = blocks.l
+    sel = selector("full", blocks.n, blocks.m, blocks.p)
+    tracemalloc.start()
+    try:
+        system = SolvedSystem.of(blocks, sel)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert system.rows.base.nbytes == l * l * 8 and system.rows.flags.c_contiguous
+    assert peak <= 1.15 * l * l * 8  # measured 1.07 l^2; 2.0 with the separate buffer
+    assert held - l * l * 8 <= 8 * l * 8
+    lu = pc.factorize(blocks)
+    assert np.array_equal(system.rows, lu.inverse_transpose().T)
+    assert np.array_equal(system.sol.x, solve_dspp(blocks).x)
+
+
 def test_symmetric_numerator_memory_budget():
     # The symmetric kind's max-norm term reads row r's upper part of w and
     # halves the diagonal weight inside the pair kernel: beside its inputs
@@ -829,6 +853,44 @@ def test_symmetric_numerator_memory_budget():
     assert np.array_equal(pc._kind_numerator("symmetric", block, w, v), want)
     budget = 2 * k * n * 8 + 32 * (k + n) * 8
     assert traced_peak(pc._kind_numerator, "symmetric", block, w, v) <= budget
+
+
+def test_symmetric_pair_term_gathers_without_a_copy_of_its_block(monkeypatch):
+    # The symmetric term's block, L S^-1's A columns, is the widest the pair
+    # kernel reads: its chunks gather their columns straight from it (the
+    # layout of L S^-1's rows), so beside its inputs the kernel holds the
+    # chunk buffer, one 64-row tile of the gather, a slab, a listing and
+    # O(k + n) vectors, and no k x n copy. A small chunk limit keeps the
+    # row-by-row oracle cheap.
+    monkeypatch.setattr(pc, "_CHUNK_ENTRY_LIMIT", 1 << 12)
+    rng = np.random.default_rng(46)
+    k, n = 128, 512
+    block = rng.standard_normal((k, n + 40))[:, :n]
+    a = rng.standard_normal((n, n))
+    w, v = np.abs(a + a.T) * (rng.random((n, n)) < 0.5), rng.standard_normal(n)
+    half = np.triu(w, 1) + np.diag(np.diag(w)) / 2.0
+    want = sum(np.abs(block * v[r] + np.outer(block[:, r], v)) @ half[r] for r in range(n))
+    budget = 3 * pc._CHUNK_ENTRY_LIMIT * 8 + 32 * (k + n) * 8
+    assert budget < k * n * 8
+    assert traced_peak(pc._pair_sum, block, v, block, v, w, True) <= budget
+    np.testing.assert_allclose(pc._pair_sum(block, v, block, v, w, upper=True), want, rtol=1e-13, atol=0)
+
+
+def test_toeplitz_numerator_works_in_chunks():
+    # The Toeplitz term takes the generators' columns T_g v in chunks whose
+    # products with k have at most _CHUNK_ENTRY_LIMIT entries: no dim x dim
+    # matrix and no k x dim product (each 2 MiB here), and the sum of
+    # |k T_g v| |w_g| over the generators to rounding.
+    rng = np.random.default_rng(47)
+    k, dim = 512, 512
+    block, v = rng.standard_normal((k, dim)), rng.standard_normal(dim)
+    idx = np.arange(dim)
+    w = rng.standard_normal(dim)[np.abs(idx[:, None] - idx[None, :])]
+    want = np.abs(block @ pc._shifted(v, 0, dim)) @ np.abs(w[:, 0])
+    np.testing.assert_allclose(pc._kind_numerator("toeplitz_sym", block, w, v), want, rtol=1e-13, atol=0)
+    budget = 2 * pc._CHUNK_ENTRY_LIMIT * 8 + 32 * (k + dim) * 8
+    assert budget < k * dim * 8
+    assert traced_peak(pc._kind_numerator, "toeplitz_sym", block, w, v) <= budget
 
 
 def test_cn_value_validation():

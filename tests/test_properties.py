@@ -20,13 +20,16 @@ import oracles
 from conftest import random_dspp, rel_err
 from oracles import structure_basis
 from dsppcond import linalg
-from dsppcond.dspp import CsrMatrix, DsppBlocks, Solution, factorize, norm_fro_system, selector, solve_dspp
+from dsppcond.dspp import (
+    CsrMatrix, DsppBlocks, Solution, assemble, factorize, norm_fro_system, selector, solve_dspp,
+)
 from dsppcond.eils import EilsProblem, eils_cn, eils_inf_cn, eils_reduce
 from dsppcond.errors import IndefiniteProblem, RankDeficientC, SingularMatrix, ZeroXi
 from dsppcond.experiments import apply_perturbation, epsilons, forward_errors, gen_example1, perturb, perturbed_change
 from dsppcond.linalg import _norm_inf, _norm_upper, top_eig
 from dsppcond.partial_cn import (
     DOMINANCE_RTOL,
+    Factors,
     PerturbationWeights,
     SolvedSystem,
     inf_cn,
@@ -469,6 +472,30 @@ def test_csr_blocks_give_the_dense_values(n, m, p, ka, kd, ke, kind, density, s,
         errors = [forward_errors(systems[0].sol, change, sel) for change in changes]
         for got, value in zip(*errors[::-1]):
             assert rel_err(got, value) <= 1e-10
+
+
+@SETTINGS
+@given(n=st.integers(1, 60), m=st.integers(1, 60), p=st.integers(1, 60), d_exponent=st.integers(0, 8),
+       seed=seeds)
+def test_inverse_rows_agree_with_solved_rows(n, m, p, d_exponent, seed):
+    """L S^-1 of a full selector read last (dgetri in the LU's storage) and
+    of shared factors (one dgetrs per part) agree to 10 eps kappa_1(S) in
+    the 1-norm, well inside the forward-error bounds of both routes (Du Croz
+    and Higham, 1992); a small D raises kappa_1(S). Where the LU is a band
+    one, the last read solves by parts too, bitwise."""
+    blocks = random_dspp(np.random.default_rng(seed), n, m, p)
+    blocks = replace(blocks, D=blocks.D * 10.0**-d_exponent)
+    sel = selector("full", n, m, p)
+    try:
+        solved = Factors(blocks).rows(sel)
+    except SingularMatrix:
+        assume(False)
+    inverse = Factors(blocks).rows(sel, last=True)
+    kappa = np.linalg.cond(assemble(blocks), 1)
+    norm = np.abs(solved).sum(axis=0).max()
+    assert np.abs(inverse - solved).sum(axis=0).max() <= 10 * np.finfo(float).eps * kappa * norm
+    if not isinstance(factorize(blocks), linalg.LuSolver):
+        assert np.array_equal(inverse, solved)
 
 
 @SETTINGS
